@@ -4,6 +4,11 @@ The surface moves by dF/dt = H with classical RK4 in time; every stage
 velocity is the mean curvature projected onto the normal plane, so the
 parametrization never drifts tangentially and evolution identities for
 node-attached fields hold in their normal-gauge form.
+
+Each accepted step evaluates the position derivatives and the frame-free
+curvature kernel (:class:`~mcf4d.geometry.Curvature`) once; that one
+evaluation feeds the step's scalar row, its CFL step size, the first RK4
+stage, and the stored |A|^2 field when the state is stored.
 """
 
 from __future__ import annotations
@@ -12,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateMetric, InsufficientBlowup, Mcf4dError, NonFinite,
-                     ShortTrace)
-from .geometry import GeometryBundle, build_geometry
-from .grid import SurfaceState, position_derivatives
+from .errors import (BadParameter, DegenerateMetric, InsufficientBlowup,
+                     Mcf4dError, NonFinite, ShortTrace)
+from .geometry import Curvature, GeometryBundle, build_geometry, plane_angles
+from .grid import ParamGrid, SurfaceState, position_derivatives
 
 CFL_DENOMINATOR = 8.0
 
@@ -33,6 +38,19 @@ class RunControls:
     stride: int = 1
     safety: float = 0.9
     dt: float | None = None
+
+    def __post_init__(self):
+        if self.stride < 1:
+            raise BadParameter(f"stride must be at least 1, got {self.stride}")
+        if not 0.0 < self.safety <= 1.0:
+            raise BadParameter(f"safety must lie in (0, 1], got {self.safety}")
+        if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
+            raise BadParameter(f"dt must be finite and positive, got {self.dt}")
+        if np.isnan(self.t_end):
+            raise BadParameter("t_end must not be NaN")
+        if self.max_steps < 0:
+            raise BadParameter(
+                f"max_steps must be non-negative, got {self.max_steps}")
 
 
 @dataclass
@@ -87,7 +105,9 @@ class FlowTrace:
         return cached
 
     def curvature_a2(self, index: int) -> np.ndarray:
-        """|A|^2 field of stored state ``index`` (cached, lightweight)."""
+        """|A|^2 field of stored state ``index``, cached.  run_flow and
+        translating_trace fill the cache as they store states; any other
+        state builds a bundle on first use."""
         cached = self._a2_fields.get(index)
         if cached is None:
             cached = self.bundle(index).norm_A2
@@ -95,50 +115,48 @@ class FlowTrace:
         return cached
 
 
-def scalar_row(step: int, bundle: GeometryBundle, time: float) -> tuple:
-    area = float(np.sum(bundle.quadrature_weights()))
-    return (step, time, area,
-            float(bundle.norm_A2.max()), float(bundle.norm_H2.max()),
-            float(bundle.cos_alpha.min()), float(bundle.cos_theta.min()),
-            float(bundle.det_g.min()))
+def scalar_row(step: int, state: SurfaceState, curv: Curvature) -> tuple:
+    """Diagnostics row of ``state`` (see SCALAR_COLUMNS) from its curvature.
+
+    The angles need no frame: e1 ^ e2 = F_u ^ F_v / sqrt(det g) for every
+    oriented orthonormal tangent frame.
+    """
+    area_element = np.sqrt(curv.det_g)
+    cos_alpha, unit, _, _ = plane_angles(curv.f_u, curv.f_v, area_element)
+    area = float(np.sum(area_element * state.grid.node_weight()))
+    return (step, state.time, area,
+            float(curv.norm_A2.max()), float(curv.norm_H2.max()),
+            float(cos_alpha.min()), float(unit.real.min()),
+            float(curv.det_g.min()))
 
 
-def cfl_dt(bundle: GeometryBundle, safety: float = 0.9) -> float:
+def cfl_dt(curv: Curvature, grid: ParamGrid, safety: float = 0.9) -> float:
     """Parabolic step bound: safety * min(eig_min(g)) * min(spacing)^2 / 8."""
-    g = bundle.metric
-    half_tr = 0.5 * (g[..., 0, 0] + g[..., 1, 1])
-    radius = np.sqrt(0.25 * (g[..., 0, 0] - g[..., 1, 1]) ** 2 + g[..., 0, 1] ** 2)
+    half_tr = 0.5 * (curv.g11 + curv.g22)
+    radius = np.sqrt(0.25 * (curv.g11 - curv.g22) ** 2 + curv.g12 ** 2)
     eig_min = float(np.min(half_tr - radius))
-    h_min = min(bundle.grid.spacing1, bundle.grid.spacing2)
+    h_min = min(grid.spacing1, grid.spacing2)
     return safety * eig_min * h_min * h_min / CFL_DENOMINATOR
 
 
+def state_curvature(state: SurfaceState) -> Curvature:
+    """Curvature kernel of a finite state: derivatives evaluated once."""
+    state.require_finite()
+    return Curvature(*position_derivatives(state))
+
+
 def velocity(state: SurfaceState) -> np.ndarray:
-    """Mean curvature vector field: normal part of g^ij d2_ij F."""
-    f_u, f_v, f_uu, f_uv, f_vv = position_derivatives(state)
-    g11 = np.einsum('...a,...a->...', f_u, f_u)
-    g12 = np.einsum('...a,...a->...', f_u, f_v)
-    g22 = np.einsum('...a,...a->...', f_v, f_v)
-    det = g11 * g22 - g12 ** 2
-    if np.any(det <= 1e-12):
-        raise DegenerateMetric(int(np.argmax(det <= 1e-12)), "stage metric singular")
-    w = (g22[..., None] * f_uu - 2.0 * g12[..., None] * f_uv
-         + g11[..., None] * f_vv) / det[..., None]
-    wu = np.einsum('...a,...a->...', w, f_u)
-    wv = np.einsum('...a,...a->...', w, f_v)
-    cu = (g22 * wu - g12 * wv) / det
-    cv = (g11 * wv - g12 * wu) / det
-    return w - cu[..., None] * f_u - cv[..., None] * f_v
+    """Mean curvature vector field H of ``state``."""
+    return Curvature(*position_derivatives(state)).mean_curvature
 
 
-def step(state: SurfaceState, dt: float) -> SurfaceState:
-    """One explicit RK4 step of dF/dt = H."""
+def step(state: SurfaceState, dt: float, k1: np.ndarray) -> SurfaceState:
+    """One explicit RK4 step of dF/dt = H; ``k1`` is ``velocity(state)``."""
 
     def advanced(base, scale, k):
         return SurfaceState(state.grid, base.positions + scale * k, state.time,
                             state.shift1, state.shift2)
 
-    k1 = velocity(state)
     k2 = velocity(advanced(state, 0.5 * dt, k1))
     k3 = velocity(advanced(state, 0.5 * dt, k2))
     k4 = velocity(advanced(state, dt, k3))
@@ -153,51 +171,54 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
     """Advance the flow until t_end, blow-up, mesh failure, or step limit.
 
     Scalars are recorded every accepted step; states every ``stride`` steps
-    (first and final always included).
+    (first and final always included), each with its |A|^2 field cached in
+    the trace.  A state whose metric degenerates or turns non-finite after
+    step 0 ends the run with ``degenerate_mesh`` and is not kept.
     """
     state = initial.copy()
     rows: list[tuple] = []
     states: list[SurfaceState] = []
     state_steps: list[int] = []
+    a2_fields: dict[int, np.ndarray] = {}
     reason = None
-    state_usable = True
     k = 0
     while reason is None:
         try:
-            bundle = build_geometry(state, compute_j=False)
+            curv = state_curvature(state)
+            row = scalar_row(k, state, curv)
         except (DegenerateMetric, NonFinite):
             if k == 0:
                 raise
             reason = "degenerate_mesh"
-            state_usable = False
             break
-        rows.append(scalar_row(k, bundle, state.time))
-        if k % controls.stride == 0:
-            states.append(state)
-            state_steps.append(k)
-        if rows[-1][3] > controls.blowup_threshold:
+        rows.append(row)
+        if row[3] > controls.blowup_threshold:
             reason = "blowup_detected"
         elif state.time >= controls.t_end * (1.0 - 1e-14):
             reason = "reached_t_end"
         elif k >= controls.max_steps:
             reason = "step_limit"
         else:
-            dt = controls.dt if controls.dt is not None else cfl_dt(bundle, controls.safety)
+            dt = controls.dt if controls.dt is not None else cfl_dt(
+                curv, state.grid, controls.safety)
             if np.isfinite(controls.t_end):
                 dt = min(dt, controls.t_end - state.time)
             if dt <= 0:
                 raise Mcf4dError(f"non-positive step size {dt}")
             try:
-                state = step(state, dt)
-                k += 1
+                following = step(state, dt, curv.mean_curvature)
             except (DegenerateMetric, NonFinite):
                 reason = "degenerate_mesh"
-    if state_usable and (not state_steps or state_steps[-1] != k):
-        states.append(state)
-        state_steps.append(k)
+        if k % controls.stride == 0 or reason is not None:
+            a2_fields[len(states)] = curv.norm_A2
+            states.append(state)
+            state_steps.append(k)
+        if reason is None:
+            state = following
+            k += 1
     return FlowTrace(states=states, state_steps=state_steps,
                      scalars=TraceScalars.from_rows(rows),
-                     termination_reason=reason)
+                     termination_reason=reason, _a2_fields=a2_fields)
 
 
 @dataclass

@@ -10,11 +10,17 @@ Frame conventions.  e1, e2 come from Gram-Schmidt on (F_u, F_v); v1 is the
 first ambient basis vector with a usable normal projection; v2 completes
 {e1, e2, v1, v2} to a positively oriented ambient basis.  All scalar outputs
 are invariant under any other (orientation-preserving) frame choice.
+
+Curvature without frames.  :class:`Curvature` turns the position derivatives
+into g, g^-1, A_ij, H, |A|^2 and |H|^2 by 2x2 algebra and ambient dot
+products; the flow integrator and its per-step diagnostics use it alone, and
+:func:`build_geometry` takes its curvature fields from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,6 +150,116 @@ def _normal_frame(e1, e2, basis_order):
     return np.stack([v1, v2], axis=-2)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ambient inner product of two 4-vector fields."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+            + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3])
+
+
+class Curvature:
+    """Frame-free curvature of an immersion from its position derivatives.
+
+    The one curvature kernel of the package: the flow's stage velocities, its
+    per-step diagnostics and :func:`build_geometry` all read H and |A|^2 from
+    here.  From (F_u, F_v, F_uu, F_uv, F_vv) it forms g, det g and g^-1 by
+    explicit 2x2 algebra, and normal parts as x - g^ij <x, F_j> F_i, using
+    ambient dot products only (no frame, no Christoffel tensor).  The mean
+    curvature vector H = g^ij A_ij is computed on construction; the normal
+    parts A_ij of F_ij, |A|^2 = g^ik g^jl <A_ij, A_kl> and |H|^2 on first
+    use, so an RK4 stage, which needs only H, pays for nothing else.
+
+    Raises DegenerateMetric when det g falls below the immersion floor.
+    """
+
+    def __init__(self, f_u, f_v, f_uu, f_uv, f_vv):
+        g11 = _dot(f_u, f_u)
+        g12 = _dot(f_u, f_v)
+        g22 = _dot(f_v, f_v)
+        det = g11 * g22 - g12 * g12
+        if np.any(det <= DET_G_FLOOR):
+            node = int(np.argmax(det <= DET_G_FLOOR))
+            raise DegenerateMetric(node, f"det g = {det.flat[node]:.3e}")
+        self.f_u, self.f_v = f_u, f_v
+        self.hessian = (f_uu, f_uv, f_vv)
+        self.g11, self.g12, self.g22, self.det_g = g11, g12, g22, det
+        self.inv11 = g22 / det
+        self.inv12 = -g12 / det
+        self.inv22 = g11 / det
+        w = (self.inv11[..., None] * f_uu + (2.0 * self.inv12)[..., None] * f_uv
+             + self.inv22[..., None] * f_vv)
+        self.mean_curvature = self.normal_part(w)
+
+    def normal_part(self, x: np.ndarray) -> np.ndarray:
+        """Vector field x minus its tangential projection g^ij <x, F_j> F_i."""
+        xu = _dot(x, self.f_u)
+        xv = _dot(x, self.f_v)
+        cu = self.inv11 * xu + self.inv12 * xv
+        cv = self.inv12 * xu + self.inv22 * xv
+        return x - cu[..., None] * self.f_u - cv[..., None] * self.f_v
+
+    @cached_property
+    def normal_hessian(self) -> tuple:
+        """(A_11, A_12, A_22): normal parts of F_uu, F_uv, F_vv."""
+        return tuple(self.normal_part(np.stack(self.hessian)))
+
+    @cached_property
+    def norm_A2(self) -> np.ndarray:
+        a11, a12, a22 = self.normal_hessian
+        p, q, r = self.inv11, self.inv12, self.inv22
+        return (p * p * _dot(a11, a11) + r * r * _dot(a22, a22)
+                + 2.0 * q * q * _dot(a11, a22)
+                + 4.0 * q * (p * _dot(a11, a12) + r * _dot(a12, a22))
+                + 2.0 * (p * r + q * q) * _dot(a12, a12))
+
+    @cached_property
+    def norm_H2(self) -> np.ndarray:
+        return _dot(self.mean_curvature, self.mean_curvature)
+
+    @property
+    def metric(self) -> np.ndarray:
+        """g as a (..., 2, 2) array."""
+        return _symmetric(self.g11, self.g12, self.g22, axis=-1)
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """g^-1 as a (..., 2, 2) array."""
+        return _symmetric(self.inv11, self.inv12, self.inv22, axis=-1)
+
+    @property
+    def second(self) -> np.ndarray:
+        """A_ij as a (..., 2, 2, 4) array."""
+        return _symmetric(*self.normal_hessian, axis=-2)
+
+
+def _symmetric(a11, a12, a22, axis):
+    """Symmetric 2x2 array of per-node entries, index pair inserted at axis."""
+    return np.stack([np.stack([a11, a12], axis=axis),
+                     np.stack([a12, a22], axis=axis)], axis=axis - 1)
+
+
+def plane_angles(a: np.ndarray, b: np.ndarray, area):
+    """Kahler and Lagrangian angle data of the oriented plane of a ^ b.
+
+    ``area`` is |a ^ b| per node: 1 for an orthonormal frame (e1, e2), and
+    sqrt(det g) for (F_u, F_v), since e1 ^ e2 = F_u ^ F_v / sqrt(det g).
+    Returns cos(alpha) = omega(e1, e2) clipped to [-1, 1], the unit
+    e^{i theta} = Omega(e1, e2) / |Omega(e1, e2)| (1 where that norm is below
+    OMEGA_NORM_FLOOR), the norm itself and the mask of those nodes.
+
+    Raises FrameInconsistent when |cos alpha| exceeds 1 beyond rounding.
+    """
+    cos_alpha = omega_pairing(a, b) / area
+    excess = np.abs(cos_alpha) - 1.0
+    if np.any(excess > COS_CLAMP_EXCESS):
+        node = int(np.argmax(excess > COS_CLAMP_EXCESS))
+        raise FrameInconsistent(node, f"|cos alpha| = {1 + excess.flat[node]:.12f}")
+    omega_c = holomorphic_pairing(a, b) / area
+    omega_norm = np.abs(omega_c)
+    degenerate = omega_norm < OMEGA_NORM_FLOOR
+    unit = np.where(degenerate, 1.0 + 0.0j, omega_c / np.where(degenerate, 1.0, omega_norm))
+    return np.clip(cos_alpha, -1.0, 1.0), unit, omega_norm, degenerate
+
+
 def build_geometry(state: SurfaceState, compute_j: bool = True,
                    tangent_rotation=None,
                    normal_basis_order=(0, 1, 2, 3)) -> GeometryBundle:
@@ -151,6 +267,7 @@ def build_geometry(state: SurfaceState, compute_j: bool = True,
 
     ``tangent_rotation`` (per-node angles) and ``normal_basis_order`` change
     internal frame gauges; every scalar output is independent of them.
+    The metric, A_ij, H, |A|^2 and |H|^2 come from :class:`Curvature`.
 
     Raises DegenerateMetric when det g falls below the immersion floor and
     FrameInconsistent when |omega(e1, e2)| exceeds 1 beyond rounding.
@@ -158,19 +275,11 @@ def build_geometry(state: SurfaceState, compute_j: bool = True,
     state.require_finite()
     grid = state.grid
     f_u, f_v, f_uu, f_uv, f_vv = position_derivatives(state)
+    curv = Curvature(f_u, f_v, f_uu, f_uv, f_vv)
     first = np.stack([f_u, f_v], axis=-2)
-    metric = np.einsum('...ia,...ja->...ij', first, first)
-    det_g = metric[..., 0, 0] * metric[..., 1, 1] - metric[..., 0, 1] ** 2
-    if np.any(det_g <= DET_G_FLOOR):
-        node = int(np.argmax(det_g <= DET_G_FLOOR))
-        raise DegenerateMetric(node, f"det g = {det_g.flat[node]:.3e}")
-    inverse = np.empty_like(metric)
-    inverse[..., 0, 0] = metric[..., 1, 1]
-    inverse[..., 1, 1] = metric[..., 0, 0]
-    inverse[..., 0, 1] = -metric[..., 0, 1]
-    inverse[..., 1, 0] = -metric[..., 0, 1]
-    inverse /= det_g[..., None, None]
-    area = np.sqrt(det_g)
+    metric = curv.metric
+    det_g = curv.det_g
+    inverse = curv.inverse
 
     hess = np.empty(f_u.shape[:-1] + (2, 2, 4))
     hess[..., 0, 0, :] = f_uu
@@ -180,39 +289,25 @@ def build_geometry(state: SurfaceState, compute_j: bool = True,
     # In flat ambient space Gamma^k_ij = g^kl <d2_ij F, d_l F>.
     proj_t = np.einsum('...ija,...la->...ijl', hess, first)
     christoffel = np.einsum('...kl,...ijl->...kij', inverse, proj_t)
-    second = hess - np.einsum('...kij,...ka->...ija', christoffel, first)
 
     frame_t, coeffs = _tangent_frame(f_u, f_v, metric, det_g, tangent_rotation)
     frame_n = _normal_frame(frame_t[..., 0, :], frame_t[..., 1, :], normal_basis_order)
 
-    h = np.einsum('...ijc,...nc->...nij', second, frame_n)
+    h = np.einsum('...ijc,...nc->...nij', curv.second, frame_n)
     h_frame = np.einsum('...ai,...bj,...nij->...nab', coeffs, coeffs, h)
-    mean_normal = np.einsum('...ij,...nij->...n', inverse, h)
-    mean = np.einsum('...n,...nc->...c', mean_normal, frame_n)
-    norm_h2 = np.einsum('...n,...n->...', mean_normal, mean_normal)
-    norm_a2 = np.einsum('...ik,...jl,...nij,...nkl->...', inverse, inverse, h, h)
-
-    e1 = frame_t[..., 0, :]
-    e2 = frame_t[..., 1, :]
-    cos_alpha = omega_pairing(e1, e2)
-    excess = np.abs(cos_alpha) - 1.0
-    if np.any(excess > COS_CLAMP_EXCESS):
-        node = int(np.argmax(excess > COS_CLAMP_EXCESS))
-        raise FrameInconsistent(node, f"|cos alpha| = {1 + excess.flat[node]:.12f}")
-    cos_alpha = np.clip(cos_alpha, -1.0, 1.0)
-
-    omega_c = holomorphic_pairing(e1, e2)
-    omega_norm = np.abs(omega_c)
-    degenerate = omega_norm < OMEGA_NORM_FLOOR
-    unit = np.where(degenerate, 1.0 + 0.0j, omega_c / np.where(degenerate, 1.0, omega_norm))
+    mean = curv.mean_curvature
+    mean_normal = np.einsum('...nc,...c->...n', frame_n, mean)
+    cos_alpha, unit, omega_norm, degenerate = plane_angles(
+        frame_t[..., 0, :], frame_t[..., 1, :], 1.0)
 
     bundle = GeometryBundle(
         grid=grid, positions=state.positions, first_derivs=first,
-        metric=metric, inverse_metric=inverse, det_g=det_g, area_element=area,
-        christoffel=christoffel, tangent_frame=frame_t, tangent_coeffs=coeffs,
+        metric=metric, inverse_metric=inverse, det_g=det_g,
+        area_element=np.sqrt(det_g), christoffel=christoffel,
+        tangent_frame=frame_t, tangent_coeffs=coeffs,
         normal_frame=frame_n, second_ff=h, second_ff_frame=h_frame,
         mean_curvature=mean, mean_normal=mean_normal,
-        norm_A2=norm_a2, norm_H2=norm_h2, cos_alpha=cos_alpha,
+        norm_A2=curv.norm_A2, norm_H2=curv.norm_H2, cos_alpha=cos_alpha,
         lag_angle_unit=unit, lag_omega_norm=omega_norm,
         omega_degenerate=degenerate)
     if compute_j:

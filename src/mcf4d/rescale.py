@@ -94,6 +94,7 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
 
     best_score = -np.inf
     best = None
+    dist: dict[int, np.ndarray] = {}    # node distances to X0, per state
     for sigma in _sigma_grid(r_k):
         lo = T_hat - (r_k - sigma) ** 2
         radius = (r_k - sigma) + BALL_SLACK * r_k
@@ -101,9 +102,11 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
         inner_node = -1
         inner_state = -1
         for idx in _window_states(trace, lo, hi):
-            pos = trace.states[idx].positions.reshape(-1, 4)
+            if idx not in dist:
+                pos = trace.states[idx].positions.reshape(-1, 4)
+                dist[idx] = np.linalg.norm(pos - X0, axis=1)
             a2 = trace.curvature_a2(idx).reshape(-1)
-            mask = np.linalg.norm(pos - X0, axis=1) <= radius
+            mask = dist[idx] <= radius
             if not mask.any():
                 continue
             masked = np.where(mask, a2, -np.inf)

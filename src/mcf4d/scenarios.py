@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, InsufficientBlowup
-from .flow import FlowTrace, RunControls, TraceScalars, scalar_row
-from .geometry import build_geometry
+from .flow import (FlowTrace, RunControls, TraceScalars, scalar_row,
+                   state_curvature)
 from .grid import ParamGrid, SurfaceState
 
 TWO_PI = 2.0 * np.pi
@@ -151,12 +151,14 @@ def translating_trace(builder: Callable[[float], SurfaceState],
         state = builder(float(t))
         state.time = float(t)
         states.append(state)
-    rows = []
+    rows, a2_fields = [], {}
     for k, state in enumerate(states):
-        rows.append(scalar_row(k, build_geometry(state, compute_j=False), state.time))
+        curv = state_curvature(state)
+        rows.append(scalar_row(k, state, curv))
+        a2_fields[k] = curv.norm_A2
     return FlowTrace(states=states, state_steps=list(range(len(states))),
                      scalars=TraceScalars.from_rows(rows),
-                     termination_reason="reached_t_end")
+                     termination_reason="reached_t_end", _a2_fields=a2_fields)
 
 
 def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
@@ -189,11 +191,8 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     r = np.sqrt(r0 * r0 - 4.0 * t)
 
     patch0 = sphere_patch(patch_nodes[0], patch_nodes[1], r0, polar_margin)
-    bundle0 = build_geometry(patch0, compute_j=False)
-    area0 = float(np.sum(bundle0.quadrature_weights()))
-    cos_a_min = float(bundle0.cos_alpha.min())
-    cos_t_min = float(bundle0.cos_theta.min())
-    det_min0 = float(bundle0.det_g.min())
+    _, _, area0, _, _, cos_a_min, cos_t_min, det_min0 = scalar_row(
+        0, patch0, state_curvature(patch0))
 
     rows = [(k, t[k], area0 * (r[k] / r0) ** 2, 2.0 / r[k] ** 2, 4.0 / r[k] ** 2,
              cos_a_min, cos_t_min, det_min0 * (r[k] / r0) ** 4)

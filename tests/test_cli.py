@@ -11,6 +11,7 @@ import sys
 import textwrap
 
 import numpy as np
+import pytest
 
 
 def run_cli(*args):
@@ -186,3 +187,26 @@ def test_cutoff_scan_rejects_sparse_sampling(tmp_path):
     proc = run_cli("cutoff-scan", "--config", cfg)
     assert proc.returncode == 2
     assert "BadParameter" in proc.stderr
+
+
+@pytest.mark.parametrize("line", [
+    "controls.stride = 0",
+    "controls.safety = 1.5",
+    "controls.dt = -1",
+    "controls.t_end = nan",
+    "controls.max_steps = -1",
+], ids=["stride", "safety", "dt", "t_end", "max_steps"])
+def test_simulate_rejects_bad_run_controls(tmp_path, line):
+    # The case line comes after the step cap, so it overrides it.
+    cfg = write_config(tmp_path, f"""
+        scenario.name = clifford_torus
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.max_steps = 2
+        {line}
+        output.directory = {tmp_path / 'out'}
+    """)
+    proc = run_cli("simulate", "--config", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("BadParameter:")
+    assert "Traceback" not in proc.stderr

@@ -6,17 +6,25 @@ solution of the resulting radius equation r' = -c / r is
 r(t) = sqrt(r0^2 - 2 c t) with c measured directly from the velocity field.
 Comparing stepped radii against that closed form isolates the pure time
 error of the integrator.
+
+Oracle for the frame-free per-step diagnostics: the scalar row and the
+velocity must agree with the frame route of ``build_geometry`` (Gram-Schmidt
+angles, normal-frame components of the second fundamental form) on a torus
+and two graphs, also after a seeded unitary motion.
 """
 
 import numpy as np
 import pytest
 
+from mcf4d import flow, geometry
 from mcf4d.errors import DegenerateMetric, InsufficientBlowup
 from mcf4d.flow import (SCALAR_COLUMNS, RunControls, cfl_dt,
-                        estimate_singular_time, run_flow, step, velocity)
+                        estimate_singular_time, run_flow, scalar_row,
+                        state_curvature, step, velocity)
 from mcf4d.geometry import build_geometry
 from mcf4d.grid import ParamGrid, SurfaceState
-from mcf4d.scenarios import clifford_torus, plane, sphere_patch
+from mcf4d.scenarios import (clifford_torus, lagrangian_graph, plane,
+                             sphere_patch, symplectic_graph)
 
 
 def test_scalar_columns_contract():
@@ -25,9 +33,10 @@ def test_scalar_columns_contract():
 
 
 def test_cfl_dt_positive_and_linear_in_safety():
-    b = build_geometry(clifford_torus(16, 16), compute_j=False)
-    dt1 = cfl_dt(b, safety=0.9)
-    dt2 = cfl_dt(b, safety=0.45)
+    st = clifford_torus(16, 16)
+    curv = state_curvature(st)
+    dt1 = cfl_dt(curv, st.grid, safety=0.9)
+    dt2 = cfl_dt(curv, st.grid, safety=0.45)
     assert dt1 > 0
     assert abs(dt2 - 0.5 * dt1) < 1e-15
 
@@ -60,7 +69,7 @@ def test_rk4_fourth_order_against_discrete_radius_ode():
     def radius_error(dt, k):
         s = st.copy()
         for _ in range(k):
-            s = step(s, dt)
+            s = step(s, dt, velocity(s))
         exact = np.sqrt(0.25 - 2.0 * c * dt * k)
         got = np.sqrt(np.sum(s.positions ** 2, axis=-1) / 2.0)
         return np.abs(got - exact).max()
@@ -121,3 +130,112 @@ def test_estimate_singular_time_needs_a_blowup_trace():
     tr = run_flow(clifford_torus(16, 16), RunControls(dt=1e-3, t_end=0.01))
     with pytest.raises(InsufficientBlowup):
         estimate_singular_time(tr)
+
+
+def _su2_real(rng):
+    """Haar-random SU(2) matrix as a real 4x4 on (x1, y1, x2, y2)."""
+    q = rng.standard_normal(4)
+    q /= np.linalg.norm(q)
+    a, b = complex(q[0], q[1]), complex(q[2], q[3])
+    u = np.array([[a, b], [-b.conjugate(), a.conjugate()]])
+    out = np.empty((4, 4))
+    out[0::2, 0::2] = u.real
+    out[0::2, 1::2] = -u.imag
+    out[1::2, 0::2] = u.imag
+    out[1::2, 1::2] = u.real
+    return out
+
+
+EQUIVALENCE_SURFACES = {
+    "clifford_torus": lambda: clifford_torus(32, 32),
+    "lagrangian_graph": lambda: lagrangian_graph(32, 32, 0.1),
+    "symplectic_graph": lambda: symplectic_graph(32, 32, 0.1),
+}
+
+
+def _equivalence_state(name, moved):
+    st = EQUIVALENCE_SURFACES[name]()
+    if moved:
+        rng = np.random.default_rng(2007)
+        st = st.transformed(offset=rng.uniform(-1.0, 1.0, 4),
+                            rotation=_su2_real(rng))
+    return st
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["fixed", "moved"])
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_SURFACES))
+def test_frame_free_row_matches_bundle(name, moved):
+    st = _equivalence_state(name, moved)
+    b = build_geometry(st, compute_j=False)
+    curv = state_curvature(st)
+    row = scalar_row(5, st, curv)
+    assert row[:2] == (5, st.time)
+    # Frame route to |A|^2 and H: normal-frame components of A_ij.
+    a2_frame = np.einsum('...ik,...jl,...nij,...nkl->...', b.inverse_metric,
+                         b.inverse_metric, b.second_ff, b.second_ff)
+    h_normal = np.einsum('...ij,...nij->...n', b.inverse_metric, b.second_ff)
+    expect = {
+        "area": float(np.sum(b.quadrature_weights())),
+        "max_A2": float(b.norm_A2.max()),
+        "max_H2": float(b.norm_H2.max()),
+        "min_detg": float(b.det_g.min()),
+    }
+    got = dict(zip(SCALAR_COLUMNS, row))
+    for col, value in expect.items():
+        assert abs(got[col] - value) <= 1e-12 * abs(value), col
+    assert abs(got["max_A2"] - a2_frame.max()) <= 1e-12 * a2_frame.max()
+    h2_frame = np.sum(h_normal ** 2, axis=-1)
+    assert abs(got["max_H2"] - h2_frame.max()) <= 1e-12 * h2_frame.max()
+    # Node by node too: the maxima may sit where g_12 and its terms vanish.
+    assert np.abs(curv.norm_A2 - a2_frame).max() <= 1e-12 * a2_frame.max()
+    assert np.abs(curv.norm_H2 - h2_frame).max() <= 1e-12 * h2_frame.max()
+    assert abs(got["min_cos_alpha"] - b.cos_alpha.min()) <= 1e-13
+    assert abs(got["min_cos_theta"] - b.cos_theta.min()) <= 1e-13
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["fixed", "moved"])
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_SURFACES))
+def test_velocity_matches_bundle_mean_curvature(name, moved):
+    st = _equivalence_state(name, moved)
+    b = build_geometry(st, compute_j=False)
+    vel = velocity(st)
+    h_normal = np.einsum('...ij,...nij->...n', b.inverse_metric, b.second_ff)
+    h_frame = np.einsum('...n,...nc->...c', h_normal, b.normal_frame)
+    scale = max(1.0, np.abs(h_frame).max())
+    assert np.abs(vel - b.mean_curvature).max() <= 1e-12 * scale
+    assert np.abs(vel - h_frame).max() <= 1e-12 * scale
+
+
+def test_run_flow_seeds_stored_curvature_without_bundles(monkeypatch):
+    def no_bundle(*args, **kwargs):
+        raise AssertionError("build_geometry called")
+
+    monkeypatch.setattr(flow, "build_geometry", no_bundle)
+    monkeypatch.setattr(geometry, "build_geometry", no_bundle)
+    tr = run_flow(clifford_torus(16, 16),
+                  RunControls(dt=1e-3, max_steps=10, stride=4))
+    assert tr.state_steps == [0, 4, 8, 10]
+    assert sorted(tr._a2_fields) == [0, 1, 2, 3]
+    fields = [tr.curvature_a2(i) for i in range(len(tr.states))]
+    monkeypatch.undo()
+    for st, a2 in zip(tr.states, fields):
+        assert np.array_equal(a2, build_geometry(st, compute_j=False).norm_A2)
+
+
+def test_degenerate_metric_mid_run_ends_with_degenerate_mesh(monkeypatch):
+    dt = 1e-3
+    real_kernel = flow.state_curvature
+
+    def kernel(state):
+        if state.time > 2.5 * dt:
+            raise DegenerateMetric(0, "injected at step 3")
+        return real_kernel(state)
+
+    monkeypatch.setattr(flow, "state_curvature", kernel)
+    tr = run_flow(clifford_torus(16, 16),
+                  RunControls(dt=dt, max_steps=10, stride=1))
+    assert tr.termination_reason == "degenerate_mesh"
+    assert tr.state_steps == [0, 1, 2]
+    assert list(tr.scalars.step) == [0, 1, 2]
+    assert abs(tr.scalars.t[-1] - 2 * dt) < 1e-15
+    assert sorted(tr._a2_fields) == [0, 1, 2]

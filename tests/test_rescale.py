@@ -17,9 +17,9 @@ import pytest
 
 from mcf4d.errors import InsufficientBlowup, InsufficientCoverage
 from mcf4d.flow import FlowTrace, TraceScalars, estimate_singular_time
-from mcf4d.rescale import (SIGMA_CANDIDATES, SIGMA_RATIO, _sigma_grid,
-                           select_blowup_datum, rescale_flow, validate_rescaled,
-                           with_rescaled)
+from mcf4d.rescale import (BALL_SLACK, SIGMA_CANDIDATES, SIGMA_RATIO,
+                           _sigma_grid, _window_states, select_blowup_datum,
+                           rescale_flow, validate_rescaled, with_rescaled)
 from mcf4d.scenarios import plane
 
 
@@ -159,3 +159,43 @@ def test_shrinking_torus_rescaling_normalizes_curvature(torus32_trace):
 def test_estimate_rejects_nonsingular_trace(lagr32_mono):
     with pytest.raises(InsufficientBlowup):
         estimate_singular_time(lagr32_mono)
+
+
+def _select_reference(trace, T_hat, X0, r_k):
+    """Selection loop with the node distances recomputed for every candidate
+    sigma: the reference the selector must match bit for bit."""
+    hi = T_hat - (0.5 * r_k) ** 2
+    best_score, best = -np.inf, None
+    for sigma in _sigma_grid(r_k):
+        lo = T_hat - (r_k - sigma) ** 2
+        radius = (r_k - sigma) + BALL_SLACK * r_k
+        inner_val, inner_node, inner_state = -np.inf, -1, -1
+        for idx in _window_states(trace, lo, hi):
+            pos = trace.states[idx].positions.reshape(-1, 4)
+            a2 = trace.curvature_a2(idx).reshape(-1)
+            mask = np.linalg.norm(pos - X0, axis=1) <= radius
+            if not mask.any():
+                continue
+            masked = np.where(mask, a2, -np.inf)
+            node = int(np.argmax(masked))
+            val = masked[node]
+            if val > inner_val or (val == inner_val and node < inner_node):
+                inner_val, inner_node, inner_state = val, node, idx
+        if inner_state < 0:
+            continue
+        score = sigma * sigma * inner_val
+        if score > best_score:
+            best_score, best = score, (sigma, inner_val, inner_node, inner_state)
+    return best
+
+
+@pytest.mark.parametrize("r_k", [0.25, 0.125, 0.0625])
+def test_selector_matches_reference_loop(torus32_trace, r_k):
+    t_hat = estimate_singular_time(torus32_trace).singular_time
+    rec = select_blowup_datum(torus32_trace, t_hat, np.zeros(4), r_k)
+    sigma, a2_peak, node, state_idx = _select_reference(
+        torus32_trace, t_hat, np.zeros(4), r_k)
+    assert rec.sigmaK == sigma
+    assert rec.lambdaK == np.sqrt(a2_peak)
+    assert rec.peakNode == node
+    assert rec.peakTime == torus32_trace.states[state_idx].time
