@@ -145,18 +145,24 @@ def state_curvature(state: SurfaceState) -> Curvature:
     return Curvature(*position_derivatives(state))
 
 
-def velocity(state: SurfaceState) -> np.ndarray:
-    """Mean curvature vector field H of ``state``."""
-    return Curvature(*position_derivatives(state)).mean_curvature
+def velocity(state: SurfaceState,
+             curv: Curvature | None = None) -> np.ndarray:
+    """Mean curvature vector field H of ``state``; ``curv``, when given, is
+    the state's kernel already evaluated and is read, not recomputed."""
+    if curv is None:
+        curv = Curvature(*position_derivatives(state))
+    return curv.mean_curvature
 
 
-def step(state: SurfaceState, dt: float, k1: np.ndarray) -> SurfaceState:
-    """One explicit RK4 step of dF/dt = H; ``k1`` is ``velocity(state)``."""
+def step(state: SurfaceState, dt: float, curv: Curvature) -> SurfaceState:
+    """One explicit RK4 step of dF/dt = H; ``curv`` is the kernel of
+    ``state`` and supplies the first stage."""
 
     def advanced(base, scale, k):
         return SurfaceState(state.grid, base.positions + scale * k, state.time,
                             state.shift1, state.shift2)
 
+    k1 = velocity(state, curv)
     k2 = velocity(advanced(state, 0.5 * dt, k1))
     k3 = velocity(advanced(state, 0.5 * dt, k2))
     k4 = velocity(advanced(state, dt, k3))
@@ -206,7 +212,7 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
             if dt <= 0:
                 raise Mcf4dError(f"non-positive step size {dt}")
             try:
-                following = step(state, dt, curv.mean_curvature)
+                following = step(state, dt, curv)
             except (DegenerateMetric, NonFinite):
                 reason = "degenerate_mesh"
         if k % controls.stride == 0 or reason is not None:

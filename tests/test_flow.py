@@ -69,7 +69,7 @@ def test_rk4_fourth_order_against_discrete_radius_ode():
     def radius_error(dt, k):
         s = st.copy()
         for _ in range(k):
-            s = step(s, dt, velocity(s))
+            s = step(s, dt, state_curvature(s))
         exact = np.sqrt(0.25 - 2.0 * c * dt * k)
         got = np.sqrt(np.sum(s.positions ** 2, axis=-1) / 2.0)
         return np.abs(got - exact).max()
