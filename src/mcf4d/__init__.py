@@ -13,12 +13,11 @@ singularities, and the normalized pinching quantity delta * exp(h^2/4) (or
 from .errors import (BadP, BadParameter, DegenerateFrame, DegenerateMetric,
                      DenominatorFloor, FrameInconsistent, InsufficientBlowup,
                      InsufficientCoverage, KindMismatch, Mcf4dError, NodeError,
-                     NonFinite, OmegaVanishes, OrderTooLow, PropertyViolation,
-                     ShortTrace, TimeOrder, WeightFloor, ZeroCurvature)
+                     NonFinite, OrderTooLow, PropertyViolation, ShortTrace,
+                     TimeOrder, WeightFloor, ZeroCurvature)
 from .grid import ParamGrid, SurfaceState
-from .geometry import (GeometryBundle, build_geometry, kahler_angle,
-                       lagrangian_angle, laplace_beltrami, gradient_sq,
-                       nabla_bar_j2_from_shape)
+from .geometry import (GeometryBundle, build_geometry, laplace_beltrami,
+                       gradient_sq, nabla_bar_j2_from_shape)
 from .flow import (FlowTrace, RunControls, SingularityVerdict, TraceScalars,
                    cfl_dt, estimate_singular_time, run_flow, step, velocity)
 from .functionals import (EvolutionResidual, GaussianWeight, IdentityResidual,

@@ -12,118 +12,105 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
 from . import io
-from .errors import (BadP, BadParameter, Mcf4dError, OrderTooLow,
-                     PropertyViolation)
+from .errors import BadParameter, Mcf4dError, OrderTooLow, PropertyViolation
 from .flow import RunControls, estimate_singular_time, run_flow
 from .functionals import (CUTOFF_CONSTANT, CUTOFF_SUP_ABS_FIRST,
                           CUTOFF_SUP_NEG_SECOND, EVOLUTION_QUANTITIES,
                           GaussianWeight, cutoff_psi, evolution_residual,
                           monotonicity_scan)
 from .rescale import select_blowup_datum, validate_rescaled, with_rescaled
-from .scenarios import (SCENARIO_PARAMS, generate_scenario,
-                        grim_reaper_product, run_sphere_ode,
-                        translating_trace)
+from .scenarios import (SCENARIOS, find_scenario, generate_scenario,
+                        run_sphere_ode, translating_trace)
 from .theorem import check_main_theorem, gradient_estimate_probe, normalize_flow
 
 CONFIG_EXIT = 2
 NUMERICAL_EXIT = 3
 
 
-def _get(cfg: dict, key: str, default=None, required: bool = False) -> str:
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise BadParameter(f"config key {key!r} is required")
-    return default
+def _read(cfg: dict, key: str, kind: type = float, default=None,
+          required: bool = False, length: int | None = None):
+    """Config value of ``key`` parsed as ``kind``; ``default`` when absent.
 
-
-def _float(cfg, key, default=None, required=False):
-    raw = _get(cfg, key, None, required)
+    ``kind`` is str, int (integral values only, so ``16`` and ``16.0`` but
+    not ``16.9``), float, or list: whitespace-separated floats, exactly
+    ``length`` of them when given, else at least one.  A value that does
+    not parse raises BadParameter naming the key.
+    """
+    raw = cfg.get(key)
     if raw is None:
+        if required:
+            raise BadParameter(f"config key {key!r} is required")
         return default
+    if kind is str:
+        return raw
     try:
-        return float(raw)
+        if kind is list:
+            values = [float(x) for x in raw.split()]
+            if not values or (length and len(values) != length):
+                raise ValueError
+            return values
+        value = float(raw)
+        if kind is int:
+            if not value.is_integer():
+                raise ValueError
+            return int(value)
+        return value
     except ValueError:
-        raise BadParameter(f"config key {key!r}: {raw!r} is not a number")
-
-
-def _int(cfg, key, default=None, required=False):
-    raw = _get(cfg, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadParameter(f"config key {key!r}: {raw!r} is not an integer")
-
-
-def _vec4(cfg, key, default=None, required=False):
-    raw = _get(cfg, key, None, required)
-    if raw is None:
-        return default
-    parts = raw.split()
-    if len(parts) != 4:
-        raise BadParameter(f"config key {key!r} needs 4 numbers, got {raw!r}")
-    try:
-        return np.array([float(x) for x in parts])
-    except ValueError:
-        raise BadParameter(f"config key {key!r}: {raw!r} is not numeric")
+        count = f" of {length} numbers" if length else ""
+        raise BadParameter(f"config key {key!r}: {raw!r} is not a valid "
+                           f"{kind.__name__}{count}") from None
 
 
 def _controls(cfg) -> RunControls:
-    return RunControls(
-        t_end=_float(cfg, "controls.t_end", np.inf),
-        max_steps=_int(cfg, "controls.max_steps", 100000),
-        blowup_threshold=_float(cfg, "controls.blowup_threshold", 1e4),
-        stride=_int(cfg, "controls.stride", 1),
-        safety=_float(cfg, "controls.safety", 0.9),
-        dt=_float(cfg, "controls.dt", None))
+    """Run controls from the ``controls.*`` keys; absent keys keep the
+    RunControls defaults."""
+    hints = get_type_hints(RunControls)
+    return RunControls(**{
+        f.name: _read(cfg, f"controls.{f.name}",
+                      int if hints[f.name] is int else float)
+        for f in fields(RunControls) if f"controls.{f.name}" in cfg})
 
 
 def _scenario(cfg):
-    name = _get(cfg, "scenario.name", required=True)
-    if name not in SCENARIO_PARAMS:
-        raise BadParameter(
-            f"unknown scenario {name!r}; expected one of "
-            f"{sorted(SCENARIO_PARAMS)}")
-    params = {}
-    for key, typ in SCENARIO_PARAMS[name].items():
-        raw = cfg.get(f"scenario.{key}")
-        if raw is not None:
-            params[key] = typ(float(raw)) if typ is int else typ(raw)
+    """Configured scenario name and the ``scenario.*`` parameters given,
+    typed by the scenario builder's signature."""
+    name = _read(cfg, "scenario.name", str, required=True)
+    params = {key: _read(cfg, f"scenario.{key}", kind)
+              for key, kind in find_scenario(name).params().items()
+              if f"scenario.{key}" in cfg}
     return name, params
 
 
 def _trace(cfg):
-    """Build the configured scenario's trace: mesh flow, exact radius ODE, or
-    exact translation depending on the scenario."""
+    """Build the configured scenario's trace in its registry mode: mesh
+    flow, exact radius ODE, or exact translation."""
     name, params = _scenario(cfg)
+    entry = SCENARIOS[name]
     controls = _controls(cfg)
-    if name == "sphere_ode":
-        return run_sphere_ode(
-            radius=params.get("radius", 1.0), controls=controls,
-            patch_nodes=(params.get("n1", 24), params.get("n2", 32)),
-            polar_margin=params.get("polar_margin", 0.6))
-    if name == "grim_reaper_product":
-        t_end = _float(cfg, "controls.t_end", 0.1)
+    if entry.mode == "sphere_ode":
+        return run_sphere_ode(controls=controls, **params)
+    if entry.mode == "translating":
+        t_end = _read(cfg, "controls.t_end", float, 0.1)
         if not np.isfinite(t_end) or t_end <= 0:
-            raise BadParameter("grim_reaper_product needs a finite positive "
+            raise BadParameter(f"{name} needs a finite positive "
                                "controls.t_end for its sample times")
-        samples = _int(cfg, "controls.samples", 3)
+        samples = _read(cfg, "controls.samples", int, 3)
         params.pop("time", None)
         times = np.linspace(0.0, t_end, max(3, samples))
         return translating_trace(
-            lambda t: grim_reaper_product(time=t, **params), times)
+            lambda t: entry.builder(time=t, **params), times)
     state = generate_scenario(name, **params)
     return run_flow(state, controls)
 
 
 def _outdir(cfg) -> str:
-    path = _get(cfg, "output.directory", ".")
+    path = _read(cfg, "output.directory", str, ".")
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -143,10 +130,11 @@ def cmd_simulate(cfg, args) -> int:
 
 
 def cmd_monotonicity(cfg, args) -> int:
+    kind = _read(cfg, "run.kind", str, "lagrangian")
+    weight = GaussianWeight(
+        _read(cfg, "weight.center", list, required=True, length=4),
+        _read(cfg, "weight.t0", required=True))
     trace = _trace(cfg)
-    kind = _get(cfg, "run.kind", "lagrangian")
-    weight = GaussianWeight(_vec4(cfg, "weight.center", required=True),
-                            _float(cfg, "weight.t0", required=True))
     scan = monotonicity_scan(trace, weight, kind)
     out = _outdir(cfg)
     io.write_timeseries(os.path.join(out, "timeseries.csv"), trace, scan=scan)
@@ -166,13 +154,12 @@ def cmd_monotonicity(cfg, args) -> int:
 
 
 def cmd_rescale(cfg, args) -> int:
+    t_hat = _read(cfg, "rescale.T_hat")
+    anchor = _read(cfg, "rescale.anchor", list, np.zeros(4), length=4)
+    radii = _read(cfg, "rescale.radii", list, [0.25, 0.125, 0.0625])
     trace = _trace(cfg)
-    t_hat = _float(cfg, "rescale.T_hat", None)
     if t_hat is None:
         t_hat = estimate_singular_time(trace).singular_time
-    anchor = _vec4(cfg, "rescale.anchor", np.zeros(4))
-    radii_raw = _get(cfg, "rescale.radii", "0.25 0.125 0.0625")
-    radii = [float(x) for x in radii_raw.split()]
     out = _outdir(cfg)
     entries = []
     first_rescaled = None
@@ -201,19 +188,17 @@ def cmd_rescale(cfg, args) -> int:
 
 
 def cmd_theorem(cfg, args) -> int:
-    trace = _trace(cfg)
     name, _ = _scenario(cfg)
-    default_kind = ("lagrangian" if name in ("grim_reaper_product",
-                                             "lagrangian_graph", "plane")
-                    else "symplectic")
-    kind = _get(cfg, "run.kind", default_kind)
+    kind = _read(cfg, "run.kind", str, SCENARIOS[name].kind)
+    p = _read(cfg, "run.p")
+    radius = _read(cfg, "run.radius", float, 1e3)
+    trace = _trace(cfg)
     report = check_main_theorem(trace, kind)
     out = _outdir(cfg)
     io.write_report(os.path.join(out, "report.json"), report)
-    if "run.p" in cfg:
+    if p is not None:
         probe = gradient_estimate_probe(
-            normalize_flow(trace)["trace"], _float(cfg, "run.p", required=True),
-            _float(cfg, "run.radius", 1e3), kind)
+            normalize_flow(trace)["trace"], p, radius, kind)
         io.write_report(os.path.join(out, "probe.json"), probe)
     print(f"{kind}: lhs = {report.lhs:.10g}, verdict = {report.verdict}, "
           f"ancient = {report.hypotheses['ancient']}")
@@ -221,7 +206,7 @@ def cmd_theorem(cfg, args) -> int:
 
 
 def cmd_cutoff_scan(cfg, args) -> int:
-    samples = _int(cfg, "scan.samples", 20001)
+    samples = _read(cfg, "scan.samples", int, 20001)
     if samples < 101:
         raise BadParameter("scan.samples must be at least 101")
     r = np.linspace(0.0, 1.2, samples)
@@ -272,13 +257,13 @@ def cmd_verify(cfg, args) -> int:
     if levels < 2:
         raise BadParameter("--refine must be at least 2")
     name, params = _scenario(cfg)
-    if name not in ("lagrangian_graph", "symplectic_graph",
-                    "clifford_torus"):
-        raise BadParameter(
-            "verify needs a periodic mesh scenario (lagrangian_graph, "
-            "symplectic_graph, or clifford_torus)")
-    dt = _float(cfg, "controls.dt", required=True)
-    steps = _int(cfg, "controls.max_steps", required=True)
+    grid = (generate_scenario(name, **params).grid
+            if SCENARIOS[name].mode == "flow" else None)
+    if grid is None or not (grid.periodic1 and grid.periodic2):
+        raise BadParameter("verify needs a mesh-flow scenario on a grid "
+                           "periodic on both axes")
+    dt = _read(cfg, "controls.dt", required=True)
+    steps = _read(cfg, "controls.max_steps", int, required=True)
     n_base = params.get("n1", 16)
     k_star = max(2, steps // 2)
     t_star = k_star * dt
@@ -303,8 +288,6 @@ def cmd_verify(cfg, args) -> int:
         if level:
             with np.errstate(divide="ignore", invalid="ignore"):
                 order = float(np.log(residuals[-2] / value) / np.log(4.0))
-        else:
-            order = None
         print(f"{level:5d} {n:6d} {dt_l:11.4e} {value:12.5e}"
               + (f" {order:10.2f}" if order is not None else "          -"))
     if order is None or not np.isfinite(order) or order < 1.5:
@@ -347,10 +330,7 @@ def main(argv=None) -> int:
     try:
         cfg = io.read_config(args.config)
         return COMMANDS[args.command](cfg, args)
-    except FileNotFoundError as exc:
-        print(f"FileNotFoundError: {exc}", file=sys.stderr)
-        return CONFIG_EXIT
-    except (BadParameter, BadP) as exc:
+    except (FileNotFoundError, BadParameter) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return CONFIG_EXIT
     except Mcf4dError as exc:

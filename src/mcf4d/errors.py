@@ -41,14 +41,6 @@ class DegenerateFrame(NodeError):
     """No admissible normal frame could be built at a node."""
 
 
-class OmegaVanishes(NodeError):
-    """The holomorphic area form vanishes at a node (anti-complex plane).
-
-    Flagged, never raised by the geometry builder; kept as an exception type
-    for callers that want to escalate the flag.
-    """
-
-
 class WeightFloor(NodeError):
     """An angle cosine fell below the weight floor where the kernel matters."""
 

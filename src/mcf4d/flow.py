@@ -114,6 +114,31 @@ class FlowTrace:
             self._a2_fields[index] = cached
         return cached
 
+    def parabolic(self, lam: float, t0: float = 0.0,
+                  offset: np.ndarray | None = None) -> "FlowTrace":
+        """Parabolic rescaling F -> lam (F - offset), t -> lam^2 (t - t0).
+
+        Stored states and scalars both move: area scales by lam^2, the
+        curvatures by lam^-2, det g by lam^4; angles and steps are
+        invariant.  The new trace copies ``meta`` and starts with empty
+        caches.
+        """
+        states = [s.transformed(scale=lam, offset=offset,
+                                time=lam * lam * (s.time - t0))
+                  for s in self.states]
+        sc = self.scalars
+        scalars = TraceScalars(
+            step=sc.step.copy(), t=lam * lam * (sc.t - t0),
+            area=lam * lam * sc.area, max_A2=sc.max_A2 / lam ** 2,
+            max_H2=sc.max_H2 / lam ** 2,
+            min_cos_alpha=sc.min_cos_alpha.copy(),
+            min_cos_theta=sc.min_cos_theta.copy(),
+            min_detg=lam ** 4 * sc.min_detg)
+        return FlowTrace(states=states, state_steps=list(self.state_steps),
+                         scalars=scalars,
+                         termination_reason=self.termination_reason,
+                         meta=dict(self.meta))
+
 
 def scalar_row(step: int, state: SurfaceState, curv: Curvature) -> tuple:
     """Diagnostics row of ``state`` (see SCALAR_COLUMNS) from its curvature.

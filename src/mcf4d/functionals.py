@@ -142,13 +142,21 @@ class MonotonicityReport:
         return self.lhs + self.rhs_drift + self.rhs_dissipation + self.rhs_gradient
 
 
-def _centered_time_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Three-point first derivative of a sampled series at interior times."""
-    out = np.empty(len(times) - 2)
+def _centered_time_derivative(times: np.ndarray,
+                              values: np.ndarray | list[np.ndarray]
+                              ) -> np.ndarray:
+    """Three-point first derivative at the interior sample times.
+
+    ``values`` holds one sample per time: a scalar series or a list of
+    per-node fields.  Row j - 1 of the result is the derivative at times[j],
+    from the stencil on the actual (possibly uneven) times j - 1, j, j + 1.
+    """
+    out = []
     for j in range(1, len(times) - 1):
         w = fd_weights(times[j], times[j - 1:j + 2], 1)[1]
-        out[j - 1] = w @ values[j - 1:j + 2]
-    return out
+        out.append(w[0] * values[j - 1] + w[1] * values[j]
+                   + w[2] * values[j + 1])
+    return np.array(out)
 
 
 def _drift_field(bundle: GeometryBundle, weight: GaussianWeight,
@@ -174,7 +182,7 @@ def monotonicity_scan(trace: FlowTrace, weight: GaussianWeight,
     if n < 5:
         raise ShortTrace(f"monotonicity scan needs >= 5 stored states, got {n}")
     need_j = kind == "symplectic"
-    times = np.array([s.time for s in trace.states])
+    times = trace.times
     psi = np.empty(n)
     drift = np.empty(n)
     dissipation = np.empty(n)
@@ -248,7 +256,7 @@ def evolution_residual(trace: FlowTrace, quantity: str) -> EvolutionResidual:
     if n < 3:
         raise ShortTrace("evolution residual needs >= 3 stored states")
     need_j = quantity in ("cos_alpha", "inv_cos2_alpha")
-    times = np.array([s.time for s in trace.states])
+    times = trace.times
     out = []
     for i in range(1, n - 1):
         bundles = [trace.bundle(j, need_j=need_j) for j in (i - 1, i, i + 1)]
@@ -283,8 +291,7 @@ def evolution_residual(trace: FlowTrace, quantity: str) -> EvolutionResidual:
             source = (laplace_beltrami(fields[1], b)
                       - 2.0 * normal_gradient_sq(b.mean_curvature, b)
                       + 2.0 * np.sum(contracted ** 2, axis=(-2, -1)))
-        w = fd_weights(times[i], times[i - 1:i + 2], 1)[1]
-        dfdt = w[0] * fields[0] + w[1] * fields[1] + w[2] * fields[2]
+        dfdt = _centered_time_derivative(times[i - 1:i + 2], fields)[0]
         out.append(dfdt - source)
     return EvolutionResidual(quantity=quantity, times=times[1:-1],
                              values=np.stack(out))
@@ -379,7 +386,7 @@ def localized_f(trace: FlowTrace, p: float, radius: float,
                    f"for kind {kind!r}")
     if radius <= 0:
         raise BadParameter("localizer radius must be positive")
-    times = np.array([s.time for s in trace.states])
+    times = trace.times
     f_fields, gf_fields = [], []
     best = (-math.inf, 0, 0)
     for i in range(len(trace.states)):
@@ -435,7 +442,7 @@ def weighted_integral_identity_check(trace: FlowTrace, weight: GaussianWeight,
     n = len(trace.states)
     if n < 5:
         raise ShortTrace(f"identity check needs >= 5 stored states, got {n}")
-    times = np.array([s.time for s in trace.states])
+    times = trace.times
     series = np.empty(n)
     rhs = np.empty(n)
     for i, state in enumerate(trace.states):

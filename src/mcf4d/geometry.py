@@ -35,8 +35,6 @@ OMEGA_NORM_FLOOR = 1e-12     # below this the holomorphic form is degenerate
 J_DEGENERACY_SIN2 = 1e-6     # sin^2(alpha) filter for the J-gradient field
 J_SCALE = 0.25               # |grad J|^2 = J_SCALE * sum_k ||D_k J||_F^2
 
-_KAHLER_SIGNS = ((0, 1, 1.0), (1, 0, -1.0), (2, 3, 1.0), (3, 2, -1.0))
-
 
 def omega_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Standard symplectic form dx1^dy1 + dx2^dy2 on two 4-vector fields."""
@@ -233,8 +231,13 @@ class Curvature:
 
 def _symmetric(a11, a12, a22, axis):
     """Symmetric 2x2 array of per-node entries, index pair inserted at axis."""
-    return np.stack([np.stack([a11, a12], axis=axis),
-                     np.stack([a12, a22], axis=axis)], axis=axis - 1)
+    k = a11.ndim + 1 + axis
+    out = np.empty(a11.shape[:k] + (2, 2) + a11.shape[k:])
+    pair = (slice(None),) * k
+    out[pair + (0, 0)] = a11
+    out[pair + (0, 1)] = out[pair + (1, 0)] = a12
+    out[pair + (1, 1)] = a22
+    return out
 
 
 def plane_angles(a: np.ndarray, b: np.ndarray, area):
@@ -281,11 +284,7 @@ def build_geometry(state: SurfaceState, compute_j: bool = True,
     det_g = curv.det_g
     inverse = curv.inverse
 
-    hess = np.empty(f_u.shape[:-1] + (2, 2, 4))
-    hess[..., 0, 0, :] = f_uu
-    hess[..., 0, 1, :] = f_uv
-    hess[..., 1, 0, :] = f_uv
-    hess[..., 1, 1, :] = f_vv
+    hess = _symmetric(f_uu, f_uv, f_vv, axis=-2)
     # In flat ambient space Gamma^k_ij = g^kl <d2_ij F, d_l F>.
     proj_t = np.einsum('...ija,...la->...ijl', hess, first)
     christoffel = np.einsum('...kl,...ijl->...kij', inverse, proj_t)
@@ -358,22 +357,6 @@ def nabla_bar_j2_filled(bundle: GeometryBundle) -> np.ndarray:
     return np.where(np.isnan(direct), fallback, direct)
 
 
-def kahler_angle(state: SurfaceState) -> np.ndarray:
-    """cos(alpha) per node; positive means symplectic, zero Lagrangian."""
-    return build_geometry(state, compute_j=False).cos_alpha
-
-
-def lagrangian_angle(state: SurfaceState):
-    """Unit complex e^{i theta} per node and the pairing norm |Omega(e1, e2)|.
-
-    The norm equals sin(alpha); it is 1 exactly on Lagrangian planes and 0 on
-    complex ones, where the returned unit defaults to 1 and the bundle flags
-    the node.
-    """
-    bundle = build_geometry(state, compute_j=False)
-    return bundle.lag_angle_unit, bundle.lag_omega_norm
-
-
 def field_derivatives(field: np.ndarray, grid: ParamGrid):
     """Coordinate first derivatives (d_u f, d_v f) of a per-node field."""
     return (scalar_derivative(field, grid, 0, 1),
@@ -388,11 +371,7 @@ def laplace_beltrami(field: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     f_vv = scalar_derivative(field, grid, 1, 2)
     f_uv = scalar_derivative(f_u, grid, 1, 1)
     grad = np.stack([f_u, f_v], axis=-1)
-    hess = np.empty(field.shape + (2, 2))
-    hess[..., 0, 0] = f_uu
-    hess[..., 0, 1] = f_uv
-    hess[..., 1, 0] = f_uv
-    hess[..., 1, 1] = f_vv
+    hess = _symmetric(f_uu, f_uv, f_vv, axis=-1)
     correction = np.einsum('...kij,...k->...ij', bundle.christoffel, grad)
     return np.einsum('...ij,...ij->...', bundle.inverse_metric, hess - correction)
 
@@ -418,20 +397,6 @@ def project_normal(vectors: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     return np.einsum('...n,...nc->...c', comps, bundle.normal_frame)
 
 
-def frame_directional(field: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
-    """Derivatives of a field along the orthonormal tangent directions.
-
-    Output shape is field.shape with a leading-inserted axis at position -2
-    for vector fields of shape (..., c): result (..., k, c) with k in {0, 1}.
-    For scalar fields the result is (..., k).
-    """
-    d_u, d_v = field_derivatives(field, bundle.grid)
-    coord = np.stack([d_u, d_v], axis=field.ndim - (0 if field.ndim == 2 else 1))
-    if field.ndim == 2:                             # scalar field (n1, n2)
-        return np.einsum('...ki,...i->...k', bundle.tangent_coeffs, coord)
-    return np.einsum('...ki,...ic->...kc', bundle.tangent_coeffs, coord)
-
-
 def normal_gradient_sq(vectors: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     """|grad^N X|^2: normal projection of the frame derivatives, squared.
 
@@ -439,6 +404,7 @@ def normal_gradient_sq(vectors: np.ndarray, bundle: GeometryBundle) -> np.ndarra
     curvature evolution identity; computing through ambient components keeps
     it frame-gauge invariant.
     """
-    deriv = frame_directional(vectors, bundle)      # (..., k, c)
+    coord = np.stack(field_derivatives(vectors, bundle.grid), axis=-2)
+    deriv = np.einsum('...ki,...ic->...kc', bundle.tangent_coeffs, coord)
     comps = np.einsum('...nc,...kc->...kn', bundle.normal_frame, deriv)
     return np.einsum('...kn,...kn->...', comps, comps)

@@ -75,6 +75,17 @@ def write_snapshot(path, state: SurfaceState) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parsed(path, lineno: int, tokens: list[str], kind: type) -> list:
+    """Tokens of line ``lineno`` parsed as ``kind``; a token that does not
+    parse raises BadParameter naming the file and the line."""
+    try:
+        return [kind(x) for x in tokens]
+    except ValueError:
+        raise BadParameter(f"{path}: line {lineno}: {' '.join(tokens)!r} "
+                           f"holds a value that is not {kind.__name__}"
+                           ) from None
+
+
 def read_snapshot(path) -> SurfaceState:
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
@@ -83,21 +94,23 @@ def read_snapshot(path) -> SurfaceState:
     head = lines[0].split()
     if len(head) != 17 or head[0] != SNAPSHOT_MAGIC:
         raise BadParameter(f"{path}: malformed snapshot header")
-    if int(head[1]) != SNAPSHOT_VERSION:
-        raise BadParameter(f"{path}: unsupported snapshot version {head[1]}")
-    n1, n2 = int(head[2]), int(head[3])
-    grid = ParamGrid(n1, n2, float(head[7]), float(head[8]),
-                     head[4] == "1", head[5] == "1")
-    time = float(head[6])
-    shift1 = np.array([float(x) for x in head[9:13]])
-    shift2 = np.array([float(x) for x in head[13:17]])
+    version, n1, n2, periodic1, periodic2 = _parsed(path, 1, head[1:6], int)
+    if version != SNAPSHOT_VERSION:
+        raise BadParameter(f"{path}: unsupported snapshot version {version}")
+    if {periodic1, periodic2} - {0, 1}:
+        raise BadParameter(f"{path}: line 1: periodic flags must be 0 or 1")
+    time, h1, h2, *shifts = _parsed(path, 1, head[6:], float)
+    grid = ParamGrid(n1, n2, h1, h2, periodic1 == 1, periodic2 == 1)
     if len(lines) < 1 + n1 * n2:
         raise BadParameter(f"{path}: expected {n1 * n2} position rows")
-    data = np.array([[float(x) for x in lines[1 + i].split()]
-                     for i in range(n1 * n2)])
-    if data.shape != (n1 * n2, 4):
-        raise BadParameter(f"{path}: rows are not 4-float positions")
-    return SurfaceState(grid, data.reshape(n1, n2, 4), time, shift1, shift2)
+    rows = [_parsed(path, i + 2, lines[i + 1].split(), float)
+            for i in range(n1 * n2)]
+    for i, row in enumerate(rows):
+        if len(row) != 4:
+            raise BadParameter(f"{path}: line {i + 2}: expected 4 position "
+                               f"floats, got {len(row)}")
+    return SurfaceState(grid, np.array(rows).reshape(n1, n2, 4), time,
+                        np.array(shifts[:4]), np.array(shifts[4:]))
 
 
 def write_timeseries(path, trace: FlowTrace, scan=None) -> None:

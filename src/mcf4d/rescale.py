@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InsufficientCoverage
-from .flow import FlowTrace, TraceScalars
+from .flow import SCALAR_COLUMNS, FlowTrace, TraceScalars
 
 SIGMA_CANDIDATES = 64
 SIGMA_RATIO = 2.0 ** (-1.0 / 9.0)
@@ -136,34 +136,23 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
 def rescale_flow(trace: FlowTrace, record: RescaleRecord) -> FlowTrace:
     """Magnified flow F -> lambda_k (F - X_k), s = lambda_k^2 (t - t_k).
 
-    Keeps stored states from t_k - (sigma_k/2)^2 onward; scalar series rows in
-    the same window are transformed by the parabolic scaling laws (area by
-    lambda^2, curvatures by lambda^-2, metric determinant by lambda^4).
+    Keeps stored states and scalar rows from t_k - (sigma_k/2)^2 onward and
+    maps them by :meth:`FlowTrace.parabolic`.
     """
-    lam = record.lambdaK
-    t_lo = record.peakTime - (0.5 * record.sigmaK) ** 2
-    keep = [i for i, s in enumerate(trace.states) if s.time >= t_lo - 1e-15]
-    states = [trace.states[i].transformed(
-        scale=lam, offset=record.peakPoint,
-        time=lam * lam * (trace.states[i].time - record.peakTime))
-        for i in keep]
-    steps = [trace.state_steps[i] for i in keep]
-
-    sc = trace.scalars
-    rows = sc.t >= t_lo - 1e-15
-    scalars = TraceScalars(
-        step=sc.step[rows], t=lam * lam * (sc.t[rows] - record.peakTime),
-        area=lam * lam * sc.area[rows], max_A2=sc.max_A2[rows] / lam ** 2,
-        max_H2=sc.max_H2[rows] / lam ** 2,
-        min_cos_alpha=sc.min_cos_alpha[rows],
-        min_cos_theta=sc.min_cos_theta[rows],
-        min_detg=lam ** 4 * sc.min_detg[rows])
-    meta = dict(trace.meta)
-    meta.update({"rescaled": True, "lambda": lam,
-                 "peak_time": record.peakTime,
-                 "peak_node": record.peakNode})
-    return FlowTrace(states=states, state_steps=steps, scalars=scalars,
-                     termination_reason=trace.termination_reason, meta=meta)
+    t_lo = record.peakTime - (0.5 * record.sigmaK) ** 2 - 1e-15
+    keep = [i for i, s in enumerate(trace.states) if s.time >= t_lo]
+    rows = trace.scalars.t >= t_lo
+    window = FlowTrace(
+        states=[trace.states[i] for i in keep],
+        state_steps=[trace.state_steps[i] for i in keep],
+        scalars=TraceScalars(*(getattr(trace.scalars, c)[rows]
+                               for c in SCALAR_COLUMNS)),
+        termination_reason=trace.termination_reason, meta=trace.meta)
+    out = window.parabolic(record.lambdaK, record.peakTime, record.peakPoint)
+    out.meta.update({"rescaled": True, "lambda": record.lambdaK,
+                     "peak_time": record.peakTime,
+                     "peak_node": record.peakNode})
+    return out
 
 
 def with_rescaled(trace: FlowTrace, record: RescaleRecord) -> RescaleRecord:

@@ -9,8 +9,7 @@ whole machinery sees smooth periodic data without boundary stencils.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -38,19 +37,13 @@ def plane(n1: int = 64, n2: int = 64, halfwidth: float = 3.0,
 
 
 def complex_line(n1: int = 64, n2: int = 64, halfwidth: float = 3.0) -> SurfaceState:
-    """Patch of the complex line z2 = 0: positions (u, v, 0, 0)."""
-    h1 = 2.0 * halfwidth / (n1 - 1)
-    h2 = 2.0 * halfwidth / (n2 - 1)
-    grid = ParamGrid(n1, n2, h1, h2, False, False)
-    u = -halfwidth + grid.axis_coords(0)
-    v = -halfwidth + grid.axis_coords(1)
-    pos = np.zeros((n1, n2, 4))
-    pos[..., 0] = u[:, None]
-    pos[..., 1] = v[None, :]
-    return SurfaceState(grid, pos)
+    """Patch of the complex line z2 = 0: positions (u, v, 0, 0), the
+    :func:`plane` patch with its second and third coordinates swapped."""
+    flat = plane(n1, n2, halfwidth)
+    return SurfaceState(flat.grid, flat.positions[..., [0, 2, 1, 3]])
 
 
-def sphere_patch(n1: int = 48, n2: int = 64, radius: float = 1.0,
+def sphere_patch(n1: int = 24, n2: int = 32, radius: float = 1.0,
                  polar_margin: float = 0.6) -> SurfaceState:
     """Lat-long patch of a round sphere in the hyperplane y2 = 0.
 
@@ -162,13 +155,14 @@ def translating_trace(builder: Callable[[float], SurfaceState],
 
 
 def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
-                   patch_nodes: tuple[int, int] = (24, 32),
-                   polar_margin: float = 0.6) -> FlowTrace:
+                   **patch) -> FlowTrace:
     """Round-sphere flow by the exact radius ODE dr/dt = -2/r.
 
     The scalar series is analytic: r(t)^2 = r0^2 - 4t, |A|^2 = 2/r^2,
     |H|^2 = 4/r^2, area of the tracked patch scaling like r^2.  Stored
-    states are lat-long patches materialized at the sampled radii.
+    states are lat-long patches materialized at the sampled radii;
+    ``patch`` holds the other :func:`sphere_patch` parameters (n1, n2,
+    polar_margin).
     """
     controls = controls or RunControls()
     r0 = float(radius)
@@ -190,7 +184,7 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     t = np.linspace(0.0, t_stop, n_samples)
     r = np.sqrt(r0 * r0 - 4.0 * t)
 
-    patch0 = sphere_patch(patch_nodes[0], patch_nodes[1], r0, polar_margin)
+    patch0 = sphere_patch(radius=r0, **patch)
     _, _, area0, _, _, cos_a_min, cos_t_min, det_min0 = scalar_row(
         0, patch0, state_curvature(patch0))
 
@@ -211,17 +205,45 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
                            "singular_time": t_sing})
 
 
-SCENARIO_PARAMS: dict[str, dict[str, type]] = {
-    "plane": {"n1": int, "n2": int, "halfwidth": float, "offset": float},
-    "complex_line": {"n1": int, "n2": int, "halfwidth": float},
-    "sphere_ode": {"n1": int, "n2": int, "radius": float,
-                   "polar_margin": float},
-    "clifford_torus": {"n1": int, "n2": int, "radius": float},
-    "lagrangian_graph": {"n1": int, "n2": int, "amplitude": float},
-    "symplectic_graph": {"n1": int, "n2": int, "eps": float},
-    "grim_reaper_product": {"n1": int, "n2": int, "x_max": float,
-                            "line_length": float, "time": float},
+class Scenario(NamedTuple):
+    """Registry entry: initial-surface builder, trace mode and default kind.
+
+    The mode says how a run makes its trace: ``flow`` integrates the mesh,
+    ``sphere_ode`` samples the exact radius ODE (:func:`run_sphere_ode`),
+    ``translating`` samples the exact translation (the builder takes the
+    time).  ``kind`` is the default ``run.kind`` of the theorem check.
+    """
+
+    builder: Callable[..., SurfaceState]
+    mode: str
+    kind: str
+
+    def params(self) -> dict[str, type]:
+        """Parameter name -> type, read from the builder's signature, which
+        also holds the one default of each parameter."""
+        hints = get_type_hints(self.builder)
+        del hints["return"]
+        return hints
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "plane": Scenario(plane, "flow", "lagrangian"),
+    "complex_line": Scenario(complex_line, "flow", "symplectic"),
+    "sphere_ode": Scenario(sphere_patch, "sphere_ode", "symplectic"),
+    "clifford_torus": Scenario(clifford_torus, "flow", "symplectic"),
+    "lagrangian_graph": Scenario(lagrangian_graph, "flow", "lagrangian"),
+    "symplectic_graph": Scenario(symplectic_graph, "flow", "symplectic"),
+    "grim_reaper_product": Scenario(grim_reaper_product, "translating",
+                                    "lagrangian"),
 }
+
+
+def find_scenario(name: str) -> Scenario:
+    """Registry entry of a scenario name."""
+    if name not in SCENARIOS:
+        raise BadParameter(
+            f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
+    return SCENARIOS[name]
 
 
 def generate_scenario(name: str, **params) -> SurfaceState:
@@ -230,23 +252,10 @@ def generate_scenario(name: str, **params) -> SurfaceState:
     ``sphere_ode`` returns the lat-long patch at t = 0; its evolution runs
     through :func:`run_sphere_ode` rather than the mesh integrator.
     """
-    if name not in SCENARIO_PARAMS:
-        raise BadParameter(
-            f"unknown scenario {name!r}; expected one of "
-            f"{sorted(SCENARIO_PARAMS)}")
-    allowed = SCENARIO_PARAMS[name]
+    entry = find_scenario(name)
+    allowed = entry.params()
     for key in params:
         if key not in allowed:
             raise BadParameter(
                 f"scenario {name!r} does not take parameter {key!r}")
-    builders = {
-        "plane": plane,
-        "complex_line": complex_line,
-        "sphere_ode": lambda n1=48, n2=64, radius=1.0, polar_margin=0.6:
-            sphere_patch(n1, n2, radius, polar_margin),
-        "clifford_torus": clifford_torus,
-        "lagrangian_graph": lagrangian_graph,
-        "symplectic_graph": symplectic_graph,
-        "grim_reaper_product": grim_reaper_product,
-    }
-    return builders[name](**params)
+    return entry.builder(**params)

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KindMismatch, ZeroCurvature
-from .flow import FlowTrace, TraceScalars
-from .functionals import _check_kind, _angle_cosine, localized_f
+from .flow import FlowTrace
+from .functionals import (_angle_cosine, _centered_time_derivative,
+                          _check_kind, localized_f)
 from .geometry import (gradient_inner, gradient_sq, laplace_beltrami,
                        normal_gradient_sq)
-from .stencils import fd_weights
 
 LHS_SLACK = 1e-9
 LAGRANGIAN_DRIFT_TOL = 1e-6
@@ -76,20 +76,8 @@ def normalize_flow(trace: FlowTrace) -> dict:
         raise ZeroCurvature(
             f"sup |A|^2 = {sup_a2:.3e}; a flat flow cannot be normalized")
     lam = float(np.sqrt(sup_a2))
-    states = [s.transformed(scale=lam, time=lam * lam * s.time)
-              for s in trace.states]
-    sc = trace.scalars
-    scalars = TraceScalars(
-        step=sc.step.copy(), t=lam * lam * sc.t, area=lam * lam * sc.area,
-        max_A2=sc.max_A2 / lam ** 2, max_H2=sc.max_H2 / lam ** 2,
-        min_cos_alpha=sc.min_cos_alpha.copy(),
-        min_cos_theta=sc.min_cos_theta.copy(),
-        min_detg=lam ** 4 * sc.min_detg)
-    meta = dict(trace.meta)
-    meta["normalization_scale"] = lam
-    out = FlowTrace(states=states, state_steps=list(trace.state_steps),
-                    scalars=scalars,
-                    termination_reason=trace.termination_reason, meta=meta)
+    out = trace.parabolic(lam)
+    out.meta["normalization_scale"] = lam
     return {"trace": out, "scale": lam}
 
 
@@ -103,7 +91,6 @@ def extremal_stats(trace: FlowTrace, kind: str) -> dict:
     _check_kind(kind)
     delta = np.inf
     h2 = -np.inf
-    need_j = kind == "lagrangian"
     for i in range(len(trace.states)):
         bundle = trace.bundle(i)
         if kind == "lagrangian":
@@ -148,13 +135,6 @@ def check_main_theorem(trace: FlowTrace, kind: str,
         hypotheses=hypotheses)
 
 
-def _field_time_derivative(times: np.ndarray, fields: list[np.ndarray],
-                           j: int) -> np.ndarray:
-    """Three-point derivative of a per-node field series at interior index j."""
-    w = fd_weights(times[j], times[j - 1:j + 2], 1)[1]
-    return w[0] * fields[j - 1] + w[1] * fields[j] + w[2] * fields[j + 1]
-
-
 def gradient_estimate_probe(trace: FlowTrace, p: float, radius: float,
                             kind: str) -> dict:
     """Check the differential inequality driving the maximum principle.
@@ -197,8 +177,8 @@ def gradient_estimate_probe(trace: FlowTrace, p: float, radius: float,
         bundle = trace.bundle(j)
         f = loc.f[j]
         c = _angle_cosine(bundle, kind)
-        lhs = laplace_beltrami(f, bundle) - _field_time_derivative(
-            times, loc.f, j)
+        lhs = laplace_beltrami(f, bundle) - _centered_time_derivative(
+            times[j - 1:j + 2], loc.f[j - 1:j + 2])[0]
         rhs = f * (p * p * gradient_sq(bundle.norm_H2, bundle)
                    + 2.0 * p * normal_gradient_sq(bundle.mean_curvature,
                                                   bundle)

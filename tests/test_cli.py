@@ -210,3 +210,51 @@ def test_simulate_rejects_bad_run_controls(tmp_path, line):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("BadParameter:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, line", [
+    ("simulate", "scenario.n1 = abc"),
+    ("simulate", "scenario.radius = xyz"),
+    ("simulate", "scenario.n1 = 16.9"),
+    ("rescale", "rescale.radii = 0.25 abc"),
+    ("rescale", "rescale.radii ="),
+], ids=["n1_word", "radius_word", "n1_fraction", "radii_word", "radii_empty"])
+def test_untyped_config_values_exit_two(tmp_path, command, line):
+    cfg = write_config(tmp_path, f"""
+        scenario.name = clifford_torus
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.max_steps = 2
+        {line}
+        output.directory = {tmp_path / 'out'}
+    """)
+    proc = run_cli(command, "--config", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("BadParameter:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_integral_float_config_value_is_an_integer(tmp_path):
+    cfg = write_config(tmp_path, f"""
+        scenario.name = clifford_torus
+        scenario.n1 = 16.0
+        scenario.n2 = 16
+        controls.max_steps = 2
+        output.directory = {tmp_path / 'out'}
+    """)
+    proc = run_cli("simulate", "--config", cfg)
+    assert proc.returncode == 0, proc.stderr
+    head = (tmp_path / "out" / "snapshot_initial.txt").read_text().split()
+    assert head[2:4] == ["16", "16"]
+
+
+def test_verify_rejects_scenarios_without_a_doubly_periodic_flow(tmp_path):
+    for name in ("plane", "sphere_ode", "grim_reaper_product"):
+        cfg = write_config(tmp_path, f"""
+            scenario.name = {name}
+            controls.dt = 1e-3
+            controls.max_steps = 4
+        """)
+        proc = run_cli("verify", "--config", cfg, "--quantity", "cos_theta")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("BadParameter:")

@@ -15,6 +15,8 @@ and two graphs, also after a seeded unitary motion.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcf4d import flow, geometry
 from mcf4d.errors import DegenerateMetric, InsufficientBlowup
@@ -239,3 +241,37 @@ def test_degenerate_metric_mid_run_ends_with_degenerate_mesh(monkeypatch):
     assert list(tr.scalars.step) == [0, 1, 2]
     assert abs(tr.scalars.t[-1] - 2 * dt) < 1e-15
     assert sorted(tr._a2_fields) == [0, 1, 2]
+
+
+@pytest.fixture(scope="module")
+def graph_flow():
+    """Three stored states of a non-flat Lagrangian graph flow."""
+    return run_flow(lagrangian_graph(32, 32, 0.3),
+                    RunControls(dt=1e-3, max_steps=4, stride=2))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(lam=st.floats(0.25, 4.0), lam2=st.floats(0.25, 4.0),
+       t0=st.floats(-1.0, 1.0),
+       offset=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_parabolic_scaling_matches_recomputed_rows(graph_flow, lam, lam2, t0,
+                                                   offset):
+    mapped = graph_flow.parabolic(lam, t0, np.array(offset))
+    assert mapped.state_steps == graph_flow.state_steps
+    sc = mapped.scalars
+    for k, state in zip(mapped.state_steps, mapped.states):
+        row = scalar_row(k, state, state_curvature(state))
+        stored = [getattr(sc, c)[k] for c in SCALAR_COLUMNS]
+        # atol covers min_cos_alpha, which is zero to rounding on this flow.
+        np.testing.assert_allclose(stored, row, rtol=1e-9, atol=1e-12)
+
+    twice = mapped.parabolic(lam2)
+    once = graph_flow.parabolic(lam * lam2, t0, np.array(offset))
+    for a, b in zip(twice.states, once.states):
+        np.testing.assert_allclose(a.positions, b.positions, rtol=1e-12,
+                                   atol=1e-12)
+        assert a.time == pytest.approx(b.time, rel=1e-12, abs=1e-12)
+    for c in SCALAR_COLUMNS:
+        np.testing.assert_allclose(getattr(twice.scalars, c),
+                                   getattr(once.scalars, c), rtol=1e-12,
+                                   atol=1e-12)

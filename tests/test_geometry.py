@@ -14,8 +14,7 @@ import pytest
 
 from mcf4d.errors import DegenerateMetric
 from mcf4d.geometry import (build_geometry, cross4, gradient_inner,
-                            gradient_sq, holomorphic_pairing, kahler_angle,
-                            lagrangian_angle, laplace_beltrami,
+                            gradient_sq, holomorphic_pairing, laplace_beltrami,
                             nabla_bar_j2_from_shape, omega_pairing,
                             project_normal)
 from mcf4d.grid import ParamGrid, SurfaceState
@@ -231,15 +230,6 @@ def test_degenerate_metric_raises():
     g = ParamGrid(8, 8, 0.1, 0.1, True, True)
     with pytest.raises(DegenerateMetric):
         build_geometry(SurfaceState(g, np.zeros((8, 8, 4))))
-
-
-def test_angle_convenience_wrappers_match_bundle():
-    st = clifford_torus(16, 16)
-    b = build_geometry(st, compute_j=False)
-    np.testing.assert_allclose(kahler_angle(st), b.cos_alpha, atol=1e-14)
-    unit, norm = lagrangian_angle(st)
-    np.testing.assert_allclose(unit, b.lag_angle_unit, atol=1e-14)
-    np.testing.assert_allclose(norm, b.lag_omega_norm, atol=1e-14)
 
 
 def test_torus_quadrature_area_converges_at_fourth_order():

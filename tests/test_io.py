@@ -116,6 +116,33 @@ def test_read_snapshot_error_paths(tmp_path):
         read_snapshot(narrow)
 
 
+def test_read_snapshot_names_the_line_of_a_bad_value(tmp_path):
+    good = tmp_path / "good.txt"
+    write_snapshot(good, clifford_torus(8, 8))
+    lines = good.read_text(encoding="ascii").splitlines()
+
+    bad_row = tmp_path / "row.txt"
+    bad_row.write_text("\n".join(lines[:3] + ["0.1 zz 0 0"] + lines[4:])
+                       + "\n", encoding="ascii")
+    with pytest.raises(BadParameter, match="row.txt: line 4"):
+        read_snapshot(bad_row)
+
+    head = lines[0].split()
+    head[2] = "8.5"
+    bad_n1 = tmp_path / "n1.txt"
+    bad_n1.write_text("\n".join([" ".join(head)] + lines[1:]) + "\n",
+                      encoding="ascii")
+    with pytest.raises(BadParameter, match="n1.txt: line 1"):
+        read_snapshot(bad_n1)
+
+    head[2:5] = ["8", "8", "7"]
+    bad_flag = tmp_path / "flag.txt"
+    bad_flag.write_text("\n".join([" ".join(head)] + lines[1:]) + "\n",
+                        encoding="ascii")
+    with pytest.raises(BadParameter, match="flag.txt: line 1"):
+        read_snapshot(bad_flag)
+
+
 def test_timeseries_schema_without_scan(tmp_path):
     trace = run_flow(clifford_torus(8, 8),
                      RunControls(dt=1e-3, max_steps=10, stride=5))

@@ -5,20 +5,22 @@ independently here (node coordinates, translation speed, curve curvature
 max |A|^2 = 1 at the tip of y = -log cos x, angle cos(theta(x)) = cos x).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mcf4d.errors import BadParameter
 from mcf4d.flow import RunControls
 from mcf4d.geometry import build_geometry
-from mcf4d.scenarios import (SCENARIO_PARAMS, clifford_torus,
+from mcf4d.scenarios import (SCENARIOS, clifford_torus,
                              generate_scenario, grim_reaper_product,
                              lagrangian_graph, run_sphere_ode, sphere_patch,
                              symplectic_graph, translating_trace)
 
 
 def test_every_scenario_builds_valid_geometry_at_defaults():
-    for name in SCENARIO_PARAMS:
+    for name in SCENARIOS:
         state = generate_scenario(name)
         bundle = build_geometry(state, compute_j=False)
         assert bundle.det_g.min() > 0
@@ -115,3 +117,27 @@ def test_parameter_range_validation():
         sphere_patch(24, 32, polar_margin=2.0)
     with pytest.raises(BadParameter):
         run_sphere_ode(-1.0)
+
+
+def _readme_rows(first_cell: str) -> list[list[str]]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith(f"| {first_cell}")]
+
+
+def test_readme_documents_exactly_the_scenario_table():
+    (key_row,) = _readme_rows("`scenario.name`")
+    named = key_row[1].split(" (")[0].replace("`", "").split(", ")
+    assert sorted(named) == sorted(SCENARIOS)
+
+    traces = {"flow": "mesh flow", "sphere_ode": "exact radius ODE",
+              "translating": "exact translation"}
+    rows = {row[0]: row[1:] for row in _readme_rows("`")
+            if row[0] in SCENARIOS}
+    assert sorted(rows) == sorted(SCENARIOS)
+    for name, entry in SCENARIOS.items():
+        grid = generate_scenario(name).grid
+        verify = entry.mode == "flow" and grid.periodic1 and grid.periodic2
+        assert rows[name] == [entry.builder.__name__, traces[entry.mode],
+                              entry.kind, "yes" if verify else "no"]
