@@ -67,9 +67,24 @@ def _read(cfg: dict, key: str, kind: type = float, default=None,
                            f"{kind.__name__}{count}") from None
 
 
+def _check_section(cfg: dict, section: str, known) -> None:
+    """Raise BadParameter naming the first ``section.*`` key of ``cfg`` whose
+    name is not in ``known``, so a misspelt key is not dropped silently."""
+    for key in cfg:
+        head, _, name = key.partition(".")
+        if head == section and name not in known:
+            raise BadParameter(f"unknown config key {key!r}; {section}.* "
+                               f"takes {sorted(known)}")
+
+
+# RunControls fields plus the sample count of the translating mode.
+CONTROL_KEYS = frozenset(f.name for f in fields(RunControls)) | {"samples"}
+
+
 def _controls(cfg) -> RunControls:
     """Run controls from the ``controls.*`` keys; absent keys keep the
     RunControls defaults."""
+    _check_section(cfg, "controls", CONTROL_KEYS)
     hints = get_type_hints(RunControls)
     return RunControls(**{
         f.name: _read(cfg, f"controls.{f.name}",
@@ -81,9 +96,10 @@ def _scenario(cfg):
     """Configured scenario name and the ``scenario.*`` parameters given,
     typed by the scenario builder's signature."""
     name = _read(cfg, "scenario.name", str, required=True)
+    kinds = find_scenario(name).params()
+    _check_section(cfg, "scenario", {"name", *kinds})
     params = {key: _read(cfg, f"scenario.{key}", kind)
-              for key, kind in find_scenario(name).params().items()
-              if f"scenario.{key}" in cfg}
+              for key, kind in kinds.items() if f"scenario.{key}" in cfg}
     return name, params
 
 
@@ -262,6 +278,7 @@ def cmd_verify(cfg, args) -> int:
     if grid is None or not (grid.periodic1 and grid.periodic2):
         raise BadParameter("verify needs a mesh-flow scenario on a grid "
                            "periodic on both axes")
+    _check_section(cfg, "controls", CONTROL_KEYS)
     dt = _read(cfg, "controls.dt", required=True)
     steps = _read(cfg, "controls.max_steps", int, required=True)
     n_base = params.get("n1", 16)

@@ -286,8 +286,9 @@ def evolution_residual(trace: FlowTrace, quantity: str) -> EvolutionResidual:
                       - 2.0 * nabla_bar_j2_filled(b) / c ** 2)
         else:                                   # H2
             fields = [x.norm_H2 for x in bundles]
-            contracted = np.einsum('...n,...nij->...ij', b.mean_normal,
-                                   b.second_ff_frame)
+            m, hf = b.mean_normal, b.second_ff_frame
+            contracted = (m[..., 0, None, None] * hf[..., 0, :, :]
+                          + m[..., 1, None, None] * hf[..., 1, :, :])
             source = (laplace_beltrami(fields[1], b)
                       - 2.0 * normal_gradient_sq(b.mean_curvature, b)
                       + 2.0 * np.sum(contracted ** 2, axis=(-2, -1)))

@@ -15,6 +15,10 @@ Curvature without frames.  :class:`Curvature` turns the position derivatives
 into g, g^-1, A_ij, H, |A|^2 and |H|^2 by 2x2 algebra and ambient dot
 products; the flow integrator and its per-step diagnostics use it alone, and
 :func:`build_geometry` takes its curvature fields from it.
+The bundle and the field operators are built the same way, per node, with no
+generic tensor contraction: h^n_ij = <A_ij, v_n>, the frame components
+C h C^T written out for the pairs a <= b, and |grad J|^2 from the six
+entries of the antisymmetric J field.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ COS_CLAMP_EXCESS = 1e-10     # tolerated overshoot of |cos alpha| past 1
 OMEGA_NORM_FLOOR = 1e-12     # below this the holomorphic form is degenerate
 J_DEGENERACY_SIN2 = 1e-6     # sin^2(alpha) filter for the J-gradient field
 J_SCALE = 0.25               # |grad J|^2 = J_SCALE * sum_k ||D_k J||_F^2
+_UPPER_PAIRS = np.triu_indices(4, 1)  # the six entries (p < q) of a 4x4 skew
 
 
 def omega_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,22 +134,30 @@ def _tangent_frame(f_u, f_v, metric, det_g, rotation=None):
 
 
 def _normal_frame(e1, e2, basis_order):
-    """First normal vector by deterministic Gram-Schmidt with fallback."""
-    proj = -e1[..., :, None] * e1[..., None, :] - e2[..., :, None] * e2[..., None, :]
-    idx = np.arange(4)
-    proj[..., idx, idx] += 1.0
-    # Row b of proj is the normal projection of ambient basis vector b.
-    candidates = proj[..., list(basis_order), :]
-    norms = np.linalg.norm(candidates, axis=-1)
-    usable = norms >= PROJECTION_FLOOR
-    if not usable.any(axis=-1).all():
-        node = int(np.argmax(~usable.any(axis=-1)))
-        raise DegenerateFrame(node, "no usable normal projection")
-    first = np.argmax(usable, axis=-1)
-    v1 = np.take_along_axis(candidates, first[..., None, None], axis=-2)[..., 0, :]
-    v1 = v1 / np.linalg.norm(v1, axis=-1, keepdims=True)
+    """First normal vector by deterministic Gram-Schmidt with fallback.
+
+    Per node, v1 is the normal projection e_b - e1[b] e1 - e2[b] e2 of the
+    first ambient basis vector b in ``basis_order`` whose projection has norm
+    at least PROJECTION_FLOOR; v2 = cross4(e1, e2, v1), normalized.
+    """
+    v1, norm = np.zeros(e1.shape), np.ones(e1.shape[:-1])
+    missing = np.ones(e1.shape[:-1], dtype=bool)
+    for b in basis_order:
+        cand = -e1[..., b, None] * e1 - e2[..., b, None] * e2
+        cand[..., b] += 1.0
+        cand_norm = np.sqrt(_dot(cand, cand))
+        take = missing & (cand_norm >= PROJECTION_FLOOR)
+        v1 = np.where(take[..., None], cand, v1)
+        norm = np.where(take, cand_norm, norm)
+        missing &= ~take
+        if not missing.any():
+            break
+    if missing.any():
+        raise DegenerateFrame(int(np.argmax(missing)),
+                              "no usable normal projection")
+    v1 = v1 / norm[..., None]
     v2 = cross4(e1, e2, v1)
-    v2 = v2 / np.linalg.norm(v2, axis=-1, keepdims=True)
+    v2 = v2 / np.sqrt(_dot(v2, v2))[..., None]
     return np.stack([v1, v2], axis=-2)
 
 
@@ -187,12 +200,17 @@ class Curvature:
              + self.inv22[..., None] * f_vv)
         self.mean_curvature = self.normal_part(w)
 
-    def normal_part(self, x: np.ndarray) -> np.ndarray:
-        """Vector field x minus its tangential projection g^ij <x, F_j> F_i."""
+    def tangent_coords(self, x: np.ndarray) -> tuple:
+        """Coefficients (c^u, c^v) = g^ij <x, F_j> of the tangential part
+        c^u F_u + c^v F_v of a vector field x."""
         xu = _dot(x, self.f_u)
         xv = _dot(x, self.f_v)
-        cu = self.inv11 * xu + self.inv12 * xv
-        cv = self.inv12 * xu + self.inv22 * xv
+        return (self.inv11 * xu + self.inv12 * xv,
+                self.inv12 * xu + self.inv22 * xv)
+
+    def normal_part(self, x: np.ndarray) -> np.ndarray:
+        """Vector field x minus its tangential projection g^ij <x, F_j> F_i."""
+        cu, cv = self.tangent_coords(x)
         return x - cu[..., None] * self.f_u - cv[..., None] * self.f_v
 
     @cached_property
@@ -222,11 +240,6 @@ class Curvature:
     def inverse(self) -> np.ndarray:
         """g^-1 as a (..., 2, 2) array."""
         return _symmetric(self.inv11, self.inv12, self.inv22, axis=-1)
-
-    @property
-    def second(self) -> np.ndarray:
-        """A_ij as a (..., 2, 2, 4) array."""
-        return _symmetric(*self.normal_hessian, axis=-2)
 
 
 def _symmetric(a11, a12, a22, axis):
@@ -284,18 +297,30 @@ def build_geometry(state: SurfaceState, compute_j: bool = True,
     det_g = curv.det_g
     inverse = curv.inverse
 
-    hess = _symmetric(f_uu, f_uv, f_vv, axis=-2)
-    # In flat ambient space Gamma^k_ij = g^kl <d2_ij F, d_l F>.
-    proj_t = np.einsum('...ija,...la->...ijl', hess, first)
-    christoffel = np.einsum('...kl,...ijl->...kij', inverse, proj_t)
+    # In flat ambient space Gamma^k_ij = g^kl <F_ij, F_l>, the tangential
+    # coefficients of the Hessian.
+    gammas = curv.tangent_coords(np.stack([f_uu, f_uv, f_vv]))
+    christoffel = np.stack([_symmetric(*g, axis=-1) for g in gammas], axis=-3)
 
     frame_t, coeffs = _tangent_frame(f_u, f_v, metric, det_g, tangent_rotation)
     frame_n = _normal_frame(frame_t[..., 0, :], frame_t[..., 1, :], normal_basis_order)
 
-    h = np.einsum('...ijc,...nc->...nij', curv.second, frame_n)
-    h_frame = np.einsum('...ai,...bj,...nij->...nab', coeffs, coeffs, h)
+    # h^n_ij = <A_ij, v_n>, then h in the orthonormal tangent frame,
+    # h_frame^n_ab = C_ai C_bj h^n_ij with h^n_ij symmetric in ij.
+    h11, h12, h22 = (_dot(a[..., None, :], frame_n) for a in curv.normal_hessian)
+    h = _symmetric(h11, h12, h22, axis=-1)
+    c0, c1 = coeffs[..., 0, :], coeffs[..., 1, :]
+
+    def frame_entry(ca, cb):
+        cross = ca[..., 0] * cb[..., 1] + ca[..., 1] * cb[..., 0]
+        return ((ca[..., 0] * cb[..., 0])[..., None] * h11
+                + cross[..., None] * h12
+                + (ca[..., 1] * cb[..., 1])[..., None] * h22)
+
+    h_frame = _symmetric(frame_entry(c0, c0), frame_entry(c0, c1),
+                         frame_entry(c1, c1), axis=-1)
     mean = curv.mean_curvature
-    mean_normal = np.einsum('...nc,...c->...n', frame_n, mean)
+    mean_normal = _dot(frame_n, mean[..., None, :])
     cos_alpha, unit, omega_norm, degenerate = plane_angles(
         frame_t[..., 0, :], frame_t[..., 1, :], 1.0)
 
@@ -315,22 +340,21 @@ def build_geometry(state: SurfaceState, compute_j: bool = True,
 
 
 def _nabla_bar_j2(bundle: GeometryBundle) -> np.ndarray:
-    """|grad J_Sigma|^2 by differentiating the 4x4 rotation field."""
+    """|grad J_Sigma|^2 by differentiating the 4x4 rotation field.
+
+    J = e2 ^ e1 + v2 ^ v1 is antisymmetric, so only its six entries above
+    the diagonal are differentiated; the Frobenius sum counts each twice.
+    """
     e1 = bundle.tangent_frame[..., 0, :]
     e2 = bundle.tangent_frame[..., 1, :]
     v1 = bundle.normal_frame[..., 0, :]
     v2 = bundle.normal_frame[..., 1, :]
-
-    def skew(a, b):
-        return a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
-
-    j_field = skew(e2, e1) + skew(v2, v1)
-    dj_u = scalar_derivative(j_field, bundle.grid, 0, 1)
-    dj_v = scalar_derivative(j_field, bundle.grid, 1, 1)
-    dj = np.stack([dj_u, dj_v], axis=-3)          # (..., i, 4, 4)
-    frame_dj = np.einsum('...ki,...iab->...kab', bundle.tangent_coeffs, dj)
-    total = np.einsum('...kab,...kab->...', frame_dj, frame_dj)
-    value = J_SCALE * total
+    p, q = _UPPER_PAIRS
+    j_upper = (e2[..., p] * e1[..., q] - e1[..., p] * e2[..., q]
+               + v2[..., p] * v1[..., q] - v1[..., p] * v2[..., q])
+    total = sum(np.sum(d * d, axis=-1)
+                for d in _frame_derivatives(j_upper, bundle))
+    value = J_SCALE * 2.0 * total
     sin2 = 1.0 - bundle.cos_alpha ** 2
     return np.where(sin2 < J_DEGENERACY_SIN2, np.nan, value)
 
@@ -363,6 +387,15 @@ def field_derivatives(field: np.ndarray, grid: ParamGrid):
             scalar_derivative(field, grid, 1, 1))
 
 
+def _frame_derivatives(field: np.ndarray, bundle: GeometryBundle) -> list:
+    """Derivatives D_k f = C_ki d_i f along e1, e2 of a per-node field with
+    trailing components."""
+    d_u, d_v = field_derivatives(field, bundle.grid)
+    c = bundle.tangent_coeffs
+    return [c[..., k, 0, None] * d_u + c[..., k, 1, None] * d_v
+            for k in range(2)]
+
+
 def laplace_beltrami(field: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     """Surface Laplacian g^ij (d2_ij f - Gamma^k_ij d_k f) per node."""
     grid = bundle.grid
@@ -370,31 +403,42 @@ def laplace_beltrami(field: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     f_uu = scalar_derivative(field, grid, 0, 2)
     f_vv = scalar_derivative(field, grid, 1, 2)
     f_uv = scalar_derivative(f_u, grid, 1, 1)
-    grad = np.stack([f_u, f_v], axis=-1)
-    hess = _symmetric(f_uu, f_uv, f_vv, axis=-1)
-    correction = np.einsum('...kij,...k->...ij', bundle.christoffel, grad)
-    return np.einsum('...ij,...ij->...', bundle.inverse_metric, hess - correction)
+    gam = bundle.christoffel
+    inv = bundle.inverse_metric
+
+    def covariant(f_ij, i, j):
+        return f_ij - gam[..., 0, i, j] * f_u - gam[..., 1, i, j] * f_v
+
+    return (inv[..., 0, 0] * covariant(f_uu, 0, 0)
+            + 2.0 * inv[..., 0, 1] * covariant(f_uv, 0, 1)
+            + inv[..., 1, 1] * covariant(f_vv, 1, 1))
 
 
 def gradient_sq(field: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     """|grad f|^2 = g^ij d_i f d_j f per node."""
     f_u, f_v = field_derivatives(field, bundle.grid)
-    grad = np.stack([f_u, f_v], axis=-1)
-    return np.einsum('...ij,...i,...j->...', bundle.inverse_metric, grad, grad)
+    inv = bundle.inverse_metric
+    return (inv[..., 0, 0] * f_u * f_u + 2.0 * inv[..., 0, 1] * f_u * f_v
+            + inv[..., 1, 1] * f_v * f_v)
 
 
 def gradient_inner(field_a: np.ndarray, field_b: np.ndarray,
                    bundle: GeometryBundle) -> np.ndarray:
     """Tangential inner product grad f . grad g = g^ij d_i f d_j g."""
-    a = np.stack(field_derivatives(field_a, bundle.grid), axis=-1)
-    b = np.stack(field_derivatives(field_b, bundle.grid), axis=-1)
-    return np.einsum('...ij,...i,...j->...', bundle.inverse_metric, a, b)
+    a_u, a_v = field_derivatives(field_a, bundle.grid)
+    b_u, b_v = field_derivatives(field_b, bundle.grid)
+    inv = bundle.inverse_metric
+    return (inv[..., 0, 0] * a_u * b_u
+            + inv[..., 0, 1] * (a_u * b_v + a_v * b_u)
+            + inv[..., 1, 1] * a_v * b_v)
 
 
 def project_normal(vectors: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     """Project ambient 4-vector fields onto the normal frame span."""
-    comps = np.einsum('...nc,...c->...n', bundle.normal_frame, vectors)
-    return np.einsum('...n,...nc->...c', comps, bundle.normal_frame)
+    v1 = bundle.normal_frame[..., 0, :]
+    v2 = bundle.normal_frame[..., 1, :]
+    return (_dot(v1, vectors)[..., None] * v1
+            + _dot(v2, vectors)[..., None] * v2)
 
 
 def normal_gradient_sq(vectors: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
@@ -404,7 +448,6 @@ def normal_gradient_sq(vectors: np.ndarray, bundle: GeometryBundle) -> np.ndarra
     curvature evolution identity; computing through ambient components keeps
     it frame-gauge invariant.
     """
-    coord = np.stack(field_derivatives(vectors, bundle.grid), axis=-2)
-    deriv = np.einsum('...ki,...ic->...kc', bundle.tangent_coeffs, coord)
-    comps = np.einsum('...nc,...kc->...kn', bundle.normal_frame, deriv)
-    return np.einsum('...kn,...kn->...', comps, comps)
+    comps = [_dot(bundle.normal_frame, d[..., None, :])
+             for d in _frame_derivatives(vectors, bundle)]
+    return sum(np.sum(c * c, axis=-1) for c in comps)

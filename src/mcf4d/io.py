@@ -10,9 +10,9 @@ Config files are flat ``key = value`` lines with at most one dot in the key
 A snapshot's first line is ``MCF4D 1 <n1> <n2> <periodic1:0|1>
 <periodic2:0|1> <time> <spacing1> <spacing2> <shift1: 4 floats> <shift2: 4
 floats>`` followed by n1*n2 rows of four position floats in row-major node
-order.  Readers that only consume the first six fields still see the
-documented core header; the trailing ten fields carry what is needed to
-rebuild the parameter grid and seam data exactly.
+order, then nothing but blank lines.  Readers that only consume the first six
+fields still see the documented core header; the trailing ten fields carry
+what is needed to rebuild the parameter grid and seam data exactly.
 """
 
 from __future__ import annotations
@@ -103,6 +103,10 @@ def read_snapshot(path) -> SurfaceState:
     grid = ParamGrid(n1, n2, h1, h2, periodic1 == 1, periodic2 == 1)
     if len(lines) < 1 + n1 * n2:
         raise BadParameter(f"{path}: expected {n1 * n2} position rows")
+    for i in range(1 + n1 * n2, len(lines)):
+        if lines[i].strip():
+            raise BadParameter(f"{path}: line {i + 1}: {lines[i]!r} follows "
+                               f"the last of the {n1 * n2} position rows")
     rows = [_parsed(path, i + 2, lines[i + 1].split(), float)
             for i in range(n1 * n2)]
     for i, row in enumerate(rows):

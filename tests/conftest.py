@@ -21,6 +21,20 @@ SYMPL_CENTER = np.array([np.pi, np.pi, 0.0, -0.1])
 WEIGHT_T0 = 0.1
 
 
+def su2_real(rng):
+    """Haar-random SU(2) matrix as a real 4x4 on (x1, y1, x2, y2)."""
+    q = rng.standard_normal(4)
+    q /= np.linalg.norm(q)
+    a, b = complex(q[0], q[1]), complex(q[2], q[3])
+    u = np.array([[a, b], [-b.conjugate(), a.conjugate()]])
+    out = np.empty((4, 4))
+    out[0::2, 0::2] = u.real
+    out[0::2, 1::2] = -u.imag
+    out[1::2, 0::2] = u.imag
+    out[1::2, 1::2] = u.real
+    return out
+
+
 def thin_trace(trace, stride):
     """Subsampled copy of a trace's stored states (first and last kept)."""
     idx = list(range(0, len(trace.states), stride))

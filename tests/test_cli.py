@@ -147,7 +147,7 @@ def test_monotonicity_report_and_columns(tmp_path):
         scenario.name = lagrangian_graph
         scenario.n1 = 16
         scenario.n2 = 16
-        scenario.eps = 0.1
+        scenario.amplitude = 0.1
         controls.dt = 1e-3
         controls.max_steps = 10
         controls.stride = 1
@@ -232,6 +232,28 @@ def test_untyped_config_values_exit_two(tmp_path, command, line):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("BadParameter:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("line, key", [
+    ("scenario.eps = 0.1", "scenario.eps"),
+    ("controls.strides = 5", "controls.strides"),
+], ids=["scenario", "controls"])
+def test_simulate_rejects_unknown_config_keys(tmp_path, line, key):
+    # clifford_torus takes no eps (symplectic_graph does); RunControls has
+    # a stride, not strides.
+    cfg = write_config(tmp_path, f"""
+        scenario.name = clifford_torus
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.max_steps = 2
+        {line}
+        output.directory = {tmp_path / 'out'}
+    """)
+    proc = run_cli("simulate", "--config", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("BadParameter:")
+    assert repr(key) in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_integral_float_config_value_is_an_integer(tmp_path):

@@ -28,6 +28,8 @@ from mcf4d.grid import ParamGrid, SurfaceState
 from mcf4d.scenarios import (clifford_torus, lagrangian_graph, plane,
                              sphere_patch, symplectic_graph)
 
+from conftest import su2_real
+
 
 def test_scalar_columns_contract():
     assert SCALAR_COLUMNS == ("step", "t", "area", "max_A2", "max_H2",
@@ -134,20 +136,6 @@ def test_estimate_singular_time_needs_a_blowup_trace():
         estimate_singular_time(tr)
 
 
-def _su2_real(rng):
-    """Haar-random SU(2) matrix as a real 4x4 on (x1, y1, x2, y2)."""
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    a, b = complex(q[0], q[1]), complex(q[2], q[3])
-    u = np.array([[a, b], [-b.conjugate(), a.conjugate()]])
-    out = np.empty((4, 4))
-    out[0::2, 0::2] = u.real
-    out[0::2, 1::2] = -u.imag
-    out[1::2, 0::2] = u.imag
-    out[1::2, 1::2] = u.real
-    return out
-
-
 EQUIVALENCE_SURFACES = {
     "clifford_torus": lambda: clifford_torus(32, 32),
     "lagrangian_graph": lambda: lagrangian_graph(32, 32, 0.1),
@@ -160,7 +148,7 @@ def _equivalence_state(name, moved):
     if moved:
         rng = np.random.default_rng(2007)
         st = st.transformed(offset=rng.uniform(-1.0, 1.0, 4),
-                            rotation=_su2_real(rng))
+                            rotation=su2_real(rng))
     return st
 
 

@@ -6,20 +6,29 @@ Oracles, computed independently in this file:
   - product of two circles radius r: cos(alpha) = 0 exactly on the grid,
     angle unit -exp(i (u + v)), |H|^2 = |A|^2 = 2 / r^2;
   - gradient graphs: angle unit from the determinant formula
-    det(I + i Hess w) normalized.
+    det(I + i Hess w) normalized;
+  - the einsum reference below: the generic tensor contractions that
+    ``build_geometry`` and the field operators replaced with 2x2 algebra.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mcf4d.errors import DegenerateMetric
-from mcf4d.geometry import (build_geometry, cross4, gradient_inner,
+from mcf4d.geometry import (GeometryBundle, J_DEGENERACY_SIN2, J_SCALE,
+                            PROJECTION_FLOOR, Curvature, _tangent_frame,
+                            build_geometry, cross4, gradient_inner,
                             gradient_sq, holomorphic_pairing, laplace_beltrami,
-                            nabla_bar_j2_from_shape, omega_pairing,
-                            project_normal)
-from mcf4d.grid import ParamGrid, SurfaceState
+                            nabla_bar_j2_from_shape, normal_gradient_sq,
+                            omega_pairing, plane_angles, project_normal)
+from mcf4d.grid import (ParamGrid, SurfaceState, position_derivatives,
+                        scalar_derivative)
 from mcf4d.scenarios import (clifford_torus, complex_line, lagrangian_graph,
                              plane, sphere_patch, symplectic_graph)
+
+from conftest import su2_real
 
 
 def test_omega_pairing_oracle():
@@ -243,3 +252,156 @@ def test_torus_quadrature_area_converges_at_fourth_order():
         errs.append(abs(float(np.sum(b.quadrature_weights())) - exact))
     assert errs[0] / exact < 2e-4
     assert errs[0] / errs[1] > 12.0
+
+
+# Einsum reference: the tensor formulas the closed-form bundle replaced.
+
+def _reference_normal_frame(e1, e2, basis_order):
+    """First normal by the per-node 4x4 projector, rows in basis order."""
+    proj = -e1[..., :, None] * e1[..., None, :] - e2[..., :, None] * e2[..., None, :]
+    idx = np.arange(4)
+    proj[..., idx, idx] += 1.0
+    candidates = proj[..., list(basis_order), :]
+    usable = np.linalg.norm(candidates, axis=-1) >= PROJECTION_FLOOR
+    assert usable.any(axis=-1).all()
+    first = np.argmax(usable, axis=-1)
+    v1 = np.take_along_axis(candidates, first[..., None, None], axis=-2)[..., 0, :]
+    v1 = v1 / np.linalg.norm(v1, axis=-1, keepdims=True)
+    v2 = cross4(e1, e2, v1)
+    v2 = v2 / np.linalg.norm(v2, axis=-1, keepdims=True)
+    return np.stack([v1, v2], axis=-2)
+
+
+def _reference_j(frame_t, frame_n, coeffs, cos_alpha, grid):
+    """|grad J|^2 from all 16 entries of the J field."""
+    e1, e2 = frame_t[..., 0, :], frame_t[..., 1, :]
+    v1, v2 = frame_n[..., 0, :], frame_n[..., 1, :]
+
+    def skew(a, b):
+        return a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
+
+    j_field = skew(e2, e1) + skew(v2, v1)
+    dj = np.stack([scalar_derivative(j_field, grid, 0, 1),
+                   scalar_derivative(j_field, grid, 1, 1)], axis=-3)
+    frame_dj = np.einsum('...ki,...iab->...kab', coeffs, dj)
+    value = J_SCALE * np.einsum('...kab,...kab->...', frame_dj, frame_dj)
+    return np.where(1.0 - cos_alpha ** 2 < J_DEGENERACY_SIN2, np.nan, value)
+
+
+def _reference_bundle(state, tangent_rotation, normal_basis_order):
+    f_u, f_v, f_uu, f_uv, f_vv = position_derivatives(state)
+    curv = Curvature(f_u, f_v, f_uu, f_uv, f_vv)
+    first = np.stack([f_u, f_v], axis=-2)
+    hess = np.stack([np.stack([f_uu, f_uv], axis=-2),
+                     np.stack([f_uv, f_vv], axis=-2)], axis=-3)
+    proj_t = np.einsum('...ija,...la->...ijl', hess, first)
+    christoffel = np.einsum('...kl,...ijl->...kij', curv.inverse, proj_t)
+    frame_t, coeffs = _tangent_frame(f_u, f_v, curv.metric, curv.det_g,
+                                     tangent_rotation)
+    frame_n = _reference_normal_frame(frame_t[..., 0, :], frame_t[..., 1, :],
+                                      normal_basis_order)
+    a11, a12, a22 = curv.normal_hessian
+    second = np.stack([np.stack([a11, a12], axis=-2),
+                       np.stack([a12, a22], axis=-2)], axis=-3)
+    h = np.einsum('...ijc,...nc->...nij', second, frame_n)
+    h_frame = np.einsum('...ai,...bj,...nij->...nab', coeffs, coeffs, h)
+    cos_alpha, unit, omega_norm, degenerate = plane_angles(
+        frame_t[..., 0, :], frame_t[..., 1, :], 1.0)
+    return GeometryBundle(
+        grid=state.grid, positions=state.positions, first_derivs=first,
+        metric=curv.metric, inverse_metric=curv.inverse, det_g=curv.det_g,
+        area_element=np.sqrt(curv.det_g), christoffel=christoffel,
+        tangent_frame=frame_t, tangent_coeffs=coeffs, normal_frame=frame_n,
+        second_ff=h, second_ff_frame=h_frame,
+        mean_curvature=curv.mean_curvature,
+        mean_normal=np.einsum('...nc,...c->...n', frame_n,
+                              curv.mean_curvature),
+        norm_A2=curv.norm_A2, norm_H2=curv.norm_H2, cos_alpha=cos_alpha,
+        lag_angle_unit=unit, lag_omega_norm=omega_norm,
+        omega_degenerate=degenerate,
+        nabla_bar_j2=_reference_j(frame_t, frame_n, coeffs, cos_alpha,
+                                  state.grid))
+
+
+def _reference_operators(f, g, x, b):
+    """Einsum forms of the field operators on scalars f, g and 4-vector x."""
+    grid = b.grid
+    f_u = scalar_derivative(f, grid, 0, 1)
+    f_v = scalar_derivative(f, grid, 1, 1)
+    f_uv = scalar_derivative(f_u, grid, 1, 1)
+    grad = np.stack([f_u, f_v], axis=-1)
+    grad_g = np.stack([scalar_derivative(g, grid, 0, 1),
+                       scalar_derivative(g, grid, 1, 1)], axis=-1)
+    hess = np.stack([np.stack([scalar_derivative(f, grid, 0, 2), f_uv], -1),
+                     np.stack([f_uv, scalar_derivative(f, grid, 1, 2)], -1)],
+                    axis=-2)
+    correction = np.einsum('...kij,...k->...ij', b.christoffel, grad)
+    coord = np.stack([scalar_derivative(x, grid, 0, 1),
+                      scalar_derivative(x, grid, 1, 1)], axis=-2)
+    deriv = np.einsum('...ki,...ic->...kc', b.tangent_coeffs, coord)
+    comps = np.einsum('...nc,...kc->...kn', b.normal_frame, deriv)
+    normal = np.einsum('...nc,...c->...n', b.normal_frame, x)
+    return {
+        "laplace_beltrami": np.einsum('...ij,...ij->...', b.inverse_metric,
+                                      hess - correction),
+        "gradient_sq": np.einsum('...ij,...i,...j->...', b.inverse_metric,
+                                 grad, grad),
+        "gradient_inner": np.einsum('...ij,...i,...j->...', b.inverse_metric,
+                                    grad, grad_g),
+        "project_normal": np.einsum('...n,...nc->...c', normal,
+                                    b.normal_frame),
+        "normal_gradient_sq": np.einsum('...kn,...kn->...', comps, comps),
+    }
+
+
+ORACLE_SURFACES = {
+    "clifford_torus": lambda: clifford_torus(32, 32),
+    "lagrangian_graph": lambda: lagrangian_graph(32, 32, 0.1),
+    "symplectic_graph": lambda: symplectic_graph(32, 32, 0.1),
+}
+
+
+def _assert_field_close(got, expect, name):
+    # The oracle surfaces have unit scale, so an entry that vanishes
+    # analytically (Christoffel symbols of the flat torus metric, say) is the
+    # rounding noise of unit-size terms that cancel, on both routes.
+    scale = max(1.0, np.nanmax(np.abs(expect)))
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * scale,
+                               err_msg=name)
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(name=hs.sampled_from(sorted(ORACLE_SURFACES)),
+       seed=hs.integers(0, 2 ** 32 - 1),
+       order=hs.permutations(range(4)))
+def test_closed_form_bundle_matches_einsum_reference(name, seed, order):
+    rng = np.random.default_rng(seed)
+    state = ORACLE_SURFACES[name]().transformed(
+        offset=rng.uniform(-1.0, 1.0, 4), rotation=su2_real(rng))
+    rotation = rng.uniform(0.0, 2.0 * np.pi, (state.grid.n1, state.grid.n2))
+    got = build_geometry(state, compute_j=True, tangent_rotation=rotation,
+                         normal_basis_order=tuple(order))
+    expect = _reference_bundle(state, rotation, tuple(order))
+    for field in expect.__dataclass_fields__:
+        a, b = getattr(got, field), getattr(expect, field)
+        if field == "grid":
+            assert a is b
+        elif b.dtype == bool:
+            np.testing.assert_array_equal(a, b, err_msg=field)
+        elif field == "nabla_bar_j2":
+            np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+            _assert_field_close(a[~np.isnan(a)], b[~np.isnan(b)], field)
+        else:
+            _assert_field_close(a, b, field)
+    # Generic fields: two scalars and a vector field with tangential part.
+    f = got.cos_alpha + got.positions[..., 0]
+    g = got.positions[..., 1] * got.positions[..., 2]
+    x = got.mean_curvature + got.first_derivs[..., 0, :]
+    ops = {"laplace_beltrami": laplace_beltrami(f, got),
+           "gradient_sq": gradient_sq(f, got),
+           "gradient_inner": gradient_inner(f, g, got),
+           "project_normal": project_normal(x, got),
+           "normal_gradient_sq": normal_gradient_sq(x, got)}
+    ref = _reference_operators(f, g, x, got)
+    for key, value in ops.items():
+        _assert_field_close(value, ref[key], key)

@@ -1,12 +1,17 @@
 """Serialization round-trips and format-contract checks."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mcf4d.errors import BadParameter
 from mcf4d.flow import RunControls, run_flow
+from mcf4d.grid import ParamGrid, SurfaceState
 from mcf4d.functionals import GaussianWeight, PinchingReport, monotonicity_scan
 from mcf4d.io import (TIMESERIES_COLUMNS, _fmt, parse_config_text,
                       read_snapshot, write_report, write_snapshot,
@@ -61,6 +66,43 @@ def test_snapshot_roundtrip_clamped(tmp_path):
     back = read_snapshot(path)
     assert not back.grid.periodic1 and not back.grid.periodic2
     np.testing.assert_array_equal(back.positions, state.positions)
+
+
+_finite = hs.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(n1=hs.integers(8, 12), n2=hs.integers(8, 12),
+       periodic=hs.tuples(hs.booleans(), hs.booleans()),
+       spacing=hs.tuples(hs.floats(1e-6, 1e3), hs.floats(1e-6, 1e3)),
+       time=_finite, seed=hs.integers(0, 2 ** 32 - 1),
+       shifts=hs.lists(_finite, min_size=8, max_size=8),
+       extremes=hs.lists(hs.sampled_from(
+           [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1.0 / 3.0]),
+           min_size=4, max_size=4))
+def test_snapshot_round_trip_is_bit_exact(n1, n2, periodic, spacing, time,
+                                          seed, shifts, extremes):
+    grid = ParamGrid(n1, n2, spacing[0], spacing[1], *periodic)
+    positions = np.random.default_rng(seed).standard_normal((n1, n2, 4))
+    positions[0, 0] = extremes
+    shift1 = np.array(shifts[:4]) if periodic[0] else np.zeros(4)
+    shift2 = np.array(shifts[4:]) if periodic[1] else np.zeros(4)
+    state = SurfaceState(grid, positions, time, shift1, shift2)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.txt"), Path(tmp, "b.txt")
+        write_snapshot(first, state)
+        back = read_snapshot(first)
+        write_snapshot(second, back)
+        assert first.read_bytes() == second.read_bytes()
+    assert back.grid == grid
+    assert _bits(back.time) == _bits(time)
+    assert _bits(back.positions) == _bits(positions)
+    assert _bits(back.shift1) == _bits(shift1)
+    assert _bits(back.shift2) == _bits(shift2)
 
 
 def test_snapshot_header_has_seventeen_fields(tmp_path):
@@ -141,6 +183,36 @@ def test_read_snapshot_names_the_line_of_a_bad_value(tmp_path):
                         encoding="ascii")
     with pytest.raises(BadParameter, match="flag.txt: line 1"):
         read_snapshot(bad_flag)
+
+
+def test_read_snapshot_rejects_lines_after_the_position_rows(tmp_path):
+    good = tmp_path / "good.txt"
+    write_snapshot(good, clifford_torus(8, 8))
+    lines = good.read_text(encoding="ascii").splitlines()
+
+    # A header that undercounts the rows must not load a truncated surface.
+    taller = tmp_path / "taller.txt"
+    write_snapshot(taller, clifford_torus(9, 8))
+    tall = taller.read_text(encoding="ascii").splitlines()
+    head = tall[0].split()
+    head[2] = "8"
+    undercount = tmp_path / "undercount.txt"
+    undercount.write_text("\n".join([" ".join(head)] + tall[1:]) + "\n",
+                          encoding="ascii")
+    with pytest.raises(BadParameter, match="undercount.txt: line 66"):
+        read_snapshot(undercount)
+
+    garbage = tmp_path / "garbage.txt"
+    garbage.write_text("\n".join(lines + ["", "garbage"]) + "\n",
+                       encoding="ascii")
+    with pytest.raises(BadParameter, match="garbage.txt: line 67: 'garbage'"):
+        read_snapshot(garbage)
+
+    blank_tail = tmp_path / "blank.txt"
+    blank_tail.write_text("\n".join(lines + ["", "  "]) + "\n",
+                          encoding="ascii")
+    back = read_snapshot(blank_tail)
+    np.testing.assert_array_equal(back.positions, read_snapshot(good).positions)
 
 
 def test_timeseries_schema_without_scan(tmp_path):
