@@ -16,7 +16,7 @@ from mcf4d.scenarios import (clifford_torus, complex_line, lagrangian_graph,
 
 
 def portrait(name, state) -> None:
-    b = build_geometry(state, compute_j=True)
+    b = build_geometry(state)
     ca = b.cos_alpha
     identity = np.abs(ca ** 2 + b.lag_omega_norm ** 2 - 1.0).max()
     margin = pinching_check(b).min_margin

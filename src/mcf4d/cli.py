@@ -69,22 +69,45 @@ def _read(cfg: dict, key: str, kind: type = float, default=None,
 
 def _check_section(cfg: dict, section: str, known) -> None:
     """Raise BadParameter naming the first ``section.*`` key of ``cfg`` whose
-    name is not in ``known``, so a misspelt key is not dropped silently."""
+    name is not in ``known`` (empty: the section is not read at all), so a
+    misspelt or ignored key is not dropped silently."""
     for key in cfg:
         head, _, name = key.partition(".")
         if head == section and name not in known:
+            takes = sorted(known) if known else "no key in this subcommand"
             raise BadParameter(f"unknown config key {key!r}; {section}.* "
-                               f"takes {sorted(known)}")
+                               f"takes {takes}")
 
 
-# RunControls fields plus the sample count of the translating mode.
-CONTROL_KEYS = frozenset(f.name for f in fields(RunControls)) | {"samples"}
+# The controls.* keys each trace mode reads: a mesh flow every RunControls
+# field, the radius ODE those run_sphere_ode uses, the exact translation
+# its end time and sample count.
+MODE_CONTROLS = {
+    "flow": frozenset(f.name for f in fields(RunControls)),
+    "sphere_ode": frozenset({"t_end", "max_steps", "blowup_threshold",
+                             "stride"}),
+    "translating": frozenset({"t_end", "samples"}),
+}
+
+# The run.*, weight.*, rescale.* and scan.* keys each subcommand reads, on
+# top of output.directory, which every subcommand takes (verify writes no
+# file).  main rejects any other key of these sections before the command
+# starts.
+COMMAND_KEYS = {
+    "simulate": {},
+    "monotonicity": {"run": {"kind"}, "weight": {"center", "t0"}},
+    "rescale": {"rescale": {"T_hat", "anchor", "radii"}},
+    "theorem": {"run": {"kind", "p", "radius"}},
+    "verify": {},
+    "cutoff-scan": {"scan": {"samples"}},
+}
+COMMAND_SECTIONS = ("run", "weight", "rescale", "scan", "output")
 
 
-def _controls(cfg) -> RunControls:
-    """Run controls from the ``controls.*`` keys; absent keys keep the
-    RunControls defaults."""
-    _check_section(cfg, "controls", CONTROL_KEYS)
+def _controls(cfg, mode: str) -> RunControls:
+    """Run controls from the ``controls.*`` keys that trace ``mode`` reads;
+    absent keys keep the RunControls defaults."""
+    _check_section(cfg, "controls", MODE_CONTROLS[mode])
     hints = get_type_hints(RunControls)
     return RunControls(**{
         f.name: _read(cfg, f"controls.{f.name}",
@@ -108,7 +131,7 @@ def _trace(cfg):
     flow, exact radius ODE, or exact translation."""
     name, params = _scenario(cfg)
     entry = SCENARIOS[name]
-    controls = _controls(cfg)
+    controls = _controls(cfg, entry.mode)
     if entry.mode == "sphere_ode":
         return run_sphere_ode(controls=controls, **params)
     if entry.mode == "translating":
@@ -278,7 +301,7 @@ def cmd_verify(cfg, args) -> int:
     if grid is None or not (grid.periodic1 and grid.periodic2):
         raise BadParameter("verify needs a mesh-flow scenario on a grid "
                            "periodic on both axes")
-    _check_section(cfg, "controls", CONTROL_KEYS)
+    _check_section(cfg, "controls", {"dt", "max_steps"})
     dt = _read(cfg, "controls.dt", required=True)
     steps = _read(cfg, "controls.max_steps", int, required=True)
     n_base = params.get("n1", 16)
@@ -346,6 +369,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = io.read_config(args.config)
+        reads = {"output": {"directory"}, **COMMAND_KEYS[args.command]}
+        for section in COMMAND_SECTIONS:
+            _check_section(cfg, section, reads.get(section, ()))
         return COMMANDS[args.command](cfg, args)
     except (FileNotFoundError, BadParameter) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

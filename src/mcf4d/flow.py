@@ -95,10 +95,11 @@ class FlowTrace:
         return np.array([s.time for s in self.states])
 
     def bundle(self, index: int, need_j: bool = False) -> GeometryBundle:
-        """Geometry of stored state ``index``, memoized with small eviction."""
+        """Geometry of stored state ``index``, memoized with small eviction.
+        ``need_j`` has no effect: every bundle carries |grad J|^2."""
         cached = self._bundles.get(index)
-        if cached is None or (need_j and cached.nabla_bar_j2 is None):
-            cached = build_geometry(self.states[index], compute_j=need_j)
+        if cached is None:
+            cached = build_geometry(self.states[index])
             self._bundles[index] = cached
             while len(self._bundles) > 12:
                 self._bundles.pop(next(iter(self._bundles)))

@@ -18,7 +18,7 @@ from .errors import (BadP, BadParameter, DenominatorFloor, ShortTrace,
                      TimeOrder, WeightFloor)
 from .flow import FlowTrace
 from .geometry import (GeometryBundle, gradient_sq, laplace_beltrami,
-                       nabla_bar_j2_filled, normal_gradient_sq, project_normal)
+                       normal_gradient_sq, project_normal)
 from .grid import SurfaceState
 from .stencils import fd_weights
 
@@ -181,14 +181,13 @@ def monotonicity_scan(trace: FlowTrace, weight: GaussianWeight,
     n = len(trace.states)
     if n < 5:
         raise ShortTrace(f"monotonicity scan needs >= 5 stored states, got {n}")
-    need_j = kind == "symplectic"
     times = trace.times
     psi = np.empty(n)
     drift = np.empty(n)
     dissipation = np.empty(n)
     gradient = np.empty(n)
     for i, state in enumerate(trace.states):
-        bundle = trace.bundle(i, need_j=need_j)
+        bundle = trace.bundle(i)
         rho, active, denom = _floor_checked_weight(weight, state, bundle, kind)
         qw = bundle.quadrature_weights()
         safe = np.where(active, denom, 1.0)
@@ -199,7 +198,7 @@ def monotonicity_scan(trace: FlowTrace, weight: GaussianWeight,
         if kind == "lagrangian":
             dissipation[i] = np.sum(weighted_rho * bundle.norm_H2)
         else:
-            dissipation[i] = np.sum(weighted_rho * nabla_bar_j2_filled(bundle))
+            dissipation[i] = np.sum(weighted_rho * bundle.nabla_bar_j2)
         grad_c = gradient_sq(denom, bundle)
         gradient[i] = np.sum(rho * qw * 2.0 * grad_c / safe ** 3 * active)
     lhs = _centered_time_derivative(times, psi)
@@ -255,11 +254,10 @@ def evolution_residual(trace: FlowTrace, quantity: str) -> EvolutionResidual:
     n = len(trace.states)
     if n < 3:
         raise ShortTrace("evolution residual needs >= 3 stored states")
-    need_j = quantity in ("cos_alpha", "inv_cos2_alpha")
     times = trace.times
     out = []
     for i in range(1, n - 1):
-        bundles = [trace.bundle(j, need_j=need_j) for j in (i - 1, i, i + 1)]
+        bundles = [trace.bundle(j) for j in (i - 1, i, i + 1)]
         b = bundles[1]
         if quantity == "cos_theta":
             fields = [x.cos_theta for x in bundles]
@@ -275,7 +273,7 @@ def evolution_residual(trace: FlowTrace, quantity: str) -> EvolutionResidual:
         elif quantity == "cos_alpha":
             fields = [x.cos_alpha for x in bundles]
             source = (laplace_beltrami(fields[1], b)
-                      + nabla_bar_j2_filled(b) * fields[1])
+                      + b.nabla_bar_j2 * fields[1])
         elif quantity == "inv_cos2_alpha":
             cos_fields = [x.cos_alpha for x in bundles]
             _cos_floor(cos_fields, quantity)
@@ -283,7 +281,7 @@ def evolution_residual(trace: FlowTrace, quantity: str) -> EvolutionResidual:
             c = cos_fields[1]
             source = (laplace_beltrami(fields[1], b)
                       - 6.0 * gradient_sq(c, b) / c ** 4
-                      - 2.0 * nabla_bar_j2_filled(b) / c ** 2)
+                      - 2.0 * b.nabla_bar_j2 / c ** 2)
         else:                                   # H2
             fields = [x.norm_H2 for x in bundles]
             m, hf = b.mean_normal, b.second_ff_frame
@@ -310,12 +308,11 @@ class PinchingReport:
 def pinching_check(bundle: GeometryBundle) -> PinchingReport:
     """Check the curvature pinching |grad J|^2 >= |H|^2 / 2 node-wise.
 
-    Nodes excluded by the J degeneracy filter are evaluated through the
-    closed-form expression in the orthonormal frame, so holomorphic regions
-    (where both sides vanish) still contribute margin 0 rather than being
-    dropped.
+    |grad J|^2 is the bundle's closed form in the second fundamental form,
+    defined at every node, so holomorphic regions (where both sides vanish)
+    contribute margin 0 like any other node.
     """
-    margin = nabla_bar_j2_filled(bundle) - 0.5 * bundle.norm_H2
+    margin = bundle.nabla_bar_j2 - 0.5 * bundle.norm_H2
     flat = margin.ravel()
     if flat.size == 0 or not np.any(np.isfinite(flat)):
         return PinchingReport(min_margin=math.inf, vacuous=True)

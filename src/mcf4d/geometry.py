@@ -3,8 +3,9 @@
 Everything is computed per grid node with 4th-order stencils: induced metric,
 orthonormal tangent/normal frames, second fundamental form, mean curvature,
 the Kahler angle cos(alpha) = omega(e1, e2), the Lagrangian angle as a unit
-complex number, and the squared gradient of the compatible complex structure
-J_Sigma (90-degree rotation of tangent and normal planes).
+complex number, and the squared gradient |grad J|^2 of the compatible complex
+structure J_Sigma (90-degree rotation of tangent and normal planes), in its
+closed form in the second fundamental form.
 
 Frame conventions.  e1, e2 come from Gram-Schmidt on (F_u, F_v); v1 is the
 first ambient basis vector with a usable normal projection; v2 completes
@@ -17,8 +18,8 @@ products; the flow integrator and its per-step diagnostics use it alone, and
 :func:`build_geometry` takes its curvature fields from it.
 The bundle and the field operators are built the same way, per node, with no
 generic tensor contraction: h^n_ij = <A_ij, v_n>, the frame components
-C h C^T written out for the pairs a <= b, and |grad J|^2 from the six
-entries of the antisymmetric J field.
+C h C^T written out for the pairs a <= b, and |grad J|^2 as a sum of squares
+of those components, which no frame derivative enters.
 """
 
 from __future__ import annotations
@@ -31,14 +32,11 @@ import numpy as np
 from .errors import DegenerateFrame, DegenerateMetric, FrameInconsistent
 from .grid import ParamGrid, SurfaceState, position_derivatives, scalar_derivative
 
-# Numerical floors and the J-field normalization, referenced by tests.
+# Numerical floors, referenced by tests.
 DET_G_FLOOR = 1e-12          # immersion requirement: det g above this
 PROJECTION_FLOOR = 1e-6      # Gram-Schmidt fallback threshold
 COS_CLAMP_EXCESS = 1e-10     # tolerated overshoot of |cos alpha| past 1
 OMEGA_NORM_FLOOR = 1e-12     # below this the holomorphic form is degenerate
-J_DEGENERACY_SIN2 = 1e-6     # sin^2(alpha) filter for the J-gradient field
-J_SCALE = 0.25               # |grad J|^2 = J_SCALE * sum_k ||D_k J||_F^2
-_UPPER_PAIRS = np.triu_indices(4, 1)  # the six entries (p < q) of a 4x4 skew
 
 
 def omega_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,7 +96,7 @@ class GeometryBundle:
     lag_angle_unit: np.ndarray   # (n1, n2) complex, |.| = 1
     lag_omega_norm: np.ndarray   # (n1, n2)  |Omega(e1, e2)| = sin alpha
     omega_degenerate: np.ndarray  # (n1, n2) bool
-    nabla_bar_j2: np.ndarray | None = None  # NaN where the filter applies
+    nabla_bar_j2: np.ndarray     # (n1, n2)  |grad J_Sigma|^2
 
     @property
     def cos_theta(self) -> np.ndarray:
@@ -276,8 +274,7 @@ def plane_angles(a: np.ndarray, b: np.ndarray, area):
     return np.clip(cos_alpha, -1.0, 1.0), unit, omega_norm, degenerate
 
 
-def build_geometry(state: SurfaceState, compute_j: bool = True,
-                   tangent_rotation=None,
+def build_geometry(state: SurfaceState, tangent_rotation=None,
                    normal_basis_order=(0, 1, 2, 3)) -> GeometryBundle:
     """Full geometric bundle of a surface state.
 
@@ -324,7 +321,7 @@ def build_geometry(state: SurfaceState, compute_j: bool = True,
     cos_alpha, unit, omega_norm, degenerate = plane_angles(
         frame_t[..., 0, :], frame_t[..., 1, :], 1.0)
 
-    bundle = GeometryBundle(
+    return GeometryBundle(
         grid=grid, positions=state.positions, first_derivs=first,
         metric=metric, inverse_metric=inverse, det_g=det_g,
         area_element=np.sqrt(det_g), christoffel=christoffel,
@@ -333,67 +330,35 @@ def build_geometry(state: SurfaceState, compute_j: bool = True,
         mean_curvature=mean, mean_normal=mean_normal,
         norm_A2=curv.norm_A2, norm_H2=curv.norm_H2, cos_alpha=cos_alpha,
         lag_angle_unit=unit, lag_omega_norm=omega_norm,
-        omega_degenerate=degenerate)
-    if compute_j:
-        bundle.nabla_bar_j2 = _nabla_bar_j2(bundle)
-    return bundle
+        omega_degenerate=degenerate,
+        nabla_bar_j2=nabla_bar_j2_from_shape(h_frame))
 
 
-def _nabla_bar_j2(bundle: GeometryBundle) -> np.ndarray:
-    """|grad J_Sigma|^2 by differentiating the 4x4 rotation field.
+def nabla_bar_j2_from_shape(h_frame: np.ndarray) -> np.ndarray:
+    """|grad J_Sigma|^2 from the second fundamental form h_frame^n_ab in an
+    orthonormal tangent frame, shape (..., 2, 2, 2):
 
-    J = e2 ^ e1 + v2 ^ v1 is antisymmetric, so only its six entries above
-    the diagonal are differentiated; the Frobenius sum counts each twice.
+        sum_k (h^1_k2 + h^2_k1)^2 + (h^2_k2 - h^1_k1)^2.
+
+    J_Sigma rotates the tangent and the normal plane by 90 degrees, so its
+    covariant derivative is a linear image of h; the sum of squares is
+    independent of the frame gauges and >= |H|^2 / 2 identically.
     """
-    e1 = bundle.tangent_frame[..., 0, :]
-    e2 = bundle.tangent_frame[..., 1, :]
-    v1 = bundle.normal_frame[..., 0, :]
-    v2 = bundle.normal_frame[..., 1, :]
-    p, q = _UPPER_PAIRS
-    j_upper = (e2[..., p] * e1[..., q] - e1[..., p] * e2[..., q]
-               + v2[..., p] * v1[..., q] - v1[..., p] * v2[..., q])
-    total = sum(np.sum(d * d, axis=-1)
-                for d in _frame_derivatives(j_upper, bundle))
-    value = J_SCALE * 2.0 * total
-    sin2 = 1.0 - bundle.cos_alpha ** 2
-    return np.where(sin2 < J_DEGENERACY_SIN2, np.nan, value)
+    h = h_frame
+    p1 = h[..., 0, 0, 1] + h[..., 1, 0, 0]
+    q1 = h[..., 1, 0, 1] - h[..., 0, 0, 0]
+    p2 = h[..., 0, 1, 1] + h[..., 1, 1, 0]
+    q2 = h[..., 1, 1, 1] - h[..., 0, 1, 0]
+    return p1 * p1 + q1 * q1 + p2 * p2 + q2 * q2
 
 
-def nabla_bar_j2_from_shape(bundle: GeometryBundle) -> np.ndarray:
-    """|grad J_Sigma|^2 from second-fundamental-form components.
-
-    Equivalent closed form used as fallback at nodes excluded by the
-    degeneracy filter and as an independent route in tests:
-    sum_k (h^1_k2 + h^2_k1)^2 + (h^2_k2 - h^1_k1)^2 in the orthonormal frame.
-    """
-    h = bundle.second_ff_frame
-    p = h[..., 0, :, 1] + h[..., 1, :, 0]
-    q = h[..., 1, :, 1] - h[..., 0, :, 0]
-    return np.sum(p ** 2 + q ** 2, axis=-1)
-
-
-def nabla_bar_j2_filled(bundle: GeometryBundle) -> np.ndarray:
-    """J-gradient field with filtered nodes filled by the closed form."""
-    direct = bundle.nabla_bar_j2
-    if direct is None:
-        direct = _nabla_bar_j2(bundle)
-    fallback = nabla_bar_j2_from_shape(bundle)
-    return np.where(np.isnan(direct), fallback, direct)
+nabla_bar_j2_filled = nabla_bar_j2_from_shape  # name kept for bench/tracer.py
 
 
 def field_derivatives(field: np.ndarray, grid: ParamGrid):
     """Coordinate first derivatives (d_u f, d_v f) of a per-node field."""
     return (scalar_derivative(field, grid, 0, 1),
             scalar_derivative(field, grid, 1, 1))
-
-
-def _frame_derivatives(field: np.ndarray, bundle: GeometryBundle) -> list:
-    """Derivatives D_k f = C_ki d_i f along e1, e2 of a per-node field with
-    trailing components."""
-    d_u, d_v = field_derivatives(field, bundle.grid)
-    c = bundle.tangent_coeffs
-    return [c[..., k, 0, None] * d_u + c[..., k, 1, None] * d_v
-            for k in range(2)]
 
 
 def laplace_beltrami(field: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
@@ -448,6 +413,12 @@ def normal_gradient_sq(vectors: np.ndarray, bundle: GeometryBundle) -> np.ndarra
     curvature evolution identity; computing through ambient components keeps
     it frame-gauge invariant.
     """
-    comps = [_dot(bundle.normal_frame, d[..., None, :])
-             for d in _frame_derivatives(vectors, bundle)]
-    return sum(np.sum(c * c, axis=-1) for c in comps)
+    d_u, d_v = field_derivatives(vectors, bundle.grid)
+    c = bundle.tangent_coeffs
+    total = 0.0
+    for k in range(2):
+        # D_k X = C_ki d_i X along e_k, then its normal components.
+        d_k = c[..., k, 0, None] * d_u + c[..., k, 1, None] * d_v
+        comps = _dot(bundle.normal_frame, d_k[..., None, :])
+        total = total + np.sum(comps * comps, axis=-1)
+    return total

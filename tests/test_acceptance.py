@@ -23,8 +23,7 @@ from mcf4d.functionals import (LOCALIZER_C1, LOCALIZER_C2, CUTOFF_CONSTANT,
                                gaussian_density, monotonicity_scan,
                                pinching_check, weighted_integral_identity_check,
                                weighted_psi)
-from mcf4d.geometry import (build_geometry, gradient_sq, laplace_beltrami,
-                            nabla_bar_j2_filled)
+from mcf4d.geometry import build_geometry, gradient_sq, laplace_beltrami
 from mcf4d.rescale import select_blowup_datum, validate_rescaled, with_rescaled
 from mcf4d.scenarios import (clifford_torus, lagrangian_graph, plane,
                              run_sphere_ode, symplectic_graph)
@@ -41,12 +40,12 @@ def test_criterion_01_gaussian_density_of_flat_patches():
     """Kernel integral: one through the center, Gaussian factor off-center."""
     w = GaussianWeight(np.zeros(4), 0.1)
     st = plane(64, 64, halfwidth=3.0)
-    b = build_geometry(st, compute_j=False)
+    b = build_geometry(st)
     assert abs(gaussian_density(w, st, b) - 1.0) <= 1e-6
 
     d = 0.5
     st_off = plane(64, 64, halfwidth=3.0, offset=d)
-    b_off = build_geometry(st_off, compute_j=False)
+    b_off = build_geometry(st_off)
     expect = np.exp(-d * d / (4.0 * 0.1))
     assert abs(gaussian_density(w, st_off, b_off) - expect) <= 1e-6
 
@@ -144,11 +143,11 @@ def test_criterion_05_weighted_integral_monotonicity(lagr64_mono,
 def test_criterion_06_curvature_pinching(sympl64_mono, torus64_trace):
     """|grad J|^2 >= |H|^2/2 pointwise along graph and torus flows."""
     for i in range(0, len(sympl64_mono.states), 20):
-        rep = pinching_check(sympl64_mono.bundle(i, need_j=True))
+        rep = pinching_check(sympl64_mono.bundle(i))
         assert rep.min_margin >= -1e-6
         assert not rep.violating_nodes
     for i in range(0, len(torus64_trace.states), 20):
-        rep = pinching_check(torus64_trace.bundle(i, need_j=True))
+        rep = pinching_check(torus64_trace.bundle(i))
         assert rep.min_margin >= -1e-6
 
 
@@ -216,13 +215,13 @@ def test_criterion_09_invariance_under_rescaling_gauge_and_unitaries(
 
     st = lagrangian_graph(32, 32, 0.1)
     w1 = GaussianWeight(LAGR_CENTER, WEIGHT_T0)
-    b1 = build_geometry(st, compute_j=False)
+    b1 = build_geometry(st)
     psi1 = weighted_psi(w1, st, b1, "lagrangian")
     st2 = st.transformed(scale=lam, offset=xc,
                          time=lam * lam * (st.time - tc))
     w2 = GaussianWeight(lam * (LAGR_CENTER - xc),
                         lam * lam * (WEIGHT_T0 - tc))
-    b2 = build_geometry(st2, compute_j=False)
+    b2 = build_geometry(st2)
     psi2 = weighted_psi(w2, st2, b2, "lagrangian")
     assert abs(psi2 - psi1) <= 1e-9
     assert np.abs(b2.cos_alpha - b1.cos_alpha).max() <= 1e-9
@@ -241,19 +240,18 @@ def test_criterion_09_invariance_under_rescaling_gauge_and_unitaries(
     sympl = symplectic_graph(32, 32, 0.1)
     rng = np.random.default_rng(7)
     rot = rng.uniform(0.0, 2.0 * np.pi, (32, 32))
-    b_def = build_geometry(sympl, compute_j=True)
-    b_alt = build_geometry(sympl, compute_j=True, tangent_rotation=rot,
+    b_def = build_geometry(sympl)
+    b_alt = build_geometry(sympl, tangent_rotation=rot,
                            normal_basis_order=(2, 0, 3, 1))
     for field in ("cos_alpha", "lag_angle_unit", "norm_H2", "norm_A2"):
         diff = np.abs(getattr(b_alt, field) - getattr(b_def, field)).max()
         assert diff <= 1e-8, field
-    j_diff = np.abs(nabla_bar_j2_filled(b_alt)
-                    - nabla_bar_j2_filled(b_def)).max()
+    j_diff = np.abs(b_alt.nabla_bar_j2 - b_def.nabla_bar_j2).max()
     assert j_diff <= 1e-8
 
     u = _u2_real(0.7, -0.3, 0.5)
     rotated = sympl.transformed(rotation=u)
-    b_rot = build_geometry(rotated, compute_j=False)
+    b_rot = build_geometry(rotated)
     assert np.abs(b_rot.cos_alpha - b_def.cos_alpha).max() <= 1e-10
     assert np.abs(b_rot.lag_angle_unit - b_def.lag_angle_unit).max() <= 1e-10
 
@@ -296,7 +294,7 @@ def test_criterion_10_cutoff_localizer_bounds():
 
     # Static case: flat patch, time derivative identically zero.
     st = plane(128, 128, halfwidth=6.0)
-    bp = build_geometry(st, compute_j=False)
+    bp = build_geometry(st)
     rad2 = 5.0
     g = cutoff_psi(np.sum(st.positions ** 2, axis=-1) / rad2 ** 2).value
     assert np.abs(laplace_beltrami(g, bp)).max() <= 1.1 * LOCALIZER_C1 / rad2 ** 2

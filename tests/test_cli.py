@@ -256,6 +256,78 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, line, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, line, key", [
+    ("monotonicity", "run.knd = symplectic", "run.knd"),
+    ("simulate", "weight.t0 = 0.1", "weight.t0"),
+    ("rescale", "rescale.radius = 0.25", "rescale.radius"),
+    ("cutoff-scan", "scan.sample = 200", "scan.sample"),
+    ("monotonicity", "output.directroy = elsewhere", "output.directroy"),
+], ids=["run", "weight", "rescale", "scan", "output"])
+def test_keys_the_subcommand_does_not_read_exit_two(tmp_path, command, line,
+                                                    key):
+    # monotonicity reads run.kind, not run.knd; simulate reads no weight.*;
+    # rescale takes radii; cutoff-scan takes samples.  The case line makes
+    # the subcommand stop before any flow runs, so no output is written.
+    cfg = write_config(tmp_path, f"""
+        scenario.name = lagrangian_graph
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.dt = 1e-3
+        controls.max_steps = 10
+        weight.center = 3.141592653589793 0 3.141592653589793 0
+        weight.t0 = 0.1
+        {line}
+        output.directory = {tmp_path / 'out'}
+    """ if command == "monotonicity" else f"""
+        scenario.name = clifford_torus
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.max_steps = 2
+        {line}
+        output.directory = {tmp_path / 'out'}
+    """)
+    proc = run_cli(command, "--config", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("BadParameter:")
+    assert repr(key) in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, scenario, line, key", [
+    ("simulate", "grim_reaper_product", "controls.dt = 1e-9", "controls.dt"),
+    ("simulate", "grim_reaper_product", "controls.max_steps = 1",
+     "controls.max_steps"),
+    ("simulate", "sphere_ode", "controls.dt = 1e-9", "controls.dt"),
+    ("simulate", "sphere_ode", "controls.safety = 0.5", "controls.safety"),
+    ("simulate", "clifford_torus", "controls.samples = 5", "controls.samples"),
+    ("verify", "lagrangian_graph", "controls.stride = 2", "controls.stride"),
+], ids=["translating_dt", "translating_max_steps", "sphere_ode_dt",
+        "sphere_ode_safety", "flow_samples", "verify_stride"])
+def test_controls_the_trace_mode_ignores_exit_two(tmp_path, command, scenario,
+                                                  line, key):
+    # The translating mode reads t_end and samples; the radius ODE t_end,
+    # max_steps, blowup_threshold and stride; a mesh flow the RunControls
+    # fields; verify's refinement ladder dt and max_steps.
+    cfg = write_config(tmp_path, f"""
+        scenario.name = {scenario}
+        controls.t_end = 0.1
+        {line}
+        output.directory = {tmp_path / 'out'}
+    """ if command == "simulate" else f"""
+        scenario.name = {scenario}
+        controls.dt = 9.6e-3
+        controls.max_steps = 4
+        {line}
+    """)
+    extra = ["--quantity", "cos_theta", "--refine", "2"] \
+        if command == "verify" else []
+    proc = run_cli(command, "--config", cfg, *extra)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("BadParameter:")
+    assert repr(key) in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_float_config_value_is_an_integer(tmp_path):
     cfg = write_config(tmp_path, f"""
         scenario.name = clifford_torus

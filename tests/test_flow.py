@@ -156,7 +156,7 @@ def _equivalence_state(name, moved):
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_SURFACES))
 def test_frame_free_row_matches_bundle(name, moved):
     st = _equivalence_state(name, moved)
-    b = build_geometry(st, compute_j=False)
+    b = build_geometry(st)
     curv = state_curvature(st)
     row = scalar_row(5, st, curv)
     assert row[:2] == (5, st.time)
@@ -187,7 +187,7 @@ def test_frame_free_row_matches_bundle(name, moved):
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_SURFACES))
 def test_velocity_matches_bundle_mean_curvature(name, moved):
     st = _equivalence_state(name, moved)
-    b = build_geometry(st, compute_j=False)
+    b = build_geometry(st)
     vel = velocity(st)
     h_normal = np.einsum('...ij,...nij->...n', b.inverse_metric, b.second_ff)
     h_frame = np.einsum('...n,...nc->...c', h_normal, b.normal_frame)
@@ -209,7 +209,7 @@ def test_run_flow_seeds_stored_curvature_without_bundles(monkeypatch):
     fields = [tr.curvature_a2(i) for i in range(len(tr.states))]
     monkeypatch.undo()
     for st, a2 in zip(tr.states, fields):
-        assert np.array_equal(a2, build_geometry(st, compute_j=False).norm_A2)
+        assert np.array_equal(a2, build_geometry(st).norm_A2)
 
 
 def test_degenerate_metric_mid_run_ends_with_degenerate_mesh(monkeypatch):

@@ -50,7 +50,7 @@ def test_kernel_truncates_far_nodes():
 
 def test_plane_density_is_one():
     st = plane(64, 64, halfwidth=3.0)
-    b = build_geometry(st, compute_j=False)
+    b = build_geometry(st)
     w = GaussianWeight(np.zeros(4), 0.1)
     assert abs(gaussian_density(w, st, b) - 1.0) < 1e-9
 
@@ -58,7 +58,7 @@ def test_plane_density_is_one():
 def test_offset_plane_density_matches_gaussian_factor():
     d, t0 = 0.5, 0.1
     st = plane(64, 64, halfwidth=3.0, offset=d)
-    b = build_geometry(st, compute_j=False)
+    b = build_geometry(st)
     w = GaussianWeight(np.zeros(4), t0)
     expect = np.exp(-d * d / (4.0 * t0))
     assert abs(gaussian_density(w, st, b) - expect) < 1e-9
@@ -67,7 +67,7 @@ def test_offset_plane_density_matches_gaussian_factor():
 def test_weighted_psi_equals_density_on_special_lagrangian_plane():
     # cos(theta) = 1 identically, so the weighting changes nothing.
     st = plane(64, 64, halfwidth=3.0)
-    b = build_geometry(st, compute_j=False)
+    b = build_geometry(st)
     w = GaussianWeight(np.zeros(4), 0.1)
     psi = weighted_psi(w, st, b, "lagrangian")
     assert abs(psi - gaussian_density(w, st, b)) < 1e-12
@@ -83,7 +83,7 @@ def test_weight_floor_triggers_near_vanishing_cosine():
     rot[:2, :2] = [[np.cos(phase), -np.sin(phase)],
                    [np.sin(phase), np.cos(phase)]]
     tilted = st.transformed(rotation=rot)
-    b = build_geometry(tilted, compute_j=False)
+    b = build_geometry(tilted)
     w = GaussianWeight(np.zeros(4), 0.1)
     assert abs(float(b.cos_theta.mean()) - 5e-4) < 1e-10
     with pytest.raises(WeightFloor):
@@ -160,18 +160,18 @@ def test_evolution_residual_validates_inputs(lagr32_mono):
 
 
 def test_pinching_margin_on_torus_and_graph():
-    bt = build_geometry(clifford_torus(32, 32), compute_j=True)
+    bt = build_geometry(clifford_torus(32, 32))
     rep = pinching_check(bt)
     assert abs(rep.min_margin - 1.0) < 2e-2       # 2 - (1/2) * 2 = 1
     assert not rep.violating_nodes
-    bs = build_geometry(symplectic_graph(32, 32, 0.1), compute_j=True)
+    bs = build_geometry(symplectic_graph(32, 32, 0.1))
     rep2 = pinching_check(bs)
     assert rep2.min_margin >= -1e-6
     assert not rep2.violating_nodes
 
 
 def test_pinching_on_holomorphic_patch_contributes_zero_margin():
-    b = build_geometry(complex_line(16, 16), compute_j=True)
+    b = build_geometry(complex_line(16, 16))
     rep = pinching_check(b)
     assert abs(rep.min_margin) < 1e-8
 
@@ -251,7 +251,7 @@ def test_localized_field_denominator_floor(torus32_trace):
 
 def test_area_ratio_of_flat_patch_slices():
     st = plane(96, 96, halfwidth=3.0)
-    b = build_geometry(st, compute_j=False)
+    b = build_geometry(st)
     # Ball centered on the patch: full disc, ratio pi.
     got = area_ratio(st, b, np.zeros(4), [1.0, 2.0])
     np.testing.assert_allclose(got, np.pi, rtol=0.1)
@@ -264,7 +264,7 @@ def test_area_ratio_of_flat_patch_slices():
 
 def test_area_ratio_small_ball_on_curved_surface_is_flat():
     st = clifford_torus(64, 64)
-    b = build_geometry(st, compute_j=False)
+    b = build_geometry(st)
     center = st.positions[0, 0]
     got = area_ratio(st, b, center, 0.3)
     np.testing.assert_allclose(got[0], np.pi, rtol=0.1)
@@ -272,7 +272,7 @@ def test_area_ratio_small_ball_on_curved_surface_is_flat():
 
 def test_area_ratio_validates_inputs():
     st = plane(16, 16)
-    b = build_geometry(st, compute_j=False)
+    b = build_geometry(st)
     with pytest.raises(BadParameter):
         area_ratio(st, b, np.zeros(3), 1.0)
     with pytest.raises(BadParameter):

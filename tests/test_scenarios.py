@@ -22,7 +22,7 @@ from mcf4d.scenarios import (SCENARIOS, clifford_torus,
 def test_every_scenario_builds_valid_geometry_at_defaults():
     for name in SCENARIOS:
         state = generate_scenario(name)
-        bundle = build_geometry(state, compute_j=False)
+        bundle = build_geometry(state)
         assert bundle.det_g.min() > 0
         assert np.isfinite(bundle.norm_A2).all()
 
@@ -40,18 +40,18 @@ def test_plane_offset_moves_second_coordinate():
 
 def test_lagrangian_graph_is_lagrangian_to_rounding():
     st = lagrangian_graph(64, 64, 0.1)
-    b = build_geometry(st, compute_j=False)
+    b = build_geometry(st)
     assert np.abs(b.cos_alpha).max() < 1e-10
 
 
 def test_symplectic_graph_has_positive_kahler_cosine():
-    b = build_geometry(symplectic_graph(32, 32, 0.1), compute_j=False)
+    b = build_geometry(symplectic_graph(32, 32, 0.1))
     assert b.cos_alpha.min() > 0.9
 
 
 def test_grim_reaper_closed_forms():
     st = grim_reaper_product(257, 16, x_max=1.4)
-    b = build_geometry(st, compute_j=False)
+    b = build_geometry(st)
     x = -1.4 + st.grid.axis_coords(0)
     # Curve curvature kappa = cos x peaks at 1 in the middle; the line
     # factor contributes nothing, so max |A|^2 = 1 at x = 0.
