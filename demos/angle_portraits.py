@@ -10,7 +10,7 @@ cos^2(alpha) + |pairing|^2 = 1, and the curvature pinching margin
 import numpy as np
 
 from mcf4d.functionals import pinching_check
-from mcf4d.geometry import build_geometry
+from mcf4d.geometry import build_geometry, plane_angles
 from mcf4d.scenarios import (clifford_torus, complex_line, lagrangian_graph,
                              plane, sphere_patch, symplectic_graph)
 
@@ -18,7 +18,8 @@ from mcf4d.scenarios import (clifford_torus, complex_line, lagrangian_graph,
 def portrait(name, state) -> None:
     b = build_geometry(state)
     ca = b.cos_alpha
-    identity = np.abs(ca ** 2 + b.lag_omega_norm ** 2 - 1.0).max()
+    omega_norm = plane_angles(b.curvature.f_u, b.curvature.f_v, b.area_element)[2]
+    identity = np.abs(ca ** 2 + omega_norm ** 2 - 1.0).max()
     margin = pinching_check(b).min_margin
     theta = np.angle(b.lag_angle_unit)
     print(f"{name:18s} cos(alpha) in [{ca.min():+.4f}, {ca.max():+.4f}]  "

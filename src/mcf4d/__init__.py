@@ -10,14 +10,14 @@ singularities, and the normalized pinching quantity delta * exp(h^2/4) (or
 /2) with explicit hypothesis bookkeeping.
 """
 
-from .errors import (BadP, BadParameter, DegenerateFrame, DegenerateMetric,
+from .errors import (BadP, BadParameter, DegenerateMetric,
                      DenominatorFloor, FrameInconsistent, InsufficientBlowup,
                      InsufficientCoverage, KindMismatch, Mcf4dError, NodeError,
                      NonFinite, OrderTooLow, PropertyViolation, ShortTrace,
                      TimeOrder, WeightFloor, ZeroCurvature)
 from .grid import ParamGrid, SurfaceState
 from .geometry import (GeometryBundle, build_geometry, laplace_beltrami,
-                       gradient_sq, nabla_bar_j2_from_shape)
+                       gradient_sq, j_gradient_sq)
 from .flow import (FlowTrace, RunControls, SingularityVerdict, TraceScalars,
                    cfl_dt, estimate_singular_time, run_flow, step, velocity)
 from .functionals import (EvolutionResidual, GaussianWeight, IdentityResidual,

@@ -74,9 +74,12 @@ def _check_section(cfg: dict, section: str, known) -> None:
     for key in cfg:
         head, _, name = key.partition(".")
         if head == section and name not in known:
-            takes = sorted(known) if known else "no key in this subcommand"
-            raise BadParameter(f"unknown config key {key!r}; {section}.* "
-                               f"takes {takes}")
+            if section not in SECTIONS:
+                takes = f"the config sections are {', '.join(SECTIONS)}"
+            else:
+                takes = (f"{section}.* takes "
+                         f"{sorted(known) or 'no key in this subcommand'}")
+            raise BadParameter(f"unknown config key {key!r}; {takes}")
 
 
 # The controls.* keys each trace mode reads: a mesh flow every RunControls
@@ -91,8 +94,8 @@ MODE_CONTROLS = {
 
 # The run.*, weight.*, rescale.* and scan.* keys each subcommand reads, on
 # top of output.directory, which every subcommand takes (verify writes no
-# file).  main rejects any other key of these sections before the command
-# starts.
+# file).  main rejects any other key of these sections, and any key outside
+# the seven SECTIONS, before the command starts.
 COMMAND_KEYS = {
     "simulate": {},
     "monotonicity": {"run": {"kind"}, "weight": {"center", "t0"}},
@@ -102,6 +105,7 @@ COMMAND_KEYS = {
     "cutoff-scan": {"scan": {"samples"}},
 }
 COMMAND_SECTIONS = ("run", "weight", "rescale", "scan", "output")
+SECTIONS = ("scenario", "controls") + COMMAND_SECTIONS
 
 
 def _controls(cfg, mode: str) -> RunControls:
@@ -372,6 +376,10 @@ def main(argv=None) -> int:
         reads = {"output": {"directory"}, **COMMAND_KEYS[args.command]}
         for section in COMMAND_SECTIONS:
             _check_section(cfg, section, reads.get(section, ()))
+        for key in cfg:
+            section = key.partition(".")[0]
+            if section not in SECTIONS:
+                _check_section(cfg, section, ())
         return COMMANDS[args.command](cfg, args)
     except (FileNotFoundError, BadParameter) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

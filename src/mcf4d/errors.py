@@ -37,10 +37,6 @@ class FrameInconsistent(NodeError):
     """Computed frame data violates an exact algebraic bound at a node."""
 
 
-class DegenerateFrame(NodeError):
-    """No admissible normal frame could be built at a node."""
-
-
 class WeightFloor(NodeError):
     """An angle cosine fell below the weight floor where the kernel matters."""
 

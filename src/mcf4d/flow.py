@@ -96,7 +96,7 @@ class FlowTrace:
 
     def bundle(self, index: int, need_j: bool = False) -> GeometryBundle:
         """Geometry of stored state ``index``, memoized with small eviction.
-        ``need_j`` has no effect: every bundle carries |grad J|^2."""
+        ``need_j`` has no effect: every bundle gives |grad J|^2 when read."""
         cached = self._bundles.get(index)
         if cached is None:
             cached = build_geometry(self.states[index])
@@ -271,9 +271,11 @@ def estimate_singular_time(trace: FlowTrace,
     """Fit the singular time from the scalar series of a blow-up trace.
 
     Fits 1/max|A|^2 as an affine function of t over the last quarter of the
-    samples and reads the root.  Classification: TypeI when (T - t) max|A|^2
-    oscillates under 20% over the window, TypeII when it grows monotonically
-    by more than 5x, else Undetermined.
+    samples and reads the root.  Classification: TypeI when the root lies
+    after the window's last time and (T - t) max|A|^2 oscillates under 20%
+    over the window, TypeII when it grows monotonically by more than 5x,
+    else Undetermined.  A root inside the window means the affine fit does
+    not hold, so it is never TypeI.
     """
     if trace.termination_reason != "blowup_detected":
         raise InsufficientBlowup(
@@ -299,7 +301,7 @@ def estimate_singular_time(trace: FlowTrace,
     osc = float((np.max(u) - np.min(u)) / np.mean(u))
     growth = float(u[-1] / u[0])
     monotone_up = bool(np.all(np.diff(u) > 0))
-    if osc < 0.2:
+    if osc < 0.2 and t_hat > tw[-1]:
         kind = "TypeI"
     elif monotone_up and growth > 5.0:
         kind = "TypeII"

@@ -18,7 +18,7 @@ from .errors import (BadP, BadParameter, DenominatorFloor, ShortTrace,
                      TimeOrder, WeightFloor)
 from .flow import FlowTrace
 from .geometry import (GeometryBundle, gradient_sq, laplace_beltrami,
-                       normal_gradient_sq, project_normal)
+                       normal_gradient_sq)
 from .grid import SurfaceState
 from .stencils import fd_weights
 
@@ -161,8 +161,8 @@ def _centered_time_derivative(times: np.ndarray,
 
 def _drift_field(bundle: GeometryBundle, weight: GaussianWeight,
                  tau: float) -> np.ndarray:
-    """|H + (F - X0)^perp / 2 tau|^2 per node, via the normal frame."""
-    offset = project_normal(bundle.positions - weight.center, bundle)
+    """|H + (F - X0)^perp / 2 tau|^2 per node."""
+    offset = bundle.curvature.normal_part(bundle.positions - weight.center)
     vec = bundle.mean_curvature + offset / (2.0 * tau)
     return np.sum(vec * vec, axis=-1)
 
@@ -284,12 +284,9 @@ def evolution_residual(trace: FlowTrace, quantity: str) -> EvolutionResidual:
                       - 2.0 * b.nabla_bar_j2 / c ** 2)
         else:                                   # H2
             fields = [x.norm_H2 for x in bundles]
-            m, hf = b.mean_normal, b.second_ff_frame
-            contracted = (m[..., 0, None, None] * hf[..., 0, :, :]
-                          + m[..., 1, None, None] * hf[..., 1, :, :])
             source = (laplace_beltrami(fields[1], b)
                       - 2.0 * normal_gradient_sq(b.mean_curvature, b)
-                      + 2.0 * np.sum(contracted ** 2, axis=(-2, -1)))
+                      + 2.0 * b.h_dot_a2)
         dfdt = _centered_time_derivative(times[i - 1:i + 2], fields)[0]
         out.append(dfdt - source)
     return EvolutionResidual(quantity=quantity, times=times[1:-1],
@@ -302,7 +299,6 @@ class PinchingReport:
 
     min_margin: float
     violating_nodes: list[int] = field(default_factory=list)
-    vacuous: bool = False
 
 
 def pinching_check(bundle: GeometryBundle) -> PinchingReport:
@@ -314,8 +310,6 @@ def pinching_check(bundle: GeometryBundle) -> PinchingReport:
     """
     margin = bundle.nabla_bar_j2 - 0.5 * bundle.norm_H2
     flat = margin.ravel()
-    if flat.size == 0 or not np.any(np.isfinite(flat)):
-        return PinchingReport(min_margin=math.inf, vacuous=True)
     violating = [int(k) for k in np.flatnonzero(flat < -PINCH_TOL)]
     return PinchingReport(min_margin=float(np.min(flat)),
                           violating_nodes=violating)

@@ -1,25 +1,19 @@
 """Discrete differential geometry of immersed surfaces in R^4 = C^2.
 
-Everything is computed per grid node with 4th-order stencils: induced metric,
-orthonormal tangent/normal frames, second fundamental form, mean curvature,
-the Kahler angle cos(alpha) = omega(e1, e2), the Lagrangian angle as a unit
-complex number, and the squared gradient |grad J|^2 of the compatible complex
-structure J_Sigma (90-degree rotation of tangent and normal planes), in its
-closed form in the second fundamental form.
+Everything is computed per grid node with 4th-order stencils and without any
+tangent or normal frame: the paper's quantities (the Kahler angle, the
+Lagrangian angle, |H|^2, |A|^2 and |grad J|^2) are gauge invariant, so each
+has a closed form in the position derivatives F_u, F_v, the normal parts
+A_ij of the Hessian and the inverse metric g^ij.
 
-Frame conventions.  e1, e2 come from Gram-Schmidt on (F_u, F_v); v1 is the
-first ambient basis vector with a usable normal projection; v2 completes
-{e1, e2, v1, v2} to a positively oriented ambient basis.  All scalar outputs
-are invariant under any other (orientation-preserving) frame choice.
-
-Curvature without frames.  :class:`Curvature` turns the position derivatives
-into g, g^-1, A_ij, H, |A|^2 and |H|^2 by 2x2 algebra and ambient dot
-products; the flow integrator and its per-step diagnostics use it alone, and
-:func:`build_geometry` takes its curvature fields from it.
-The bundle and the field operators are built the same way, per node, with no
-generic tensor contraction: h^n_ij = <A_ij, v_n>, the frame components
-C h C^T written out for the pairs a <= b, and |grad J|^2 as a sum of squares
-of those components, which no frame derivative enters.
+:class:`Curvature` turns the position derivatives into g, g^-1, A_ij, H,
+|A|^2 and |H|^2 by 2x2 algebra and ambient dot products; the flow integrator
+and its per-step diagnostics use it alone.  :class:`GeometryBundle`, built by
+:func:`build_geometry`, is a lazy view on one Curvature: each further field
+(the angles, the Christoffel symbols, |grad J|^2 and sum <H, A_ij>^2) is
+computed the first time it is read.  The angles come from F_u ^ F_v, which
+is sqrt(det g) e1 ^ e2 for every oriented orthonormal tangent frame, and
+|grad J|^2 = |A|^2 - 2 K^perp from the normal curvature K^perp.
 """
 
 from __future__ import annotations
@@ -29,12 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFrame, DegenerateMetric, FrameInconsistent
+from .errors import DegenerateMetric, FrameInconsistent
 from .grid import ParamGrid, SurfaceState, position_derivatives, scalar_derivative
 
 # Numerical floors, referenced by tests.
 DET_G_FLOOR = 1e-12          # immersion requirement: det g above this
-PROJECTION_FLOOR = 1e-6      # Gram-Schmidt fallback threshold
 COS_CLAMP_EXCESS = 1e-10     # tolerated overshoot of |cos alpha| past 1
 OMEGA_NORM_FLOOR = 1e-12     # below this the holomorphic form is degenerate
 
@@ -52,111 +45,6 @@ def holomorphic_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     zb1 = b[..., 0] + 1j * b[..., 1]
     zb2 = b[..., 2] + 1j * b[..., 3]
     return za1 * zb2 - zb1 * za2
-
-
-def cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Vector d with d . x = det(rows a, b, c, x); orthogonal to a, b, c."""
-
-    def det3(p, q, r):
-        return (a[..., p] * (b[..., q] * c[..., r] - b[..., r] * c[..., q])
-                - a[..., q] * (b[..., p] * c[..., r] - b[..., r] * c[..., p])
-                + a[..., r] * (b[..., p] * c[..., q] - b[..., q] * c[..., p]))
-
-    return np.stack([-det3(1, 2, 3), det3(0, 2, 3),
-                     -det3(0, 1, 3), det3(0, 1, 2)], axis=-1)
-
-
-@dataclass
-class GeometryBundle:
-    """Per-node geometric data of one surface state.
-
-    Index conventions: metric-type arrays end in (i, j) parameter indices;
-    ``second_ff[..., n, i, j]`` is h^n_ij with n the normal index; frames are
-    stored as (..., frame_index, ambient_component).
-    """
-
-    grid: ParamGrid
-    positions: np.ndarray        # (n1, n2, 4)
-    first_derivs: np.ndarray     # (n1, n2, 2, 4)   rows F_u, F_v
-    metric: np.ndarray           # (n1, n2, 2, 2)
-    inverse_metric: np.ndarray   # (n1, n2, 2, 2)
-    det_g: np.ndarray            # (n1, n2)
-    area_element: np.ndarray     # (n1, n2)
-    christoffel: np.ndarray      # (n1, n2, 2, 2, 2)  [k, i, j]
-    tangent_frame: np.ndarray    # (n1, n2, 2, 4)
-    tangent_coeffs: np.ndarray   # (n1, n2, 2, 2)   e_a = C[a, i] F_i
-    normal_frame: np.ndarray     # (n1, n2, 2, 4)
-    second_ff: np.ndarray        # (n1, n2, 2, 2, 2)
-    second_ff_frame: np.ndarray  # (n1, n2, 2, 2, 2)  orthonormal tangent basis
-    mean_curvature: np.ndarray   # (n1, n2, 4)
-    mean_normal: np.ndarray      # (n1, n2, 2)       H^n components
-    norm_A2: np.ndarray          # (n1, n2)
-    norm_H2: np.ndarray          # (n1, n2)
-    cos_alpha: np.ndarray        # (n1, n2)
-    lag_angle_unit: np.ndarray   # (n1, n2) complex, |.| = 1
-    lag_omega_norm: np.ndarray   # (n1, n2)  |Omega(e1, e2)| = sin alpha
-    omega_degenerate: np.ndarray  # (n1, n2) bool
-    nabla_bar_j2: np.ndarray     # (n1, n2)  |grad J_Sigma|^2
-
-    @property
-    def cos_theta(self) -> np.ndarray:
-        """Cosine of the Lagrangian angle (meaningful on Lagrangian surfaces)."""
-        return self.lag_angle_unit.real
-
-    def quadrature_weights(self) -> np.ndarray:
-        """Per-node surface measure: area element times parameter cell."""
-        return self.area_element * self.grid.node_weight()
-
-
-def _tangent_frame(f_u, f_v, metric, det_g, rotation=None):
-    """Oriented orthonormal tangent frame and its coefficients in (F_u, F_v)."""
-    g11 = metric[..., 0, 0]
-    g12 = metric[..., 0, 1]
-    sqrt_g11 = np.sqrt(g11)
-    e1 = f_u / sqrt_g11[..., None]
-    mu = np.sqrt(det_g / g11)
-    e2 = (f_v - (g12 / g11)[..., None] * f_u) / mu[..., None]
-    c = np.zeros(metric.shape)
-    c[..., 0, 0] = 1.0 / sqrt_g11
-    c[..., 1, 0] = -g12 / (g11 * mu)
-    c[..., 1, 1] = 1.0 / mu
-    if rotation is not None:
-        cos_b = np.cos(rotation)
-        sin_b = np.sin(rotation)
-        e1, e2 = (cos_b[..., None] * e1 + sin_b[..., None] * e2,
-                  -sin_b[..., None] * e1 + cos_b[..., None] * e2)
-        c0 = cos_b[..., None] * c[..., 0, :] + sin_b[..., None] * c[..., 1, :]
-        c1 = -sin_b[..., None] * c[..., 0, :] + cos_b[..., None] * c[..., 1, :]
-        c = np.stack([c0, c1], axis=-2)
-    return np.stack([e1, e2], axis=-2), c
-
-
-def _normal_frame(e1, e2, basis_order):
-    """First normal vector by deterministic Gram-Schmidt with fallback.
-
-    Per node, v1 is the normal projection e_b - e1[b] e1 - e2[b] e2 of the
-    first ambient basis vector b in ``basis_order`` whose projection has norm
-    at least PROJECTION_FLOOR; v2 = cross4(e1, e2, v1), normalized.
-    """
-    v1, norm = np.zeros(e1.shape), np.ones(e1.shape[:-1])
-    missing = np.ones(e1.shape[:-1], dtype=bool)
-    for b in basis_order:
-        cand = -e1[..., b, None] * e1 - e2[..., b, None] * e2
-        cand[..., b] += 1.0
-        cand_norm = np.sqrt(_dot(cand, cand))
-        take = missing & (cand_norm >= PROJECTION_FLOOR)
-        v1 = np.where(take[..., None], cand, v1)
-        norm = np.where(take, cand_norm, norm)
-        missing &= ~take
-        if not missing.any():
-            break
-    if missing.any():
-        raise DegenerateFrame(int(np.argmax(missing)),
-                              "no usable normal projection")
-    v1 = v1 / norm[..., None]
-    v2 = cross4(e1, e2, v1)
-    v2 = v2 / np.sqrt(_dot(v2, v2))[..., None]
-    return np.stack([v1, v2], axis=-2)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,37 +106,21 @@ class Curvature:
 
     @cached_property
     def norm_A2(self) -> np.ndarray:
-        a11, a12, a22 = self.normal_hessian
-        p, q, r = self.inv11, self.inv12, self.inv22
-        return (p * p * _dot(a11, a11) + r * r * _dot(a22, a22)
-                + 2.0 * q * q * _dot(a11, a22)
-                + 4.0 * q * (p * _dot(a11, a12) + r * _dot(a12, a22))
-                + 2.0 * (p * r + q * q) * _dot(a12, a12))
+        return self.double_trace(_dot, *self.normal_hessian)
 
     @cached_property
     def norm_H2(self) -> np.ndarray:
         return _dot(self.mean_curvature, self.mean_curvature)
 
-    @property
-    def metric(self) -> np.ndarray:
-        """g as a (..., 2, 2) array."""
-        return _symmetric(self.g11, self.g12, self.g22, axis=-1)
-
-    @property
-    def inverse(self) -> np.ndarray:
-        """g^-1 as a (..., 2, 2) array."""
-        return _symmetric(self.inv11, self.inv12, self.inv22, axis=-1)
-
-
-def _symmetric(a11, a12, a22, axis):
-    """Symmetric 2x2 array of per-node entries, index pair inserted at axis."""
-    k = a11.ndim + 1 + axis
-    out = np.empty(a11.shape[:k] + (2, 2) + a11.shape[k:])
-    pair = (slice(None),) * k
-    out[pair + (0, 0)] = a11
-    out[pair + (0, 1)] = out[pair + (1, 0)] = a12
-    out[pair + (1, 1)] = a22
-    return out
+    def double_trace(self, pair, x11, x12, x22) -> np.ndarray:
+        """g^ik g^jl pair(x_ij, x_kl) of a symmetric pair of per-node
+        entries x_ij; ``pair`` is the product of two entries (``_dot`` for
+        4-vectors, ``np.multiply`` for scalars)."""
+        p, q, r = self.inv11, self.inv12, self.inv22
+        return (p * p * pair(x11, x11) + r * r * pair(x22, x22)
+                + 2.0 * q * q * pair(x11, x22)
+                + 4.0 * q * (p * pair(x11, x12) + r * pair(x12, x22))
+                + 2.0 * (p * r + q * q) * pair(x12, x12))
 
 
 def plane_angles(a: np.ndarray, b: np.ndarray, area):
@@ -274,85 +146,130 @@ def plane_angles(a: np.ndarray, b: np.ndarray, area):
     return np.clip(cos_alpha, -1.0, 1.0), unit, omega_norm, degenerate
 
 
-def build_geometry(state: SurfaceState, tangent_rotation=None,
-                   normal_basis_order=(0, 1, 2, 3)) -> GeometryBundle:
-    """Full geometric bundle of a surface state.
-
-    ``tangent_rotation`` (per-node angles) and ``normal_basis_order`` change
-    internal frame gauges; every scalar output is independent of them.
-    The metric, A_ij, H, |A|^2 and |H|^2 come from :class:`Curvature`.
-
-    Raises DegenerateMetric when det g falls below the immersion floor and
-    FrameInconsistent when |omega(e1, e2)| exceeds 1 beyond rounding.
-    """
-    state.require_finite()
-    grid = state.grid
-    f_u, f_v, f_uu, f_uv, f_vv = position_derivatives(state)
-    curv = Curvature(f_u, f_v, f_uu, f_uv, f_vv)
-    first = np.stack([f_u, f_v], axis=-2)
-    metric = curv.metric
-    det_g = curv.det_g
-    inverse = curv.inverse
-
-    # In flat ambient space Gamma^k_ij = g^kl <F_ij, F_l>, the tangential
-    # coefficients of the Hessian.
-    gammas = curv.tangent_coords(np.stack([f_uu, f_uv, f_vv]))
-    christoffel = np.stack([_symmetric(*g, axis=-1) for g in gammas], axis=-3)
-
-    frame_t, coeffs = _tangent_frame(f_u, f_v, metric, det_g, tangent_rotation)
-    frame_n = _normal_frame(frame_t[..., 0, :], frame_t[..., 1, :], normal_basis_order)
-
-    # h^n_ij = <A_ij, v_n>, then h in the orthonormal tangent frame,
-    # h_frame^n_ab = C_ai C_bj h^n_ij with h^n_ij symmetric in ij.
-    h11, h12, h22 = (_dot(a[..., None, :], frame_n) for a in curv.normal_hessian)
-    h = _symmetric(h11, h12, h22, axis=-1)
-    c0, c1 = coeffs[..., 0, :], coeffs[..., 1, :]
-
-    def frame_entry(ca, cb):
-        cross = ca[..., 0] * cb[..., 1] + ca[..., 1] * cb[..., 0]
-        return ((ca[..., 0] * cb[..., 0])[..., None] * h11
-                + cross[..., None] * h12
-                + (ca[..., 1] * cb[..., 1])[..., None] * h22)
-
-    h_frame = _symmetric(frame_entry(c0, c0), frame_entry(c0, c1),
-                         frame_entry(c1, c1), axis=-1)
-    mean = curv.mean_curvature
-    mean_normal = _dot(frame_n, mean[..., None, :])
-    cos_alpha, unit, omega_norm, degenerate = plane_angles(
-        frame_t[..., 0, :], frame_t[..., 1, :], 1.0)
-
-    return GeometryBundle(
-        grid=grid, positions=state.positions, first_derivs=first,
-        metric=metric, inverse_metric=inverse, det_g=det_g,
-        area_element=np.sqrt(det_g), christoffel=christoffel,
-        tangent_frame=frame_t, tangent_coeffs=coeffs,
-        normal_frame=frame_n, second_ff=h, second_ff_frame=h_frame,
-        mean_curvature=mean, mean_normal=mean_normal,
-        norm_A2=curv.norm_A2, norm_H2=curv.norm_H2, cos_alpha=cos_alpha,
-        lag_angle_unit=unit, lag_omega_norm=omega_norm,
-        omega_degenerate=degenerate,
-        nabla_bar_j2=nabla_bar_j2_from_shape(h_frame))
+# Index pairs (a, b), a < b, of the six components of a bivector in R^4.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def nabla_bar_j2_from_shape(h_frame: np.ndarray) -> np.ndarray:
-    """|grad J_Sigma|^2 from the second fundamental form h_frame^n_ab in an
-    orthonormal tangent frame, shape (..., 2, 2, 2):
+def _wedge(a: np.ndarray, b: np.ndarray) -> list:
+    """Components (a ^ b)_ab = a_a b_b - a_b b_a over ``_PAIRS``."""
+    return [a[..., i] * b[..., j] - a[..., j] * b[..., i] for i, j in _PAIRS]
 
-        sum_k (h^1_k2 + h^2_k1)^2 + (h^2_k2 - h^1_k1)^2.
+
+def j_gradient_sq(curv: Curvature) -> np.ndarray:
+    """|grad J_Sigma|^2 = |A|^2 - 2 K^perp per node.
 
     J_Sigma rotates the tangent and the normal plane by 90 degrees, so its
-    covariant derivative is a linear image of h; the sum of squares is
-    independent of the frame gauges and >= |H|^2 / 2 identically.
+    covariant derivative is a linear image of the second fundamental form.
+    K^perp is the normal curvature,
+
+        K^perp = g^kl det[F_u, F_v, A_1k, A_2l] / det g,
+
+    where the (2, 1) term drops out because A_12 ^ A_12 = 0.  Each 4x4
+    determinant pairs A_ij ^ A_kl with the Hodge dual of F_u ^ F_v.  The
+    value is >= |H|^2 / 2 up to rounding, and needs no frame.
     """
-    h = h_frame
-    p1 = h[..., 0, 0, 1] + h[..., 1, 0, 0]
-    q1 = h[..., 1, 0, 1] - h[..., 0, 0, 0]
-    p2 = h[..., 0, 1, 1] + h[..., 1, 1, 0]
-    q2 = h[..., 1, 1, 1] - h[..., 0, 1, 0]
-    return p1 * p1 + q1 * q1 + p2 * p2 + q2 * q2
+    p = _wedge(curv.f_u, curv.f_v)
+    dual = (p[5], -p[4], p[3], p[2], -p[1], p[0])
+    a11, a12, a22 = curv.normal_hessian
+
+    def det(x, y):
+        """det[F_u, F_v, x, y] per node."""
+        return sum(d * w for d, w in zip(dual, _wedge(x, y)))
+
+    k_perp = (curv.inv11 * det(a11, a12) + curv.inv12 * det(a11, a22)
+              + curv.inv22 * det(a12, a22)) / curv.det_g
+    return curv.norm_A2 - 2.0 * k_perp
 
 
-nabla_bar_j2_filled = nabla_bar_j2_from_shape  # name kept for bench/tracer.py
+nabla_bar_j2_filled = j_gradient_sq  # name kept for bench/tracer.py
+
+
+@dataclass
+class GeometryBundle:
+    """Per-node geometric data of one surface state: a lazy view on its
+    :class:`Curvature`, which holds F_u, F_v, g^-1, A_ij, H, |A|^2 and
+    |H|^2.  Each other field is computed when it is first read, so a
+    consumer pays only for the fields it reads."""
+
+    grid: ParamGrid
+    positions: np.ndarray        # (n1, n2, 4)
+    curvature: Curvature
+
+    @property
+    def det_g(self) -> np.ndarray:
+        return self.curvature.det_g
+
+    @property
+    def mean_curvature(self) -> np.ndarray:
+        return self.curvature.mean_curvature
+
+    @property
+    def norm_A2(self) -> np.ndarray:
+        return self.curvature.norm_A2
+
+    @property
+    def norm_H2(self) -> np.ndarray:
+        return self.curvature.norm_H2
+
+    @cached_property
+    def area_element(self) -> np.ndarray:
+        return np.sqrt(self.curvature.det_g)
+
+    @cached_property
+    def _angles(self) -> tuple:
+        curv = self.curvature
+        return plane_angles(curv.f_u, curv.f_v, self.area_element)
+
+    @property
+    def cos_alpha(self) -> np.ndarray:
+        """Cosine of the Kahler angle, omega(e1, e2)."""
+        return self._angles[0]
+
+    @property
+    def lag_angle_unit(self) -> np.ndarray:
+        """e^{i theta}: the Lagrangian angle as a unit complex number."""
+        return self._angles[1]
+
+    @property
+    def cos_theta(self) -> np.ndarray:
+        """Cosine of the Lagrangian angle (meaningful on Lagrangian surfaces)."""
+        return self.lag_angle_unit.real
+
+    @cached_property
+    def christoffel(self) -> tuple:
+        """(Gamma^u, Gamma^v), each (3, n1, n2) over ij = uu, uv, vv.  In
+        flat ambient space Gamma^k_ij = g^kl <F_ij, F_l>, the tangential
+        coefficients of the Hessian."""
+        return self.curvature.tangent_coords(np.stack(self.curvature.hessian))
+
+    @cached_property
+    def nabla_bar_j2(self) -> np.ndarray:
+        """|grad J_Sigma|^2, see :func:`j_gradient_sq`."""
+        return j_gradient_sq(self.curvature)
+
+    @cached_property
+    def h_dot_a2(self) -> np.ndarray:
+        """sum_ab <H, A(e_a, e_b)>^2 = g^ik g^jl <H, A_ij><H, A_kl>."""
+        curv = self.curvature
+        return curv.double_trace(np.multiply, *(
+            _dot(curv.mean_curvature, a) for a in curv.normal_hessian))
+
+    def quadrature_weights(self) -> np.ndarray:
+        """Per-node surface measure: area element times parameter cell."""
+        return self.area_element * self.grid.node_weight()
+
+
+def build_geometry(state: SurfaceState) -> GeometryBundle:
+    """Geometric bundle of a surface state; only its curvature kernel is
+    evaluated here, every other field on first read.
+
+    Raises DegenerateMetric when det g falls below the immersion floor; the
+    angle fields raise FrameInconsistent when |omega(e1, e2)| exceeds 1
+    beyond rounding.
+    """
+    state.require_finite()
+    return GeometryBundle(grid=state.grid, positions=state.positions,
+                          curvature=Curvature(*position_derivatives(state)))
 
 
 def field_derivatives(field: np.ndarray, grid: ParamGrid):
@@ -368,23 +285,23 @@ def laplace_beltrami(field: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     f_uu = scalar_derivative(field, grid, 0, 2)
     f_vv = scalar_derivative(field, grid, 1, 2)
     f_uv = scalar_derivative(f_u, grid, 1, 1)
-    gam = bundle.christoffel
-    inv = bundle.inverse_metric
+    gam_u, gam_v = bundle.christoffel
+    curv = bundle.curvature
 
-    def covariant(f_ij, i, j):
-        return f_ij - gam[..., 0, i, j] * f_u - gam[..., 1, i, j] * f_v
+    def covariant(f_ij, ij):
+        return f_ij - gam_u[ij] * f_u - gam_v[ij] * f_v
 
-    return (inv[..., 0, 0] * covariant(f_uu, 0, 0)
-            + 2.0 * inv[..., 0, 1] * covariant(f_uv, 0, 1)
-            + inv[..., 1, 1] * covariant(f_vv, 1, 1))
+    return (curv.inv11 * covariant(f_uu, 0)
+            + 2.0 * curv.inv12 * covariant(f_uv, 1)
+            + curv.inv22 * covariant(f_vv, 2))
 
 
 def gradient_sq(field: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
     """|grad f|^2 = g^ij d_i f d_j f per node."""
     f_u, f_v = field_derivatives(field, bundle.grid)
-    inv = bundle.inverse_metric
-    return (inv[..., 0, 0] * f_u * f_u + 2.0 * inv[..., 0, 1] * f_u * f_v
-            + inv[..., 1, 1] * f_v * f_v)
+    curv = bundle.curvature
+    return (curv.inv11 * f_u * f_u + 2.0 * curv.inv12 * f_u * f_v
+            + curv.inv22 * f_v * f_v)
 
 
 def gradient_inner(field_a: np.ndarray, field_b: np.ndarray,
@@ -392,33 +309,19 @@ def gradient_inner(field_a: np.ndarray, field_b: np.ndarray,
     """Tangential inner product grad f . grad g = g^ij d_i f d_j g."""
     a_u, a_v = field_derivatives(field_a, bundle.grid)
     b_u, b_v = field_derivatives(field_b, bundle.grid)
-    inv = bundle.inverse_metric
-    return (inv[..., 0, 0] * a_u * b_u
-            + inv[..., 0, 1] * (a_u * b_v + a_v * b_u)
-            + inv[..., 1, 1] * a_v * b_v)
-
-
-def project_normal(vectors: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
-    """Project ambient 4-vector fields onto the normal frame span."""
-    v1 = bundle.normal_frame[..., 0, :]
-    v2 = bundle.normal_frame[..., 1, :]
-    return (_dot(v1, vectors)[..., None] * v1
-            + _dot(v2, vectors)[..., None] * v2)
+    curv = bundle.curvature
+    return (curv.inv11 * a_u * b_u
+            + curv.inv12 * (a_u * b_v + a_v * b_u)
+            + curv.inv22 * a_v * b_v)
 
 
 def normal_gradient_sq(vectors: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
-    """|grad^N X|^2: normal projection of the frame derivatives, squared.
+    """|grad^N X|^2 = g^ij <(d_i X)^perp, (d_j X)^perp> per node.
 
     For the mean curvature field this is the |grad H|^2 entering the
-    curvature evolution identity; computing through ambient components keeps
-    it frame-gauge invariant.
+    curvature evolution identity.
     """
-    d_u, d_v = field_derivatives(vectors, bundle.grid)
-    c = bundle.tangent_coeffs
-    total = 0.0
-    for k in range(2):
-        # D_k X = C_ki d_i X along e_k, then its normal components.
-        d_k = c[..., k, 0, None] * d_u + c[..., k, 1, None] * d_v
-        comps = _dot(bundle.normal_frame, d_k[..., None, :])
-        total = total + np.sum(comps * comps, axis=-1)
-    return total
+    curv = bundle.curvature
+    n_u, n_v = curv.normal_part(np.stack(field_derivatives(vectors, bundle.grid)))
+    return (curv.inv11 * _dot(n_u, n_u) + 2.0 * curv.inv12 * _dot(n_u, n_v)
+            + curv.inv22 * _dot(n_v, n_v))

@@ -34,6 +34,7 @@ from mcf4d.flow import FlowTrace
 
 from conftest import (LAGR_CENTER, REFINE_LEVELS, SYMPL_CENTER, WEIGHT_T0,
                       thin_trace)
+from test_geometry import frame_oracle
 
 
 def test_criterion_01_gaussian_density_of_flat_patches():
@@ -210,7 +211,8 @@ def _u2_real(phi1, phi2, gamma):
 def test_criterion_09_invariance_under_rescaling_gauge_and_unitaries(
         torus32_trace):
     """Angles, psi, and the pinching quantity are invariant under parabolic
-    rescaling; scalars ignore frame gauge; unitaries preserve both angles."""
+    rescaling; the frame-free scalars equal those of the frame oracle under
+    any frame gauge; unitaries preserve both angles."""
     lam, xc, tc = 3.0, np.array([0.3, -0.2, 0.1, 0.4]), -0.05
 
     st = lagrangian_graph(32, 32, 0.1)
@@ -241,8 +243,9 @@ def test_criterion_09_invariance_under_rescaling_gauge_and_unitaries(
     rng = np.random.default_rng(7)
     rot = rng.uniform(0.0, 2.0 * np.pi, (32, 32))
     b_def = build_geometry(sympl)
-    b_alt = build_geometry(sympl, tangent_rotation=rot,
-                           normal_basis_order=(2, 0, 3, 1))
+    # Frame gauge: the test-side frame oracle with a random tangent rotation
+    # and a permuted normal basis order against the frame-free bundle.
+    b_alt = frame_oracle(sympl, rot, (2, 0, 3, 1))
     for field in ("cos_alpha", "lag_angle_unit", "norm_H2", "norm_A2"):
         diff = np.abs(getattr(b_alt, field) - getattr(b_def, field)).max()
         assert diff <= 1e-8, field

@@ -293,6 +293,24 @@ def test_keys_the_subcommand_does_not_read_exit_two(tmp_path, command, line,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line, key", [
+    ("outptu.directory = out", "outptu.directory"),
+    ("directory = out", "directory"),
+], ids=["misspelt_section", "no_section"])
+def test_keys_outside_the_config_sections_exit_two(tmp_path, monkeypatch,
+                                                   capsys, line, key):
+    # Read as no section at all, the key would leave output.directory at its
+    # default, the working directory, and the report would land there.
+    from mcf4d import cli
+    cfg = write_config(tmp_path, line)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["cutoff-scan", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("BadParameter:")
+    assert repr(key) in err
+    assert not (tmp_path / "cutoff_report.json").exists()
+
+
 @pytest.mark.parametrize("command, scenario, line, key", [
     ("simulate", "grim_reaper_product", "controls.dt = 1e-9", "controls.dt"),
     ("simulate", "grim_reaper_product", "controls.max_steps = 1",

@@ -8,9 +8,10 @@ Comparing stepped radii against that closed form isolates the pure time
 error of the integrator.
 
 Oracle for the frame-free per-step diagnostics: the scalar row and the
-velocity must agree with the frame route of ``build_geometry`` (Gram-Schmidt
-angles, normal-frame components of the second fundamental form) on a torus
-and two graphs, also after a seeded unitary motion.
+velocity must agree with the bundle and with the frame oracle of
+``test_geometry`` (Gram-Schmidt angles, normal-frame components of the
+second fundamental form) on a torus and two graphs, also after a seeded
+unitary motion.
 """
 
 import numpy as np
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 from mcf4d import flow, geometry
 from mcf4d.errors import DegenerateMetric, InsufficientBlowup
-from mcf4d.flow import (SCALAR_COLUMNS, RunControls, cfl_dt,
-                        estimate_singular_time, run_flow, scalar_row,
+from mcf4d.flow import (SCALAR_COLUMNS, FlowTrace, RunControls, TraceScalars,
+                        cfl_dt, estimate_singular_time, run_flow, scalar_row,
                         state_curvature, step, velocity)
 from mcf4d.geometry import build_geometry
 from mcf4d.grid import ParamGrid, SurfaceState
@@ -29,6 +30,7 @@ from mcf4d.scenarios import (clifford_torus, lagrangian_graph, plane,
                              sphere_patch, symplectic_graph)
 
 from conftest import su2_real
+from test_geometry import frame_oracle
 
 
 def test_scalar_columns_contract():
@@ -130,6 +132,29 @@ def test_estimate_singular_time_on_shrinking_torus(torus32_trace):
     assert v.oscillation < 0.2
 
 
+def _synthetic_blowup(max_a2):
+    """Scalars-only blow-up trace: 400 uniform samples of max|A|^2 = max_a2(t)
+    for t up to 0.999."""
+    t = np.linspace(0.0, 0.999, 400)
+    a2 = max_a2(t)
+    rows = [(k, t[k], 1.0, a2[k], a2[k], 0.0, 0.0, 1.0)
+            for k in range(t.size)]
+    return FlowTrace(states=[], state_steps=[],
+                     scalars=TraceScalars.from_rows(rows),
+                     termination_reason="blowup_detected")
+
+
+def test_estimate_singular_time_on_synthetic_rates():
+    v = estimate_singular_time(_synthetic_blowup(lambda t: 0.5 / (1.0 - t)))
+    assert v.classification == "TypeI"
+    assert abs(v.singular_time - 1.0) < 1e-9
+    # A Type II rate: the affine fit puts T before the last sample, so
+    # (T - t) max|A|^2 changes sign and must not read as bounded.
+    v = estimate_singular_time(_synthetic_blowup(lambda t: (1.0 - t) ** -1.5))
+    assert v.singular_time < 0.999
+    assert v.classification != "TypeI"
+
+
 def test_estimate_singular_time_needs_a_blowup_trace():
     tr = run_flow(clifford_torus(16, 16), RunControls(dt=1e-3, t_end=0.01))
     with pytest.raises(InsufficientBlowup):
@@ -156,14 +181,14 @@ def _equivalence_state(name, moved):
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_SURFACES))
 def test_frame_free_row_matches_bundle(name, moved):
     st = _equivalence_state(name, moved)
-    b = build_geometry(st)
+    b, o = build_geometry(st), frame_oracle(st)
     curv = state_curvature(st)
     row = scalar_row(5, st, curv)
     assert row[:2] == (5, st.time)
     # Frame route to |A|^2 and H: normal-frame components of A_ij.
-    a2_frame = np.einsum('...ik,...jl,...nij,...nkl->...', b.inverse_metric,
-                         b.inverse_metric, b.second_ff, b.second_ff)
-    h_normal = np.einsum('...ij,...nij->...n', b.inverse_metric, b.second_ff)
+    a2_frame = np.einsum('...ik,...jl,...nij,...nkl->...', o.inverse,
+                         o.inverse, o.second_ff, o.second_ff)
+    h_normal = np.einsum('...ij,...nij->...n', o.inverse, o.second_ff)
     expect = {
         "area": float(np.sum(b.quadrature_weights())),
         "max_A2": float(b.norm_A2.max()),
@@ -179,18 +204,18 @@ def test_frame_free_row_matches_bundle(name, moved):
     # Node by node too: the maxima may sit where g_12 and its terms vanish.
     assert np.abs(curv.norm_A2 - a2_frame).max() <= 1e-12 * a2_frame.max()
     assert np.abs(curv.norm_H2 - h2_frame).max() <= 1e-12 * h2_frame.max()
-    assert abs(got["min_cos_alpha"] - b.cos_alpha.min()) <= 1e-13
-    assert abs(got["min_cos_theta"] - b.cos_theta.min()) <= 1e-13
+    assert abs(got["min_cos_alpha"] - o.cos_alpha.min()) <= 1e-13
+    assert abs(got["min_cos_theta"] - o.lag_angle_unit.real.min()) <= 1e-13
 
 
 @pytest.mark.parametrize("moved", [False, True], ids=["fixed", "moved"])
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_SURFACES))
 def test_velocity_matches_bundle_mean_curvature(name, moved):
     st = _equivalence_state(name, moved)
-    b = build_geometry(st)
+    b, o = build_geometry(st), frame_oracle(st)
     vel = velocity(st)
-    h_normal = np.einsum('...ij,...nij->...n', b.inverse_metric, b.second_ff)
-    h_frame = np.einsum('...n,...nc->...c', h_normal, b.normal_frame)
+    h_normal = np.einsum('...ij,...nij->...n', o.inverse, o.second_ff)
+    h_frame = np.einsum('...n,...nc->...c', h_normal, o.normal_frame)
     scale = max(1.0, np.abs(h_frame).max())
     assert np.abs(vel - b.mean_curvature).max() <= 1e-12 * scale
     assert np.abs(vel - h_frame).max() <= 1e-12 * scale

@@ -7,11 +7,18 @@ Oracles, computed independently in this file:
     angle unit -exp(i (u + v)), |H|^2 = |A|^2 = 2 / r^2;
   - gradient graphs: angle unit from the determinant formula
     det(I + i Hess w) normalized;
-  - the einsum reference below: the generic tensor contractions that
-    ``build_geometry`` and the field operators replaced with 2x2 algebra;
+  - ``twisted_graph``: a graph with normal curvature of both signs, the
+    one surface on which the K^perp term of |grad J|^2 matters;
+  - the frame oracle below (``frame_oracle``): an orthonormal tangent frame
+    by Gram-Schmidt, a normal frame by projecting the ambient basis, the
+    second fundamental form in those frames and the generic tensor
+    contractions, which the frame-free bundle and field operators replaced;
+    its tangent rotation and normal basis order are free gauges;
   - ``_reference_j``: |grad J|^2 by differentiating all 16 entries of the
-    J field, against the bundle's closed form in the second fundamental form.
+    J field, against the bundle's closed form |A|^2 - 2 K^perp.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,12 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from mcf4d.errors import DegenerateMetric
-from mcf4d.geometry import (GeometryBundle, PROJECTION_FLOOR, Curvature,
-                            _tangent_frame, build_geometry, cross4,
-                            gradient_inner, gradient_sq, holomorphic_pairing,
-                            laplace_beltrami, nabla_bar_j2_from_shape,
-                            normal_gradient_sq, omega_pairing, plane_angles,
-                            project_normal)
+from mcf4d.geometry import (build_geometry, gradient_inner, gradient_sq,
+                            holomorphic_pairing, laplace_beltrami,
+                            normal_gradient_sq, omega_pairing, plane_angles)
 from mcf4d.grid import (ParamGrid, SurfaceState, position_derivatives,
                         scalar_derivative)
 from mcf4d.scenarios import (clifford_torus, complex_line, lagrangian_graph,
@@ -60,11 +64,16 @@ def test_cross4_completes_orthonormal_frames():
         assert abs(out @ m[k]) < 1e-12
 
 
+def _omega_norm(b):
+    """|Omega(e1, e2)| and its degeneracy mask, from the bundle's F_u ^ F_v."""
+    return plane_angles(b.curvature.f_u, b.curvature.f_v, b.area_element)[2:]
+
+
 def test_lagrangian_plane_bundle():
     b = build_geometry(plane(16, 16))
-    np.testing.assert_allclose(b.metric[..., 0, 0], 1.0, atol=1e-12)
-    np.testing.assert_allclose(b.metric[..., 0, 1], 0.0, atol=1e-12)
-    assert np.abs(b.second_ff).max() < 1e-10
+    np.testing.assert_allclose(b.curvature.g11, 1.0, atol=1e-12)
+    np.testing.assert_allclose(b.curvature.g12, 0.0, atol=1e-12)
+    assert np.abs(b.curvature.normal_hessian).max() < 1e-10
     assert np.abs(b.mean_curvature).max() < 1e-10
     assert np.abs(b.cos_alpha).max() < 1e-12
     np.testing.assert_allclose(b.lag_angle_unit, 1.0 + 0.0j, atol=1e-12)
@@ -74,15 +83,16 @@ def test_lagrangian_plane_bundle():
 def test_complex_line_is_holomorphic_and_omega_degenerate():
     b = build_geometry(complex_line(16, 16))
     np.testing.assert_allclose(b.cos_alpha, 1.0, atol=1e-12)
-    assert b.omega_degenerate.all()
-    assert np.abs(b.lag_omega_norm).max() < 1e-12
+    omega_norm, degenerate = _omega_norm(b)
+    assert degenerate.all()
+    assert np.abs(omega_norm).max() < 1e-12
 
 
 def test_angle_identity_cos2_plus_omega2():
     for st in (clifford_torus(24, 24), lagrangian_graph(24, 24, 0.1),
                symplectic_graph(24, 24, 0.1), sphere_patch(24, 32)):
         b = build_geometry(st)
-        ident = b.cos_alpha ** 2 + b.lag_omega_norm ** 2
+        ident = b.cos_alpha ** 2 + _omega_norm(b)[0] ** 2
         np.testing.assert_allclose(ident, 1.0, atol=1e-10)
 
 
@@ -157,22 +167,23 @@ def test_symplectic_graph_angle_against_pullback_formula():
 def test_frames_are_orthonormal_and_adapted():
     for st in (clifford_torus(16, 16), sphere_patch(16, 16),
                lagrangian_graph(16, 16, 0.1)):
-        b = build_geometry(st)
-        frames = np.concatenate([b.tangent_frame, b.normal_frame], axis=2)
+        o = frame_oracle(st)
+        frames = np.concatenate([o.tangent_frame, o.normal_frame], axis=2)
         gram = np.einsum("ijad,ijbd->ijab", frames, frames)
         np.testing.assert_allclose(gram, np.broadcast_to(np.eye(4), gram.shape),
                                    atol=1e-10)
 
 
 def test_second_ff_is_symmetric_and_consistent_across_frames():
-    b = build_geometry(clifford_torus(16, 16))
-    np.testing.assert_allclose(b.second_ff[..., 0, 1], b.second_ff[..., 1, 0],
+    st = clifford_torus(16, 16)
+    b, o = build_geometry(st), frame_oracle(st)
+    np.testing.assert_allclose(o.second_ff[..., 0, 1], o.second_ff[..., 1, 0],
                                atol=1e-12)
     # |H|^2 must equal the squared norm of the mean curvature vector.
     np.testing.assert_allclose(
         b.norm_H2, np.sum(b.mean_curvature ** 2, axis=-1), atol=1e-12)
-    # And the normal components must reassemble the vector.
-    rebuilt = np.einsum("ija,ijad->ijd", b.mean_normal, b.normal_frame)
+    # And the oracle's normal components must reassemble the vector.
+    rebuilt = np.einsum("ija,ijad->ijd", o.mean_normal, o.normal_frame)
     np.testing.assert_allclose(rebuilt, b.mean_curvature, atol=1e-12)
 
 
@@ -183,10 +194,12 @@ def test_trace_inequality_between_curvature_norms():
         assert np.all(2.0 * b.norm_A2 - b.norm_H2 > -1e-10)
 
 
-def test_project_normal_annihilates_tangents():
-    b = build_geometry(clifford_torus(16, 16))
-    assert np.abs(project_normal(b.tangent_frame[:, :, 0], b)).max() < 1e-12
-    h_proj = project_normal(b.mean_curvature, b)
+def test_normal_part_annihilates_tangents():
+    st = clifford_torus(16, 16)
+    b, o = build_geometry(st), frame_oracle(st)
+    normal_part = b.curvature.normal_part
+    assert np.abs(normal_part(o.tangent_frame[:, :, 0])).max() < 1e-12
+    h_proj = normal_part(b.mean_curvature)
     np.testing.assert_allclose(h_proj, b.mean_curvature, atol=1e-10)
 
 
@@ -210,11 +223,34 @@ def test_laplace_beltrami_on_sphere_eigenfunction():
     assert np.abs(laplace_beltrami(f, b) + 2.0 / r ** 2 * f).max() < 5e-3
 
 
+def twisted_graph(n=32):
+    """Doubly periodic graph over the complex line whose normal curvature
+    K^perp takes both signs (|grad J|^2 - |A|^2 spans about +-0.45).  On the
+    scenario surfaces K^perp vanishes to rounding (round spheres and circle
+    products have a parallel normal field, ``symplectic_graph`` is a product
+    of two planar curves, ``lagrangian_graph`` gives |K^perp| < 1e-14), so
+    only this surface tests the K^perp term of |grad J|^2."""
+    state = symplectic_graph(n, n, 0.1)
+    u = state.grid.axis_coords(0)[:, None]
+    v = state.grid.axis_coords(1)[None, :]
+    state.positions[..., 1] += 0.1 * np.sin(2.0 * u - v)
+    state.positions[..., 2] = 0.3 * np.sin(u) * np.cos(v)
+    state.positions[..., 3] = 0.2 * np.cos(u + 2.0 * v)
+    return state
+
+
+def test_twisted_graph_has_normal_curvature():
+    b = build_geometry(twisted_graph())
+    k_perp = 0.5 * (b.norm_A2 - b.nabla_bar_j2)
+    assert k_perp.min() < -0.2 and k_perp.max() > 0.2
+
+
 GAUGE_SURFACES = {
     "clifford_torus": lambda: clifford_torus(32, 32),
     "complex_line": lambda: complex_line(16, 16),
     "lagrangian_graph": lambda: lagrangian_graph(32, 32, 0.1),
     "symplectic_graph": lambda: symplectic_graph(32, 32, 0.1),
+    "twisted_graph": twisted_graph,
 }
 
 
@@ -223,8 +259,9 @@ GAUGE_SURFACES = {
        seed=hs.integers(0, 2 ** 32 - 1),
        order=hs.permutations(range(4)))
 def test_gauge_choices_do_not_move_scalars(name, seed, order):
-    # An SU(2) motion preserves omega and dz1 ^ dz2, so together with any
-    # tangent rotation and normal basis order it leaves the scalars alone.
+    # An SU(2) motion preserves omega and dz1 ^ dz2, so it leaves the
+    # scalars alone; the frame oracle under any tangent rotation and normal
+    # basis order gives the same scalars as the frame-free bundle.
     state = GAUGE_SURFACES[name]()
     base = build_geometry(state)
     rng = np.random.default_rng(seed)
@@ -232,11 +269,13 @@ def test_gauge_choices_do_not_move_scalars(name, seed, order):
     moved = state.transformed(offset=rng.uniform(-1.0, 1.0, 4),
                               rotation=rotation)
     angles = rng.uniform(0.0, 2.0 * np.pi, (state.grid.n1, state.grid.n2))
-    alt = build_geometry(moved, tangent_rotation=angles,
-                         normal_basis_order=tuple(order))
+    alt = build_geometry(moved)
+    oracle = frame_oracle(moved, angles, tuple(order))
     for field in ("nabla_bar_j2", "norm_A2", "norm_H2", "cos_alpha",
                   "lag_angle_unit"):
         diff = np.abs(getattr(alt, field) - getattr(base, field)).max()
+        assert diff < 1e-8, field
+        diff = np.abs(getattr(oracle, field) - getattr(alt, field)).max()
         assert diff < 1e-8, field
     assert np.abs(alt.mean_curvature
                   - base.mean_curvature @ rotation.T).max() < 1e-8
@@ -252,9 +291,10 @@ def test_j_gradient_direct_vs_shape_expression():
     for build in (lagrangian_graph, symplectic_graph):
         diffs = []
         for n in (32, 64):
-            b = build_geometry(build(n, n, 0.1))
-            direct = _reference_j(b.tangent_frame, b.normal_frame,
-                                  b.tangent_coeffs, b.cos_alpha, b.grid)
+            state = build(n, n, 0.1)
+            b, o = build_geometry(state), frame_oracle(state)
+            direct = _reference_j(o.tangent_frame, o.normal_frame,
+                                  o.tangent_coeffs, b.cos_alpha, b.grid)
             diffs.append(np.nanmax(np.abs(b.nabla_bar_j2 - direct)))
         assert diffs[0] < 1e-4
         assert diffs[0] / diffs[1] > 8.0
@@ -279,10 +319,47 @@ def test_torus_quadrature_area_converges_at_fourth_order():
     assert errs[0] / errs[1] > 12.0
 
 
-# Einsum reference: the tensor formulas the closed-form bundle replaced.
+# Frame oracle: the frame route and tensor contractions that the frame-free
+# bundle replaced.
+
+PROJECTION_FLOOR = 1e-6      # usable normal projection of an ambient axis
+
+
+def cross4(a, b, c):
+    """Vector d with d . x = det(rows a, b, c, x); orthogonal to a, b, c."""
+
+    def det3(p, q, r):
+        return (a[..., p] * (b[..., q] * c[..., r] - b[..., r] * c[..., q])
+                - a[..., q] * (b[..., p] * c[..., r] - b[..., r] * c[..., p])
+                + a[..., r] * (b[..., p] * c[..., q] - b[..., q] * c[..., p]))
+
+    return np.stack([-det3(1, 2, 3), det3(0, 2, 3),
+                     -det3(0, 1, 3), det3(0, 1, 2)], axis=-1)
+
+
+def _tangent_frame(f_u, f_v, metric, rotation=None):
+    """Oriented orthonormal tangent frame by Gram-Schmidt on (F_u, F_v),
+    turned by per-node ``rotation`` angles, and its coefficients C with
+    e_a = C[a, i] F_i."""
+    g11 = metric[..., 0, 0]
+    g12 = metric[..., 0, 1]
+    mu = np.sqrt(np.linalg.det(metric) / g11)
+    c = np.zeros(metric.shape)
+    c[..., 0, 0] = 1.0 / np.sqrt(g11)
+    c[..., 1, 0] = -g12 / (g11 * mu)
+    c[..., 1, 1] = 1.0 / mu
+    if rotation is not None:
+        turn = np.stack([np.stack([np.cos(rotation), np.sin(rotation)], -1),
+                         np.stack([-np.sin(rotation), np.cos(rotation)], -1)],
+                        axis=-2)
+        c = turn @ c
+    frame = np.einsum('...ai,...ic->...ac', c, np.stack([f_u, f_v], axis=-2))
+    return frame, c
+
 
 def _reference_normal_frame(e1, e2, basis_order):
-    """First normal by the per-node 4x4 projector, rows in basis order."""
+    """First normal by the per-node 4x4 projector, rows in basis order;
+    the second completes a positively oriented ambient basis."""
     proj = -e1[..., :, None] * e1[..., None, :] - e2[..., :, None] * e2[..., None, :]
     idx = np.arange(4)
     proj[..., idx, idx] += 1.0
@@ -295,6 +372,17 @@ def _reference_normal_frame(e1, e2, basis_order):
     v2 = cross4(e1, e2, v1)
     v2 = v2 / np.linalg.norm(v2, axis=-1, keepdims=True)
     return np.stack([v1, v2], axis=-2)
+
+
+def _j_from_shape(h_frame):
+    """|grad J_Sigma|^2 from h^n_ab in an orthonormal tangent frame:
+    sum_k (h^1_k2 + h^2_k1)^2 + (h^2_k2 - h^1_k1)^2."""
+    h = h_frame
+    p1 = h[..., 0, 0, 1] + h[..., 1, 0, 0]
+    q1 = h[..., 1, 0, 1] - h[..., 0, 0, 0]
+    p2 = h[..., 0, 1, 1] + h[..., 1, 1, 0]
+    q2 = h[..., 1, 1, 1] - h[..., 0, 1, 0]
+    return p1 * p1 + q1 * q1 + p2 * p2 + q2 * q2
 
 
 def _reference_j(frame_t, frame_n, coeffs, cos_alpha, grid):
@@ -315,43 +403,46 @@ def _reference_j(frame_t, frame_n, coeffs, cos_alpha, grid):
     return np.where(1.0 - cos_alpha ** 2 < 1e-6, np.nan, value)
 
 
-def _reference_bundle(state, tangent_rotation, normal_basis_order):
+def frame_oracle(state, tangent_rotation=None,
+                 normal_basis_order=(0, 1, 2, 3)):
+    """Geometry of ``state`` through orthonormal frames and einsum
+    contractions: h^n_ij = <F_ij, v_n>, its frame components, and every
+    scalar the bundle gives frame-free."""
     f_u, f_v, f_uu, f_uv, f_vv = position_derivatives(state)
-    curv = Curvature(f_u, f_v, f_uu, f_uv, f_vv)
     first = np.stack([f_u, f_v], axis=-2)
+    metric = np.einsum('...ic,...jc->...ij', first, first)
+    inverse = np.linalg.inv(metric)
     hess = np.stack([np.stack([f_uu, f_uv], axis=-2),
                      np.stack([f_uv, f_vv], axis=-2)], axis=-3)
     proj_t = np.einsum('...ija,...la->...ijl', hess, first)
-    christoffel = np.einsum('...kl,...ijl->...kij', curv.inverse, proj_t)
-    frame_t, coeffs = _tangent_frame(f_u, f_v, curv.metric, curv.det_g,
-                                     tangent_rotation)
+    christoffel = np.einsum('...kl,...ijl->...kij', inverse, proj_t)
+    frame_t, coeffs = _tangent_frame(f_u, f_v, metric, tangent_rotation)
     frame_n = _reference_normal_frame(frame_t[..., 0, :], frame_t[..., 1, :],
                                       normal_basis_order)
-    a11, a12, a22 = curv.normal_hessian
-    second = np.stack([np.stack([a11, a12], axis=-2),
-                       np.stack([a12, a22], axis=-2)], axis=-3)
-    h = np.einsum('...ijc,...nc->...nij', second, frame_n)
+    h = np.einsum('...ijc,...nc->...nij', hess, frame_n)
     h_frame = np.einsum('...ai,...bj,...nij->...nab', coeffs, coeffs, h)
-    cos_alpha, unit, omega_norm, degenerate = plane_angles(
-        frame_t[..., 0, :], frame_t[..., 1, :], 1.0)
-    return GeometryBundle(
-        grid=state.grid, positions=state.positions, first_derivs=first,
-        metric=curv.metric, inverse_metric=curv.inverse, det_g=curv.det_g,
-        area_element=np.sqrt(curv.det_g), christoffel=christoffel,
+    mean_normal = np.einsum('...ij,...nij->...n', inverse, h)
+    h_dot_a = np.einsum('...n,...nab->...ab', mean_normal, h_frame)
+    cos_alpha, unit, _, _ = plane_angles(frame_t[..., 0, :],
+                                         frame_t[..., 1, :], 1.0)
+    det_g = np.linalg.det(metric)
+    return SimpleNamespace(
+        grid=state.grid, inverse=inverse, det_g=det_g,
+        area_element=np.sqrt(det_g), christoffel=christoffel,
         tangent_frame=frame_t, tangent_coeffs=coeffs, normal_frame=frame_n,
-        second_ff=h, second_ff_frame=h_frame,
-        mean_curvature=curv.mean_curvature,
-        mean_normal=np.einsum('...nc,...c->...n', frame_n,
-                              curv.mean_curvature),
-        norm_A2=curv.norm_A2, norm_H2=curv.norm_H2, cos_alpha=cos_alpha,
-        lag_angle_unit=unit, lag_omega_norm=omega_norm,
-        omega_degenerate=degenerate,
-        nabla_bar_j2=nabla_bar_j2_from_shape(h_frame))
+        second_ff=h, second_ff_frame=h_frame, mean_normal=mean_normal,
+        mean_curvature=np.einsum('...n,...nc->...c', mean_normal, frame_n),
+        norm_A2=np.einsum('...nab,...nab->...', h_frame, h_frame),
+        norm_H2=np.sum(mean_normal ** 2, axis=-1),
+        cos_alpha=cos_alpha, lag_angle_unit=unit,
+        nabla_bar_j2=_j_from_shape(h_frame),
+        h_dot_a2=np.einsum('...ab,...ab->...', h_dot_a, h_dot_a))
 
 
-def _reference_operators(f, g, x, b):
-    """Einsum forms of the field operators on scalars f, g and 4-vector x."""
-    grid = b.grid
+def _reference_operators(f, g, x, o):
+    """Frame and einsum forms of the field operators on scalars f, g and a
+    4-vector field x, from the frame oracle ``o``."""
+    grid = o.grid
     f_u = scalar_derivative(f, grid, 0, 1)
     f_v = scalar_derivative(f, grid, 1, 1)
     f_uv = scalar_derivative(f_u, grid, 1, 1)
@@ -361,21 +452,20 @@ def _reference_operators(f, g, x, b):
     hess = np.stack([np.stack([scalar_derivative(f, grid, 0, 2), f_uv], -1),
                      np.stack([f_uv, scalar_derivative(f, grid, 1, 2)], -1)],
                     axis=-2)
-    correction = np.einsum('...kij,...k->...ij', b.christoffel, grad)
+    correction = np.einsum('...kij,...k->...ij', o.christoffel, grad)
     coord = np.stack([scalar_derivative(x, grid, 0, 1),
                       scalar_derivative(x, grid, 1, 1)], axis=-2)
-    deriv = np.einsum('...ki,...ic->...kc', b.tangent_coeffs, coord)
-    comps = np.einsum('...nc,...kc->...kn', b.normal_frame, deriv)
-    normal = np.einsum('...nc,...c->...n', b.normal_frame, x)
+    deriv = np.einsum('...ki,...ic->...kc', o.tangent_coeffs, coord)
+    comps = np.einsum('...nc,...kc->...kn', o.normal_frame, deriv)
+    normal = np.einsum('...nc,...c->...n', o.normal_frame, x)
     return {
-        "laplace_beltrami": np.einsum('...ij,...ij->...', b.inverse_metric,
+        "laplace_beltrami": np.einsum('...ij,...ij->...', o.inverse,
                                       hess - correction),
-        "gradient_sq": np.einsum('...ij,...i,...j->...', b.inverse_metric,
+        "gradient_sq": np.einsum('...ij,...i,...j->...', o.inverse,
                                  grad, grad),
-        "gradient_inner": np.einsum('...ij,...i,...j->...', b.inverse_metric,
+        "gradient_inner": np.einsum('...ij,...i,...j->...', o.inverse,
                                     grad, grad_g),
-        "project_normal": np.einsum('...n,...nc->...c', normal,
-                                    b.normal_frame),
+        "normal_part": np.einsum('...n,...nc->...c', normal, o.normal_frame),
         "normal_gradient_sq": np.einsum('...kn,...kn->...', comps, comps),
     }
 
@@ -384,7 +474,13 @@ ORACLE_SURFACES = {
     "clifford_torus": lambda: clifford_torus(32, 32),
     "lagrangian_graph": lambda: lagrangian_graph(32, 32, 0.1),
     "symplectic_graph": lambda: symplectic_graph(32, 32, 0.1),
+    "twisted_graph": twisted_graph,
 }
+
+# Bundle fields compared with the oracle's fields of the same name.
+BUNDLE_FIELDS = ("det_g", "area_element", "mean_curvature", "norm_A2",
+                 "norm_H2", "cos_alpha", "lag_angle_unit", "nabla_bar_j2",
+                 "h_dot_a2")
 
 
 def _assert_field_close(got, expect, name):
@@ -405,26 +501,26 @@ def test_closed_form_bundle_matches_einsum_reference(name, seed, order):
     state = ORACLE_SURFACES[name]().transformed(
         offset=rng.uniform(-1.0, 1.0, 4), rotation=su2_real(rng))
     rotation = rng.uniform(0.0, 2.0 * np.pi, (state.grid.n1, state.grid.n2))
-    got = build_geometry(state, tangent_rotation=rotation,
-                         normal_basis_order=tuple(order))
-    expect = _reference_bundle(state, rotation, tuple(order))
-    for field in expect.__dataclass_fields__:
-        a, b = getattr(got, field), getattr(expect, field)
-        if field == "grid":
-            assert a is b
-        elif b.dtype == bool:
-            np.testing.assert_array_equal(a, b, err_msg=field)
-        else:
-            _assert_field_close(a, b, field)
+    got = build_geometry(state)
+    expect = frame_oracle(state, rotation, tuple(order))
+    assert got.grid is expect.grid
+    for field in BUNDLE_FIELDS:
+        _assert_field_close(getattr(got, field), getattr(expect, field), field)
+    # Gamma^k_ij for ij = uu, uv, vv.
+    pairs = ((0, 0), (0, 1), (1, 1))
+    _assert_field_close(
+        np.stack(got.christoffel),
+        np.stack([[expect.christoffel[..., k, i, j] for i, j in pairs]
+                  for k in range(2)]), "christoffel")
     # Generic fields: two scalars and a vector field with tangential part.
     f = got.cos_alpha + got.positions[..., 0]
     g = got.positions[..., 1] * got.positions[..., 2]
-    x = got.mean_curvature + got.first_derivs[..., 0, :]
+    x = got.mean_curvature + got.curvature.f_u
     ops = {"laplace_beltrami": laplace_beltrami(f, got),
            "gradient_sq": gradient_sq(f, got),
            "gradient_inner": gradient_inner(f, g, got),
-           "project_normal": project_normal(x, got),
+           "normal_part": got.curvature.normal_part(x),
            "normal_gradient_sq": normal_gradient_sq(x, got)}
-    ref = _reference_operators(f, g, x, got)
+    ref = _reference_operators(f, g, x, expect)
     for key, value in ops.items():
         _assert_field_close(value, ref[key], key)

@@ -262,8 +262,7 @@ def test_report_serializes_numpy_and_dataclasses(tmp_path):
         "value": 1.5,
         "counts": [0, 1, 2],
         "ok": True,
-        "pinch": {"min_margin": 0.25, "violating_nodes": [3],
-                  "vacuous": False},
+        "pinch": {"min_margin": 0.25, "violating_nodes": [3]},
     }
 
 
