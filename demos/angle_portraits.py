@@ -18,7 +18,7 @@ from mcf4d.scenarios import (clifford_torus, complex_line, lagrangian_graph,
 def portrait(name, state) -> None:
     b = build_geometry(state)
     ca = b.cos_alpha
-    omega_norm = plane_angles(b.curvature.f_u, b.curvature.f_v, b.area_element)[2]
+    omega_norm = plane_angles(b.f_u, b.f_v, b.area_element)[2]
     identity = np.abs(ca ** 2 + omega_norm ** 2 - 1.0).max()
     margin = pinching_check(b).min_margin
     theta = np.angle(b.lag_angle_unit)

@@ -3,8 +3,9 @@ cutoff-scan.
 
 Every subcommand reads a flat ``key = value`` config file; outputs are
 deterministic text artifacts in the configured output directory.  Exit code 0
-means success, 2 a configuration or precondition error, 3 a numerical
-failure; in both failure cases the error class name is printed on stderr.
+means success, 2 a configuration or precondition error (a config file or
+output directory that cannot be opened among them), 3 a numerical failure;
+in both failure cases the error class name is printed on stderr.
 """
 
 from __future__ import annotations
@@ -381,7 +382,7 @@ def main(argv=None) -> int:
             if section not in SECTIONS:
                 _check_section(cfg, section, ())
         return COMMANDS[args.command](cfg, args)
-    except (FileNotFoundError, BadParameter) as exc:
+    except (OSError, BadParameter) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return CONFIG_EXIT
     except Mcf4dError as exc:

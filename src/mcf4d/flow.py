@@ -5,10 +5,10 @@ velocity is the mean curvature projected onto the normal plane, so the
 parametrization never drifts tangentially and evolution identities for
 node-attached fields hold in their normal-gauge form.
 
-Each accepted step evaluates the position derivatives and the frame-free
-curvature kernel (:class:`~mcf4d.geometry.Curvature`) once; that one
-evaluation feeds the step's scalar row, its CFL step size, the first RK4
-stage, and the stored |A|^2 field when the state is stored.
+Each accepted step builds the state's geometry
+(:class:`~mcf4d.geometry.GeometryBundle`) once; that one object feeds the
+step's scalar row, its CFL step size, the first RK4 stage, and the stored
+|A|^2 field when the state is stored.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import (BadParameter, DegenerateMetric, InsufficientBlowup,
                      Mcf4dError, NonFinite, ShortTrace)
-from .geometry import Curvature, GeometryBundle, build_geometry, plane_angles
-from .grid import ParamGrid, SurfaceState, position_derivatives
+from .geometry import GeometryBundle, build_geometry
+from .grid import SurfaceState
 
 CFL_DENOMINATOR = 8.0
+MIN_GROWTH = 10.0    # growth of max|A|^2 over its first value a fit needs
 
 SCALAR_COLUMNS = ("step", "t", "area", "max_A2", "max_H2",
                   "min_cos_alpha", "min_cos_theta", "min_detg")
@@ -48,6 +49,9 @@ class RunControls:
             raise BadParameter(f"dt must be finite and positive, got {self.dt}")
         if np.isnan(self.t_end):
             raise BadParameter("t_end must not be NaN")
+        if not self.blowup_threshold > 0:
+            raise BadParameter(f"blowup_threshold must be positive, got "
+                               f"{self.blowup_threshold}")
         if self.max_steps < 0:
             raise BadParameter(
                 f"max_steps must be non-negative, got {self.max_steps}")
@@ -141,54 +145,42 @@ class FlowTrace:
                          meta=dict(self.meta))
 
 
-def scalar_row(step: int, state: SurfaceState, curv: Curvature) -> tuple:
-    """Diagnostics row of ``state`` (see SCALAR_COLUMNS) from its curvature.
-
-    The angles need no frame: e1 ^ e2 = F_u ^ F_v / sqrt(det g) for every
-    oriented orthonormal tangent frame.
-    """
-    area_element = np.sqrt(curv.det_g)
-    cos_alpha, unit, _, _ = plane_angles(curv.f_u, curv.f_v, area_element)
-    area = float(np.sum(area_element * state.grid.node_weight()))
-    return (step, state.time, area,
-            float(curv.norm_A2.max()), float(curv.norm_H2.max()),
-            float(cos_alpha.min()), float(unit.real.min()),
-            float(curv.det_g.min()))
+def scalar_row(step: int, geom: GeometryBundle) -> tuple:
+    """Diagnostics row (see SCALAR_COLUMNS) of the state ``geom`` was
+    built from."""
+    return (step, geom.time, float(np.sum(geom.quadrature_weights())),
+            float(geom.norm_A2.max()), float(geom.norm_H2.max()),
+            float(geom.cos_alpha.min()), float(geom.cos_theta.min()),
+            float(geom.det_g.min()))
 
 
-def cfl_dt(curv: Curvature, grid: ParamGrid, safety: float = 0.9) -> float:
+def cfl_dt(geom: GeometryBundle, safety: float = 0.9) -> float:
     """Parabolic step bound: safety * min(eig_min(g)) * min(spacing)^2 / 8."""
-    half_tr = 0.5 * (curv.g11 + curv.g22)
-    radius = np.sqrt(0.25 * (curv.g11 - curv.g22) ** 2 + curv.g12 ** 2)
+    half_tr = 0.5 * (geom.g11 + geom.g22)
+    radius = np.sqrt(0.25 * (geom.g11 - geom.g22) ** 2 + geom.g12 ** 2)
     eig_min = float(np.min(half_tr - radius))
-    h_min = min(grid.spacing1, grid.spacing2)
+    h_min = min(geom.grid.spacing1, geom.grid.spacing2)
     return safety * eig_min * h_min * h_min / CFL_DENOMINATOR
 
 
-def state_curvature(state: SurfaceState) -> Curvature:
-    """Curvature kernel of a finite state: derivatives evaluated once."""
-    state.require_finite()
-    return Curvature(*position_derivatives(state))
-
-
 def velocity(state: SurfaceState,
-             curv: Curvature | None = None) -> np.ndarray:
-    """Mean curvature vector field H of ``state``; ``curv``, when given, is
-    the state's kernel already evaluated and is read, not recomputed."""
-    if curv is None:
-        curv = Curvature(*position_derivatives(state))
-    return curv.mean_curvature
+             geom: GeometryBundle | None = None) -> np.ndarray:
+    """Mean curvature vector field H of ``state``; ``geom``, when given, is
+    the state's geometry already built and is read, not recomputed."""
+    if geom is None:
+        geom = GeometryBundle(state)
+    return geom.mean_curvature
 
 
-def step(state: SurfaceState, dt: float, curv: Curvature) -> SurfaceState:
-    """One explicit RK4 step of dF/dt = H; ``curv`` is the kernel of
+def step(state: SurfaceState, dt: float, geom: GeometryBundle) -> SurfaceState:
+    """One explicit RK4 step of dF/dt = H; ``geom`` is the geometry of
     ``state`` and supplies the first stage."""
 
     def advanced(base, scale, k):
         return SurfaceState(state.grid, base.positions + scale * k, state.time,
                             state.shift1, state.shift2)
 
-    k1 = velocity(state, curv)
+    k1 = velocity(state, geom)
     k2 = velocity(advanced(state, 0.5 * dt, k1))
     k3 = velocity(advanced(state, 0.5 * dt, k2))
     k4 = velocity(advanced(state, dt, k3))
@@ -216,8 +208,8 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
     k = 0
     while reason is None:
         try:
-            curv = state_curvature(state)
-            row = scalar_row(k, state, curv)
+            geom = GeometryBundle(state)
+            row = scalar_row(k, geom)
         except (DegenerateMetric, NonFinite):
             if k == 0:
                 raise
@@ -232,17 +224,17 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
             reason = "step_limit"
         else:
             dt = controls.dt if controls.dt is not None else cfl_dt(
-                curv, state.grid, controls.safety)
+                geom, controls.safety)
             if np.isfinite(controls.t_end):
                 dt = min(dt, controls.t_end - state.time)
             if dt <= 0:
                 raise Mcf4dError(f"non-positive step size {dt}")
             try:
-                following = step(state, dt, curv)
+                following = step(state, dt, geom)
             except (DegenerateMetric, NonFinite):
                 reason = "degenerate_mesh"
         if k % controls.stride == 0 or reason is not None:
-            a2_fields[len(states)] = curv.norm_A2
+            a2_fields[len(states)] = geom.norm_A2
             states.append(state)
             state_steps.append(k)
         if reason is None:
@@ -266,8 +258,7 @@ class SingularityVerdict:
     window: tuple[int, int]      # sample index range [start, stop)
 
 
-def estimate_singular_time(trace: FlowTrace,
-                           min_growth: float = 10.0) -> SingularityVerdict:
+def estimate_singular_time(trace: FlowTrace) -> SingularityVerdict:
     """Fit the singular time from the scalar series of a blow-up trace.
 
     Fits 1/max|A|^2 as an affine function of t over the last quarter of the
@@ -275,16 +266,18 @@ def estimate_singular_time(trace: FlowTrace,
     after the window's last time and (T - t) max|A|^2 oscillates under 20%
     over the window, TypeII when it grows monotonically by more than 5x,
     else Undetermined.  A root inside the window means the affine fit does
-    not hold, so it is never TypeI.
+    not hold, so it is never TypeI.  The fit needs at least 20 samples with
+    max|A|^2 at least MIN_GROWTH times its first value.
     """
     if trace.termination_reason != "blowup_detected":
         raise InsufficientBlowup(
             f"trace ended with {trace.termination_reason!r}, not blowup_detected")
     t = trace.scalars.t
     a2 = trace.scalars.max_A2
-    grown = a2 >= min_growth * a2[0]
+    grown = a2 >= MIN_GROWTH * a2[0]
     if int(np.count_nonzero(grown)) < 20:
-        raise InsufficientBlowup("fewer than 20 samples above 10x initial curvature")
+        raise InsufficientBlowup(
+            f"fewer than 20 samples above {MIN_GROWTH:g}x initial curvature")
     n = t.size
     start = max(0, n - max(5, n // 4))
     if n - start < 5:

@@ -19,7 +19,6 @@ from .errors import (BadP, BadParameter, DenominatorFloor, ShortTrace,
 from .flow import FlowTrace
 from .geometry import (GeometryBundle, gradient_sq, laplace_beltrami,
                        normal_gradient_sq)
-from .grid import SurfaceState
 from .stencils import fd_weights
 
 DELTA_FLOOR = 1e-3        # hard floor on angle-cosine weight denominators
@@ -71,8 +70,12 @@ class GaussianWeight:
         center = np.asarray(self.center, dtype=float)
         if center.shape != (4,):
             raise BadParameter("Gaussian center must be a 4-vector")
+        t0 = float(self.reference_time)
+        if not (np.all(np.isfinite(center)) and np.isfinite(t0)):
+            raise BadParameter(f"Gaussian center {center.tolist()} and "
+                               f"reference time {t0} must be finite")
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "reference_time", float(self.reference_time))
+        object.__setattr__(self, "reference_time", t0)
 
     def kernel(self, positions: np.ndarray, time: float):
         """Per-node kernel values and the active (non-truncated) mask."""
@@ -89,18 +92,17 @@ class GaussianWeight:
         return rho, active
 
 
-def gaussian_density(weight: GaussianWeight, state: SurfaceState,
-                     bundle: GeometryBundle) -> float:
+def gaussian_density(weight: GaussianWeight, geom: GeometryBundle) -> float:
     """Integral of the backward kernel over the surface (quadrature sum)."""
-    rho, _ = weight.kernel(bundle.positions, state.time)
-    return float(np.sum(rho * bundle.quadrature_weights()))
+    rho, _ = weight.kernel(geom.positions, geom.time)
+    return float(np.sum(rho * geom.quadrature_weights()))
 
 
-def _floor_checked_weight(weight: GaussianWeight, state: SurfaceState,
-                          bundle: GeometryBundle, kind: str):
+def _floor_checked_weight(weight: GaussianWeight, geom: GeometryBundle,
+                          kind: str):
     """Kernel, active mask, and denominator field with the floor enforced."""
-    rho, active = weight.kernel(bundle.positions, state.time)
-    denom = _angle_cosine(bundle, kind)
+    rho, active = weight.kernel(geom.positions, geom.time)
+    denom = _angle_cosine(geom, kind)
     bad = active & (denom < DELTA_FLOOR)
     if np.any(bad):
         node = int(np.flatnonzero(bad.ravel())[0])
@@ -110,13 +112,13 @@ def _floor_checked_weight(weight: GaussianWeight, state: SurfaceState,
     return rho, active, denom
 
 
-def weighted_psi(weight: GaussianWeight, state: SurfaceState,
-                 bundle: GeometryBundle, kind: str) -> float:
+def weighted_psi(weight: GaussianWeight, geom: GeometryBundle,
+                 kind: str) -> float:
     """Angle-weighted Gaussian integral: kernel / cos(angle) over the surface."""
     _check_kind(kind)
-    rho, active, denom = _floor_checked_weight(weight, state, bundle, kind)
+    rho, active, denom = _floor_checked_weight(weight, geom, kind)
     integrand = np.where(active, rho / np.where(active, denom, 1.0), 0.0)
-    return float(np.sum(integrand * bundle.quadrature_weights()))
+    return float(np.sum(integrand * geom.quadrature_weights()))
 
 
 @dataclass
@@ -159,11 +161,11 @@ def _centered_time_derivative(times: np.ndarray,
     return np.array(out)
 
 
-def _drift_field(bundle: GeometryBundle, weight: GaussianWeight,
+def _drift_field(geom: GeometryBundle, weight: GaussianWeight,
                  tau: float) -> np.ndarray:
     """|H + (F - X0)^perp / 2 tau|^2 per node."""
-    offset = bundle.curvature.normal_part(bundle.positions - weight.center)
-    vec = bundle.mean_curvature + offset / (2.0 * tau)
+    offset = geom.normal_part(geom.positions - weight.center)
+    vec = geom.mean_curvature + offset / (2.0 * tau)
     return np.sum(vec * vec, axis=-1)
 
 
@@ -186,14 +188,14 @@ def monotonicity_scan(trace: FlowTrace, weight: GaussianWeight,
     drift = np.empty(n)
     dissipation = np.empty(n)
     gradient = np.empty(n)
-    for i, state in enumerate(trace.states):
+    for i in range(n):
         bundle = trace.bundle(i)
-        rho, active, denom = _floor_checked_weight(weight, state, bundle, kind)
+        rho, active, denom = _floor_checked_weight(weight, bundle, kind)
         qw = bundle.quadrature_weights()
         safe = np.where(active, denom, 1.0)
         weighted_rho = np.where(active, rho / safe, 0.0) * qw
         psi[i] = np.sum(weighted_rho)
-        tau = weight.reference_time - state.time
+        tau = weight.reference_time - bundle.time
         drift[i] = np.sum(weighted_rho * _drift_field(bundle, weight, tau))
         if kind == "lagrangian":
             dissipation[i] = np.sum(weighted_rho * bundle.norm_H2)
@@ -437,18 +439,18 @@ def weighted_integral_identity_check(trace: FlowTrace, weight: GaussianWeight,
     times = trace.times
     series = np.empty(n)
     rhs = np.empty(n)
-    for i, state in enumerate(trace.states):
+    for i in range(n):
         bundle = trace.bundle(i)
         qw = bundle.quadrature_weights()
-        tau = weight.reference_time - state.time
+        tau = weight.reference_time - bundle.time
         drift = _drift_field(bundle, weight, tau)
         if test_field == "one":
-            rho, _ = weight.kernel(bundle.positions, state.time)
+            rho, _ = weight.kernel(bundle.positions, bundle.time)
             series[i] = np.sum(rho * qw)
             rhs[i] = -np.sum(rho * drift * qw)
         else:
             rho, active, denom = _floor_checked_weight(
-                weight, state, bundle, "lagrangian")
+                weight, bundle, "lagrangian")
             f = 1.0 / np.where(active, denom, 1.0)
             c = denom
             bulk = -bundle.norm_H2 / c - 2.0 * gradient_sq(c, bundle) / c ** 3
@@ -460,8 +462,7 @@ def weighted_integral_identity_check(trace: FlowTrace, weight: GaussianWeight,
                             lhs=lhs, rhs=rhs[1:-1], residual=lhs - rhs[1:-1])
 
 
-def area_ratio(state: SurfaceState, bundle: GeometryBundle, center,
-               radii) -> np.ndarray:
+def area_ratio(geom: GeometryBundle, center, radii) -> np.ndarray:
     """Measure of the surface inside balls around a center, divided by R^2."""
     center = np.asarray(center, dtype=float)
     if center.shape != (4,):
@@ -471,6 +472,6 @@ def area_ratio(state: SurfaceState, bundle: GeometryBundle, center,
         radii = radii[None]
     if np.any(radii <= 0):
         raise BadParameter("ball radii must be positive")
-    dist = np.sqrt(np.sum((bundle.positions - center) ** 2, axis=-1))
-    qw = bundle.quadrature_weights()
+    dist = np.sqrt(np.sum((geom.positions - center) ** 2, axis=-1))
+    qw = geom.quadrature_weights()
     return np.array([float(np.sum(qw[dist < r])) / r ** 2 for r in radii])

@@ -6,19 +6,19 @@ Lagrangian angle, |H|^2, |A|^2 and |grad J|^2) are gauge invariant, so each
 has a closed form in the position derivatives F_u, F_v, the normal parts
 A_ij of the Hessian and the inverse metric g^ij.
 
-:class:`Curvature` turns the position derivatives into g, g^-1, A_ij, H,
-|A|^2 and |H|^2 by 2x2 algebra and ambient dot products; the flow integrator
-and its per-step diagnostics use it alone.  :class:`GeometryBundle`, built by
-:func:`build_geometry`, is a lazy view on one Curvature: each further field
-(the angles, the Christoffel symbols, |grad J|^2 and sum <H, A_ij>^2) is
-computed the first time it is read.  The angles come from F_u ^ F_v, which
-is sqrt(det g) e1 ^ e2 for every oriented orthonormal tangent frame, and
+:class:`GeometryBundle` is the geometry of one surface state, built from
+the state: it evaluates the position derivatives once and forms g, g^-1
+and H by 2x2 algebra and ambient dot products; each further field (A_ij,
+|A|^2, |H|^2, the area element, the angles, the Christoffel symbols,
+|grad J|^2 and sum <H, A_ij>^2) is computed the first time it is read.
+The flow integrator, its per-step diagnostics and every stored-state
+analysis read the same object.  The angles come from F_u ^ F_v, which is
+sqrt(det g) e1 ^ e2 for every oriented orthonormal tangent frame, and
 |grad J|^2 = |A|^2 - 2 K^perp from the normal curvature K^perp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,22 +53,24 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3])
 
 
-class Curvature:
-    """Frame-free curvature of an immersion from its position derivatives.
+class GeometryBundle:
+    """Frame-free geometry of one surface state, built from the state.
 
-    The one curvature kernel of the package: the flow's stage velocities, its
-    per-step diagnostics and :func:`build_geometry` all read H and |A|^2 from
-    here.  From (F_u, F_v, F_uu, F_uv, F_vv) it forms g, det g and g^-1 by
-    explicit 2x2 algebra, and normal parts as x - g^ij <x, F_j> F_i, using
-    ambient dot products only (no frame, no Christoffel tensor).  The mean
-    curvature vector H = g^ij A_ij is computed on construction; the normal
-    parts A_ij of F_ij, |A|^2 = g^ik g^jl <A_ij, A_kl> and |H|^2 on first
-    use, so an RK4 stage, which needs only H, pays for nothing else.
+    Construction checks the positions are finite, evaluates (F_u, F_v,
+    F_uu, F_uv, F_vv) once, and forms g, det g, g^-1 and H = g^ij A_ij,
+    taking normal parts as x - g^ij <x, F_j> F_i (no frame, no Christoffel
+    tensor).  Every other field is computed on first read, so an RK4 stage,
+    which needs only H, pays for nothing else.  The state's ``grid``,
+    ``positions`` and ``time`` are kept.
 
-    Raises DegenerateMetric when det g falls below the immersion floor.
+    Raises NonFinite on non-finite positions and DegenerateMetric when
+    det g falls below the immersion floor; the angle fields raise
+    FrameInconsistent when |omega(e1, e2)| exceeds 1 beyond rounding.
     """
 
-    def __init__(self, f_u, f_v, f_uu, f_uv, f_vv):
+    def __init__(self, state: SurfaceState):
+        state.require_finite()
+        f_u, f_v, f_uu, f_uv, f_vv = position_derivatives(state)
         g11 = _dot(f_u, f_u)
         g12 = _dot(f_u, f_v)
         g22 = _dot(f_v, f_v)
@@ -76,6 +78,8 @@ class Curvature:
         if np.any(det <= DET_G_FLOOR):
             node = int(np.argmax(det <= DET_G_FLOOR))
             raise DegenerateMetric(node, f"det g = {det.flat[node]:.3e}")
+        self.grid, self.positions, self.time = (state.grid, state.positions,
+                                                state.time)
         self.f_u, self.f_v = f_u, f_v
         self.hessian = (f_uu, f_uv, f_vv)
         self.g11, self.g12, self.g22, self.det_g = g11, g12, g22, det
@@ -122,6 +126,51 @@ class Curvature:
                 + 4.0 * q * (p * pair(x11, x12) + r * pair(x12, x22))
                 + 2.0 * (p * r + q * q) * pair(x12, x12))
 
+    @cached_property
+    def area_element(self) -> np.ndarray:
+        return np.sqrt(self.det_g)
+
+    @cached_property
+    def _angles(self) -> tuple:
+        return plane_angles(self.f_u, self.f_v, self.area_element)
+
+    @property
+    def cos_alpha(self) -> np.ndarray:
+        """Cosine of the Kahler angle, omega(e1, e2)."""
+        return self._angles[0]
+
+    @property
+    def lag_angle_unit(self) -> np.ndarray:
+        """e^{i theta}: the Lagrangian angle as a unit complex number."""
+        return self._angles[1]
+
+    @property
+    def cos_theta(self) -> np.ndarray:
+        """Cosine of the Lagrangian angle (meaningful on Lagrangian surfaces)."""
+        return self.lag_angle_unit.real
+
+    @cached_property
+    def christoffel(self) -> tuple:
+        """(Gamma^u, Gamma^v), each (3, n1, n2) over ij = uu, uv, vv.  In
+        flat ambient space Gamma^k_ij = g^kl <F_ij, F_l>, the tangential
+        coefficients of the Hessian."""
+        return self.tangent_coords(np.stack(self.hessian))
+
+    @cached_property
+    def nabla_bar_j2(self) -> np.ndarray:
+        """|grad J_Sigma|^2, see :func:`j_gradient_sq`."""
+        return j_gradient_sq(self)
+
+    @cached_property
+    def h_dot_a2(self) -> np.ndarray:
+        """sum_ab <H, A(e_a, e_b)>^2 = g^ik g^jl <H, A_ij><H, A_kl>."""
+        return self.double_trace(np.multiply, *(
+            _dot(self.mean_curvature, a) for a in self.normal_hessian))
+
+    def quadrature_weights(self) -> np.ndarray:
+        """Per-node surface measure: area element times parameter cell."""
+        return self.area_element * self.grid.node_weight()
+
 
 def plane_angles(a: np.ndarray, b: np.ndarray, area):
     """Kahler and Lagrangian angle data of the oriented plane of a ^ b.
@@ -155,7 +204,7 @@ def _wedge(a: np.ndarray, b: np.ndarray) -> list:
     return [a[..., i] * b[..., j] - a[..., j] * b[..., i] for i, j in _PAIRS]
 
 
-def j_gradient_sq(curv: Curvature) -> np.ndarray:
+def j_gradient_sq(geom: GeometryBundle) -> np.ndarray:
     """|grad J_Sigma|^2 = |A|^2 - 2 K^perp per node.
 
     J_Sigma rotates the tangent and the normal plane by 90 degrees, so its
@@ -168,108 +217,25 @@ def j_gradient_sq(curv: Curvature) -> np.ndarray:
     determinant pairs A_ij ^ A_kl with the Hodge dual of F_u ^ F_v.  The
     value is >= |H|^2 / 2 up to rounding, and needs no frame.
     """
-    p = _wedge(curv.f_u, curv.f_v)
+    p = _wedge(geom.f_u, geom.f_v)
     dual = (p[5], -p[4], p[3], p[2], -p[1], p[0])
-    a11, a12, a22 = curv.normal_hessian
+    a11, a12, a22 = geom.normal_hessian
 
     def det(x, y):
         """det[F_u, F_v, x, y] per node."""
         return sum(d * w for d, w in zip(dual, _wedge(x, y)))
 
-    k_perp = (curv.inv11 * det(a11, a12) + curv.inv12 * det(a11, a22)
-              + curv.inv22 * det(a12, a22)) / curv.det_g
-    return curv.norm_A2 - 2.0 * k_perp
+    k_perp = (geom.inv11 * det(a11, a12) + geom.inv12 * det(a11, a22)
+              + geom.inv22 * det(a12, a22)) / geom.det_g
+    return geom.norm_A2 - 2.0 * k_perp
 
 
 nabla_bar_j2_filled = j_gradient_sq  # name kept for bench/tracer.py
 
 
-@dataclass
-class GeometryBundle:
-    """Per-node geometric data of one surface state: a lazy view on its
-    :class:`Curvature`, which holds F_u, F_v, g^-1, A_ij, H, |A|^2 and
-    |H|^2.  Each other field is computed when it is first read, so a
-    consumer pays only for the fields it reads."""
-
-    grid: ParamGrid
-    positions: np.ndarray        # (n1, n2, 4)
-    curvature: Curvature
-
-    @property
-    def det_g(self) -> np.ndarray:
-        return self.curvature.det_g
-
-    @property
-    def mean_curvature(self) -> np.ndarray:
-        return self.curvature.mean_curvature
-
-    @property
-    def norm_A2(self) -> np.ndarray:
-        return self.curvature.norm_A2
-
-    @property
-    def norm_H2(self) -> np.ndarray:
-        return self.curvature.norm_H2
-
-    @cached_property
-    def area_element(self) -> np.ndarray:
-        return np.sqrt(self.curvature.det_g)
-
-    @cached_property
-    def _angles(self) -> tuple:
-        curv = self.curvature
-        return plane_angles(curv.f_u, curv.f_v, self.area_element)
-
-    @property
-    def cos_alpha(self) -> np.ndarray:
-        """Cosine of the Kahler angle, omega(e1, e2)."""
-        return self._angles[0]
-
-    @property
-    def lag_angle_unit(self) -> np.ndarray:
-        """e^{i theta}: the Lagrangian angle as a unit complex number."""
-        return self._angles[1]
-
-    @property
-    def cos_theta(self) -> np.ndarray:
-        """Cosine of the Lagrangian angle (meaningful on Lagrangian surfaces)."""
-        return self.lag_angle_unit.real
-
-    @cached_property
-    def christoffel(self) -> tuple:
-        """(Gamma^u, Gamma^v), each (3, n1, n2) over ij = uu, uv, vv.  In
-        flat ambient space Gamma^k_ij = g^kl <F_ij, F_l>, the tangential
-        coefficients of the Hessian."""
-        return self.curvature.tangent_coords(np.stack(self.curvature.hessian))
-
-    @cached_property
-    def nabla_bar_j2(self) -> np.ndarray:
-        """|grad J_Sigma|^2, see :func:`j_gradient_sq`."""
-        return j_gradient_sq(self.curvature)
-
-    @cached_property
-    def h_dot_a2(self) -> np.ndarray:
-        """sum_ab <H, A(e_a, e_b)>^2 = g^ik g^jl <H, A_ij><H, A_kl>."""
-        curv = self.curvature
-        return curv.double_trace(np.multiply, *(
-            _dot(curv.mean_curvature, a) for a in curv.normal_hessian))
-
-    def quadrature_weights(self) -> np.ndarray:
-        """Per-node surface measure: area element times parameter cell."""
-        return self.area_element * self.grid.node_weight()
-
-
 def build_geometry(state: SurfaceState) -> GeometryBundle:
-    """Geometric bundle of a surface state; only its curvature kernel is
-    evaluated here, every other field on first read.
-
-    Raises DegenerateMetric when det g falls below the immersion floor; the
-    angle fields raise FrameInconsistent when |omega(e1, e2)| exceeds 1
-    beyond rounding.
-    """
-    state.require_finite()
-    return GeometryBundle(grid=state.grid, positions=state.positions,
-                          curvature=Curvature(*position_derivatives(state)))
+    """Geometry of a surface state, :class:`GeometryBundle` ``(state)``."""
+    return GeometryBundle(state)
 
 
 def field_derivatives(field: np.ndarray, grid: ParamGrid):
@@ -278,50 +244,46 @@ def field_derivatives(field: np.ndarray, grid: ParamGrid):
             scalar_derivative(field, grid, 1, 1))
 
 
-def laplace_beltrami(field: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
+def laplace_beltrami(field: np.ndarray, geom: GeometryBundle) -> np.ndarray:
     """Surface Laplacian g^ij (d2_ij f - Gamma^k_ij d_k f) per node."""
-    grid = bundle.grid
+    grid = geom.grid
     f_u, f_v = field_derivatives(field, grid)
     f_uu = scalar_derivative(field, grid, 0, 2)
     f_vv = scalar_derivative(field, grid, 1, 2)
     f_uv = scalar_derivative(f_u, grid, 1, 1)
-    gam_u, gam_v = bundle.christoffel
-    curv = bundle.curvature
+    gam_u, gam_v = geom.christoffel
 
     def covariant(f_ij, ij):
         return f_ij - gam_u[ij] * f_u - gam_v[ij] * f_v
 
-    return (curv.inv11 * covariant(f_uu, 0)
-            + 2.0 * curv.inv12 * covariant(f_uv, 1)
-            + curv.inv22 * covariant(f_vv, 2))
+    return (geom.inv11 * covariant(f_uu, 0)
+            + 2.0 * geom.inv12 * covariant(f_uv, 1)
+            + geom.inv22 * covariant(f_vv, 2))
 
 
-def gradient_sq(field: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
+def gradient_sq(field: np.ndarray, geom: GeometryBundle) -> np.ndarray:
     """|grad f|^2 = g^ij d_i f d_j f per node."""
-    f_u, f_v = field_derivatives(field, bundle.grid)
-    curv = bundle.curvature
-    return (curv.inv11 * f_u * f_u + 2.0 * curv.inv12 * f_u * f_v
-            + curv.inv22 * f_v * f_v)
+    f_u, f_v = field_derivatives(field, geom.grid)
+    return (geom.inv11 * f_u * f_u + 2.0 * geom.inv12 * f_u * f_v
+            + geom.inv22 * f_v * f_v)
 
 
 def gradient_inner(field_a: np.ndarray, field_b: np.ndarray,
-                   bundle: GeometryBundle) -> np.ndarray:
+                   geom: GeometryBundle) -> np.ndarray:
     """Tangential inner product grad f . grad g = g^ij d_i f d_j g."""
-    a_u, a_v = field_derivatives(field_a, bundle.grid)
-    b_u, b_v = field_derivatives(field_b, bundle.grid)
-    curv = bundle.curvature
-    return (curv.inv11 * a_u * b_u
-            + curv.inv12 * (a_u * b_v + a_v * b_u)
-            + curv.inv22 * a_v * b_v)
+    a_u, a_v = field_derivatives(field_a, geom.grid)
+    b_u, b_v = field_derivatives(field_b, geom.grid)
+    return (geom.inv11 * a_u * b_u
+            + geom.inv12 * (a_u * b_v + a_v * b_u)
+            + geom.inv22 * a_v * b_v)
 
 
-def normal_gradient_sq(vectors: np.ndarray, bundle: GeometryBundle) -> np.ndarray:
+def normal_gradient_sq(vectors: np.ndarray, geom: GeometryBundle) -> np.ndarray:
     """|grad^N X|^2 = g^ij <(d_i X)^perp, (d_j X)^perp> per node.
 
     For the mean curvature field this is the |grad H|^2 entering the
     curvature evolution identity.
     """
-    curv = bundle.curvature
-    n_u, n_v = curv.normal_part(np.stack(field_derivatives(vectors, bundle.grid)))
-    return (curv.inv11 * _dot(n_u, n_u) + 2.0 * curv.inv12 * _dot(n_u, n_v)
-            + curv.inv22 * _dot(n_v, n_v))
+    n_u, n_v = geom.normal_part(np.stack(field_derivatives(vectors, geom.grid)))
+    return (geom.inv11 * _dot(n_u, n_u) + 2.0 * geom.inv12 * _dot(n_u, n_v)
+            + geom.inv22 * _dot(n_v, n_v))

@@ -56,9 +56,21 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def _read_ascii(path) -> str:
+    """Text of a file that must be ASCII; a byte outside ASCII raises
+    BadParameter naming the file and the line."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise BadParameter(f"{path}: line {lineno}: byte "
+                           f"{exc.object[exc.start]:#04x} is not ASCII"
+                           ) from None
+
+
 def read_config(path) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(_read_ascii(path))
 
 
 def write_snapshot(path, state: SurfaceState) -> None:
@@ -87,8 +99,7 @@ def _parsed(path, lineno: int, tokens: list[str], kind: type) -> list:
 
 
 def read_snapshot(path) -> SurfaceState:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_ascii(path).splitlines()
     if not lines:
         raise BadParameter(f"{path}: empty snapshot")
     head = lines[0].split()

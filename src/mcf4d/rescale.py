@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InsufficientCoverage
+from .errors import BadParameter, InsufficientCoverage
 from .flow import SCALAR_COLUMNS, FlowTrace, TraceScalars
 
 SIGMA_CANDIDATES = 64
@@ -83,8 +83,20 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
     -------
     RescaleRecord
         Without ``rescaledTrace``; pass to :func:`rescale_flow` to fill it.
+
+    Raises BadParameter unless r_k is finite and positive, T_hat finite and
+    X0 a finite 4-vector; InsufficientCoverage when the stored states do not
+    cover the selection window.
     """
     X0 = np.asarray(X0, dtype=float)
+    if not (np.isfinite(r_k) and r_k > 0):
+        raise BadParameter(f"selection radius must be finite and positive, "
+                           f"got {r_k}")
+    if not np.isfinite(T_hat):
+        raise BadParameter(f"singular time T_hat must be finite, got {T_hat}")
+    if X0.shape != (4,) or not np.all(np.isfinite(X0)):
+        raise BadParameter(f"anchor must be a finite 4-vector, got "
+                           f"{X0.tolist()}")
     hi = T_hat - (0.5 * r_k) ** 2
     full_lo = T_hat - r_k ** 2
     if len(_window_states(trace, full_lo, hi)) < 3:

@@ -14,8 +14,8 @@ from typing import Callable, NamedTuple, get_type_hints
 import numpy as np
 
 from .errors import BadParameter, InsufficientBlowup
-from .flow import (FlowTrace, RunControls, TraceScalars, scalar_row,
-                   state_curvature)
+from .flow import FlowTrace, RunControls, TraceScalars, scalar_row
+from .geometry import GeometryBundle
 from .grid import ParamGrid, SurfaceState
 
 TWO_PI = 2.0 * np.pi
@@ -146,9 +146,9 @@ def translating_trace(builder: Callable[[float], SurfaceState],
         states.append(state)
     rows, a2_fields = [], {}
     for k, state in enumerate(states):
-        curv = state_curvature(state)
-        rows.append(scalar_row(k, state, curv))
-        a2_fields[k] = curv.norm_A2
+        geom = GeometryBundle(state)
+        rows.append(scalar_row(k, geom))
+        a2_fields[k] = geom.norm_A2
     return FlowTrace(states=states, state_steps=list(range(len(states))),
                      scalars=TraceScalars.from_rows(rows),
                      termination_reason="reached_t_end", _a2_fields=a2_fields)
@@ -186,7 +186,7 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
 
     patch0 = sphere_patch(radius=r0, **patch)
     _, _, area0, _, _, cos_a_min, cos_t_min, det_min0 = scalar_row(
-        0, patch0, state_curvature(patch0))
+        0, GeometryBundle(patch0))
 
     rows = [(k, t[k], area0 * (r[k] / r0) ** 2, 2.0 / r[k] ** 2, 4.0 / r[k] ** 2,
              cos_a_min, cos_t_min, det_min0 * (r[k] / r0) ** 4)

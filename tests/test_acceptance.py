@@ -42,13 +42,13 @@ def test_criterion_01_gaussian_density_of_flat_patches():
     w = GaussianWeight(np.zeros(4), 0.1)
     st = plane(64, 64, halfwidth=3.0)
     b = build_geometry(st)
-    assert abs(gaussian_density(w, st, b) - 1.0) <= 1e-6
+    assert abs(gaussian_density(w, b) - 1.0) <= 1e-6
 
     d = 0.5
     st_off = plane(64, 64, halfwidth=3.0, offset=d)
     b_off = build_geometry(st_off)
     expect = np.exp(-d * d / (4.0 * 0.1))
-    assert abs(gaussian_density(w, st_off, b_off) - expect) <= 1e-6
+    assert abs(gaussian_density(w, b_off) - expect) <= 1e-6
 
 
 def test_criterion_02_shrinking_torus_tracks_closed_forms(torus64_trace):
@@ -218,13 +218,13 @@ def test_criterion_09_invariance_under_rescaling_gauge_and_unitaries(
     st = lagrangian_graph(32, 32, 0.1)
     w1 = GaussianWeight(LAGR_CENTER, WEIGHT_T0)
     b1 = build_geometry(st)
-    psi1 = weighted_psi(w1, st, b1, "lagrangian")
+    psi1 = weighted_psi(w1, b1, "lagrangian")
     st2 = st.transformed(scale=lam, offset=xc,
                          time=lam * lam * (st.time - tc))
     w2 = GaussianWeight(lam * (LAGR_CENTER - xc),
                         lam * lam * (WEIGHT_T0 - tc))
     b2 = build_geometry(st2)
-    psi2 = weighted_psi(w2, st2, b2, "lagrangian")
+    psi2 = weighted_psi(w2, b2, "lagrangian")
     assert abs(psi2 - psi1) <= 1e-9
     assert np.abs(b2.cos_alpha - b1.cos_alpha).max() <= 1e-9
     assert np.abs(b2.lag_angle_unit - b1.lag_angle_unit).max() <= 1e-9

@@ -5,13 +5,21 @@ file, then inspects exit codes, stderr error-class prefixes, and the written
 artifacts.
 """
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from mcf4d import cli
 
 
 def run_cli(*args):
@@ -62,6 +70,16 @@ def test_missing_config_file_exits_two(tmp_path):
     proc = run_cli("simulate", "--config", str(tmp_path / "absent.cfg"))
     assert proc.returncode == 2
     assert "FileNotFoundError" in proc.stderr
+
+
+def test_unreadable_config_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "accented.cfg"
+    cfg.write_bytes("scenario.name = plane\n# café\n".encode("utf-8"))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("BadParameter:") and "accented.cfg: line 2" in err
+    assert cli.main(["simulate", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("IsADirectoryError:")
 
 
 def test_unknown_scenario_exits_two(tmp_path):
@@ -195,7 +213,8 @@ def test_cutoff_scan_rejects_sparse_sampling(tmp_path):
     "controls.dt = -1",
     "controls.t_end = nan",
     "controls.max_steps = -1",
-], ids=["stride", "safety", "dt", "t_end", "max_steps"])
+    "controls.blowup_threshold = 0",
+], ids=["stride", "safety", "dt", "t_end", "max_steps", "blowup_threshold"])
 def test_simulate_rejects_bad_run_controls(tmp_path, line):
     # The case line comes after the step cap, so it overrides it.
     cfg = write_config(tmp_path, f"""
@@ -301,7 +320,6 @@ def test_keys_outside_the_config_sections_exit_two(tmp_path, monkeypatch,
                                                    capsys, line, key):
     # Read as no section at all, the key would leave output.directory at its
     # default, the working directory, and the report would land there.
-    from mcf4d import cli
     cfg = write_config(tmp_path, line)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["cutoff-scan", "--config", cfg]) == 2
@@ -370,3 +388,79 @@ def test_verify_rejects_scenarios_without_a_doubly_periodic_flow(tmp_path):
         proc = run_cli("verify", "--config", cfg, "--quantity", "cos_theta")
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("BadParameter:")
+
+
+def _config_keys(command, scenario):
+    """Every key ``command`` reads for ``scenario``, from the CLI's own
+    tables (a mesh flow's keys for an unknown scenario), and the mode."""
+    entry = cli.SCENARIOS.get(scenario, cli.SCENARIOS["clifford_torus"])
+    keys = {"scenario.name", "output.directory"}
+    keys |= {f"scenario.{name}" for name in entry.params()}
+    keys |= {f"controls.{name}" for name in cli.MODE_CONTROLS[entry.mode]}
+    for section, names in cli.COMMAND_KEYS[command].items():
+        keys |= {f"{section}.{name}" for name in names}
+    return sorted(keys), entry.mode
+
+
+FUZZ_VALUES = ("0", "1", "2", "4", "-1", "-0.5", "0.5", "1e-3", "2.5e-4",
+               "12", "3.5", "nan", "NaN", "inf", "-inf", "abc", "café", "",
+               "1 2", "0 0 0 0", "3.14 0 3.14 0", "nan 0 0 0", "0.25 0.125",
+               "lagrangian", "symplectic", "clifford_torus", "sphere_ode")
+
+
+def _fuzz_case(command, scenario):
+    """Arguments and config lines of one ``command`` run on ``scenario``:
+    random lines, mostly with a key the run reads, else with a misspelt
+    key, else not ``key = value`` at all, then a tail that caps the work
+    (at most 12 nodes per axis, at most 4 steps or samples) with values
+    that may themselves be malformed."""
+    keys, mode = _config_keys(command, scenario)
+    real = hs.sampled_from(keys)
+    misspelt = real.flatmap(lambda key: hs.integers(0, len(key) - 1).map(
+        lambda i: key[:i] + key[i + 1:]))
+    kinds = {
+        kind: hs.tuples(key, hs.sampled_from(FUZZ_VALUES)).map(
+            lambda kv: f"{kv[0]} = {kv[1]}")
+        for kind, key in (("real", real), ("misspelt", misspelt))}
+    kinds["garbage"] = hs.sampled_from(
+        ("no equals sign", "a.b.c = 1", "= 1", "# café", ""))
+    line = hs.sampled_from(6 * ["real"] + ["misspelt", "garbage"]).flatmap(
+        kinds.__getitem__)
+    cap = "samples" if mode == "translating" else "max_steps"
+    lines = hs.tuples(
+        hs.lists(line, max_size=5),
+        hs.sampled_from(("8", "10", "12", "4", "12.5", "nan", "café")),
+        hs.sampled_from(("0", "1", "2", "4", "-1", "inf", "x")),
+    ).map(lambda d: [f"scenario.name = {scenario}", *d[0],
+                     f"scenario.n1 = {d[1]}", f"scenario.n2 = {d[1]}",
+                     f"controls.{cap} = {d[2]}"])
+    args = (hs.sampled_from(cli.EVOLUTION_QUANTITIES).map(
+        lambda q: ["--quantity", q, "--refine", "2"])
+        if command == "verify" else hs.just([]))
+    return hs.tuples(args.map(lambda a: [command, *a]), lines)
+
+
+FUZZ_CASES = hs.tuples(
+    hs.sampled_from(sorted(cli.COMMANDS)),
+    hs.sampled_from(sorted(cli.SCENARIOS) + ["moebius"]),
+).flatmap(lambda pair: _fuzz_case(*pair))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=FUZZ_CASES)
+def test_fuzzed_configs_end_in_a_documented_exit_code(case):
+    # Any config, however malformed, ends in exit 0, 2 or 3 with the error
+    # class named on stderr; none escapes as a traceback.
+    command, lines = case
+    with tempfile.TemporaryDirectory() as root:
+        path = f"{root}/fuzz.cfg"
+        body = lines + [f"output.directory = {root}/out"]
+        with open(path, "wb") as fh:
+            fh.write("\n".join(body).encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([*command, "--config", path])
+    assert code in (0, 2, 3), code
+    if code:
+        assert re.match(r"\w+: ", err.getvalue()), err.getvalue()

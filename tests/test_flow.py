@@ -23,8 +23,8 @@ from mcf4d import flow, geometry
 from mcf4d.errors import DegenerateMetric, InsufficientBlowup
 from mcf4d.flow import (SCALAR_COLUMNS, FlowTrace, RunControls, TraceScalars,
                         cfl_dt, estimate_singular_time, run_flow, scalar_row,
-                        state_curvature, step, velocity)
-from mcf4d.geometry import build_geometry
+                        step, velocity)
+from mcf4d.geometry import GeometryBundle, build_geometry
 from mcf4d.grid import ParamGrid, SurfaceState
 from mcf4d.scenarios import (clifford_torus, lagrangian_graph, plane,
                              sphere_patch, symplectic_graph)
@@ -40,9 +40,9 @@ def test_scalar_columns_contract():
 
 def test_cfl_dt_positive_and_linear_in_safety():
     st = clifford_torus(16, 16)
-    curv = state_curvature(st)
-    dt1 = cfl_dt(curv, st.grid, safety=0.9)
-    dt2 = cfl_dt(curv, st.grid, safety=0.45)
+    geom = GeometryBundle(st)
+    dt1 = cfl_dt(geom, safety=0.9)
+    dt2 = cfl_dt(geom, safety=0.45)
     assert dt1 > 0
     assert abs(dt2 - 0.5 * dt1) < 1e-15
 
@@ -75,7 +75,7 @@ def test_rk4_fourth_order_against_discrete_radius_ode():
     def radius_error(dt, k):
         s = st.copy()
         for _ in range(k):
-            s = step(s, dt, state_curvature(s))
+            s = step(s, dt, GeometryBundle(s))
         exact = np.sqrt(0.25 - 2.0 * c * dt * k)
         got = np.sqrt(np.sum(s.positions ** 2, axis=-1) / 2.0)
         return np.abs(got - exact).max()
@@ -182,8 +182,7 @@ def _equivalence_state(name, moved):
 def test_frame_free_row_matches_bundle(name, moved):
     st = _equivalence_state(name, moved)
     b, o = build_geometry(st), frame_oracle(st)
-    curv = state_curvature(st)
-    row = scalar_row(5, st, curv)
+    row = scalar_row(5, b)
     assert row[:2] == (5, st.time)
     # Frame route to |A|^2 and H: normal-frame components of A_ij.
     a2_frame = np.einsum('...ik,...jl,...nij,...nkl->...', o.inverse,
@@ -202,8 +201,8 @@ def test_frame_free_row_matches_bundle(name, moved):
     h2_frame = np.sum(h_normal ** 2, axis=-1)
     assert abs(got["max_H2"] - h2_frame.max()) <= 1e-12 * h2_frame.max()
     # Node by node too: the maxima may sit where g_12 and its terms vanish.
-    assert np.abs(curv.norm_A2 - a2_frame).max() <= 1e-12 * a2_frame.max()
-    assert np.abs(curv.norm_H2 - h2_frame).max() <= 1e-12 * h2_frame.max()
+    assert np.abs(b.norm_A2 - a2_frame).max() <= 1e-12 * a2_frame.max()
+    assert np.abs(b.norm_H2 - h2_frame).max() <= 1e-12 * h2_frame.max()
     assert abs(got["min_cos_alpha"] - o.cos_alpha.min()) <= 1e-13
     assert abs(got["min_cos_theta"] - o.lag_angle_unit.real.min()) <= 1e-13
 
@@ -239,14 +238,13 @@ def test_run_flow_seeds_stored_curvature_without_bundles(monkeypatch):
 
 def test_degenerate_metric_mid_run_ends_with_degenerate_mesh(monkeypatch):
     dt = 1e-3
-    real_kernel = flow.state_curvature
 
-    def kernel(state):
+    def geometry_of(state):
         if state.time > 2.5 * dt:
             raise DegenerateMetric(0, "injected at step 3")
-        return real_kernel(state)
+        return GeometryBundle(state)
 
-    monkeypatch.setattr(flow, "state_curvature", kernel)
+    monkeypatch.setattr(flow, "GeometryBundle", geometry_of)
     tr = run_flow(clifford_torus(16, 16),
                   RunControls(dt=dt, max_steps=10, stride=1))
     assert tr.termination_reason == "degenerate_mesh"
@@ -273,7 +271,7 @@ def test_parabolic_scaling_matches_recomputed_rows(graph_flow, lam, lam2, t0,
     assert mapped.state_steps == graph_flow.state_steps
     sc = mapped.scalars
     for k, state in zip(mapped.state_steps, mapped.states):
-        row = scalar_row(k, state, state_curvature(state))
+        row = scalar_row(k, GeometryBundle(state))
         stored = [getattr(sc, c)[k] for c in SCALAR_COLUMNS]
         # atol covers min_cos_alpha, which is zero to rounding on this flow.
         np.testing.assert_allclose(stored, row, rtol=1e-9, atol=1e-12)

@@ -33,6 +33,19 @@ def test_gaussian_weight_validates_center():
         GaussianWeight(np.zeros(3), 0.1)
 
 
+@pytest.mark.parametrize("center, t0", [
+    ([0.0, np.nan, 0.0, 0.0], 0.1),
+    ([0.0, 0.0, np.inf, 0.0], 0.1),
+    (np.zeros(4), np.nan),
+    (np.zeros(4), np.inf),
+], ids=["nan_center", "inf_center", "nan_t0", "inf_t0"])
+def test_gaussian_weight_rejects_non_finite_data(center, t0):
+    # A NaN reference time would pass the kernel's time-order check and
+    # give NaN integrals.
+    with pytest.raises(BadParameter, match="must be finite"):
+        GaussianWeight(center, t0)
+
+
 def test_kernel_rejects_times_at_or_after_reference():
     w = GaussianWeight(np.zeros(4), 0.1)
     with pytest.raises(TimeOrder):
@@ -52,7 +65,7 @@ def test_plane_density_is_one():
     st = plane(64, 64, halfwidth=3.0)
     b = build_geometry(st)
     w = GaussianWeight(np.zeros(4), 0.1)
-    assert abs(gaussian_density(w, st, b) - 1.0) < 1e-9
+    assert abs(gaussian_density(w, b) - 1.0) < 1e-9
 
 
 def test_offset_plane_density_matches_gaussian_factor():
@@ -61,7 +74,7 @@ def test_offset_plane_density_matches_gaussian_factor():
     b = build_geometry(st)
     w = GaussianWeight(np.zeros(4), t0)
     expect = np.exp(-d * d / (4.0 * t0))
-    assert abs(gaussian_density(w, st, b) - expect) < 1e-9
+    assert abs(gaussian_density(w, b) - expect) < 1e-9
 
 
 def test_weighted_psi_equals_density_on_special_lagrangian_plane():
@@ -69,8 +82,8 @@ def test_weighted_psi_equals_density_on_special_lagrangian_plane():
     st = plane(64, 64, halfwidth=3.0)
     b = build_geometry(st)
     w = GaussianWeight(np.zeros(4), 0.1)
-    psi = weighted_psi(w, st, b, "lagrangian")
-    assert abs(psi - gaussian_density(w, st, b)) < 1e-12
+    psi = weighted_psi(w, b, "lagrangian")
+    assert abs(psi - gaussian_density(w, b)) < 1e-12
 
 
 def test_weight_floor_triggers_near_vanishing_cosine():
@@ -87,7 +100,7 @@ def test_weight_floor_triggers_near_vanishing_cosine():
     w = GaussianWeight(np.zeros(4), 0.1)
     assert abs(float(b.cos_theta.mean()) - 5e-4) < 1e-10
     with pytest.raises(WeightFloor):
-        weighted_psi(w, tilted, b, "lagrangian")
+        weighted_psi(w, b, "lagrangian")
 
 
 def test_monotonicity_scan_lagrangian(lagr32_mono):
@@ -253,11 +266,11 @@ def test_area_ratio_of_flat_patch_slices():
     st = plane(96, 96, halfwidth=3.0)
     b = build_geometry(st)
     # Ball centered on the patch: full disc, ratio pi.
-    got = area_ratio(st, b, np.zeros(4), [1.0, 2.0])
+    got = area_ratio(b, np.zeros(4), [1.0, 2.0])
     np.testing.assert_allclose(got, np.pi, rtol=0.1)
     # Ball centered a distance d above: disc of radius sqrt(R^2 - d^2).
     d, R = 0.5, 1.5
-    got2 = area_ratio(st, b, np.array([0.0, d, 0.0, 0.0]), R)
+    got2 = area_ratio(b, np.array([0.0, d, 0.0, 0.0]), R)
     expect = np.pi * (R * R - d * d) / (R * R)
     np.testing.assert_allclose(got2[0], expect, rtol=0.1)
 
@@ -266,7 +279,7 @@ def test_area_ratio_small_ball_on_curved_surface_is_flat():
     st = clifford_torus(64, 64)
     b = build_geometry(st)
     center = st.positions[0, 0]
-    got = area_ratio(st, b, center, 0.3)
+    got = area_ratio(b, center, 0.3)
     np.testing.assert_allclose(got[0], np.pi, rtol=0.1)
 
 
@@ -274,6 +287,6 @@ def test_area_ratio_validates_inputs():
     st = plane(16, 16)
     b = build_geometry(st)
     with pytest.raises(BadParameter):
-        area_ratio(st, b, np.zeros(3), 1.0)
+        area_ratio(b, np.zeros(3), 1.0)
     with pytest.raises(BadParameter):
-        area_ratio(st, b, np.zeros(4), -1.0)
+        area_ratio(b, np.zeros(4), -1.0)

@@ -66,14 +66,14 @@ def test_cross4_completes_orthonormal_frames():
 
 def _omega_norm(b):
     """|Omega(e1, e2)| and its degeneracy mask, from the bundle's F_u ^ F_v."""
-    return plane_angles(b.curvature.f_u, b.curvature.f_v, b.area_element)[2:]
+    return plane_angles(b.f_u, b.f_v, b.area_element)[2:]
 
 
 def test_lagrangian_plane_bundle():
     b = build_geometry(plane(16, 16))
-    np.testing.assert_allclose(b.curvature.g11, 1.0, atol=1e-12)
-    np.testing.assert_allclose(b.curvature.g12, 0.0, atol=1e-12)
-    assert np.abs(b.curvature.normal_hessian).max() < 1e-10
+    np.testing.assert_allclose(b.g11, 1.0, atol=1e-12)
+    np.testing.assert_allclose(b.g12, 0.0, atol=1e-12)
+    assert np.abs(b.normal_hessian).max() < 1e-10
     assert np.abs(b.mean_curvature).max() < 1e-10
     assert np.abs(b.cos_alpha).max() < 1e-12
     np.testing.assert_allclose(b.lag_angle_unit, 1.0 + 0.0j, atol=1e-12)
@@ -197,7 +197,7 @@ def test_trace_inequality_between_curvature_norms():
 def test_normal_part_annihilates_tangents():
     st = clifford_torus(16, 16)
     b, o = build_geometry(st), frame_oracle(st)
-    normal_part = b.curvature.normal_part
+    normal_part = b.normal_part
     assert np.abs(normal_part(o.tangent_frame[:, :, 0])).max() < 1e-12
     h_proj = normal_part(b.mean_curvature)
     np.testing.assert_allclose(h_proj, b.mean_curvature, atol=1e-10)
@@ -515,11 +515,11 @@ def test_closed_form_bundle_matches_einsum_reference(name, seed, order):
     # Generic fields: two scalars and a vector field with tangential part.
     f = got.cos_alpha + got.positions[..., 0]
     g = got.positions[..., 1] * got.positions[..., 2]
-    x = got.mean_curvature + got.curvature.f_u
+    x = got.mean_curvature + got.f_u
     ops = {"laplace_beltrami": laplace_beltrami(f, got),
            "gradient_sq": gradient_sq(f, got),
            "gradient_inner": gradient_inner(f, g, got),
-           "normal_part": got.curvature.normal_part(x),
+           "normal_part": got.normal_part(x),
            "normal_gradient_sq": normal_gradient_sq(x, got)}
     ref = _reference_operators(f, g, x, expect)
     for key, value in ops.items():

@@ -14,7 +14,7 @@ from mcf4d.flow import RunControls, run_flow
 from mcf4d.grid import ParamGrid, SurfaceState
 from mcf4d.functionals import GaussianWeight, PinchingReport, monotonicity_scan
 from mcf4d.io import (TIMESERIES_COLUMNS, _fmt, parse_config_text,
-                      read_snapshot, write_report, write_snapshot,
+                      read_config, read_snapshot, write_report, write_snapshot,
                       write_timeseries)
 from mcf4d.scenarios import clifford_torus, lagrangian_graph, plane
 
@@ -183,6 +183,22 @@ def test_read_snapshot_names_the_line_of_a_bad_value(tmp_path):
                         encoding="ascii")
     with pytest.raises(BadParameter, match="flag.txt: line 1"):
         read_snapshot(bad_flag)
+
+
+def test_readers_name_the_file_and_line_of_a_non_ascii_byte(tmp_path):
+    good = tmp_path / "good.txt"
+    write_snapshot(good, clifford_torus(8, 8))
+    lines = good.read_bytes().splitlines()
+    accented = tmp_path / "accented.txt"
+    accented.write_bytes(b"\n".join(lines[:2] + [b"0.1 caf\xc3\xa9 0 0"]
+                                    + lines[3:]) + b"\n")
+    with pytest.raises(BadParameter, match="accented.txt: line 3: byte 0xc3"):
+        read_snapshot(accented)
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("scenario.name = plane\n# café\n".encode("utf-8"))
+    with pytest.raises(BadParameter, match="run.cfg: line 2"):
+        read_config(cfg)
 
 
 def test_read_snapshot_rejects_lines_after_the_position_rows(tmp_path):

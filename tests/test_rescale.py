@@ -15,7 +15,8 @@ sigma_k = r_k/2 = 1/8, lambda_k = 8, and rate product exactly 1.
 import numpy as np
 import pytest
 
-from mcf4d.errors import InsufficientBlowup, InsufficientCoverage
+from mcf4d.errors import (BadParameter, InsufficientBlowup,
+                          InsufficientCoverage)
 from mcf4d.flow import FlowTrace, TraceScalars, estimate_singular_time
 from mcf4d.rescale import (BALL_SLACK, SIGMA_CANDIDATES, SIGMA_RATIO,
                            _sigma_grid, _window_states, select_blowup_datum,
@@ -77,6 +78,22 @@ def test_selector_requires_nodes_near_anchor(synthetic_trace):
     far = np.array([100.0, 0.0, 0.0, 0.0])
     with pytest.raises(InsufficientCoverage):
         select_blowup_datum(synthetic_trace, T_HAT, far, R_K)
+
+
+@pytest.mark.parametrize("t_hat, anchor, r_k", [
+    (T_HAT, np.zeros(4), -R_K),
+    (T_HAT, np.zeros(4), 0.0),
+    (T_HAT, np.zeros(4), np.nan),
+    (np.nan, np.zeros(4), R_K),
+    (np.inf, np.zeros(4), R_K),
+    (T_HAT, np.array([np.nan, 0.0, 0.0, 0.0]), R_K),
+    (T_HAT, np.zeros(3), R_K),
+], ids=["negative_radius", "zero_radius", "nan_radius", "nan_T_hat",
+        "inf_T_hat", "nan_anchor", "short_anchor"])
+def test_selector_rejects_bad_parameters(synthetic_trace, t_hat, anchor, r_k):
+    # A bad input is a configuration error, not missing coverage.
+    with pytest.raises(BadParameter):
+        select_blowup_datum(synthetic_trace, t_hat, anchor, r_k)
 
 
 def test_rescale_flow_parabolic_transformation(synthetic_trace):
