@@ -32,16 +32,20 @@ from .theorem import check_main_theorem, gradient_estimate_probe, normalize_flow
 
 CONFIG_EXIT = 2
 NUMERICAL_EXIT = 3
+INT_LIMIT = 2 ** 31          # integer config values lie strictly inside +-this
+MAX_TRACE_SAMPLES = 1000     # controls.samples: states of a translating trace
+MAX_SCAN_SAMPLES = 10 ** 6   # scan.samples: points of the cutoff scan
 
 
 def _read(cfg: dict, key: str, kind: type = float, default=None,
           required: bool = False, length: int | None = None):
     """Config value of ``key`` parsed as ``kind``; ``default`` when absent.
 
-    ``kind`` is str, int (integral values only, so ``16`` and ``16.0`` but
-    not ``16.9``), float, or list: whitespace-separated floats, exactly
-    ``length`` of them when given, else at least one.  A value that does
-    not parse raises BadParameter naming the key.
+    ``kind`` is str, int (integral values of magnitude below INT_LIMIT
+    only, so ``16`` and ``16.0`` but not ``16.9`` or ``1e300``), float, or
+    list: whitespace-separated floats, exactly ``length`` of them when
+    given, else at least one.  A value that does not parse raises
+    BadParameter naming the key.
     """
     raw = cfg.get(key)
     if raw is None:
@@ -60,6 +64,9 @@ def _read(cfg: dict, key: str, kind: type = float, default=None,
         if kind is int:
             if not value.is_integer():
                 raise ValueError
+            if abs(value) >= INT_LIMIT:
+                raise BadParameter(f"config key {key!r}: {raw!r} lies "
+                                   f"outside the integer range +-2**31")
             return int(value)
         return value
     except ValueError:
@@ -145,6 +152,9 @@ def _trace(cfg):
             raise BadParameter(f"{name} needs a finite positive "
                                "controls.t_end for its sample times")
         samples = _read(cfg, "controls.samples", int, 3)
+        if samples > MAX_TRACE_SAMPLES:
+            raise BadParameter(f"controls.samples must be at most "
+                               f"{MAX_TRACE_SAMPLES}, got {samples}")
         params.pop("time", None)
         times = np.linspace(0.0, t_end, max(3, samples))
         return translating_trace(
@@ -251,8 +261,9 @@ def cmd_theorem(cfg, args) -> int:
 
 def cmd_cutoff_scan(cfg, args) -> int:
     samples = _read(cfg, "scan.samples", int, 20001)
-    if samples < 101:
-        raise BadParameter("scan.samples must be at least 101")
+    if not 101 <= samples <= MAX_SCAN_SAMPLES:
+        raise BadParameter(f"scan.samples must lie in [101, "
+                           f"{MAX_SCAN_SAMPLES}], got {samples}")
     r = np.linspace(0.0, 1.2, samples)
     cv = cutoff_psi(r)
     plateau = cv.value[r <= 0.5]

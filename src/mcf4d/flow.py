@@ -1,19 +1,30 @@
 """Mean curvature flow integrator and blow-up time/rate analysis.
 
-The surface moves by dF/dt = H with classical RK4 in time; every stage
-velocity is the mean curvature projected onto the normal plane, so the
-parametrization never drifts tangentially and evolution identities for
-node-attached fields hold in their normal-gauge form.
+The surface moves by dF/dt = H; every stage velocity is the mean curvature
+projected onto the normal plane, so the parametrization never drifts
+tangentially and evolution identities for node-attached fields hold in
+their normal-gauge form.
+
+Two explicit integrators share that velocity.  A run with a fixed
+``controls.dt`` takes classical RK4 steps (:func:`step`).  An adaptive run
+takes damped second-order Runge-Kutta-Chebyshev steps (:func:`rkc_step`;
+Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88 (1998) 315-326):
+the step is set by accuracy, dt = RKC_ACCURACY / max|A|^2, and the stage
+count s by stability, since s stages are stable on a real interval of
+about 0.65 s^2 while the parabolic CFL bound (:func:`cfl_dt`) tracks the
+stiffness of the discrete Laplacian.
 
 Each accepted step builds the state's geometry
 (:class:`~mcf4d.geometry.GeometryBundle`) once; that one object feeds the
-step's scalar row, its CFL step size, the first RK4 stage, and the stored
-|A|^2 field when the state is stored.
+step's scalar row, its CFL bound, the first stage, and the stored |A|^2
+field when the state is stored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +34,15 @@ from .geometry import GeometryBundle, build_geometry
 from .grid import SurfaceState
 
 CFL_DENOMINATOR = 8.0
+RKC_ACCURACY = 0.02  # adaptive dt = RKC_ACCURACY / max|A|^2
+# An s-stage RKC step with damping RKC_DAMPING is stable up to
+# RKC_STABILITY * (s^2 - 1) CFL steps; the factor includes a 0.8 safety.
+RKC_DAMPING = 2.0 / 13.0
+RKC_STABILITY = 0.435
+# Stage cap; dt is clamped to what it keeps stable (43 CFL steps).  A flat
+# surface asks for an unbounded dt, and max|A|^2 does not set the time scale
+# of a low-amplitude graph.  Square tori up to 128^2 need at most 10 stages.
+RKC_MAX_STAGES = 10
 MIN_GROWTH = 10.0    # growth of max|A|^2 over its first value a fit needs
 
 SCALAR_COLUMNS = ("step", "t", "area", "max_A2", "max_H2",
@@ -31,7 +51,9 @@ SCALAR_COLUMNS = ("step", "t", "area", "max_A2", "max_H2",
 
 @dataclass
 class RunControls:
-    """Knobs of a flow run; ``dt`` fixes the step size, else CFL adapts it."""
+    """Knobs of a flow run.  ``dt`` fixes the step size of RK4 steps;
+    without it RKC steps adapt to the curvature, and ``safety`` scales the
+    CFL bound that sets their stage count."""
 
     t_end: float = np.inf
     max_steps: int = 100000
@@ -173,8 +195,8 @@ def velocity(state: SurfaceState,
 
 
 def step(state: SurfaceState, dt: float, geom: GeometryBundle) -> SurfaceState:
-    """One explicit RK4 step of dF/dt = H; ``geom`` is the geometry of
-    ``state`` and supplies the first stage."""
+    """One explicit RK4 step of dF/dt = H, the step of fixed-dt runs;
+    ``geom`` is the geometry of ``state`` and supplies the first stage."""
 
     def advanced(base, scale, k):
         return SurfaceState(state.grid, base.positions + scale * k, state.time,
@@ -191,19 +213,84 @@ def step(state: SurfaceState, dt: float, geom: GeometryBundle) -> SurfaceState:
     return out
 
 
+@lru_cache(maxsize=RKC_MAX_STAGES)
+def _rkc_coefficients(stages: int) -> tuple:
+    """(mu~_1, rows) of the damped RKC scheme, each row (mu_j, nu_j, mu~_j,
+    gamma~_j) for j = 2..stages, from the Chebyshev polynomials T_j and
+    their first two derivatives at w0 = 1 + RKC_DAMPING / stages^2."""
+    w0 = 1.0 + RKC_DAMPING / stages ** 2
+    t, t1, t2 = [1.0, w0], [0.0, 1.0], [0.0, 0.0]    # T_j, T_j', T_j''
+    for j in range(2, stages + 1):
+        t.append(2.0 * w0 * t[j - 1] - t[j - 2])
+        t1.append(2.0 * t[j - 1] + 2.0 * w0 * t1[j - 1] - t1[j - 2])
+        t2.append(4.0 * t1[j - 1] + 2.0 * w0 * t2[j - 1] - t2[j - 2])
+    w1 = t1[stages] / t2[stages]
+    b = [t2[j] / t1[j] ** 2 if j >= 2 else 0.0 for j in range(stages + 1)]
+    b[0] = b[1] = b[2]
+    rows = []
+    for j in range(2, stages + 1):
+        mu_t = 2.0 * b[j] * w1 / b[j - 1]
+        rows.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mu_t,
+                     -(1.0 - b[j - 1] * t[j - 1]) * mu_t))
+    return b[1] * w1, tuple(rows)
+
+
+def rkc_dt(max_a2: float, cfl: float) -> float:
+    """Adaptive step: RKC_ACCURACY / max|A|^2, clamped to the stable step of
+    RKC_MAX_STAGES stages over the CFL bound ``cfl`` (so a flat state,
+    max|A|^2 = 0, gets the clamp)."""
+    limit = RKC_STABILITY * cfl * (RKC_MAX_STAGES ** 2 - 1)
+    return RKC_ACCURACY / max_a2 if RKC_ACCURACY < max_a2 * limit else limit
+
+
+def rkc_stages(dt: float, cfl: float) -> int:
+    """Fewest stages, at least 2 and at most RKC_MAX_STAGES, whose RKC step
+    is stable at ``dt`` given the CFL bound ``cfl``."""
+    s = math.ceil(math.sqrt(dt / (RKC_STABILITY * cfl) + 1.0))
+    return min(max(2, s), RKC_MAX_STAGES)
+
+
+def rkc_step(state: SurfaceState, dt: float, geom: GeometryBundle,
+             stages: int) -> SurfaceState:
+    """One damped second-order Runge-Kutta-Chebyshev step of dF/dt = H with
+    ``stages`` velocity evaluations, the step of adaptive runs; ``geom`` is
+    the geometry of ``state`` and supplies the first stage."""
+    mu1, rows = _rkc_coefficients(stages)
+    y0 = state.positions
+    f0 = velocity(state, geom)
+    prev, cur = y0, y0 + (mu1 * dt) * f0
+    for mu, nu, mu_t, gamma_t in rows:
+        f = velocity(SurfaceState(state.grid, cur, state.time, state.shift1,
+                                  state.shift2))
+        prev, cur = cur, ((1.0 - mu - nu) * y0 + mu * cur + nu * prev
+                          + (mu_t * dt) * f + (gamma_t * dt) * f0)
+    out = SurfaceState(state.grid, cur, state.time + dt,
+                       state.shift1.copy(), state.shift2.copy())
+    out.require_finite()
+    return out
+
+
 def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
     """Advance the flow until t_end, blow-up, mesh failure, or step limit.
 
-    Scalars are recorded every accepted step; states every ``stride`` steps
-    (first and final always included), each with its |A|^2 field cached in
-    the trace.  A state whose metric degenerates or turns non-finite after
-    step 0 ends the run with ``degenerate_mesh`` and is not kept.
+    With ``controls.dt`` set every step is an RK4 step of that size (the
+    last one shortened to land on t_end); otherwise every step is an RKC
+    step of size :func:`rkc_dt` with :func:`rkc_stages` stages.  Scalars are
+    recorded every accepted step; states every ``stride`` steps (first and
+    final always included), each with its |A|^2 field cached in the trace.
+    A state whose metric degenerates or turns non-finite after step 0 ends
+    the run with ``degenerate_mesh`` and is not kept.
+
+    ``meta["run_stats"]`` tells how the run went, in the run's own time
+    units: accepted ``steps``, the ``velocity_evaluations`` of those steps,
+    their ``max_stages``, and ``dt_min``/``dt_max`` (None without a step).
     """
     state = initial.copy()
     rows: list[tuple] = []
     states: list[SurfaceState] = []
     state_steps: list[int] = []
     a2_fields: dict[int, np.ndarray] = {}
+    taken: list[tuple[float, int]] = []   # (dt, stages) per accepted step
     reason = None
     k = 0
     while reason is None:
@@ -223,14 +310,19 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
         elif k >= controls.max_steps:
             reason = "step_limit"
         else:
-            dt = controls.dt if controls.dt is not None else cfl_dt(
-                geom, controls.safety)
-            if np.isfinite(controls.t_end):
-                dt = min(dt, controls.t_end - state.time)
+            time_left = controls.t_end - state.time
+            if controls.dt is None:
+                cfl = cfl_dt(geom, controls.safety)
+                dt = min(rkc_dt(row[3], cfl), time_left)
+                stages = rkc_stages(dt, cfl)
+            else:
+                dt = min(controls.dt, time_left)
+                stages = 4
             if dt <= 0:
                 raise Mcf4dError(f"non-positive step size {dt}")
             try:
-                following = step(state, dt, geom)
+                following = (step(state, dt, geom) if controls.dt is not None
+                             else rkc_step(state, dt, geom, stages))
             except (DegenerateMetric, NonFinite):
                 reason = "degenerate_mesh"
         if k % controls.stride == 0 or reason is not None:
@@ -238,11 +330,19 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
             states.append(state)
             state_steps.append(k)
         if reason is None:
+            taken.append((dt, stages))
             state = following
             k += 1
+    dts = [dt for dt, _ in taken]
+    stats = {"steps": k,
+             "velocity_evaluations": sum(s for _, s in taken),
+             "max_stages": max((s for _, s in taken), default=0),
+             "dt_min": min(dts, default=None),
+             "dt_max": max(dts, default=None)}
     return FlowTrace(states=states, state_steps=state_steps,
                      scalars=TraceScalars.from_rows(rows),
-                     termination_reason=reason, _a2_fields=a2_fields)
+                     termination_reason=reason, meta={"run_stats": stats},
+                     _a2_fields=a2_fields)
 
 
 @dataclass

@@ -59,8 +59,8 @@ class GeometryBundle:
     Construction checks the positions are finite, evaluates (F_u, F_v,
     F_uu, F_uv, F_vv) once, and forms g, det g, g^-1 and H = g^ij A_ij,
     taking normal parts as x - g^ij <x, F_j> F_i (no frame, no Christoffel
-    tensor).  Every other field is computed on first read, so an RK4 stage,
-    which needs only H, pays for nothing else.  The state's ``grid``,
+    tensor).  Every other field is computed on first read, so an integrator
+    stage, which needs only H, pays for nothing else.  The state's ``grid``,
     ``positions`` and ``time`` are kept.
 
     Raises NonFinite on non-finite positions and DegenerateMetric when

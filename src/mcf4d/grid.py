@@ -19,11 +19,15 @@ from . import stencils
 from .errors import BadParameter, NonFinite
 
 AMBIENT_DIM = 4
+# Most nodes per axis: one dense (n, n) derivative matrix at this size is
+# already 134 MB; the largest grid in use has 1025 nodes.
+MAX_AXIS_NODES = 4097
 
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Uniform parameter grid; axis u has n1 nodes, axis v has n2 nodes."""
+    """Uniform parameter grid; axis u has n1 nodes, axis v has n2 nodes,
+    each between 8 and MAX_AXIS_NODES."""
 
     n1: int
     n2: int
@@ -33,8 +37,10 @@ class ParamGrid:
     periodic2: bool
 
     def __post_init__(self):
-        if self.n1 < 8 or self.n2 < 8:
-            raise BadParameter(f"grid needs >= 8 nodes per axis, got {self.n1}x{self.n2}")
+        if not (8 <= self.n1 <= MAX_AXIS_NODES
+                and 8 <= self.n2 <= MAX_AXIS_NODES):
+            raise BadParameter(f"grid needs 8 to {MAX_AXIS_NODES} nodes per "
+                               f"axis, got {self.n1}x{self.n2}")
         if self.spacing1 <= 0 or self.spacing2 <= 0:
             raise BadParameter("grid spacings must be positive")
 

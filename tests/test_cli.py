@@ -231,6 +231,29 @@ def test_simulate_rejects_bad_run_controls(tmp_path, line):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, body", [
+    ("cutoff-scan", "scan.samples = 1e300"),
+    ("cutoff-scan", f"scan.samples = {cli.MAX_SCAN_SAMPLES + 1}"),
+    ("simulate", "scenario.name = clifford_torus\nscenario.n1 = 1e300"),
+    ("simulate", "scenario.name = clifford_torus\nscenario.n1 = 4098\n"
+                 "scenario.n2 = 8\ncontrols.max_steps = 0"),
+    ("simulate", "scenario.name = grim_reaper_product\n"
+                 f"controls.samples = {cli.MAX_TRACE_SAMPLES + 1}"),
+    ("simulate", "scenario.name = clifford_torus\nscenario.n1 = 8\n"
+                 "scenario.n2 = 8\ncontrols.t_end = 1e-3\n"
+                 "controls.max_steps = 2147483648"),
+], ids=["scan_huge", "scan_cap", "n1_huge", "n1_cap", "samples_cap",
+        "max_steps_int_range"])
+def test_oversized_integer_config_values_exit_two(tmp_path, monkeypatch,
+                                                  capsys, command, body):
+    # Rejected before any array is sized from them.
+    cfg = write_config(tmp_path, body + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("BadParameter:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 @pytest.mark.parametrize("command, line", [
     ("simulate", "scenario.n1 = abc"),
     ("simulate", "scenario.radius = xyz"),
@@ -404,6 +427,7 @@ def _config_keys(command, scenario):
 
 FUZZ_VALUES = ("0", "1", "2", "4", "-1", "-0.5", "0.5", "1e-3", "2.5e-4",
                "12", "3.5", "nan", "NaN", "inf", "-inf", "abc", "café", "",
+               "1e9", "2147483648", "-2147483648", "1e300", "-1e300",
                "1 2", "0 0 0 0", "3.14 0 3.14 0", "nan 0 0 0", "0.25 0.125",
                "lagrangian", "symplectic", "clifford_torus", "sphere_ode")
 
@@ -413,7 +437,7 @@ def _fuzz_case(command, scenario):
     random lines, mostly with a key the run reads, else with a misspelt
     key, else not ``key = value`` at all, then a tail that caps the work
     (at most 12 nodes per axis, at most 4 steps or samples) with values
-    that may themselves be malformed."""
+    that may themselves be malformed or too large to accept."""
     keys, mode = _config_keys(command, scenario)
     real = hs.sampled_from(keys)
     misspelt = real.flatmap(lambda key: hs.integers(0, len(key) - 1).map(
@@ -429,8 +453,10 @@ def _fuzz_case(command, scenario):
     cap = "samples" if mode == "translating" else "max_steps"
     lines = hs.tuples(
         hs.lists(line, max_size=5),
-        hs.sampled_from(("8", "10", "12", "4", "12.5", "nan", "café")),
-        hs.sampled_from(("0", "1", "2", "4", "-1", "inf", "x")),
+        hs.sampled_from(("8", "10", "12", "4", "12.5", "nan", "café",
+                         "4098", "1e300")),
+        hs.sampled_from(("0", "1", "2", "4", "-1", "inf", "x", "2147483648",
+                         "1e300")),
     ).map(lambda d: [f"scenario.name = {scenario}", *d[0],
                      f"scenario.n1 = {d[1]}", f"scenario.n2 = {d[1]}",
                      f"controls.{cap} = {d[2]}"])

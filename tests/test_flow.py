@@ -5,7 +5,8 @@ velocity is exactly radial with a grid-dependent coefficient, so the exact
 solution of the resulting radius equation r' = -c / r is
 r(t) = sqrt(r0^2 - 2 c t) with c measured directly from the velocity field.
 Comparing stepped radii against that closed form isolates the pure time
-error of the integrator.
+error of the integrator: RK4 (fixed-dt runs) and the Runge-Kutta-Chebyshev
+step (adaptive runs).
 
 Oracle for the frame-free per-step diagnostics: the scalar row and the
 velocity must agree with the bundle and with the frame oracle of
@@ -13,6 +14,8 @@ velocity must agree with the bundle and with the frame oracle of
 second fundamental form) on a torus and two graphs, also after a seeded
 unitary motion.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -22,8 +25,8 @@ from hypothesis import strategies as st
 from mcf4d import flow, geometry
 from mcf4d.errors import DegenerateMetric, InsufficientBlowup
 from mcf4d.flow import (SCALAR_COLUMNS, FlowTrace, RunControls, TraceScalars,
-                        cfl_dt, estimate_singular_time, run_flow, scalar_row,
-                        step, velocity)
+                        cfl_dt, estimate_singular_time, rkc_dt, rkc_stages,
+                        rkc_step, run_flow, scalar_row, step, velocity)
 from mcf4d.geometry import GeometryBundle, build_geometry
 from mcf4d.grid import ParamGrid, SurfaceState
 from mcf4d.scenarios import (clifford_torus, lagrangian_graph, plane,
@@ -60,6 +63,8 @@ def test_velocity_is_inward_radial_on_sphere():
 
 
 def test_rk4_fourth_order_against_discrete_radius_ode():
+    # RK4's error falls 16x per dt halving; the second-order RKC step's 4x,
+    # at 2 and at 5 stages (measured: 15.8-15.9 and 3.96-3.98).
     st = clifford_torus(16, 16, radius=0.5)
     vel = velocity(st)
     f = st.positions
@@ -72,19 +77,94 @@ def test_rk4_fourth_order_against_discrete_radius_ode():
     assert c_field.max() - c_field.min() < 1e-12
     c = float(c_field.mean())
 
-    def radius_error(dt, k):
+    def radius_error(advance, dt, k):
         s = st.copy()
         for _ in range(k):
-            s = step(s, dt, GeometryBundle(s))
+            s = advance(s, dt, GeometryBundle(s))
         exact = np.sqrt(0.25 - 2.0 * c * dt * k)
         got = np.sqrt(np.sum(s.positions ** 2, axis=-1) / 2.0)
         return np.abs(got - exact).max()
 
-    e1 = radius_error(2e-3, 40)
-    e2 = radius_error(1e-3, 80)
-    e3 = radius_error(5e-4, 160)
-    assert 13.0 < e1 / e2 < 19.0
-    assert 13.0 < e2 / e3 < 19.0
+    integrators = {
+        "rk4": (step, 13.0, 19.0),
+        "rkc2": (lambda s, dt, g: rkc_step(s, dt, g, 2), 3.5, 4.5),
+        "rkc5": (lambda s, dt, g: rkc_step(s, dt, g, 5), 3.5, 4.5),
+    }
+    for name, (advance, low, high) in integrators.items():
+        e1 = radius_error(advance, 2e-3, 40)
+        e2 = radius_error(advance, 1e-3, 80)
+        e3 = radius_error(advance, 5e-4, 160)
+        assert low < e1 / e2 < high, (name, e1 / e2)
+        assert low < e2 / e3 < high, (name, e2 / e3)
+
+
+def test_adaptive_run_on_a_nearly_flat_plane_caps_its_stages():
+    # max|A|^2 ~ 1e-58 asks for dt ~ 1e56; the stage cap clamps it.
+    start = time.perf_counter()
+    tr = run_flow(plane(16, 16), RunControls(max_steps=3))
+    assert time.perf_counter() - start < 1.0
+    assert tr.termination_reason == "step_limit"
+    assert np.isfinite(tr.states[-1].positions).all()
+    assert tr.meta["run_stats"]["max_stages"] == flow.RKC_MAX_STAGES
+
+
+def _exactly_flat(n=16):
+    """Periodic ramp (u, v, 0, 0) whose seam-stripped part is exactly zero,
+    so every second derivative and |A|^2 vanish without rounding."""
+    g = ParamGrid(n, n, 0.25, 0.25, True, True)
+    pos = np.zeros((n, n, 4))
+    pos[..., 0] = (g.axis_coords(0) / (n * 0.25))[:, None] * (n * 0.25)
+    pos[..., 1] = (g.axis_coords(1) / (n * 0.25))[None, :] * (n * 0.25)
+    return SurfaceState(g, pos, shift1=[n * 0.25, 0, 0, 0],
+                        shift2=[0, n * 0.25, 0, 0])
+
+
+def test_adaptive_step_of_an_exactly_flat_state_is_finite():
+    state = _exactly_flat()
+    geom = GeometryBundle(state)
+    assert scalar_row(0, geom)[3] == 0.0
+    cfl = cfl_dt(geom)
+    dt = rkc_dt(0.0, cfl)
+    assert np.isfinite(dt) and dt > 0
+    assert rkc_stages(dt, cfl) == flow.RKC_MAX_STAGES
+    tr = run_flow(state, RunControls(max_steps=2))
+    assert tr.termination_reason == "step_limit"
+    # H = 0, so the stages only recombine the positions, up to rounding.
+    np.testing.assert_allclose(tr.states[-1].positions, state.positions,
+                               rtol=0.0, atol=1e-12)
+
+
+def test_run_stats_count_steps_evaluations_and_dt(monkeypatch):
+    calls = []
+
+    def counted(state, geom=None):
+        calls.append(1)
+        return velocity(state, geom)
+
+    monkeypatch.setattr(flow, "velocity", counted)
+    fixed = run_flow(clifford_torus(16, 16),
+                     RunControls(dt=1e-3, max_steps=5))
+    assert fixed.meta["run_stats"] == {
+        "steps": 5, "velocity_evaluations": 20, "max_stages": 4,
+        "dt_min": 1e-3, "dt_max": 1e-3}
+    assert len(calls) == 20
+
+    calls.clear()
+    adaptive = run_flow(clifford_torus(16, 16, radius=0.5),
+                        RunControls(stride=1, blowup_threshold=100.0))
+    stats = adaptive.meta["run_stats"]
+    plans = []
+    for state in adaptive.states[:-1]:
+        geom = GeometryBundle(state)
+        cfl = cfl_dt(geom)
+        dt = rkc_dt(float(geom.norm_A2.max()), cfl)
+        plans.append((dt, rkc_stages(dt, cfl)))
+    assert stats["steps"] == len(plans) == len(adaptive.scalars) - 1
+    assert stats["velocity_evaluations"] == sum(s for _, s in plans)
+    assert stats["velocity_evaluations"] == len(calls)
+    assert stats["max_stages"] == max(s for _, s in plans) >= 2
+    assert stats["dt_min"] == min(dt for dt, _ in plans)
+    assert stats["dt_max"] == max(dt for dt, _ in plans)
 
 
 def test_run_flow_storage_and_step_limit():

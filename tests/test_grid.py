@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from mcf4d.errors import BadParameter, NonFinite
-from mcf4d.grid import ParamGrid, SurfaceState, position_derivatives
+from mcf4d.grid import (MAX_AXIS_NODES, ParamGrid, SurfaceState,
+                        position_derivatives)
 from mcf4d.scenarios import clifford_torus, lagrangian_graph
 
 
@@ -28,6 +29,14 @@ def test_grid_rejects_tiny_axes_and_bad_spacing():
         ParamGrid(4, 12, 0.5, 0.25, True, True)
     with pytest.raises(BadParameter):
         ParamGrid(8, 12, -0.5, 0.25, True, True)
+
+
+def test_grid_caps_nodes_per_axis():
+    ParamGrid(MAX_AXIS_NODES, 8, 0.5, 0.25, False, True)
+    for n1, n2 in ((MAX_AXIS_NODES + 1, 8), (8, MAX_AXIS_NODES + 1),
+                   (10 ** 300, 8)):
+        with pytest.raises(BadParameter):
+            ParamGrid(n1, n2, 0.5, 0.25, True, True)
 
 
 def test_state_shape_validation():
