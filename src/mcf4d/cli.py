@@ -1,11 +1,13 @@
 """Command-line pipelines: simulate, rescale, verify, monotonicity, theorem,
 cutoff-scan.
 
-Every subcommand reads a flat ``key = value`` config file; outputs are
-deterministic text artifacts in the configured output directory.  Exit code 0
-means success, 2 a configuration or precondition error (a config file or
-output directory that cannot be opened among them), 3 a numerical failure;
-in both failure cases the error class name is printed on stderr.
+Every subcommand reads a flat ``key = value`` config file and accepts
+exactly the keys it reads: any other key exits 2 before work starts.
+Outputs are deterministic text artifacts in the configured output
+directory.  Exit code 0 means success, 2 a configuration or precondition
+error (a config file or output directory that cannot be opened among
+them), 3 a numerical failure; in both failure cases the error class name
+is printed on stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .functionals import (CUTOFF_CONSTANT, CUTOFF_SUP_ABS_FIRST,
                           CUTOFF_SUP_NEG_SECOND, EVOLUTION_QUANTITIES,
                           GaussianWeight, cutoff_psi, evolution_residual,
                           monotonicity_scan)
+from .grid import MAX_AXIS_NODES
 from .rescale import select_blowup_datum, validate_rescaled, with_rescaled
 from .scenarios import (SCENARIOS, find_scenario, generate_scenario,
                         run_sphere_ode, translating_trace)
@@ -37,7 +40,15 @@ MAX_TRACE_SAMPLES = 1000     # controls.samples: states of a translating trace
 MAX_SCAN_SAMPLES = 10 ** 6   # scan.samples: points of the cutoff scan
 
 
-def _read(cfg: dict, key: str, kind: type = float, default=None,
+class Config(dict):
+    """Config entries that remember every key :func:`_read` asked for."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.read = set()
+
+
+def _read(cfg: Config, key: str, kind: type = float, default=None,
           required: bool = False, length: int | None = None):
     """Config value of ``key`` parsed as ``kind``; ``default`` when absent.
 
@@ -45,8 +56,9 @@ def _read(cfg: dict, key: str, kind: type = float, default=None,
     only, so ``16`` and ``16.0`` but not ``16.9`` or ``1e300``), float, or
     list: whitespace-separated floats, exactly ``length`` of them when
     given, else at least one.  A value that does not parse raises
-    BadParameter naming the key.
+    BadParameter naming the key.  The key counts as read either way.
     """
+    cfg.read.add(key)
     raw = cfg.get(key)
     if raw is None:
         if required:
@@ -75,77 +87,52 @@ def _read(cfg: dict, key: str, kind: type = float, default=None,
                            f"{kind.__name__}{count}") from None
 
 
-def _check_section(cfg: dict, section: str, known) -> None:
-    """Raise BadParameter naming the first ``section.*`` key of ``cfg`` whose
-    name is not in ``known`` (empty: the section is not read at all), so a
-    misspelt or ignored key is not dropped silently."""
-    for key in cfg:
-        head, _, name = key.partition(".")
-        if head == section and name not in known:
-            if section not in SECTIONS:
-                takes = f"the config sections are {', '.join(SECTIONS)}"
-            else:
-                takes = (f"{section}.* takes "
-                         f"{sorted(known) or 'no key in this subcommand'}")
-            raise BadParameter(f"unknown config key {key!r}; {takes}")
+def _check_read(cfg: Config) -> str:
+    """Raise BadParameter naming every key of ``cfg`` the subcommand did not
+    read, so a misspelt or ignored key is not dropped silently; else return
+    the output directory.  A subcommand calls this after its last read and
+    before it builds a state, runs a flow or creates a directory."""
+    out = _read(cfg, "output.directory", str, ".")
+    unread = sorted(set(cfg) - cfg.read)
+    if unread:
+        raise BadParameter(f"unknown config key {', '.join(map(repr, unread))}"
+                           f"; this run reads {sorted(cfg.read)}")
+    return out
 
 
-# The controls.* keys each trace mode reads: a mesh flow every RunControls
-# field, the radius ODE those run_sphere_ode uses, the exact translation
-# its end time and sample count.
+# The controls.* keys a mesh flow and the radius ODE read: every RunControls
+# field, and those run_sphere_ode uses.
 MODE_CONTROLS = {
-    "flow": frozenset(f.name for f in fields(RunControls)),
-    "sphere_ode": frozenset({"t_end", "max_steps", "blowup_threshold",
-                             "stride"}),
-    "translating": frozenset({"t_end", "samples"}),
+    "flow": tuple(f.name for f in fields(RunControls)),
+    "sphere_ode": ("t_end", "max_steps", "blowup_threshold", "stride"),
 }
-
-# The run.*, weight.*, rescale.* and scan.* keys each subcommand reads, on
-# top of output.directory, which every subcommand takes (verify writes no
-# file).  main rejects any other key of these sections, and any key outside
-# the seven SECTIONS, before the command starts.
-COMMAND_KEYS = {
-    "simulate": {},
-    "monotonicity": {"run": {"kind"}, "weight": {"center", "t0"}},
-    "rescale": {"rescale": {"T_hat", "anchor", "radii"}},
-    "theorem": {"run": {"kind", "p", "radius"}},
-    "verify": {},
-    "cutoff-scan": {"scan": {"samples"}},
-}
-COMMAND_SECTIONS = ("run", "weight", "rescale", "scan", "output")
-SECTIONS = ("scenario", "controls") + COMMAND_SECTIONS
 
 
 def _controls(cfg, mode: str) -> RunControls:
     """Run controls from the ``controls.*`` keys that trace ``mode`` reads;
     absent keys keep the RunControls defaults."""
-    _check_section(cfg, "controls", MODE_CONTROLS[mode])
     hints = get_type_hints(RunControls)
     return RunControls(**{
-        f.name: _read(cfg, f"controls.{f.name}",
-                      int if hints[f.name] is int else float)
-        for f in fields(RunControls) if f"controls.{f.name}" in cfg})
+        name: _read(cfg, f"controls.{name}", int if hints[name] is int
+                    else float, getattr(RunControls, name))
+        for name in MODE_CONTROLS[mode]})
 
 
 def _scenario(cfg):
     """Configured scenario name and the ``scenario.*`` parameters given,
     typed by the scenario builder's signature."""
     name = _read(cfg, "scenario.name", str, required=True)
-    kinds = find_scenario(name).params()
-    _check_section(cfg, "scenario", {"name", *kinds})
     params = {key: _read(cfg, f"scenario.{key}", kind)
-              for key, kind in kinds.items() if f"scenario.{key}" in cfg}
-    return name, params
+              for key, kind in find_scenario(name).params().items()}
+    return name, {k: v for k, v in params.items() if v is not None}
 
 
 def _trace(cfg):
-    """Build the configured scenario's trace in its registry mode: mesh
-    flow, exact radius ODE, or exact translation."""
+    """Read the configured scenario's keys and return a function that builds
+    its trace in the registry mode: mesh flow, exact radius ODE, or exact
+    translation."""
     name, params = _scenario(cfg)
     entry = SCENARIOS[name]
-    controls = _controls(cfg, entry.mode)
-    if entry.mode == "sphere_ode":
-        return run_sphere_ode(controls=controls, **params)
     if entry.mode == "translating":
         t_end = _read(cfg, "controls.t_end", float, 0.1)
         if not np.isfinite(t_end) or t_end <= 0:
@@ -157,21 +144,19 @@ def _trace(cfg):
                                f"{MAX_TRACE_SAMPLES}, got {samples}")
         params.pop("time", None)
         times = np.linspace(0.0, t_end, max(3, samples))
-        return translating_trace(
+        return lambda: translating_trace(
             lambda t: entry.builder(time=t, **params), times)
-    state = generate_scenario(name, **params)
-    return run_flow(state, controls)
-
-
-def _outdir(cfg) -> str:
-    path = _read(cfg, "output.directory", str, ".")
-    os.makedirs(path, exist_ok=True)
-    return path
+    controls = _controls(cfg, entry.mode)
+    if entry.mode == "sphere_ode":
+        return lambda: run_sphere_ode(controls=controls, **params)
+    return lambda: run_flow(generate_scenario(name, **params), controls)
 
 
 def cmd_simulate(cfg, args) -> int:
-    trace = _trace(cfg)
-    out = _outdir(cfg)
+    run = _trace(cfg)
+    out = _check_read(cfg)
+    trace = run()
+    os.makedirs(out, exist_ok=True)
     io.write_timeseries(os.path.join(out, "timeseries.csv"), trace)
     io.write_snapshot(os.path.join(out, "snapshot_initial.txt"),
                       trace.states[0])
@@ -188,9 +173,11 @@ def cmd_monotonicity(cfg, args) -> int:
     weight = GaussianWeight(
         _read(cfg, "weight.center", list, required=True, length=4),
         _read(cfg, "weight.t0", required=True))
-    trace = _trace(cfg)
+    run = _trace(cfg)
+    out = _check_read(cfg)
+    trace = run()
     scan = monotonicity_scan(trace, weight, kind)
-    out = _outdir(cfg)
+    os.makedirs(out, exist_ok=True)
     io.write_timeseries(os.path.join(out, "timeseries.csv"), trace, scan=scan)
     residual = scan.residual()
     report = {
@@ -211,10 +198,12 @@ def cmd_rescale(cfg, args) -> int:
     t_hat = _read(cfg, "rescale.T_hat")
     anchor = _read(cfg, "rescale.anchor", list, np.zeros(4), length=4)
     radii = _read(cfg, "rescale.radii", list, [0.25, 0.125, 0.0625])
-    trace = _trace(cfg)
+    run = _trace(cfg)
+    out = _check_read(cfg)
+    trace = run()
     if t_hat is None:
         t_hat = estimate_singular_time(trace).singular_time
-    out = _outdir(cfg)
+    os.makedirs(out, exist_ok=True)
     entries = []
     first_rescaled = None
     for r_k in radii:
@@ -242,13 +231,15 @@ def cmd_rescale(cfg, args) -> int:
 
 
 def cmd_theorem(cfg, args) -> int:
-    name, _ = _scenario(cfg)
-    kind = _read(cfg, "run.kind", str, SCENARIOS[name].kind)
+    run = _trace(cfg)
+    kind = _read(cfg, "run.kind", str,
+                 SCENARIOS[_read(cfg, "scenario.name", str)].kind)
     p = _read(cfg, "run.p")
     radius = _read(cfg, "run.radius", float, 1e3)
-    trace = _trace(cfg)
+    out = _check_read(cfg)
+    trace = run()
     report = check_main_theorem(trace, kind)
-    out = _outdir(cfg)
+    os.makedirs(out, exist_ok=True)
     io.write_report(os.path.join(out, "report.json"), report)
     if p is not None:
         probe = gradient_estimate_probe(
@@ -264,6 +255,7 @@ def cmd_cutoff_scan(cfg, args) -> int:
     if not 101 <= samples <= MAX_SCAN_SAMPLES:
         raise BadParameter(f"scan.samples must lie in [101, "
                            f"{MAX_SCAN_SAMPLES}], got {samples}")
+    out = _check_read(cfg)
     r = np.linspace(0.0, 1.2, samples)
     cv = cutoff_psi(r)
     plateau = cv.value[r <= 0.5]
@@ -292,7 +284,7 @@ def cmd_cutoff_scan(cfg, args) -> int:
           and stats["maxNegSecond"] <= CUTOFF_SUP_NEG_SECOND + 1e-9
           and stats["maxRatio"] <= CUTOFF_CONSTANT + 1e-6)
     stats["pass"] = bool(ok)
-    out = _outdir(cfg)
+    os.makedirs(out, exist_ok=True)
     io.write_report(os.path.join(out, "cutoff_report.json"), stats)
     print(f"cutoff scan over {samples} samples: "
           f"max -psi'' = {stats['maxNegSecond']:.9g}, "
@@ -304,23 +296,25 @@ def cmd_cutoff_scan(cfg, args) -> int:
 
 
 def cmd_verify(cfg, args) -> int:
-    quantity = args.quantity
-    if quantity not in EVOLUTION_QUANTITIES:
-        raise BadParameter(f"unknown quantity {quantity!r}; expected one of "
-                           f"{EVOLUTION_QUANTITIES}")
-    levels = args.refine
+    quantity, levels = args.quantity, args.refine
     if levels < 2:
         raise BadParameter("--refine must be at least 2")
     name, params = _scenario(cfg)
+    dt = _read(cfg, "controls.dt", required=True)
+    steps = _read(cfg, "controls.max_steps", int, required=True)
+    _check_read(cfg)
     grid = (generate_scenario(name, **params).grid
             if SCENARIOS[name].mode == "flow" else None)
     if grid is None or not (grid.periodic1 and grid.periodic2):
         raise BadParameter("verify needs a mesh-flow scenario on a grid "
                            "periodic on both axes")
-    _check_section(cfg, "controls", {"dt", "max_steps"})
-    dt = _read(cfg, "controls.dt", required=True)
-    steps = _read(cfg, "controls.max_steps", int, required=True)
-    n_base = params.get("n1", 16)
+    # Level l runs an (n1 * 2**l, n2 * 2**l) grid; the finest must fit before
+    # any level runs.  The cap changes no verdict: 8 * 2**16 > MAX_AXIS_NODES.
+    n1 = params.get("n1", 16)
+    n2 = params.get("n2", n1)
+    if max(n1, n2) * 2 ** min(levels - 1, 16) > MAX_AXIS_NODES:
+        raise BadParameter(f"--refine {levels} needs more than "
+                           f"{MAX_AXIS_NODES} nodes per axis")
     k_star = max(2, steps // 2)
     t_star = k_star * dt
 
@@ -328,13 +322,11 @@ def cmd_verify(cfg, args) -> int:
     print("level      n          dt     residual   order_dt")
     order = None
     for level in range(levels):
-        n = n_base * 2 ** level
+        n = n1 * 2 ** level
         dt_l = dt / 4.0 ** level
         k_l = k_star * 4 ** level
-        p = dict(params)
-        p["n1"] = n
-        p["n2"] = n * params.get("n2", n_base) // n_base
-        state = generate_scenario(name, **p)
+        state = generate_scenario(name, **{**params, "n1": n,
+                                           "n2": n2 * 2 ** level})
         trace = run_flow(state, RunControls(dt=dt_l, max_steps=k_l + 2,
                                             stride=1))
         res = evolution_residual(trace, quantity)
@@ -384,15 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = io.read_config(args.config)
-        reads = {"output": {"directory"}, **COMMAND_KEYS[args.command]}
-        for section in COMMAND_SECTIONS:
-            _check_section(cfg, section, reads.get(section, ()))
-        for key in cfg:
-            section = key.partition(".")[0]
-            if section not in SECTIONS:
-                _check_section(cfg, section, ())
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](Config(io.read_config(args.config)),
+                                      args)
     except (OSError, BadParameter) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return CONFIG_EXIT

@@ -33,6 +33,7 @@ from .errors import (BadParameter, DegenerateMetric, InsufficientBlowup,
 from .geometry import GeometryBundle, build_geometry
 from .grid import SurfaceState
 
+CFL_SAFETY = 0.9     # margin below the parabolic stability bound
 CFL_DENOMINATOR = 8.0
 RKC_ACCURACY = 0.02  # adaptive dt = RKC_ACCURACY / max|A|^2
 # An s-stage RKC step with damping RKC_DAMPING is stable up to
@@ -52,21 +53,18 @@ SCALAR_COLUMNS = ("step", "t", "area", "max_A2", "max_H2",
 @dataclass
 class RunControls:
     """Knobs of a flow run.  ``dt`` fixes the step size of RK4 steps;
-    without it RKC steps adapt to the curvature, and ``safety`` scales the
-    CFL bound that sets their stage count."""
+    without it RKC steps adapt to the curvature, with a stage count set by
+    the CFL bound (:func:`cfl_dt`)."""
 
     t_end: float = np.inf
     max_steps: int = 100000
     blowup_threshold: float = 1e4
     stride: int = 1
-    safety: float = 0.9
     dt: float | None = None
 
     def __post_init__(self):
         if self.stride < 1:
             raise BadParameter(f"stride must be at least 1, got {self.stride}")
-        if not 0.0 < self.safety <= 1.0:
-            raise BadParameter(f"safety must lie in (0, 1], got {self.safety}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise BadParameter(f"dt must be finite and positive, got {self.dt}")
         if np.isnan(self.t_end):
@@ -176,13 +174,13 @@ def scalar_row(step: int, geom: GeometryBundle) -> tuple:
             float(geom.det_g.min()))
 
 
-def cfl_dt(geom: GeometryBundle, safety: float = 0.9) -> float:
-    """Parabolic step bound: safety * min(eig_min(g)) * min(spacing)^2 / 8."""
+def cfl_dt(geom: GeometryBundle) -> float:
+    """Parabolic step bound CFL_SAFETY * min eig(g) * min(spacing)^2 / 8."""
     half_tr = 0.5 * (geom.g11 + geom.g22)
     radius = np.sqrt(0.25 * (geom.g11 - geom.g22) ** 2 + geom.g12 ** 2)
     eig_min = float(np.min(half_tr - radius))
     h_min = min(geom.grid.spacing1, geom.grid.spacing2)
-    return safety * eig_min * h_min * h_min / CFL_DENOMINATOR
+    return CFL_SAFETY * eig_min * h_min * h_min / CFL_DENOMINATOR
 
 
 def velocity(state: SurfaceState,
@@ -312,7 +310,7 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
         else:
             time_left = controls.t_end - state.time
             if controls.dt is None:
-                cfl = cfl_dt(geom, controls.safety)
+                cfl = cfl_dt(geom)
                 dt = min(rkc_dt(row[3], cfl), time_left)
                 stages = rkc_stages(dt, cfl)
             else:

@@ -29,10 +29,11 @@ KINDS = ("lagrangian", "symplectic")
 
 # Cutoff profile: 1 on [0, 1/2], quintic smoothstep descent on [1/2, 1],
 # 0 beyond.  With x = 2r - 1 and s(x) = 6x^5 - 15x^4 + 10x^3 the profile is
-# psi = 1 - s, psi' = -2 s'(x), psi'' = -4 s''(x).  The suprema below are
-# closed-form: s'' peaks at x = (3 - sqrt(3))/6 with value 10/sqrt(3), s'
-# peaks at x = 1/2 with value 15/8, and psi'^2/psi = 3600 x^4 (1-x) /
-# (6x^2 + 3x + 1) peaks at x = 0.72666035738605152.
+# psi = 1 - s = (1-x)^3 (1 + 3x + 6x^2), taken in this factored form, which
+# no rounding makes negative; psi' = -2 s'(x), psi'' = -4 s''(x).  The
+# suprema below are closed-form: s'' peaks at x = (3 - sqrt(3))/6 with value
+# 10/sqrt(3), s' peaks at x = 1/2 with value 15/8, and psi'^2/psi =
+# 3600 x^4 (1-x) / (6x^2 + 3x + 1) peaks at x = 0.72666035738605152.
 CUTOFF_SUP_NEG_SECOND = 40.0 / math.sqrt(3.0)
 CUTOFF_SUP_ABS_FIRST = 3.75
 CUTOFF_SUP_RATIO = 43.219614873856273
@@ -335,11 +336,11 @@ def cutoff_psi(r) -> CutoffValue:
     """
     r = np.asarray(r, dtype=float)
     x = np.clip(2.0 * r - 1.0, 0.0, 1.0)
-    s = x ** 3 * (10.0 - 15.0 * x + 6.0 * x ** 2)
+    descent = (1.0 - x) ** 3 * (1.0 + 3.0 * x + 6.0 * x ** 2)   # 1 - s
     sp = 30.0 * x ** 2 * (x - 1.0) ** 2
     spp = 60.0 * x * (2.0 * x - 1.0) * (x - 1.0)
     inside = (r > 0.5) & (r < 1.0)
-    value = np.where(r >= 1.0, 0.0, np.where(inside, 1.0 - s, 1.0))
+    value = np.where(r >= 1.0, 0.0, np.where(inside, descent, 1.0))
     first = np.where(inside, -2.0 * sp, 0.0)
     second = np.where(inside, -4.0 * spp, 0.0)
     return CutoffValue(value=value, first_deriv=first, second_deriv=second)

@@ -6,6 +6,7 @@ artifacts.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from mcf4d import cli
+from mcf4d.errors import Mcf4dError
 
 
 def run_cli(*args):
@@ -387,6 +389,68 @@ def test_controls_the_trace_mode_ignores_exit_two(tmp_path, command, scenario,
     assert not (tmp_path / "out").exists()
 
 
+def test_cutoff_scan_names_every_key_it_does_not_read(tmp_path, monkeypatch,
+                                                      capsys):
+    # cutoff-scan reads scan.samples and output.directory, no scenario.* and
+    # no controls.* key.
+    cfg = write_config(tmp_path, """
+        scenario.nmae = clifford_torus
+        scenario.n1 = 16
+        controls.bogus = 1
+        scan.samples = 201
+    """)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["cutoff-scan", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("BadParameter: unknown config key")
+    named = err.partition(";")[0]
+    for key in ("scenario.nmae", "scenario.n1", "controls.bogus"):
+        assert repr(key) in named
+    assert "scan.samples" not in named
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_cutoff_scan_passes_where_rounding_made_the_profile_negative(
+        tmp_path, capsys):
+    # At 2095 samples 1 - s rounded to -2.2e-16 just below r = 1.
+    cfg = write_config(tmp_path, f"""
+        scan.samples = 2095
+        output.directory = {tmp_path / 'out'}
+    """)
+    assert cli.main(["cutoff-scan", "--config", cfg]) == 0, \
+        capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "cutoff_report.json").read_text())
+    assert report["valueMin"] >= 0.0 and report["pass"] is True
+
+
+@pytest.mark.parametrize("refine, code, levels_run", [
+    ("9", 3, [16]), ("10", 2, []), (str(10 ** 9), 2, [])])
+def test_verify_checks_the_finest_level_before_any_runs(
+        tmp_path, monkeypatch, capsys, refine, code, levels_run):
+    # Level l of the ladder runs a (16 * 2**l)^2 torus: level 8, 4096 nodes
+    # per axis, fits a grid, level 9 does not.  The stand-in flow records
+    # the first level and stops the ladder there.
+    calls = []
+
+    def first_level_only(state, controls):
+        calls.append(state.grid.n1)
+        raise Mcf4dError("stand-in flow")
+
+    monkeypatch.setattr(cli, "run_flow", first_level_only)
+    cfg = write_config(tmp_path, """
+        scenario.name = clifford_torus
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.dt = 1e-3
+        controls.max_steps = 4
+    """)
+    assert cli.main(["verify", "--config", cfg, "--quantity", "cos_theta",
+                     "--refine", refine]) == code
+    assert capsys.readouterr().err.startswith(
+        "BadParameter:" if code == 2 else "Mcf4dError:")
+    assert calls == levels_run
+
+
 def test_integral_float_config_value_is_an_integer(tmp_path):
     cfg = write_config(tmp_path, f"""
         scenario.name = clifford_torus
@@ -413,16 +477,82 @@ def test_verify_rejects_scenarios_without_a_doubly_periodic_flow(tmp_path):
         assert proc.stderr.startswith("BadParameter:")
 
 
+# The config keys each subcommand reads, as the README's key table documents
+# them: its own keys below, output.directory, and for all but cutoff-scan
+# scenario.name, the builder's scenario.* parameters and the controls.* keys
+# of the scenario's trace mode (for verify, of its refinement ladder).
+DOCUMENTED_KEYS = {
+    "simulate": (),
+    "monotonicity": ("run.kind", "weight.center", "weight.t0"),
+    "rescale": ("rescale.T_hat", "rescale.anchor", "rescale.radii"),
+    "theorem": ("run.kind", "run.p", "run.radius"),
+    "verify": (),
+    "cutoff-scan": ("scan.samples",),
+}
+DOCUMENTED_CONTROLS = {
+    "flow": ("t_end", "max_steps", "blowup_threshold", "stride", "dt"),
+    "sphere_ode": ("t_end", "max_steps", "blowup_threshold", "stride"),
+    "translating": ("t_end", "samples"),
+    "verify": ("dt", "max_steps"),
+}
+
+
 def _config_keys(command, scenario):
-    """Every key ``command`` reads for ``scenario``, from the CLI's own
-    tables (a mesh flow's keys for an unknown scenario), and the mode."""
+    """Every documented key ``command`` reads for ``scenario`` (a mesh
+    flow's keys for an unknown scenario)."""
     entry = cli.SCENARIOS.get(scenario, cli.SCENARIOS["clifford_torus"])
-    keys = {"scenario.name", "output.directory"}
-    keys |= {f"scenario.{name}" for name in entry.params()}
-    keys |= {f"controls.{name}" for name in cli.MODE_CONTROLS[entry.mode]}
-    for section, names in cli.COMMAND_KEYS[command].items():
-        keys |= {f"{section}.{name}" for name in names}
-    return sorted(keys), entry.mode
+    keys = {"output.directory", *DOCUMENTED_KEYS[command]}
+    if command != "cutoff-scan":
+        mode = "verify" if command == "verify" else entry.mode
+        keys |= {"scenario.name"}
+        keys |= {f"scenario.{name}" for name in entry.params()}
+        keys |= {f"controls.{name}" for name in DOCUMENTED_CONTROLS[mode]}
+    return sorted(keys)
+
+
+# A valid value of every documented key that is not a scenario parameter,
+# small enough that each run takes well under a second.
+DOCUMENTED_VALUES = {
+    "controls.t_end": "0.1", "controls.max_steps": "40",
+    "controls.blowup_threshold": "1e4", "controls.stride": "1",
+    "controls.dt": "1e-4", "controls.samples": "3",
+    "run.kind": "lagrangian", "run.p": "0.9", "run.radius": "1e3",
+    "weight.center": "0 0 0 0", "weight.t0": "0.1",
+    "rescale.T_hat": "0.5", "rescale.anchor": "0 0 0 0",
+    "rescale.radii": "0.25", "scan.samples": "201",
+}
+
+
+@pytest.mark.parametrize("command, scenario", [
+    (command, scenario) for command in sorted(cli.COMMANDS)
+    for scenario in ("clifford_torus", "sphere_ode", "grim_reaper_product")
+    if command != "cutoff-scan" or scenario == "clifford_torus"])
+def test_every_documented_key_is_read(tmp_path, monkeypatch, capsys, command,
+                                      scenario):
+    # A config holding every key the README documents for the subcommand
+    # and trace mode, scenario parameters at their defaults on 8-node axes,
+    # passes the unread-key check; the run may still stop later, say verify
+    # on a scenario that is not doubly periodic, or rescale on a short run.
+    builder = inspect.signature(cli.SCENARIOS[scenario].builder).parameters
+    values = {f"scenario.{name}": str(par.default)
+              for name, par in builder.items()}
+    values.update({"scenario.name": scenario, "scenario.n1": "8",
+                   "scenario.n2": "8", "output.directory": str(tmp_path),
+                   **DOCUMENTED_VALUES})
+    keys = _config_keys(command, scenario)
+    cfg = write_config(tmp_path, "".join(f"{k} = {values[k]}\n" for k in keys))
+    passed, check = [], cli._check_read
+
+    def recording_check(cfg):
+        passed.append(check(cfg))
+        return passed[-1]
+
+    monkeypatch.setattr(cli, "_check_read", recording_check)
+    extra = ["--quantity", "cos_theta", "--refine", "2"] \
+        if command == "verify" else []
+    code = cli.main([command, "--config", cfg, *extra])
+    assert "unknown config key" not in capsys.readouterr().err
+    assert passed == [str(tmp_path)], code
 
 
 FUZZ_VALUES = ("0", "1", "2", "4", "-1", "-0.5", "0.5", "1e-3", "2.5e-4",
@@ -435,10 +565,11 @@ FUZZ_VALUES = ("0", "1", "2", "4", "-1", "-0.5", "0.5", "1e-3", "2.5e-4",
 def _fuzz_case(command, scenario):
     """Arguments and config lines of one ``command`` run on ``scenario``:
     random lines, mostly with a key the run reads, else with a misspelt
-    key, else not ``key = value`` at all, then a tail that caps the work
-    (at most 12 nodes per axis, at most 4 steps or samples) with values
-    that may themselves be malformed or too large to accept."""
-    keys, mode = _config_keys(command, scenario)
+    key, else not ``key = value`` at all, then, unless the command is
+    cutoff-scan, which reads no scenario, a tail that caps the work (at most
+    12 nodes per axis, at most 4 steps or samples) with values that may
+    themselves be malformed or too large to accept."""
+    keys = _config_keys(command, scenario)
     real = hs.sampled_from(keys)
     misspelt = real.flatmap(lambda key: hs.integers(0, len(key) - 1).map(
         lambda i: key[:i] + key[i + 1:]))
@@ -450,16 +581,16 @@ def _fuzz_case(command, scenario):
         ("no equals sign", "a.b.c = 1", "= 1", "# café", ""))
     line = hs.sampled_from(6 * ["real"] + ["misspelt", "garbage"]).flatmap(
         kinds.__getitem__)
-    cap = "samples" if mode == "translating" else "max_steps"
+    cap = "samples" if "controls.samples" in keys else "max_steps"
     lines = hs.tuples(
         hs.lists(line, max_size=5),
         hs.sampled_from(("8", "10", "12", "4", "12.5", "nan", "café",
                          "4098", "1e300")),
         hs.sampled_from(("0", "1", "2", "4", "-1", "inf", "x", "2147483648",
                          "1e300")),
-    ).map(lambda d: [f"scenario.name = {scenario}", *d[0],
-                     f"scenario.n1 = {d[1]}", f"scenario.n2 = {d[1]}",
-                     f"controls.{cap} = {d[2]}"])
+    ).map(lambda d: d[0] if command == "cutoff-scan" else [
+        f"scenario.name = {scenario}", *d[0], f"scenario.n1 = {d[1]}",
+        f"scenario.n2 = {d[1]}", f"controls.{cap} = {d[2]}"])
     args = (hs.sampled_from(cli.EVOLUTION_QUANTITIES).map(
         lambda q: ["--quantity", q, "--refine", "2"])
         if command == "verify" else hs.just([]))

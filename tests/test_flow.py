@@ -41,13 +41,8 @@ def test_scalar_columns_contract():
                               "min_cos_alpha", "min_cos_theta", "min_detg")
 
 
-def test_cfl_dt_positive_and_linear_in_safety():
-    st = clifford_torus(16, 16)
-    geom = GeometryBundle(st)
-    dt1 = cfl_dt(geom, safety=0.9)
-    dt2 = cfl_dt(geom, safety=0.45)
-    assert dt1 > 0
-    assert abs(dt2 - 0.5 * dt1) < 1e-15
+def test_cfl_dt_positive():
+    assert cfl_dt(GeometryBundle(clifford_torus(16, 16))) > 0
 
 
 def test_velocity_vanishes_on_flat_patch():

@@ -222,6 +222,13 @@ def test_cutoff_is_continuously_differentiable_at_the_kinks():
         assert abs(below.first_deriv[0] - above.first_deriv[0]) < 1e-7
 
 
+@pytest.mark.parametrize("samples", [2095, 1_000_001])
+def test_cutoff_value_never_rounds_below_zero(samples):
+    # Taken as 1 - s, the value rounded to -2.2e-16 just below r = 1 at
+    # these sample counts of the cutoff scan's [0, 1.2] grid.
+    assert cutoff_psi(np.linspace(0.0, 1.2, samples)).value.min() >= 0.0
+
+
 def test_localized_field_symplectic_formula(sympl32_mono):
     thin = thin_trace(sympl32_mono, 20)
     p, radius = 0.45, 50.0
