@@ -120,11 +120,14 @@ def _controls(cfg, mode: str) -> RunControls:
 
 def _scenario(cfg):
     """Configured scenario name and the ``scenario.*`` parameters given,
-    typed by the scenario builder's signature."""
+    typed by the scenario builder's signature; each must be finite."""
     name = _read(cfg, "scenario.name", str, required=True)
     params = {key: _read(cfg, f"scenario.{key}", kind)
               for key, kind in find_scenario(name).params().items()}
-    return name, {k: v for k, v in params.items() if v is not None}
+    params = {k: v for k, v in params.items() if v is not None}
+    if not all(np.isfinite(v) for v in params.values()):
+        raise BadParameter(f"scenario parameters must be finite: {params}")
+    return name, params
 
 
 def _trace(cfg):
@@ -308,10 +311,10 @@ def cmd_verify(cfg, args) -> int:
     if grid is None or not (grid.periodic1 and grid.periodic2):
         raise BadParameter("verify needs a mesh-flow scenario on a grid "
                            "periodic on both axes")
-    # Level l runs an (n1 * 2**l, n2 * 2**l) grid; the finest must fit before
-    # any level runs.  The cap changes no verdict: 8 * 2**16 > MAX_AXIS_NODES.
-    n1 = params.get("n1", 16)
-    n2 = params.get("n2", n1)
+    # Level l runs the configured grid refined 2**l times; the finest must
+    # fit before any level runs.  The cap changes no verdict: 8 * 2**16 >
+    # MAX_AXIS_NODES.
+    n1, n2 = grid.n1, grid.n2
     if max(n1, n2) * 2 ** min(levels - 1, 16) > MAX_AXIS_NODES:
         raise BadParameter(f"--refine {levels} needs more than "
                            f"{MAX_AXIS_NODES} nodes per axis")

@@ -1,8 +1,14 @@
 """Exception types shared across the package.
 
-Errors that refer to a specific grid node carry the flat node index
-(row-major) so callers can locate the offending sample.
+Errors that refer to a specific grid node carry it as (row, col).
 """
+
+import numpy as np
+
+
+def first_node(mask: np.ndarray) -> tuple:
+    """(row, col) of the first True entry of an (n1, n2) node mask."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
 
 
 class Mcf4dError(Exception):
@@ -22,7 +28,7 @@ class NodeError(Mcf4dError):
 
     def __init__(self, node, message=""):
         self.node = node
-        super().__init__(f"{message} (node {node})" if message else f"node {node}")
+        super().__init__(f"{message} at node {node}" if message else f"node {node}")
 
 
 class DegenerateMetric(NodeError):

@@ -185,11 +185,12 @@ def cfl_dt(geom: GeometryBundle) -> float:
 
 def velocity(state: SurfaceState,
              geom: GeometryBundle | None = None) -> np.ndarray:
-    """Mean curvature vector field H of ``state``; ``geom``, when given, is
-    the state's geometry already built and is read, not recomputed."""
+    """Mean curvature vector field H of ``state``, node-major (n1, n2, 4)
+    like the positions; ``geom``, when given, is the state's geometry
+    already built and is read, not recomputed."""
     if geom is None:
         geom = GeometryBundle(state)
-    return geom.mean_curvature
+    return geom.mean_curvature.transpose(1, 2, 0)
 
 
 def step(state: SurfaceState, dt: float, geom: GeometryBundle) -> SurfaceState:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BadP, BadParameter, DenominatorFloor, ShortTrace,
-                     TimeOrder, WeightFloor)
+                     TimeOrder, WeightFloor, first_node)
 from .flow import FlowTrace
 from .geometry import (GeometryBundle, gradient_sq, laplace_beltrami,
                        normal_gradient_sq)
@@ -106,9 +106,8 @@ def _floor_checked_weight(weight: GaussianWeight, geom: GeometryBundle,
     denom = _angle_cosine(geom, kind)
     bad = active & (denom < DELTA_FLOOR)
     if np.any(bad):
-        node = int(np.flatnonzero(bad.ravel())[0])
-        value = float(denom.ravel()[node])
-        raise WeightFloor(node, f"weight denominator {value:.3e} below "
+        node = first_node(bad)
+        raise WeightFloor(node, f"weight denominator {denom[node]:.3e} below "
                                 f"{DELTA_FLOOR} where the kernel is active")
     return rho, active, denom
 
@@ -165,9 +164,10 @@ def _centered_time_derivative(times: np.ndarray,
 def _drift_field(geom: GeometryBundle, weight: GaussianWeight,
                  tau: float) -> np.ndarray:
     """|H + (F - X0)^perp / 2 tau|^2 per node."""
-    offset = geom.normal_part(geom.positions - weight.center)
+    offset = geom.normal_part(
+        (geom.positions - weight.center).transpose(2, 0, 1))
     vec = geom.mean_curvature + offset / (2.0 * tau)
-    return np.sum(vec * vec, axis=-1)
+    return np.sum(vec * vec, axis=0)
 
 
 def monotonicity_scan(trace: FlowTrace, weight: GaussianWeight,

@@ -15,6 +15,10 @@ The flow integrator, its per-step diagnostics and every stored-state
 analysis read the same object.  The angles come from F_u ^ F_v, which is
 sqrt(det g) e1 ^ e2 for every oriented orthonormal tangent frame, and
 |grad J|^2 = |A|^2 - 2 K^perp from the normal curvature K^perp.
+
+Vector fields here are component-major (4, n1, n2), as
+:func:`~mcf4d.grid.position_derivatives` returns them; ambient products and
+pairings sum over the leading axis.  Scalar fields are (n1, n2).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateMetric, FrameInconsistent
+from .errors import DegenerateMetric, FrameInconsistent, first_node
 from .grid import ParamGrid, SurfaceState, position_derivatives, scalar_derivative
 
 # Numerical floors, referenced by tests.
@@ -34,23 +38,21 @@ OMEGA_NORM_FLOOR = 1e-12     # below this the holomorphic form is degenerate
 
 def omega_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Standard symplectic form dx1^dy1 + dx2^dy2 on two 4-vector fields."""
-    return (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-            + a[..., 2] * b[..., 3] - a[..., 3] * b[..., 2])
+    return a[0] * b[1] - a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
 
 
 def holomorphic_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Complex form dz1^dz2 on two 4-vector fields (complex-valued)."""
-    za1 = a[..., 0] + 1j * a[..., 1]
-    za2 = a[..., 2] + 1j * a[..., 3]
-    zb1 = b[..., 0] + 1j * b[..., 1]
-    zb2 = b[..., 2] + 1j * b[..., 3]
+    za1 = a[0] + 1j * a[1]
+    za2 = a[2] + 1j * a[3]
+    zb1 = b[0] + 1j * b[1]
+    zb2 = b[2] + 1j * b[3]
     return za1 * zb2 - zb1 * za2
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ambient inner product of two 4-vector fields."""
-    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-            + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3])
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
 class GeometryBundle:
@@ -75,9 +77,9 @@ class GeometryBundle:
         g12 = _dot(f_u, f_v)
         g22 = _dot(f_v, f_v)
         det = g11 * g22 - g12 * g12
-        if np.any(det <= DET_G_FLOOR):
-            node = int(np.argmax(det <= DET_G_FLOOR))
-            raise DegenerateMetric(node, f"det g = {det.flat[node]:.3e}")
+        if not np.all(det > DET_G_FLOOR):    # NaN fails too
+            node = first_node(~(det > DET_G_FLOOR))
+            raise DegenerateMetric(node, f"det g = {det[node]:.3e}")
         self.grid, self.positions, self.time = (state.grid, state.positions,
                                                 state.time)
         self.f_u, self.f_v = f_u, f_v
@@ -86,8 +88,8 @@ class GeometryBundle:
         self.inv11 = g22 / det
         self.inv12 = -g12 / det
         self.inv22 = g11 / det
-        w = (self.inv11[..., None] * f_uu + (2.0 * self.inv12)[..., None] * f_uv
-             + self.inv22[..., None] * f_vv)
+        w = (self.inv11 * f_uu + (2.0 * self.inv12) * f_uv
+             + self.inv22 * f_vv)
         self.mean_curvature = self.normal_part(w)
 
     def tangent_coords(self, x: np.ndarray) -> tuple:
@@ -99,14 +101,17 @@ class GeometryBundle:
                 self.inv12 * xu + self.inv22 * xv)
 
     def normal_part(self, x: np.ndarray) -> np.ndarray:
-        """Vector field x minus its tangential projection g^ij <x, F_j> F_i."""
+        """Vector field x minus its tangential projection g^ij <x, F_j> F_i;
+        x is (4, n1, n2) or a stack (4, k, n1, n2) of k fields."""
         cu, cv = self.tangent_coords(x)
-        return x - cu[..., None] * self.f_u - cv[..., None] * self.f_v
+        lead = (slice(None),) + (None,) * (x.ndim - 3)
+        return x - cu * self.f_u[lead] - cv * self.f_v[lead]
 
     @cached_property
     def normal_hessian(self) -> tuple:
         """(A_11, A_12, A_22): normal parts of F_uu, F_uv, F_vv."""
-        return tuple(self.normal_part(np.stack(self.hessian)))
+        a = self.normal_part(np.stack(self.hessian, axis=1))
+        return a[:, 0], a[:, 1], a[:, 2]
 
     @cached_property
     def norm_A2(self) -> np.ndarray:
@@ -154,7 +159,7 @@ class GeometryBundle:
         """(Gamma^u, Gamma^v), each (3, n1, n2) over ij = uu, uv, vv.  In
         flat ambient space Gamma^k_ij = g^kl <F_ij, F_l>, the tangential
         coefficients of the Hessian."""
-        return self.tangent_coords(np.stack(self.hessian))
+        return self.tangent_coords(np.stack(self.hessian, axis=1))
 
     @cached_property
     def nabla_bar_j2(self) -> np.ndarray:
@@ -186,8 +191,8 @@ def plane_angles(a: np.ndarray, b: np.ndarray, area):
     cos_alpha = omega_pairing(a, b) / area
     excess = np.abs(cos_alpha) - 1.0
     if np.any(excess > COS_CLAMP_EXCESS):
-        node = int(np.argmax(excess > COS_CLAMP_EXCESS))
-        raise FrameInconsistent(node, f"|cos alpha| = {1 + excess.flat[node]:.12f}")
+        node = first_node(excess > COS_CLAMP_EXCESS)
+        raise FrameInconsistent(node, f"|cos alpha| = {1 + excess[node]:.12f}")
     omega_c = holomorphic_pairing(a, b) / area
     omega_norm = np.abs(omega_c)
     degenerate = omega_norm < OMEGA_NORM_FLOOR
@@ -201,7 +206,7 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 def _wedge(a: np.ndarray, b: np.ndarray) -> list:
     """Components (a ^ b)_ab = a_a b_b - a_b b_a over ``_PAIRS``."""
-    return [a[..., i] * b[..., j] - a[..., j] * b[..., i] for i, j in _PAIRS]
+    return [a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS]
 
 
 def j_gradient_sq(geom: GeometryBundle) -> np.ndarray:
@@ -282,8 +287,11 @@ def normal_gradient_sq(vectors: np.ndarray, geom: GeometryBundle) -> np.ndarray:
     """|grad^N X|^2 = g^ij <(d_i X)^perp, (d_j X)^perp> per node.
 
     For the mean curvature field this is the |grad H|^2 entering the
-    curvature evolution identity.
+    curvature evolution identity.  Its d_u is taken node-major, where u leads.
     """
-    n_u, n_v = geom.normal_part(np.stack(field_derivatives(vectors, geom.grid)))
+    d_u = scalar_derivative(vectors.transpose(1, 2, 0), geom.grid, 0, 1)
+    d_v = scalar_derivative(vectors, geom.grid, 1, 1)
+    n_u, n_v = geom.normal_part(np.stack((d_u.transpose(2, 0, 1), d_v),
+                                         axis=1)).transpose(1, 0, 2, 3)
     return (geom.inv11 * _dot(n_u, n_u) + 2.0 * geom.inv12 * _dot(n_u, n_v)
             + geom.inv22 * _dot(n_v, n_v))

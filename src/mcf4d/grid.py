@@ -7,6 +7,9 @@ A periodic axis may carry a constant seam shift: crossing the seam adds a
 fixed 4-vector to the position (graphs over a plane wrap up to a lattice
 translation).  Compact surfaces use zero shifts.  Derivatives of position
 fields strip the induced linear ramp so stencils only ever see periodic data.
+
+Positions are node-major, (n1, n2, 4); derivative fields are component-major,
+C-contiguous (4, n1, n2), one contiguous (n1, n2) block per component.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stencils
-from .errors import BadParameter, NonFinite
+from .errors import BadParameter, NonFinite, first_node
 
 AMBIENT_DIM = 4
 # Most nodes per axis: one dense (n, n) derivative matrix at this size is
@@ -91,17 +94,16 @@ class SurfaceState:
     def require_finite(self):
         bad = ~np.isfinite(self.positions)
         if bad.any():
-            node = int(np.argmax(bad.any(axis=2)))
-            raise NonFinite(node, "non-finite position")
+            raise NonFinite(first_node(bad.any(axis=2)), "non-finite position")
 
     def periodic_part(self) -> np.ndarray:
         """Positions minus the seam ramps; genuinely periodic on periodic axes."""
         out = self.positions
         g = self.grid
-        if np.any(self.shift1):
+        if self.shift1.any():
             frac = (g.axis_coords(0) / (g.n1 * g.spacing1))[:, None, None]
             out = out - frac * self.shift1
-        if np.any(self.shift2):
+        if self.shift2.any():
             frac = (g.axis_coords(1) / (g.n2 * g.spacing2))[None, :, None]
             out = out - frac * self.shift2
         return out
@@ -130,7 +132,8 @@ class SurfaceState:
 
 def scalar_derivative(field: np.ndarray, grid: ParamGrid, axis: int,
                       order: int) -> np.ndarray:
-    """Derivative of a periodic/clamped per-node field (no seam ramps)."""
+    """Derivative of a periodic/clamped per-node field (no seam ramps) along
+    u (``axis`` 0, the field's first axis) or v (``axis`` 1, its last)."""
     if axis == 0:
         return stencils.axis_derivative(field, 0, grid.n1, grid.spacing1,
                                         grid.periodic1, order)
@@ -138,20 +141,30 @@ def scalar_derivative(field: np.ndarray, grid: ParamGrid, axis: int,
                                     grid.periodic2, order)
 
 
+def component_major(field: np.ndarray) -> np.ndarray:
+    """C-contiguous (4, n1, n2) copy of a node-major (n1, n2, 4) field."""
+    return field.transpose(2, 0, 1).copy()
+
+
 def position_derivatives(state: SurfaceState):
     """First and second derivatives of the immersion, seam ramps restored.
 
-    Returns (F_u, F_v, F_uu, F_uv, F_vv), each of shape (n1, n2, 4).
+    Returns (F_u, F_v, F_uu, F_uv, F_vv), each a C-contiguous
+    component-major (4, n1, n2) array.  A u-derivative is one product
+    D @ P over the node-major positions viewed as (n1, n2 * 4); a
+    v-derivative is one product X @ D.T over a component-major field viewed
+    as (4 * n1, n2).
     """
     g = state.grid
     per = state.periodic_part()
-    f_u = scalar_derivative(per, g, 0, 1)
+    f_u = component_major(scalar_derivative(per, g, 0, 1))
+    f_uu = component_major(scalar_derivative(per, g, 0, 2))
+    per = component_major(per)
     f_v = scalar_derivative(per, g, 1, 1)
-    f_uu = scalar_derivative(per, g, 0, 2)
     f_vv = scalar_derivative(per, g, 1, 2)
     f_uv = scalar_derivative(f_u, g, 1, 1)
-    if np.any(state.shift1):
-        f_u = f_u + state.shift1 / (g.n1 * g.spacing1)
-    if np.any(state.shift2):
-        f_v = f_v + state.shift2 / (g.n2 * g.spacing2)
+    if state.shift1.any():
+        f_u = f_u + (state.shift1 / (g.n1 * g.spacing1))[:, None, None]
+    if state.shift2.any():
+        f_v = f_v + (state.shift2 / (g.n2 * g.spacing2))[:, None, None]
     return f_u, f_v, f_uu, f_uv, f_vv

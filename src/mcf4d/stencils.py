@@ -1,9 +1,10 @@
 """Fourth-order finite-difference operators on uniform 1-d axes.
 
-Derivatives are applied as dense (n, n) matrices along either grid axis:
+Derivatives are applied as dense (n, n) matrices D along either grid axis:
 circulant central stencils on periodic axes, one-sided stencils of the same
 order near clamped boundaries.  Matrices are cached per axis signature so
-repeated geometry builds reuse them.
+repeated geometry builds reuse them.  One apply is one matrix product over
+the whole field: D @ X along its first axis, X @ D.T along its last.
 """
 
 from __future__ import annotations
@@ -81,8 +82,12 @@ def derivative_matrix(n: int, spacing: float, periodic: bool, order: int) -> np.
 
 def axis_derivative(field: np.ndarray, axis: int, n: int, spacing: float,
                     periodic: bool, order: int) -> np.ndarray:
-    """Apply the cached derivative matrix along the given axis of a field."""
+    """Apply the cached derivative matrix along the first axis of a field
+    (``axis`` 0, the field viewed as (n, size / n)) or along its last axis
+    (``axis`` 1, viewed as (size / n, n)), as one matrix product."""
+    if field.shape[0 if axis == 0 else -1] != n:
+        raise ValueError(f"axis {axis} of a {field.shape} field is not {n} long")
     mat = derivative_matrix(n, spacing, periodic, order)
-    moved = np.moveaxis(field, axis, 0)
-    out = np.tensordot(mat, moved, axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
+    if axis == 0:
+        return (mat @ field.reshape(n, -1)).reshape(field.shape)
+    return (field.reshape(-1, n) @ mat.T).reshape(field.shape)

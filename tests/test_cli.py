@@ -260,9 +260,12 @@ def test_oversized_integer_config_values_exit_two(tmp_path, monkeypatch,
     ("simulate", "scenario.n1 = abc"),
     ("simulate", "scenario.radius = xyz"),
     ("simulate", "scenario.n1 = 16.9"),
+    ("simulate", "scenario.radius = inf"),
+    ("simulate", "scenario.radius = nan"),
     ("rescale", "rescale.radii = 0.25 abc"),
     ("rescale", "rescale.radii ="),
-], ids=["n1_word", "radius_word", "n1_fraction", "radii_word", "radii_empty"])
+], ids=["n1_word", "radius_word", "n1_fraction", "radius_inf", "radius_nan",
+        "radii_word", "radii_empty"])
 def test_untyped_config_values_exit_two(tmp_path, command, line):
     cfg = write_config(tmp_path, f"""
         scenario.name = clifford_torus
@@ -451,6 +454,31 @@ def test_verify_checks_the_finest_level_before_any_runs(
     assert calls == levels_run
 
 
+@pytest.mark.parametrize("refine, code, levels_run", [
+    ("7", 3, [(64, 64)]), ("8", 2, [])])
+def test_verify_starts_its_ladder_at_the_configured_grid(
+        tmp_path, monkeypatch, capsys, refine, code, levels_run):
+    # Without scenario.n1/n2 the config describes the builder's 64^2 grid:
+    # level 0 runs it, and level 7 (8192 nodes per axis) does not fit.
+    calls = []
+
+    def first_level_only(state, controls):
+        calls.append(state.grid.shape)
+        raise Mcf4dError("stand-in flow")
+
+    monkeypatch.setattr(cli, "run_flow", first_level_only)
+    cfg = write_config(tmp_path, """
+        scenario.name = lagrangian_graph
+        controls.dt = 1e-3
+        controls.max_steps = 4
+    """)
+    assert cli.main(["verify", "--config", cfg, "--quantity", "cos_theta",
+                     "--refine", refine]) == code
+    assert capsys.readouterr().err.startswith(
+        "BadParameter:" if code == 2 else "Mcf4dError:")
+    assert calls == levels_run
+
+
 def test_integral_float_config_value_is_an_integer(tmp_path):
     cfg = write_config(tmp_path, f"""
         scenario.name = clifford_torus
@@ -562,13 +590,30 @@ FUZZ_VALUES = ("0", "1", "2", "4", "-1", "-0.5", "0.5", "1e-3", "2.5e-4",
                "lagrangian", "symplectic", "clifford_torus", "sphere_ode")
 
 
+# Values of the capping tail: valid ones, then malformed or too large ones.
+TAIL_VALUES = {
+    "scenario.n1": (("8", "10", "12"),
+                    ("4", "12.5", "nan", "café", "4098", "1e300")),
+    "controls.max_steps": (("4", "0", "1", "2"),
+                           ("-1", "inf", "x", "2147483648", "1e300")),
+    "controls.dt": (("1e-4", "2.5e-4", "1e-3"),
+                    ("0", "-1e-3", "nan", "inf", "x", "1e300")),
+    "weight.center": (("0 0 0 0", "0.5 0 0.5 0", "1 1 1 1"),
+                      ("1 2", "nan 0 0 0", "0 0 0 inf", "x", "")),
+    "weight.t0": (("0.1", "0.5", "1"), ("nan", "inf", "x")),
+}
+
+
 def _fuzz_case(command, scenario):
     """Arguments and config lines of one ``command`` run on ``scenario``:
     random lines, mostly with a key the run reads, else with a misspelt
     key, else not ``key = value`` at all, then, unless the command is
-    cutoff-scan, which reads no scenario, a tail that caps the work (at most
-    12 nodes per axis, at most 4 steps or samples) with values that may
-    themselves be malformed or too large to accept."""
+    cutoff-scan, which reads no scenario, the scenario name and a tail that
+    caps the work (at most 12 nodes per axis, at most 4 steps or samples)
+    and gives verify its controls.dt and monotonicity its weight.  A later
+    line wins.  At most one tail value, and in half the cases none, is
+    malformed or too large to accept, so that verify and monotonicity runs
+    get past config handling and run their flows."""
     keys = _config_keys(command, scenario)
     real = hs.sampled_from(keys)
     misspelt = real.flatmap(lambda key: hs.integers(0, len(key) - 1).map(
@@ -582,15 +627,19 @@ def _fuzz_case(command, scenario):
     line = hs.sampled_from(6 * ["real"] + ["misspelt", "garbage"]).flatmap(
         kinds.__getitem__)
     cap = "samples" if "controls.samples" in keys else "max_steps"
-    lines = hs.tuples(
-        hs.lists(line, max_size=5),
-        hs.sampled_from(("8", "10", "12", "4", "12.5", "nan", "café",
-                         "4098", "1e300")),
-        hs.sampled_from(("0", "1", "2", "4", "-1", "inf", "x", "2147483648",
-                         "1e300")),
-    ).map(lambda d: d[0] if command == "cutoff-scan" else [
-        f"scenario.name = {scenario}", *d[0], f"scenario.n1 = {d[1]}",
-        f"scenario.n2 = {d[1]}", f"controls.{cap} = {d[2]}"])
+    tail = {"scenario.n1": TAIL_VALUES["scenario.n1"],
+            f"controls.{cap}": TAIL_VALUES["controls.max_steps"],
+            **{key: TAIL_VALUES[key] for key in {
+                "verify": ("controls.dt",),
+                "monotonicity": ("weight.center", "weight.t0"),
+            }.get(command, ())}}
+    tail_values = (hs.just(None) | hs.sampled_from(sorted(tail))).flatmap(
+        lambda bad: hs.tuples(*(hs.sampled_from(values[key == bad])
+                                for key, values in tail.items())))
+    lines = hs.tuples(hs.lists(line, max_size=5), tail_values).map(
+        lambda d: d[0] if command == "cutoff-scan" else [
+            *d[0], f"scenario.name = {scenario}", f"scenario.n2 = {d[1][0]}",
+            *(f"{key} = {value}" for key, value in zip(tail, d[1]))])
     args = (hs.sampled_from(cli.EVOLUTION_QUANTITIES).map(
         lambda q: ["--quantity", q, "--refine", "2"])
         if command == "verify" else hs.just([]))

@@ -291,7 +291,8 @@ def test_velocity_matches_bundle_mean_curvature(name, moved):
     h_normal = np.einsum('...ij,...nij->...n', o.inverse, o.second_ff)
     h_frame = np.einsum('...n,...nc->...c', h_normal, o.normal_frame)
     scale = max(1.0, np.abs(h_frame).max())
-    assert np.abs(vel - b.mean_curvature).max() <= 1e-12 * scale
+    assert np.abs(vel - b.mean_curvature.transpose(1, 2, 0)).max() \
+        <= 1e-12 * scale
     assert np.abs(vel - h_frame).max() <= 1e-12 * scale
 
 

@@ -15,7 +15,9 @@ Oracles, computed independently in this file:
     contractions, which the frame-free bundle and field operators replaced;
     its tangent rotation and normal basis order are free gauges;
   - ``_reference_j``: |grad J|^2 by differentiating all 16 entries of the
-    J field, against the bundle's closed form |A|^2 - 2 K^perp.
+    J field, against the bundle's closed form |A|^2 - 2 K^perp;
+  - ``_node_major_bundle``: the node-major (n1, n2, 4) computation that the
+    component-major kernel replaced, on explicit derivative-matrix products.
 """
 
 from types import SimpleNamespace
@@ -29,10 +31,11 @@ from mcf4d.errors import DegenerateMetric
 from mcf4d.geometry import (build_geometry, gradient_inner, gradient_sq,
                             holomorphic_pairing, laplace_beltrami,
                             normal_gradient_sq, omega_pairing, plane_angles)
-from mcf4d.grid import (ParamGrid, SurfaceState, position_derivatives,
-                        scalar_derivative)
+from mcf4d.grid import (ParamGrid, SurfaceState, component_major,
+                        position_derivatives, scalar_derivative)
 from mcf4d.scenarios import (clifford_torus, complex_line, lagrangian_graph,
                              plane, sphere_patch, symplectic_graph)
+from mcf4d.stencils import derivative_matrix
 
 from conftest import su2_real
 
@@ -103,7 +106,7 @@ def test_sphere_patch_curvatures():
     assert np.abs(b.norm_H2 - 4.0 / r ** 2).max() < 2e-3
     # H points back along the position vector with magnitude 2 / r.
     expect = -2.0 / r ** 2 * b.positions
-    assert np.abs(b.mean_curvature - expect).max() < 2e-3
+    assert np.abs(b.mean_curvature.transpose(1, 2, 0) - expect).max() < 2e-3
     # Finer grids do better.
     b2 = build_geometry(sphere_patch(48, 64, radius=r))
     assert (np.abs(b2.norm_A2 - 2.0 / r ** 2).max()
@@ -181,9 +184,9 @@ def test_second_ff_is_symmetric_and_consistent_across_frames():
                                atol=1e-12)
     # |H|^2 must equal the squared norm of the mean curvature vector.
     np.testing.assert_allclose(
-        b.norm_H2, np.sum(b.mean_curvature ** 2, axis=-1), atol=1e-12)
+        b.norm_H2, np.sum(b.mean_curvature ** 2, axis=0), atol=1e-12)
     # And the oracle's normal components must reassemble the vector.
-    rebuilt = np.einsum("ija,ijad->ijd", o.mean_normal, o.normal_frame)
+    rebuilt = np.einsum("ija,ijad->dij", o.mean_normal, o.normal_frame)
     np.testing.assert_allclose(rebuilt, b.mean_curvature, atol=1e-12)
 
 
@@ -198,7 +201,8 @@ def test_normal_part_annihilates_tangents():
     st = clifford_torus(16, 16)
     b, o = build_geometry(st), frame_oracle(st)
     normal_part = b.normal_part
-    assert np.abs(normal_part(o.tangent_frame[:, :, 0])).max() < 1e-12
+    assert np.abs(normal_part(o.tangent_frame[:, :, 0].transpose(2, 0, 1))
+                  ).max() < 1e-12
     h_proj = normal_part(b.mean_curvature)
     np.testing.assert_allclose(h_proj, b.mean_curvature, atol=1e-10)
 
@@ -277,8 +281,9 @@ def test_gauge_choices_do_not_move_scalars(name, seed, order):
         assert diff < 1e-8, field
         diff = np.abs(getattr(oracle, field) - getattr(alt, field)).max()
         assert diff < 1e-8, field
-    assert np.abs(alt.mean_curvature
-                  - base.mean_curvature @ rotation.T).max() < 1e-8
+    assert np.abs(alt.mean_curvature.transpose(1, 2, 0)
+                  - base.mean_curvature.transpose(1, 2, 0) @ rotation.T
+                  ).max() < 1e-8
     # The pinching |grad J|^2 >= |H|^2 / 2 holds in the closed form itself.
     scale = max(1.0, float(alt.norm_H2.max()))
     assert (alt.nabla_bar_j2 - 0.5 * alt.norm_H2).min() >= -1e-12 * scale
@@ -302,8 +307,27 @@ def test_j_gradient_direct_vs_shape_expression():
 
 def test_degenerate_metric_raises():
     g = ParamGrid(8, 8, 0.1, 0.1, True, True)
-    with pytest.raises(DegenerateMetric):
+    with pytest.raises(DegenerateMetric) as err:
         build_geometry(SurfaceState(g, np.zeros((8, 8, 4))))
+    assert err.value.node == (0, 0)
+    # The planar map (u, y) with d_v y = (u - u0)^2 + (v - v0)^2 has
+    # det g = (d_v y)^2, which vanishes only at (u0, v0) = node (7, 4); the
+    # clamped stencils are exact on these cubics.
+    g = ParamGrid(12, 10, 0.1, 0.1, False, False)
+    u = g.axis_coords(0)[:, None]
+    v = g.axis_coords(1)[None, :]
+    positions = np.zeros((12, 10, 4))
+    positions[..., 0] = u
+    positions[..., 1] = (v - v[0, 4]) ** 3 / 3.0 + (u - u[7]) ** 2 * v
+    with pytest.raises(DegenerateMetric) as err:
+        build_geometry(SurfaceState(g, positions))
+    assert err.value.node == (7, 4)
+    assert str(err.value).endswith(" at node (7, 4)")
+    assert str(err.value).startswith("det g = ")
+    # A metric that overflows to NaN is no immersion either.
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DegenerateMetric, match="det g = nan"):
+        build_geometry(clifford_torus(8, 8, radius=1e300))
 
 
 def test_torus_quadrature_area_converges_at_fourth_order():
@@ -396,8 +420,9 @@ def _reference_j(frame_t, frame_n, coeffs, cos_alpha, grid):
         return a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
 
     j_field = skew(e2, e1) + skew(v2, v1)
+    j_v = scalar_derivative(j_field.transpose(2, 3, 0, 1), grid, 1, 1)
     dj = np.stack([scalar_derivative(j_field, grid, 0, 1),
-                   scalar_derivative(j_field, grid, 1, 1)], axis=-3)
+                   j_v.transpose(2, 3, 0, 1)], axis=-3)
     frame_dj = np.einsum('...ki,...iab->...kab', coeffs, dj)
     value = 0.25 * np.einsum('...kab,...kab->...', frame_dj, frame_dj)
     return np.where(1.0 - cos_alpha ** 2 < 1e-6, np.nan, value)
@@ -408,7 +433,8 @@ def frame_oracle(state, tangent_rotation=None,
     """Geometry of ``state`` through orthonormal frames and einsum
     contractions: h^n_ij = <F_ij, v_n>, its frame components, and every
     scalar the bundle gives frame-free."""
-    f_u, f_v, f_uu, f_uv, f_vv = position_derivatives(state)
+    f_u, f_v, f_uu, f_uv, f_vv = (d.transpose(1, 2, 0)
+                                  for d in position_derivatives(state))
     first = np.stack([f_u, f_v], axis=-2)
     metric = np.einsum('...ic,...jc->...ij', first, first)
     inverse = np.linalg.inv(metric)
@@ -423,15 +449,16 @@ def frame_oracle(state, tangent_rotation=None,
     h_frame = np.einsum('...ai,...bj,...nij->...nab', coeffs, coeffs, h)
     mean_normal = np.einsum('...ij,...nij->...n', inverse, h)
     h_dot_a = np.einsum('...n,...nab->...ab', mean_normal, h_frame)
-    cos_alpha, unit, _, _ = plane_angles(frame_t[..., 0, :],
-                                         frame_t[..., 1, :], 1.0)
+    cos_alpha, unit, _, _ = plane_angles(frame_t[..., 0, :].transpose(2, 0, 1),
+                                         frame_t[..., 1, :].transpose(2, 0, 1),
+                                         1.0)
     det_g = np.linalg.det(metric)
     return SimpleNamespace(
         grid=state.grid, inverse=inverse, det_g=det_g,
         area_element=np.sqrt(det_g), christoffel=christoffel,
         tangent_frame=frame_t, tangent_coeffs=coeffs, normal_frame=frame_n,
         second_ff=h, second_ff_frame=h_frame, mean_normal=mean_normal,
-        mean_curvature=np.einsum('...n,...nc->...c', mean_normal, frame_n),
+        mean_curvature=np.einsum('...n,...nc->c...', mean_normal, frame_n),
         norm_A2=np.einsum('...nab,...nab->...', h_frame, h_frame),
         norm_H2=np.sum(mean_normal ** 2, axis=-1),
         cos_alpha=cos_alpha, lag_angle_unit=unit,
@@ -441,8 +468,9 @@ def frame_oracle(state, tangent_rotation=None,
 
 def _reference_operators(f, g, x, o):
     """Frame and einsum forms of the field operators on scalars f, g and a
-    4-vector field x, from the frame oracle ``o``."""
+    component-major 4-vector field x, from the frame oracle ``o``."""
     grid = o.grid
+    x = x.transpose(1, 2, 0)
     f_u = scalar_derivative(f, grid, 0, 1)
     f_v = scalar_derivative(f, grid, 1, 1)
     f_uv = scalar_derivative(f_u, grid, 1, 1)
@@ -453,8 +481,9 @@ def _reference_operators(f, g, x, o):
                      np.stack([f_uv, scalar_derivative(f, grid, 1, 2)], -1)],
                     axis=-2)
     correction = np.einsum('...kij,...k->...ij', o.christoffel, grad)
+    x_v = scalar_derivative(x.transpose(2, 0, 1), grid, 1, 1)
     coord = np.stack([scalar_derivative(x, grid, 0, 1),
-                      scalar_derivative(x, grid, 1, 1)], axis=-2)
+                      x_v.transpose(1, 2, 0)], axis=-2)
     deriv = np.einsum('...ki,...ic->...kc', o.tangent_coeffs, coord)
     comps = np.einsum('...nc,...kc->...kn', o.normal_frame, deriv)
     normal = np.einsum('...nc,...c->...n', o.normal_frame, x)
@@ -465,7 +494,7 @@ def _reference_operators(f, g, x, o):
                                  grad, grad),
         "gradient_inner": np.einsum('...ij,...i,...j->...', o.inverse,
                                     grad, grad_g),
-        "normal_part": np.einsum('...n,...nc->...c', normal, o.normal_frame),
+        "normal_part": np.einsum('...n,...nc->c...', normal, o.normal_frame),
         "normal_gradient_sq": np.einsum('...kn,...kn->...', comps, comps),
     }
 
@@ -524,3 +553,173 @@ def test_closed_form_bundle_matches_einsum_reference(name, seed, order):
     ref = _reference_operators(f, g, x, expect)
     for key, value in ops.items():
         _assert_field_close(value, ref[key], key)
+
+
+# Layout equivalence: the component-major kernel against the node-major,
+# (n1, n2, 4), computation it replaced.  Derivatives come from explicit
+# products with the derivative matrices; the bundle algebra is the kernel's
+# own closed form written on [..., c] component views.
+
+def _node_major_derivative(x, grid, axis, order):
+    """d_u (axis 0) or d_v (axis 1) of a node-major (n1, n2, ...) field, and
+    per entry the sum of the magnitudes of the terms it adds up, the scale
+    of its rounding error."""
+    if axis == 0:
+        d = derivative_matrix(grid.n1, grid.spacing1, grid.periodic1, order)
+        return (np.tensordot(d, x, axes=(1, 0)),
+                np.tensordot(np.abs(d), np.abs(x), axes=(1, 0)))
+    d = derivative_matrix(grid.n2, grid.spacing2, grid.periodic2, order)
+    return (np.moveaxis(np.tensordot(d, x, axes=(1, 1)), 0, 1),
+            np.moveaxis(np.tensordot(np.abs(d), np.abs(x), axes=(1, 1)), 0, 1))
+
+
+def _node_dot(a, b):
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+            + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3])
+
+
+def _node_major_bundle(derivs, f, x, grid):
+    """Bundle fields and field operators from node-major derivatives, for a
+    scalar field f and a node-major vector field x."""
+    f_u, f_v, f_uu, f_uv, f_vv = derivs
+    g11, g12, g22 = _node_dot(f_u, f_u), _node_dot(f_u, f_v), _node_dot(f_v, f_v)
+    det = g11 * g22 - g12 * g12
+    p, q, r = g22 / det, -g12 / det, g11 / det
+
+    def coords(y):
+        yu, yv = _node_dot(y, f_u), _node_dot(y, f_v)
+        return p * yu + q * yv, q * yu + r * yv
+
+    def normal(y):
+        cu, cv = coords(y)
+        return y - cu[..., None] * f_u - cv[..., None] * f_v
+
+    def trace2(pair, x11, x12, x22):
+        return (p * p * pair(x11, x11) + r * r * pair(x22, x22)
+                + 2.0 * q * q * pair(x11, x22)
+                + 4.0 * q * (p * pair(x11, x12) + r * pair(x12, x22))
+                + 2.0 * (p * r + q * q) * pair(x12, x12))
+
+    def wedge(a, b):
+        return [a[..., i] * b[..., j] - a[..., j] * b[..., i]
+                for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+
+    def det4(y, z):
+        w = wedge(f_u, f_v)
+        return sum(d * e for d, e in zip((w[5], -w[4], w[3], w[2], -w[1], w[0]),
+                                         wedge(y, z)))
+
+    h = normal(p[..., None] * f_uu + (2.0 * q)[..., None] * f_uv
+               + r[..., None] * f_vv)
+    a = [normal(y) for y in (f_uu, f_uv, f_vv)]
+    norm_a2 = trace2(_node_dot, *a)
+    area = np.sqrt(det)
+    omega = (f_u[..., 0] * f_v[..., 1] - f_u[..., 1] * f_v[..., 0]
+             + f_u[..., 2] * f_v[..., 3] - f_u[..., 3] * f_v[..., 2])
+    z_u = f_u[..., 0::2] + 1j * f_u[..., 1::2]
+    z_v = f_v[..., 0::2] + 1j * f_v[..., 1::2]
+    hol = (z_u[..., 0] * z_v[..., 1] - z_v[..., 0] * z_u[..., 1]) / area
+    k_perp = (p * det4(a[0], a[1]) + q * det4(a[0], a[2])
+              + r * det4(a[1], a[2])) / det
+    christoffel = [coords(y) for y in (f_uu, f_uv, f_vv)]
+    gam_u = [c[0] for c in christoffel]
+    gam_v = [c[1] for c in christoffel]
+    # Scalar f: (n1, n2) is both layouts, so its products are the kernel's.
+    d1 = derivative_matrix(grid.n1, grid.spacing1, grid.periodic1, 1)
+    d2 = derivative_matrix(grid.n2, grid.spacing2, grid.periodic2, 1)
+    s_u, s_v = d1 @ f, f @ d2.T
+    s_uv = s_u @ d2.T
+    s_uu = derivative_matrix(grid.n1, grid.spacing1, grid.periodic1, 2) @ f
+    s_vv = f @ derivative_matrix(grid.n2, grid.spacing2, grid.periodic2, 2).T
+    n_u = normal(_node_major_derivative(x, grid, 0, 1)[0])
+    n_v = normal(_node_major_derivative(x, grid, 1, 1)[0])
+    return {
+        "mean_curvature": h, "det_g": det, "norm_H2": _node_dot(h, h),
+        "norm_A2": norm_a2,
+        "cos_alpha": np.clip(omega / area, -1.0, 1.0),
+        "lag_angle_unit": hol / np.abs(hol),
+        "christoffel": np.stack(gam_u + gam_v),
+        "nabla_bar_j2": norm_a2 - 2.0 * k_perp,
+        "h_dot_a2": trace2(np.multiply, *(_node_dot(h, y) for y in a)),
+        "laplace_beltrami": (
+            p * (s_uu - gam_u[0] * s_u - gam_v[0] * s_v)
+            + 2.0 * q * (s_uv - gam_u[1] * s_u - gam_v[1] * s_v)
+            + r * (s_vv - gam_u[2] * s_u - gam_v[2] * s_v)),
+        "gradient_sq": p * s_u * s_u + 2.0 * q * s_u * s_v + r * s_v * s_v,
+        "normal_gradient_sq": (p * _node_dot(n_u, n_u)
+                               + 2.0 * q * _node_dot(n_u, n_v)
+                               + r * _node_dot(n_v, n_v)),
+    }
+
+
+@hs.composite
+def layout_surfaces(draw):
+    """A smooth immersion of unit scale on an 8-40 node grid per axis, or
+    on 257 x 8: per axis periodic or clamped, and on a periodic axis with or
+    without a seam shift, then turned by a random orthogonal map."""
+    n1, n2 = draw(hs.integers(8, 40)), draw(hs.integers(8, 40))
+    if draw(hs.integers(0, 4)) == 4:
+        n1, n2 = 257, 8
+    periodic = draw(hs.tuples(hs.booleans(), hs.booleans()))
+    seam = draw(hs.tuples(hs.booleans(), hs.booleans()))
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    grid = ParamGrid(n1, n2, 2.0 * np.pi / n1, 2.0 * np.pi / n2, *periodic)
+    u = grid.axis_coords(0)[:, None] * np.ones((1, n2))
+    v = grid.axis_coords(1)[None, :] * np.ones((n1, 1))
+    positions = np.zeros((n1, n2, 4))
+    shifts = np.zeros((2, 4))
+    for axis, t in enumerate((u, v)):
+        # An axis with a seam moves along a line, any other axis round a
+        # circle (an arc on a clamped axis).
+        pair = slice(2 * axis, 2 * axis + 2)
+        if seam[axis] and periodic[axis]:
+            positions[..., 2 * axis] = t
+            shifts[axis, 2 * axis] = 2.0 * np.pi
+        else:
+            positions[..., pair] = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    for k1 in range(3):
+        for k2 in range(3):
+            phase = rng.uniform(0.0, 2.0 * np.pi, 4)
+            positions += rng.uniform(-0.02, 0.02, 4) * np.cos(
+                k1 * u[..., None] + k2 * v[..., None] + phase)
+    state = SurfaceState(grid, positions, shift1=shifts[0], shift2=shifts[1])
+    return state.transformed(
+        rotation=np.linalg.qr(rng.standard_normal((4, 4)))[0])
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(state=layout_surfaces())
+def test_component_major_kernel_matches_node_major_reference(state):
+    grid = state.grid
+    per = state.periodic_part()
+    derivs = [d.transpose(1, 2, 0) for d in position_derivatives(state)]
+    # Each derivative agrees with its explicit product to 1e-13 of the
+    # magnitude of the terms the product sums.
+    f_u, u_terms = _node_major_derivative(per, grid, 0, 1)
+    f_v, v_terms = _node_major_derivative(per, grid, 1, 1)
+    expect = {
+        "F_u": (f_u + state.shift1 / (grid.n1 * grid.spacing1), u_terms),
+        "F_v": (f_v + state.shift2 / (grid.n2 * grid.spacing2), v_terms),
+        "F_uu": _node_major_derivative(per, grid, 0, 2),
+        "F_uv": _node_major_derivative(f_u, grid, 1, 1),
+        "F_vv": _node_major_derivative(per, grid, 1, 2)}
+    for got, (name, (value, terms)) in zip(derivs, expect.items()):
+        assert got.shape == value.shape, name
+        assert np.all(np.abs(got - value) <= 1e-13 * terms), name
+    # The fields built on those derivatives, and the field operators.
+    f = per[..., 0] * per[..., 1] + per[..., 2]
+    x = per * per[..., :1]
+    got = build_geometry(state)
+    values = {
+        "mean_curvature": got.mean_curvature.transpose(1, 2, 0),
+        "christoffel": np.concatenate(got.christoffel),
+        "laplace_beltrami": laplace_beltrami(f, got),
+        "gradient_sq": gradient_sq(f, got),
+        "normal_gradient_sq": normal_gradient_sq(component_major(x), got),
+    }
+    for name, expect in _node_major_bundle(derivs, f, x, grid).items():
+        value = values[name] if name in values else getattr(got, name)
+        assert value.shape == expect.shape, name
+        scale = max(1.0, np.abs(expect).max())
+        np.testing.assert_allclose(value, expect, rtol=1e-13,
+                                   atol=1e-13 * scale, err_msg=name)

@@ -56,8 +56,11 @@ def test_shift_on_clamped_axis_rejected():
 def test_require_finite_reports_bad_node():
     st = clifford_torus(8, 8)
     st.positions[3, 2, 1] = np.nan
-    with pytest.raises(NonFinite):
+    st.positions[5, 0, 3] = np.inf
+    with pytest.raises(NonFinite) as err:
         st.require_finite()
+    assert err.value.node == (3, 2)
+    assert str(err.value) == "non-finite position at node (3, 2)"
 
 
 def test_periodic_part_strips_seam_ramp():
@@ -73,7 +76,8 @@ def test_periodic_part_strips_seam_ramp():
 
 def test_position_derivatives_restore_seam_slope():
     st = lagrangian_graph(16, 16, 0.1)
-    f_u, f_v, f_uu, f_uv, f_vv = position_derivatives(st)
+    f_u, f_v, f_uu, f_uv, f_vv = (d.transpose(1, 2, 0)
+                                  for d in position_derivatives(st))
     np.testing.assert_allclose(f_u[..., 0], 1.0, atol=1e-12)
     np.testing.assert_allclose(f_v[..., 2], 1.0, atol=1e-12)
     # Oracle: x2(u, v) = 0.1 cos(u) sin(v) has du-derivative -0.1 sin sin.
@@ -90,9 +94,11 @@ def test_mixed_partials_commute_to_stencil_accuracy():
     g = st.grid
     per = st.periodic_part()
     from mcf4d.grid import scalar_derivative
-    f_uv = scalar_derivative(scalar_derivative(per, g, 0, 1), g, 1, 1)
-    f_vu = scalar_derivative(scalar_derivative(per, g, 1, 1), g, 0, 1)
-    assert np.abs(f_uv - f_vu).max() < 1e-6
+    f_u = scalar_derivative(per, g, 0, 1).transpose(2, 0, 1)
+    f_uv = scalar_derivative(f_u, g, 1, 1)
+    f_v = scalar_derivative(per.transpose(2, 0, 1), g, 1, 1)
+    f_vu = scalar_derivative(f_v.transpose(1, 2, 0), g, 0, 1)
+    assert np.abs(f_uv - f_vu.transpose(2, 0, 1)).max() < 1e-6
 
 
 def test_transformed_applies_scale_rotation_offset():
