@@ -118,21 +118,43 @@ class FlowTrace:
         """Times of the stored states."""
         return np.array([s.time for s in self.states])
 
+    def _stored(self, index: int) -> int:
+        """Non-negative index of stored state ``index``, which counts from
+        the end when negative, as a list index does."""
+        n = len(self.states)
+        if not -n <= index < n:
+            raise BadParameter(f"stored state {index} outside range({n})")
+        return index + n if index < 0 else index
+
     def bundle(self, index: int, need_j: bool = False) -> GeometryBundle:
-        """Geometry of stored state ``index``, memoized with small eviction.
-        ``need_j`` has no effect: every bundle gives |grad J|^2 when read."""
+        """Geometry of stored state ``index``, memoized in at most 12
+        bundles.  ``need_j`` has no effect: every bundle gives |grad J|^2
+        when read.
+
+        The analyses sweep the stored states in ascending order, singly or
+        in (i - 1, i, i + 1) windows.  So a full cache evicts the largest
+        cached index below ``index - 1``, a state this sweep has passed and
+        no window still needs, or else the largest cached index, which this
+        sweep reaches last.  Under repeated ascending sweeps that bundle is
+        the one whose next use lies furthest ahead, the one the optimal
+        rule evicts (Belady, IBM Syst. J. 5 (1966) 78-101); first-in,
+        first-out would evict the state the next sweep reads first.
+        """
+        index = self._stored(index)
         cached = self._bundles.get(index)
         if cached is None:
             cached = build_geometry(self.states[index])
+            if len(self._bundles) >= 12:
+                passed = [i for i in self._bundles if i < index - 1]
+                del self._bundles[max(passed or self._bundles)]
             self._bundles[index] = cached
-            while len(self._bundles) > 12:
-                self._bundles.pop(next(iter(self._bundles)))
         return cached
 
     def curvature_a2(self, index: int) -> np.ndarray:
         """|A|^2 field of stored state ``index``, cached.  run_flow and
         translating_trace fill the cache as they store states; any other
         state builds a bundle on first use."""
+        index = self._stored(index)
         cached = self._a2_fields.get(index)
         if cached is None:
             cached = self.bundle(index).norm_A2
@@ -313,12 +335,11 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
             if controls.dt is None:
                 cfl = cfl_dt(geom)
                 dt = min(rkc_dt(row[3], cfl), time_left)
-                stages = rkc_stages(dt, cfl)
             else:
                 dt = min(controls.dt, time_left)
-                stages = 4
             if dt <= 0:
                 raise Mcf4dError(f"non-positive step size {dt}")
+            stages = 4 if controls.dt is not None else rkc_stages(dt, cfl)
             try:
                 following = (step(state, dt, geom) if controls.dt is not None
                              else rkc_step(state, dt, geom, stages))

@@ -66,19 +66,21 @@ class GeometryBundle:
     ``positions`` and ``time`` are kept.
 
     Raises NonFinite on non-finite positions and DegenerateMetric when
-    det g falls below the immersion floor; the angle fields raise
+    det g falls below the immersion floor or overflows; the angle fields raise
     FrameInconsistent when |omega(e1, e2)| exceeds 1 beyond rounding.
     """
 
     def __init__(self, state: SurfaceState):
         state.require_finite()
-        f_u, f_v, f_uu, f_uv, f_vv = position_derivatives(state)
-        g11 = _dot(f_u, f_u)
-        g12 = _dot(f_u, f_v)
-        g22 = _dot(f_v, f_v)
-        det = g11 * g22 - g12 * g12
-        if not np.all(det > DET_G_FLOOR):    # NaN fails too
-            node = first_node(~(det > DET_G_FLOOR))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_u, f_v, f_uu, f_uv, f_vv = position_derivatives(state)
+            g11 = _dot(f_u, f_u)
+            g12 = _dot(f_u, f_v)
+            g22 = _dot(f_v, f_v)
+            det = g11 * g22 - g12 * g12
+        immersed = (det > DET_G_FLOOR) & (det < np.inf)     # NaN fails too
+        if not immersed.all():
+            node = first_node(~immersed)
             raise DegenerateMetric(node, f"det g = {det[node]:.3e}")
         self.grid, self.positions, self.time = (state.grid, state.positions,
                                                 state.time)

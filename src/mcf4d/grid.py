@@ -25,12 +25,15 @@ AMBIENT_DIM = 4
 # Most nodes per axis: one dense (n, n) derivative matrix at this size is
 # already 134 MB; the largest grid in use has 1025 nodes.
 MAX_AXIS_NODES = 4097
+# Grid spacings outside this range overflow the stencil weights, which
+# multiply up to five node distances.
+SPACING_RANGE = (1e-50, 1e50)
 
 
 @dataclass(frozen=True)
 class ParamGrid:
     """Uniform parameter grid; axis u has n1 nodes, axis v has n2 nodes,
-    each between 8 and MAX_AXIS_NODES."""
+    each between 8 and MAX_AXIS_NODES, spaced within SPACING_RANGE."""
 
     n1: int
     n2: int
@@ -44,8 +47,10 @@ class ParamGrid:
                 and 8 <= self.n2 <= MAX_AXIS_NODES):
             raise BadParameter(f"grid needs 8 to {MAX_AXIS_NODES} nodes per "
                                f"axis, got {self.n1}x{self.n2}")
-        if self.spacing1 <= 0 or self.spacing2 <= 0:
-            raise BadParameter("grid spacings must be positive")
+        lo, hi = SPACING_RANGE
+        if not (lo <= self.spacing1 <= hi and lo <= self.spacing2 <= hi):
+            raise BadParameter(f"grid spacings must lie in [{lo:g}, {hi:g}], "
+                               f"got {self.spacing1:g}, {self.spacing2:g}")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcf4d import flow, geometry
-from mcf4d.errors import DegenerateMetric, InsufficientBlowup
+from mcf4d.errors import BadParameter, DegenerateMetric, InsufficientBlowup
 from mcf4d.flow import (SCALAR_COLUMNS, FlowTrace, RunControls, TraceScalars,
                         cfl_dt, estimate_singular_time, rkc_dt, rkc_stages,
                         rkc_step, run_flow, scalar_row, step, velocity)
@@ -192,11 +192,50 @@ def test_run_flow_raises_on_broken_initial_state():
         run_flow(SurfaceState(g, np.zeros((8, 8, 4))), RunControls(max_steps=2))
 
 
-def test_trace_memoizes_bundles_and_curvature():
+def test_trace_memoizes_bundles_and_curvature(monkeypatch):
     tr = run_flow(clifford_torus(16, 16),
                   RunControls(dt=1e-3, max_steps=4, stride=2))
     assert tr.bundle(0) is tr.bundle(0)
     assert tr.curvature_a2(1) is tr.curvature_a2(1)
+    # One cache key per stored state: index -1 is index n - 1, and the
+    # |A|^2 field run_flow stored for it is read without a build.
+    n = len(tr.states)
+    assert tr.bundle(-1) is tr.bundle(n - 1)
+    assert sorted(tr._bundles) == [0, n - 1]
+    monkeypatch.setattr(flow, "build_geometry", None)
+    assert tr.curvature_a2(-n) is tr.curvature_a2(0) is tr._a2_fields[0]
+    for index in (n, -n - 1):
+        for read in (tr.bundle, tr.curvature_a2):
+            with pytest.raises(BadParameter, match=f"outside range\\({n}\\)"):
+                read(index)
+
+
+def _window_sweep(n):
+    """Requests (i - 1, i, i + 1) for i = 1 .. n - 2, as
+    ``evolution_residual`` makes them."""
+    return [j for i in range(1, n - 1) for j in (i - 1, i, i + 1)]
+
+
+@pytest.mark.parametrize("n, requests, builds", [
+    (16, [*range(16), *range(16), *_window_sweep(16)], 24),   # FIFO: 48
+    (16, 5 * list(range(16)), 32),                             # FIFO: 80
+    (41, _window_sweep(41), 41),                               # MRU: 97
+], ids=["two_sweeps_then_windows", "five_sweeps", "windows_only"])
+def test_bundle_cache_builds_ascending_sweeps_optimally(monkeypatch, n,
+                                                        requests, builds):
+    # Each count is the fewest builds any 12-bundle cache needs for the
+    # requests (Belady's optimum).
+    built = []
+    monkeypatch.setattr(flow, "build_geometry",
+                        lambda state: built.append(state) or object())
+    tr = FlowTrace(states=[clifford_torus(8, 8)] * n,
+                   state_steps=list(range(n)),
+                   scalars=TraceScalars.from_rows([]),
+                   termination_reason="step_limit")
+    for index in requests:
+        tr.bundle(index)
+        assert len(tr._bundles) <= 12
+    assert len(built) == builds
 
 
 def test_estimate_singular_time_on_shrinking_torus(torus32_trace):

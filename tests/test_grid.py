@@ -29,6 +29,10 @@ def test_grid_rejects_tiny_axes_and_bad_spacing():
         ParamGrid(4, 12, 0.5, 0.25, True, True)
     with pytest.raises(BadParameter):
         ParamGrid(8, 12, -0.5, 0.25, True, True)
+    # Outside SPACING_RANGE the stencil weights would overflow.
+    for spacing in (0.0, np.nan, 2e50, 5e-51):
+        with pytest.raises(BadParameter, match="spacings must lie in"):
+            ParamGrid(8, 12, 0.5, spacing, True, True)
 
 
 def test_grid_caps_nodes_per_axis():
