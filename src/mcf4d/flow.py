@@ -197,10 +197,14 @@ def scalar_row(step: int, geom: GeometryBundle) -> tuple:
 
 
 def cfl_dt(geom: GeometryBundle) -> float:
-    """Parabolic step bound CFL_SAFETY * min eig(g) * min(spacing)^2 / 8."""
+    """Parabolic step bound CFL_SAFETY * min eig(g) * min(spacing)^2 / 8.
+
+    The smaller eigenvalue of g is taken as det g / (half trace + radius),
+    not half trace - radius, which cancels to 0 or below when it is under the
+    rounding of the larger one (a steep graph)."""
     half_tr = 0.5 * (geom.g11 + geom.g22)
     radius = np.sqrt(0.25 * (geom.g11 - geom.g22) ** 2 + geom.g12 ** 2)
-    eig_min = float(np.min(half_tr - radius))
+    eig_min = float(np.min(geom.det_g / (half_tr + radius)))
     h_min = min(geom.grid.spacing1, geom.grid.spacing2)
     return CFL_SAFETY * eig_min * h_min * h_min / CFL_DENOMINATOR
 

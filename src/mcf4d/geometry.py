@@ -12,13 +12,18 @@ and H by 2x2 algebra and ambient dot products; each further field (A_ij,
 |A|^2, |H|^2, the area element, the angles, the Christoffel symbols,
 |grad J|^2 and sum <H, A_ij>^2) is computed the first time it is read.
 The flow integrator, its per-step diagnostics and every stored-state
-analysis read the same object.  The angles come from F_u ^ F_v, which is
-sqrt(det g) e1 ^ e2 for every oriented orthonormal tangent frame, and
-|grad J|^2 = |A|^2 - 2 K^perp from the normal curvature K^perp.
+analysis read the same object.  The diagnostics read scalar inner products
+only: |A|^2 = |H|^2 - 2 K by the Gauss equation, with <A_11, A_22> and
+<A_12, A_12> from the Gram identity <A_ij, A_kl> = <F_ij, F_kl> -
+<F_ij, F_m> g^mn <F_n, F_kl>, and the angles in real arithmetic from the
+six components of F_u ^ F_v, which is sqrt(det g) e1 ^ e2 for every
+oriented orthonormal tangent frame; the normal parts A_ij and the complex
+unit e^{i theta} are formed only when read.  |grad J|^2 = |A|^2 - 2 K^perp
+comes from the normal curvature K^perp.
 
 Vector fields here are component-major (4, n1, n2), as
 :func:`~mcf4d.grid.position_derivatives` returns them; ambient products and
-pairings sum over the leading axis.  Scalar fields are (n1, n2).
+wedges sum over the leading axis.  Scalar fields are (n1, n2).
 """
 
 from __future__ import annotations
@@ -36,23 +41,15 @@ COS_CLAMP_EXCESS = 1e-10     # tolerated overshoot of |cos alpha| past 1
 OMEGA_NORM_FLOOR = 1e-12     # below this the holomorphic form is degenerate
 
 
-def omega_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard symplectic form dx1^dy1 + dx2^dy2 on two 4-vector fields."""
-    return a[0] * b[1] - a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
-
-
-def holomorphic_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex form dz1^dz2 on two 4-vector fields (complex-valued)."""
-    za1 = a[0] + 1j * a[1]
-    za2 = a[2] + 1j * a[3]
-    zb1 = b[0] + 1j * b[1]
-    zb2 = b[2] + 1j * b[3]
-    return za1 * zb2 - zb1 * za2
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ambient inner product of two 4-vector fields."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+    """Ambient inner product of two 4-vector fields: one multiply and one sum
+    over the leading axis, which adds the components in order, exactly as
+    a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] does.  A ``b`` of
+    lower rank is broadcast over the extra axes of ``a``, as a stack
+    (4, k, n1, n2) against one field (4, n1, n2)."""
+    if b.ndim < a.ndim:
+        b = b[(slice(None),) + (None,) * (a.ndim - b.ndim)]
+    return (a * b).sum(axis=0)
 
 
 class GeometryBundle:
@@ -117,7 +114,23 @@ class GeometryBundle:
 
     @cached_property
     def norm_A2(self) -> np.ndarray:
-        return self.double_trace(_dot, *self.normal_hessian)
+        """|A|^2 = |H|^2 - 2 K, the Gauss equation, with the Gauss curvature
+        K = (<A_11, A_22> - <A_12, A_12>) / det g taken from the Gram
+        identity <A_ij, A_kl> = <F_ij, F_kl> - <F_ij, F_m> g^mn <F_n, F_kl>,
+        so no normal part of the Hessian is formed."""
+        f_uu, f_uv, f_vv = self.hessian
+        uu, uv, vv = ((_dot(x, self.f_u), _dot(x, self.f_v))
+                      for x in self.hessian)
+
+        def tangential(x, y):
+            """<F_ij, F_m> g^mn <F_n, F_kl> from the pairs x = <F_ij, F_m>
+            and y = <F_kl, F_n> over m, n = u, v."""
+            return (self.inv11 * x[0] * y[0] + self.inv22 * x[1] * y[1]
+                    + self.inv12 * (x[0] * y[1] + x[1] * y[0]))
+
+        gauss = (_dot(f_uu, f_vv) - _dot(f_uv, f_uv)
+                 - tangential(uu, vv) + tangential(uv, uv))
+        return self.norm_H2 - (2.0 / self.det_g) * gauss
 
     @cached_property
     def norm_H2(self) -> np.ndarray:
@@ -147,14 +160,14 @@ class GeometryBundle:
         return self._angles[0]
 
     @property
-    def lag_angle_unit(self) -> np.ndarray:
-        """e^{i theta}: the Lagrangian angle as a unit complex number."""
-        return self._angles[1]
-
-    @property
     def cos_theta(self) -> np.ndarray:
         """Cosine of the Lagrangian angle (meaningful on Lagrangian surfaces)."""
-        return self.lag_angle_unit.real
+        return self._angles[1]
+
+    @cached_property
+    def lag_angle_unit(self) -> np.ndarray:
+        """e^{i theta}: the Lagrangian angle as a unit complex number."""
+        return self._angles[1] + 1j * self._angles[2]
 
     @cached_property
     def christoffel(self) -> tuple:
@@ -184,22 +197,28 @@ def plane_angles(a: np.ndarray, b: np.ndarray, area):
 
     ``area`` is |a ^ b| per node: 1 for an orthonormal frame (e1, e2), and
     sqrt(det g) for (F_u, F_v), since e1 ^ e2 = F_u ^ F_v / sqrt(det g).
-    Returns cos(alpha) = omega(e1, e2) clipped to [-1, 1], the unit
-    e^{i theta} = Omega(e1, e2) / |Omega(e1, e2)| (1 where that norm is below
-    OMEGA_NORM_FLOOR), the norm itself and the mask of those nodes.
+    The forms are read off the wedge p = a ^ b in real arithmetic:
+    omega = dx1^dy1 + dx2^dy2 is p01 + p23, and Omega = dz1^dz2 has real
+    part p02 - p13 and imaginary part p03 + p12.  Returns cos(alpha) =
+    omega(e1, e2) clipped to [-1, 1], cos(theta) and sin(theta) of the unit
+    e^{i theta} = Omega(e1, e2) / |Omega(e1, e2)| (1 and 0 where that norm
+    is below OMEGA_NORM_FLOOR), the norm itself and the mask of those nodes.
 
     Raises FrameInconsistent when |cos alpha| exceeds 1 beyond rounding.
     """
-    cos_alpha = omega_pairing(a, b) / area
+    p = _wedge(a, b)
+    cos_alpha = (p[0] + p[5]) / area
     excess = np.abs(cos_alpha) - 1.0
     if np.any(excess > COS_CLAMP_EXCESS):
         node = first_node(excess > COS_CLAMP_EXCESS)
         raise FrameInconsistent(node, f"|cos alpha| = {1 + excess[node]:.12f}")
-    omega_c = holomorphic_pairing(a, b) / area
-    omega_norm = np.abs(omega_c)
+    re = (p[1] - p[4]) / area
+    im = (p[2] + p[3]) / area
+    omega_norm = np.sqrt(re * re + im * im)
     degenerate = omega_norm < OMEGA_NORM_FLOOR
-    unit = np.where(degenerate, 1.0 + 0.0j, omega_c / np.where(degenerate, 1.0, omega_norm))
-    return np.clip(cos_alpha, -1.0, 1.0), unit, omega_norm, degenerate
+    norm = np.where(degenerate, 1.0, omega_norm)
+    return (np.clip(cos_alpha, -1.0, 1.0), np.where(degenerate, 1.0, re / norm),
+            np.where(degenerate, 0.0, im / norm), omega_norm, degenerate)
 
 
 # Index pairs (a, b), a < b, of the six components of a bivector in R^4.

@@ -16,6 +16,8 @@ unitary motion.
 """
 
 import time
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,8 +31,8 @@ from mcf4d.flow import (SCALAR_COLUMNS, FlowTrace, RunControls, TraceScalars,
                         rkc_step, run_flow, scalar_row, step, velocity)
 from mcf4d.geometry import GeometryBundle, build_geometry
 from mcf4d.grid import ParamGrid, SurfaceState
-from mcf4d.scenarios import (clifford_torus, lagrangian_graph, plane,
-                             sphere_patch, symplectic_graph)
+from mcf4d.scenarios import (clifford_torus, complex_line, lagrangian_graph,
+                             plane, sphere_patch, symplectic_graph)
 
 from conftest import su2_real
 from test_geometry import frame_oracle
@@ -43,6 +45,55 @@ def test_scalar_columns_contract():
 
 def test_cfl_dt_positive():
     assert cfl_dt(GeometryBundle(clifford_torus(16, 16))) > 0
+
+
+@pytest.mark.parametrize("scale, spread, turned", [
+    (1.0, 1e3, True), (1e-20, 1e3, True), (1e100, 1e-3, True),
+    (1e100, 1e-14, True), (1.0, 1e150, False)],
+    ids=["unit", "tiny", "huge", "huge_isotropic", "axis_ratio_1e150"])
+def test_cfl_dt_takes_the_smaller_metric_eigenvalue(scale, spread, turned):
+    # Seeded random metrics with eigenvalues lam and lam (1 + spread r),
+    # turned by a random angle or left on the axes; the last case is the
+    # metric of a steep graph, where half trace - radius cancels to 0.
+    rng = np.random.default_rng(5)
+    low = scale * rng.uniform(0.5, 2.0, (8, 8))
+    high = low * (1.0 + spread * rng.uniform(0.0, 1.0, (8, 8)))
+    turn = rng.uniform(0.0, np.pi, (8, 8)) if turned else np.zeros((8, 8))
+    c, s = np.cos(turn), np.sin(turn)
+    g11, g22 = c * c * low + s * s * high, s * s * low + c * c * high
+    g12 = c * s * (high - low)
+    geom = SimpleNamespace(g11=g11, g12=g12, g22=g22,
+                           det_g=g11 * g22 - g12 * g12,
+                           grid=ParamGrid(8, 8, 0.3, 0.2, True, True))
+    metric = np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)
+    eig_min = np.linalg.eigvalsh(metric)[..., 0].min()
+    expect = flow.CFL_SAFETY * eig_min * 0.2 ** 2 / flow.CFL_DENOMINATOR
+    assert cfl_dt(geom) == pytest.approx(expect, rel=1e-12)
+
+
+def test_step_diagnostics_form_no_vector_fields(monkeypatch):
+    # The scalar row comes from inner products: it forms neither the normal
+    # parts of the Hessian nor the complex angle unit, and a stage velocity
+    # reads H alone.
+    lazy = {name for name, attr in vars(GeometryBundle).items()
+            if isinstance(attr, cached_property)}
+    assert {"normal_hessian", "lag_angle_unit", "norm_A2"} <= lazy
+    state = clifford_torus(16, 16)
+    geom = GeometryBundle(state)
+    scalar_row(0, geom)
+    assert "normal_hessian" not in vars(geom)
+    assert "lag_angle_unit" not in vars(geom)
+    stages = []
+
+    class Recorded(GeometryBundle):
+        def __init__(self, s):
+            super().__init__(s)
+            stages.append(self)
+
+    monkeypatch.setattr(flow, "GeometryBundle", Recorded)
+    velocity(state)
+    assert len(stages) == 1
+    assert not lazy & set(vars(stages[0]))
 
 
 def test_velocity_vanishes_on_flat_patch():
@@ -94,13 +145,20 @@ def test_rk4_fourth_order_against_discrete_radius_ode():
 
 
 def test_adaptive_run_on_a_nearly_flat_plane_caps_its_stages():
-    # max|A|^2 ~ 1e-58 asks for dt ~ 1e56; the stage cap clamps it.
-    start = time.perf_counter()
-    tr = run_flow(plane(16, 16), RunControls(max_steps=3))
-    assert time.perf_counter() - start < 1.0
-    assert tr.termination_reason == "step_limit"
-    assert np.isfinite(tr.states[-1].positions).all()
-    assert tr.meta["run_stats"]["max_stages"] == flow.RKC_MAX_STAGES
+    # On the flat plane and the complex line max|A|^2 is rounding (about
+    # 1e-43), which asks for dt ~ 1e41; the stage cap clamps it.
+    for state in (plane(16, 16), complex_line(16, 16)):
+        geom = GeometryBundle(state)
+        max_a2, cfl = scalar_row(0, geom)[3], cfl_dt(geom)
+        assert abs(max_a2) < 1e-30
+        limit = flow.RKC_STABILITY * cfl * (flow.RKC_MAX_STAGES ** 2 - 1)
+        assert rkc_dt(max_a2, cfl) == limit
+        start = time.perf_counter()
+        tr = run_flow(state, RunControls(max_steps=3))
+        assert time.perf_counter() - start < 1.0
+        assert tr.termination_reason == "step_limit"
+        assert np.isfinite(tr.states[-1].positions).all()
+        assert tr.meta["run_stats"]["max_stages"] == flow.RKC_MAX_STAGES
 
 
 def _exactly_flat(n=16):

@@ -17,7 +17,11 @@ Oracles, computed independently in this file:
   - ``_reference_j``: |grad J|^2 by differentiating all 16 entries of the
     J field, against the bundle's closed form |A|^2 - 2 K^perp;
   - ``_node_major_bundle``: the node-major (n1, n2, 4) computation that the
-    component-major kernel replaced, on explicit derivative-matrix products.
+    component-major kernel replaced, on explicit derivative-matrix products;
+  - ``omega_pairing`` and ``holomorphic_pairing``: omega and the complex
+    dz1 ^ dz2 in direct (complex) arithmetic, and the double trace of the
+    normal-part vectors A_ij, the vector forms of the bundle's angles and
+    |A|^2, which come from real scalar products.
 """
 
 from types import SimpleNamespace
@@ -28,16 +32,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from mcf4d.errors import DegenerateMetric
-from mcf4d.geometry import (build_geometry, gradient_inner, gradient_sq,
-                            holomorphic_pairing, laplace_beltrami,
-                            normal_gradient_sq, omega_pairing, plane_angles)
+from mcf4d.geometry import (_dot, build_geometry, gradient_inner,
+                            gradient_sq, laplace_beltrami, normal_gradient_sq,
+                            plane_angles)
 from mcf4d.grid import (ParamGrid, SurfaceState, component_major,
                         position_derivatives, scalar_derivative)
-from mcf4d.scenarios import (clifford_torus, complex_line, lagrangian_graph,
-                             plane, sphere_patch, symplectic_graph)
+from mcf4d.scenarios import (clifford_torus, complex_line,
+                             grim_reaper_product, lagrangian_graph, plane,
+                             sphere_patch, symplectic_graph)
 from mcf4d.stencils import derivative_matrix
 
 from conftest import su2_real
+
+
+def omega_pairing(a, b):
+    """Standard symplectic form dx1^dy1 + dx2^dy2 on two 4-vector fields."""
+    return a[0] * b[1] - a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
+
+
+def holomorphic_pairing(a, b):
+    """Complex form dz1^dz2 on two 4-vector fields (complex-valued)."""
+    za1 = a[0] + 1j * a[1]
+    za2 = a[2] + 1j * a[3]
+    zb1 = b[0] + 1j * b[1]
+    zb2 = b[2] + 1j * b[3]
+    return za1 * zb2 - zb1 * za2
 
 
 def test_omega_pairing_oracle():
@@ -69,7 +88,7 @@ def test_cross4_completes_orthonormal_frames():
 
 def _omega_norm(b):
     """|Omega(e1, e2)| and its degeneracy mask, from the bundle's F_u ^ F_v."""
-    return plane_angles(b.f_u, b.f_v, b.area_element)[2:]
+    return plane_angles(b.f_u, b.f_v, b.area_element)[3:]
 
 
 def test_lagrangian_plane_bundle():
@@ -97,6 +116,54 @@ def test_angle_identity_cos2_plus_omega2():
         b = build_geometry(st)
         ident = b.cos_alpha ** 2 + _omega_norm(b)[0] ** 2
         np.testing.assert_allclose(ident, 1.0, atol=1e-10)
+
+
+IDENTITY_SURFACES = {
+    "clifford_torus": lambda: clifford_torus(24, 24),
+    "lagrangian_graph": lambda: lagrangian_graph(24, 24, 0.1),
+    "symplectic_graph": lambda: symplectic_graph(24, 24, 0.1),
+    "grim_reaper_product": lambda: grim_reaper_product(65, 8),
+    "sphere_patch": lambda: sphere_patch(24, 32),
+}
+
+
+def _four_term_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(name=hs.sampled_from(sorted(IDENTITY_SURFACES)),
+       seed=hs.integers(0, 2 ** 32 - 1))
+def test_scalar_products_match_the_vector_forms(name, seed):
+    # The bundle's |A|^2 and angles come from scalar inner products; the
+    # oracles below form the normal-part vectors and the complex
+    # dz1 ^ dz2.  A seeded SU(2) motion and scale move every ambient
+    # component.
+    rng = np.random.default_rng(seed)
+    state = IDENTITY_SURFACES[name]().transformed(
+        scale=10.0 ** rng.uniform(-2.0, 2.0), offset=rng.uniform(-5.0, 5.0, 4),
+        rotation=su2_real(rng))
+    b = build_geometry(state)
+    stack = np.stack(b.hessian, axis=1)
+    for x, y in ((b.f_u, b.f_v), (b.hessian[0], b.mean_curvature),
+                 (stack, b.f_u)):
+        y_lead = y[(slice(None),) + (None,) * (x.ndim - y.ndim)]
+        np.testing.assert_array_equal(_dot(x, y), _four_term_dot(x, y_lead))
+    oracle = b.double_trace(_dot, *b.normal_hessian)
+    assert np.abs(b.norm_A2 - oracle).max() <= 1e-12 * oracle.max()
+    cos_alpha = omega_pairing(b.f_u, b.f_v) / b.area_element
+    assert np.abs(b.cos_alpha - cos_alpha).max() <= 1e-15
+    omega = holomorphic_pairing(b.f_u, b.f_v) / b.area_element
+    assert np.abs(_omega_norm(b)[0] - np.abs(omega)).max() <= 1e-15
+    # The unit carries the rounding of Omega over |Omega|; the graphs have
+    # nodes where Omega vanishes, and near the floor either route may call
+    # a node degenerate.
+    away = np.abs(omega) > 1e-9
+    unit = omega[away] / np.abs(omega[away])
+    weight = np.minimum(1.0, np.abs(omega[away]))
+    assert (weight * np.abs(b.cos_theta[away] - unit.real)).max() <= 1e-15
+    assert (weight * np.abs(b.lag_angle_unit[away] - unit)).max() <= 1e-15
+    np.testing.assert_array_equal(b.cos_theta, b.lag_angle_unit.real)
 
 
 def test_sphere_patch_curvatures():
@@ -449,9 +516,9 @@ def frame_oracle(state, tangent_rotation=None,
     h_frame = np.einsum('...ai,...bj,...nij->...nab', coeffs, coeffs, h)
     mean_normal = np.einsum('...ij,...nij->...n', inverse, h)
     h_dot_a = np.einsum('...n,...nab->...ab', mean_normal, h_frame)
-    cos_alpha, unit, _, _ = plane_angles(frame_t[..., 0, :].transpose(2, 0, 1),
-                                         frame_t[..., 1, :].transpose(2, 0, 1),
-                                         1.0)
+    cos_alpha, cos_theta, sin_theta, _, _ = plane_angles(
+        frame_t[..., 0, :].transpose(2, 0, 1),
+        frame_t[..., 1, :].transpose(2, 0, 1), 1.0)
     det_g = np.linalg.det(metric)
     return SimpleNamespace(
         grid=state.grid, inverse=inverse, det_g=det_g,
@@ -461,7 +528,7 @@ def frame_oracle(state, tangent_rotation=None,
         mean_curvature=np.einsum('...n,...nc->c...', mean_normal, frame_n),
         norm_A2=np.einsum('...nab,...nab->...', h_frame, h_frame),
         norm_H2=np.sum(mean_normal ** 2, axis=-1),
-        cos_alpha=cos_alpha, lag_angle_unit=unit,
+        cos_alpha=cos_alpha, lag_angle_unit=cos_theta + 1j * sin_theta,
         nabla_bar_j2=_j_from_shape(h_frame),
         h_dot_a2=np.einsum('...ab,...ab->...', h_dot_a, h_dot_a))
 
