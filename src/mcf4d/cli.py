@@ -25,8 +25,8 @@ from .errors import BadParameter, Mcf4dError, OrderTooLow, PropertyViolation
 from .flow import RunControls, estimate_singular_time, run_flow
 from .functionals import (CUTOFF_CONSTANT, CUTOFF_SUP_ABS_FIRST,
                           CUTOFF_SUP_NEG_SECOND, EVOLUTION_QUANTITIES,
-                          GaussianWeight, cutoff_psi, evolution_residual,
-                          monotonicity_scan)
+                          GaussianWeight, check_kind, check_localizer,
+                          cutoff_psi, evolution_residual, monotonicity_scan)
 from .grid import MAX_AXIS_NODES
 from .rescale import select_blowup_datum, validate_rescaled, with_rescaled
 from .scenarios import (SCENARIOS, find_scenario, generate_scenario,
@@ -178,6 +178,7 @@ def cmd_monotonicity(cfg, args) -> int:
         _read(cfg, "weight.t0", required=True))
     run = _trace(cfg)
     out = _check_read(cfg)
+    check_kind(kind)
     trace = run()
     scan = monotonicity_scan(trace, weight, kind)
     os.makedirs(out, exist_ok=True)
@@ -240,6 +241,10 @@ def cmd_theorem(cfg, args) -> int:
     p = _read(cfg, "run.p")
     radius = _read(cfg, "run.radius", float, 1e3)
     out = _check_read(cfg)
+    if p is None:
+        check_kind(kind)
+    else:
+        check_localizer(p, radius, kind)
     trace = run()
     report = check_main_theorem(trace, kind)
     os.makedirs(out, exist_ok=True)

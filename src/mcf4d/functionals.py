@@ -46,9 +46,24 @@ LOCALIZER_C1 = 4.0 * CUTOFF_SUP_NEG_SECOND + 4.0 * CUTOFF_SUP_ABS_FIRST
 LOCALIZER_C2 = 4.0 * CUTOFF_SUP_RATIO
 
 
-def _check_kind(kind: str) -> None:
+def check_kind(kind: str) -> None:
+    """Raise BadParameter unless ``kind`` is one of KINDS."""
     if kind not in KINDS:
         raise BadParameter(f"unknown weight kind {kind!r}; expected one of {KINDS}")
+
+
+def check_localizer(p: float, radius: float, kind: str) -> None:
+    """Raise unless :func:`localized_f` accepts (p, radius, kind): a known
+    kind, p in (0, 1) for the lagrangian weight and in (0, 1/2) for the
+    symplectic one (BadP), and a finite positive radius (BadParameter)."""
+    check_kind(kind)
+    upper = 1.0 if kind == "lagrangian" else 0.5
+    if not 0.0 < p < upper:
+        raise BadP(f"p = {p} outside the open interval (0, {upper}) "
+                   f"for kind {kind!r}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise BadParameter(f"localizer radius must be finite and positive, "
+                           f"got {radius}")
 
 
 def _angle_cosine(bundle: GeometryBundle, kind: str) -> np.ndarray:
@@ -115,7 +130,7 @@ def _floor_checked_weight(weight: GaussianWeight, geom: GeometryBundle,
 def weighted_psi(weight: GaussianWeight, geom: GeometryBundle,
                  kind: str) -> float:
     """Angle-weighted Gaussian integral: kernel / cos(angle) over the surface."""
-    _check_kind(kind)
+    check_kind(kind)
     rho, active, denom = _floor_checked_weight(weight, geom, kind)
     integrand = np.where(active, rho / np.where(active, denom, 1.0), 0.0)
     return float(np.sum(integrand * geom.quadrature_weights()))
@@ -180,7 +195,7 @@ def monotonicity_scan(trace: FlowTrace, weight: GaussianWeight,
     (|H|^2 for the lagrangian weight, the J-gradient norm for the
     symplectic weight), and the angle-gradient term 2|grad cos|^2/cos^3.
     """
-    _check_kind(kind)
+    check_kind(kind)
     n = len(trace.states)
     if n < 5:
         raise ShortTrace(f"monotonicity scan needs >= 5 stored states, got {n}")
@@ -371,16 +386,9 @@ def localized_f(trace: FlowTrace, p: float, radius: float,
     """Evaluate f = exp(p|H|^2)/cos^2 and g f along a stored trace.
 
     The exponent coefficient must keep the associated convexity margin
-    positive: p in (0, 1) for the lagrangian weight, p in (0, 1/2) for the
-    symplectic one.
+    positive, see :func:`check_localizer`.
     """
-    _check_kind(kind)
-    upper = 1.0 if kind == "lagrangian" else 0.5
-    if not 0.0 < p < upper:
-        raise BadP(f"p = {p} outside the open interval (0, {upper}) "
-                   f"for kind {kind!r}")
-    if radius <= 0:
-        raise BadParameter("localizer radius must be positive")
+    check_localizer(p, radius, kind)
     times = trace.times
     f_fields, gf_fields = [], []
     best = (-math.inf, 0, 0)

@@ -3,25 +3,22 @@
 Everything is computed per grid node with 4th-order stencils and without any
 tangent or normal frame: the paper's quantities (the Kahler angle, the
 Lagrangian angle, |H|^2, |A|^2 and |grad J|^2) are gauge invariant, so each
-has a closed form in the position derivatives F_u, F_v, the normal parts
-A_ij of the Hessian and the inverse metric g^ij.
+has a closed form in the position derivatives F_u, F_v, the Hessian F_ij
+and the inverse metric g^ij.
 
-:class:`GeometryBundle` is the geometry of one surface state, built from
-the state: it evaluates the position derivatives once and forms g, g^-1
-and H by 2x2 algebra and ambient dot products; each further field (A_ij,
-|A|^2, |H|^2, the area element, the angles, the Christoffel symbols,
-|grad J|^2 and sum <H, A_ij>^2) is computed the first time it is read.
-The flow integrator, its per-step diagnostics and every stored-state
-analysis read the same object.  The diagnostics read scalar inner products
-only: |A|^2 = |H|^2 - 2 K by the Gauss equation, with <A_11, A_22> and
-<A_12, A_12> from the Gram identity <A_ij, A_kl> = <F_ij, F_kl> -
-<F_ij, F_m> g^mn <F_n, F_kl>, and the angles in real arithmetic from the
-six components of F_u ^ F_v, which is sqrt(det g) e1 ^ e2 for every
-oriented orthonormal tangent frame; the normal parts A_ij and the complex
-unit e^{i theta} are formed only when read.  |grad J|^2 = |A|^2 - 2 K^perp
-comes from the normal curvature K^perp.
+:class:`GeometryBundle` is the geometry of one surface state: it evaluates
+the position derivatives once and forms g, g^-1 and H by 2x2 algebra and
+ambient dot products; each further field is computed when first read.  The
+integrator, its per-step diagnostics and every stored-state analysis read
+the same object.  No field forms the normal parts A_ij of the Hessian:
+|A|^2 = |H|^2 - 2 K by the Gauss equation, with K from the Gram identity
+<A_ij, A_kl> = <F_ij, F_kl> - <F_ij, F_m> g^mn <F_n, F_kl>, and the two
+pairings blind to tangential parts take F_ij in place of A_ij exactly:
+det[F_u, F_v, x, y] in the normal curvature K^perp of |grad J|^2 =
+|A|^2 - 2 K^perp, and <H, x>, since H is normal.  The angles come in real
+arithmetic from the six components of F_u ^ F_v = sqrt(det g) e1 ^ e2.
 
-Vector fields here are component-major (4, n1, n2), as
+Vector fields are component-major (4, n1, n2), as
 :func:`~mcf4d.grid.position_derivatives` returns them; ambient products and
 wedges sum over the leading axis.  Scalar fields are (n1, n2).
 """
@@ -44,11 +41,7 @@ OMEGA_NORM_FLOOR = 1e-12     # below this the holomorphic form is degenerate
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ambient inner product of two 4-vector fields: one multiply and one sum
     over the leading axis, which adds the components in order, exactly as
-    a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] does.  A ``b`` of
-    lower rank is broadcast over the extra axes of ``a``, as a stack
-    (4, k, n1, n2) against one field (4, n1, n2)."""
-    if b.ndim < a.ndim:
-        b = b[(slice(None),) + (None,) * (a.ndim - b.ndim)]
+    a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] does."""
     return (a * b).sum(axis=0)
 
 
@@ -100,17 +93,9 @@ class GeometryBundle:
                 self.inv12 * xu + self.inv22 * xv)
 
     def normal_part(self, x: np.ndarray) -> np.ndarray:
-        """Vector field x minus its tangential projection g^ij <x, F_j> F_i;
-        x is (4, n1, n2) or a stack (4, k, n1, n2) of k fields."""
+        """Vector field x minus its tangential projection g^ij <x, F_j> F_i."""
         cu, cv = self.tangent_coords(x)
-        lead = (slice(None),) + (None,) * (x.ndim - 3)
-        return x - cu * self.f_u[lead] - cv * self.f_v[lead]
-
-    @cached_property
-    def normal_hessian(self) -> tuple:
-        """(A_11, A_12, A_22): normal parts of F_uu, F_uv, F_vv."""
-        a = self.normal_part(np.stack(self.hessian, axis=1))
-        return a[:, 0], a[:, 1], a[:, 2]
+        return x - cu * self.f_u - cv * self.f_v
 
     @cached_property
     def norm_A2(self) -> np.ndarray:
@@ -135,16 +120,6 @@ class GeometryBundle:
     @cached_property
     def norm_H2(self) -> np.ndarray:
         return _dot(self.mean_curvature, self.mean_curvature)
-
-    def double_trace(self, pair, x11, x12, x22) -> np.ndarray:
-        """g^ik g^jl pair(x_ij, x_kl) of a symmetric pair of per-node
-        entries x_ij; ``pair`` is the product of two entries (``_dot`` for
-        4-vectors, ``np.multiply`` for scalars)."""
-        p, q, r = self.inv11, self.inv12, self.inv22
-        return (p * p * pair(x11, x11) + r * r * pair(x22, x22)
-                + 2.0 * q * q * pair(x11, x22)
-                + 4.0 * q * (p * pair(x11, x12) + r * pair(x12, x22))
-                + 2.0 * (p * r + q * q) * pair(x12, x12))
 
     @cached_property
     def area_element(self) -> np.ndarray:
@@ -171,10 +146,10 @@ class GeometryBundle:
 
     @cached_property
     def christoffel(self) -> tuple:
-        """(Gamma^u, Gamma^v), each (3, n1, n2) over ij = uu, uv, vv.  In
-        flat ambient space Gamma^k_ij = g^kl <F_ij, F_l>, the tangential
+        """(Gamma^u, Gamma^v), each the three fields over ij = uu, uv, vv.
+        In flat ambient space Gamma^k_ij = g^kl <F_ij, F_l>, the tangential
         coefficients of the Hessian."""
-        return self.tangent_coords(np.stack(self.hessian, axis=1))
+        return tuple(zip(*(self.tangent_coords(x) for x in self.hessian)))
 
     @cached_property
     def nabla_bar_j2(self) -> np.ndarray:
@@ -183,9 +158,14 @@ class GeometryBundle:
 
     @cached_property
     def h_dot_a2(self) -> np.ndarray:
-        """sum_ab <H, A(e_a, e_b)>^2 = g^ik g^jl <H, A_ij><H, A_kl>."""
-        return self.double_trace(np.multiply, *(
-            _dot(self.mean_curvature, a) for a in self.normal_hessian))
+        """sum_ab <H, A(e_a, e_b)>^2 = g^ik g^jl <H, A_ij><H, A_kl>, with
+        <H, A_ij> = <H, F_ij> since H is normal."""
+        x11, x12, x22 = (_dot(self.mean_curvature, x) for x in self.hessian)
+        p, q, r = self.inv11, self.inv12, self.inv22
+        return (p * p * (x11 * x11) + r * r * (x22 * x22)
+                + 2.0 * q * q * (x11 * x22)
+                + 4.0 * q * (p * (x11 * x12) + r * (x12 * x22))
+                + 2.0 * (p * r + q * q) * (x12 * x12))
 
     def quadrature_weights(self) -> np.ndarray:
         """Per-node surface measure: area element times parameter cell."""
@@ -240,19 +220,21 @@ def j_gradient_sq(geom: GeometryBundle) -> np.ndarray:
         K^perp = g^kl det[F_u, F_v, A_1k, A_2l] / det g,
 
     where the (2, 1) term drops out because A_12 ^ A_12 = 0.  Each 4x4
-    determinant pairs A_ij ^ A_kl with the Hodge dual of F_u ^ F_v.  The
-    value is >= |H|^2 / 2 up to rounding, and needs no frame.
+    determinant pairs A_ij ^ A_kl with the Hodge dual of F_u ^ F_v, which
+    vanishes on F_u and F_v, so the Hessian F_ij stands in for its normal
+    part A_ij exactly.  The value is >= |H|^2 / 2 up to rounding, and needs
+    no frame.
     """
     p = _wedge(geom.f_u, geom.f_v)
     dual = (p[5], -p[4], p[3], p[2], -p[1], p[0])
-    a11, a12, a22 = geom.normal_hessian
+    f_uu, f_uv, f_vv = geom.hessian
 
     def det(x, y):
         """det[F_u, F_v, x, y] per node."""
         return sum(d * w for d, w in zip(dual, _wedge(x, y)))
 
-    k_perp = (geom.inv11 * det(a11, a12) + geom.inv12 * det(a11, a22)
-              + geom.inv22 * det(a12, a22)) / geom.det_g
+    k_perp = (geom.inv11 * det(f_uu, f_uv) + geom.inv12 * det(f_uu, f_vv)
+              + geom.inv22 * det(f_uv, f_vv)) / geom.det_g
     return geom.norm_A2 - 2.0 * k_perp
 
 
@@ -311,8 +293,7 @@ def normal_gradient_sq(vectors: np.ndarray, geom: GeometryBundle) -> np.ndarray:
     curvature evolution identity.  Its d_u is taken node-major, where u leads.
     """
     d_u = scalar_derivative(vectors.transpose(1, 2, 0), geom.grid, 0, 1)
-    d_v = scalar_derivative(vectors, geom.grid, 1, 1)
-    n_u, n_v = geom.normal_part(np.stack((d_u.transpose(2, 0, 1), d_v),
-                                         axis=1)).transpose(1, 0, 2, 3)
+    n_u = geom.normal_part(d_u.transpose(2, 0, 1))
+    n_v = geom.normal_part(scalar_derivative(vectors, geom.grid, 1, 1))
     return (geom.inv11 * _dot(n_u, n_u) + 2.0 * geom.inv12 * _dot(n_u, n_v)
             + geom.inv22 * _dot(n_v, n_v))

@@ -82,7 +82,7 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
     Returns
     -------
     RescaleRecord
-        Without ``rescaledTrace``; pass to :func:`rescale_flow` to fill it.
+        Without ``rescaledTrace``; :func:`with_rescaled` attaches it.
 
     Raises BadParameter unless r_k is finite and positive, T_hat finite and
     X0 a finite 4-vector; InsufficientCoverage when the stored states do not

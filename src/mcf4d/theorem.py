@@ -23,7 +23,7 @@ import numpy as np
 from .errors import KindMismatch, ZeroCurvature
 from .flow import FlowTrace
 from .functionals import (_angle_cosine, _centered_time_derivative,
-                          _check_kind, localized_f)
+                          check_kind, localized_f)
 from .geometry import (gradient_inner, gradient_sq, laplace_beltrami,
                        normal_gradient_sq)
 
@@ -88,7 +88,7 @@ def extremal_stats(trace: FlowTrace, kind: str) -> dict:
     (lagrangian); ``h2`` the max of |H|^2.  A lagrangian request demands the
     trace be Lagrangian: max |cos alpha| below 1e-6 at every stored state.
     """
-    _check_kind(kind)
+    check_kind(kind)
     delta = np.inf
     h2 = -np.inf
     for i in range(len(trace.states)):
@@ -115,7 +115,7 @@ def check_main_theorem(trace: FlowTrace, kind: str,
     computed traces, so a violated verdict never disproves anything — see
     :meth:`TheoremReport.claims_disproof`.
     """
-    _check_kind(kind)
+    check_kind(kind)
     sup_before = _stored_sup_a2(trace)
     normalized = normalize_flow(trace)
     stats = extremal_stats(normalized["trace"], kind)

@@ -163,6 +163,49 @@ def test_theorem_on_translating_ridge_with_probe(tmp_path):
     assert set(probe) == {"maxGF", "interiorMax", "inequalityResidualMin"}
 
 
+RIDGE_THEOREM = """
+    scenario.name = grim_reaper_product
+    scenario.n1 = 129
+    scenario.x_max = 1.4
+    controls.t_end = 0.1
+    controls.samples = 3
+"""
+GRAPH_MONOTONICITY = """
+    scenario.name = lagrangian_graph
+    scenario.n1 = 16
+    scenario.n2 = 16
+    controls.dt = 1e-3
+    controls.max_steps = 10
+    weight.center = 0 0 0 0
+    weight.t0 = 0.1
+"""
+
+
+@pytest.mark.parametrize("command, body, error", [
+    ("theorem", RIDGE_THEOREM + "run.p = 2.0", "BadP"),
+    ("theorem", RIDGE_THEOREM + "run.p = 0.9\nrun.radius = nan",
+     "BadParameter"),
+    ("theorem", RIDGE_THEOREM + "run.p = 0.9\nrun.radius = inf",
+     "BadParameter"),
+    ("theorem", RIDGE_THEOREM + "run.kind = kaehler", "BadParameter"),
+    ("monotonicity", GRAPH_MONOTONICITY + "run.kind = kaehler",
+     "BadParameter"),
+], ids=["p_out_of_range", "radius_nan", "radius_inf", "theorem_kind",
+        "monotonicity_kind"])
+def test_run_values_are_checked_before_the_trace_is_built(
+        tmp_path, monkeypatch, capsys, command, body, error):
+    def never(*args, **kwargs):
+        raise AssertionError("the trace was built")
+
+    monkeypatch.setattr(cli, "run_flow", never)
+    monkeypatch.setattr(cli, "translating_trace", never)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, body + f"\noutput.directory = {out}\n")
+    assert cli.main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+    assert not out.exists()
+
+
 def test_monotonicity_report_and_columns(tmp_path):
     cfg = write_config(tmp_path, f"""
         scenario.name = lagrangian_graph

@@ -71,18 +71,31 @@ def test_cfl_dt_takes_the_smaller_metric_eigenvalue(scale, spread, turned):
     assert cfl_dt(geom) == pytest.approx(expect, rel=1e-12)
 
 
+def _arrays(value):
+    """The arrays in a bundle attribute, inside nested tuples too."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
 def test_step_diagnostics_form_no_vector_fields(monkeypatch):
-    # The scalar row comes from inner products: it forms neither the normal
-    # parts of the Hessian nor the complex angle unit, and a stage velocity
-    # reads H alone.
+    # The scalar row comes from inner products: it forms no complex angle
+    # unit, and a stage velocity reads H alone.  The bundle keeps no stack
+    # of normal parts of the Hessian, and no field of any reader is one.
     lazy = {name for name, attr in vars(GeometryBundle).items()
             if isinstance(attr, cached_property)}
-    assert {"normal_hessian", "lag_angle_unit", "norm_A2"} <= lazy
+    assert {"lag_angle_unit", "norm_A2"} <= lazy
+    assert not hasattr(GeometryBundle, "normal_hessian")
     state = clifford_torus(16, 16)
     geom = GeometryBundle(state)
     scalar_row(0, geom)
-    assert "normal_hessian" not in vars(geom)
     assert "lag_angle_unit" not in vars(geom)
+    for name in lazy:
+        getattr(geom, name)
+    assert lazy <= set(vars(geom))
+    assert all(a.ndim < 4 for v in vars(geom).values() for a in _arrays(v))
     stages = []
 
     class Recorded(GeometryBundle):

@@ -245,8 +245,11 @@ def test_localized_field_rejects_bad_exponents(lagr32_mono):
         localized_f(thin, 1.5, 10.0, "lagrangian")
     with pytest.raises(BadP):
         localized_f(thin, 0.7, 10.0, "symplectic")
-    with pytest.raises(BadParameter):
-        localized_f(thin, 0.5, -1.0, "lagrangian")
+    # NaN passes a bare radius <= 0 test, and an infinite radius makes the
+    # cutoff 1 everywhere; neither localizes anything.
+    for radius in (-1.0, np.nan, np.inf):
+        with pytest.raises(BadParameter, match="radius"):
+            localized_f(thin, 0.5, radius, "lagrangian")
 
 
 def test_localized_field_matches_pointwise_formula(lagr32_mono):

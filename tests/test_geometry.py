@@ -19,9 +19,10 @@ Oracles, computed independently in this file:
   - ``_node_major_bundle``: the node-major (n1, n2, 4) computation that the
     component-major kernel replaced, on explicit derivative-matrix products;
   - ``omega_pairing`` and ``holomorphic_pairing``: omega and the complex
-    dz1 ^ dz2 in direct (complex) arithmetic, and the double trace of the
-    normal-part vectors A_ij, the vector forms of the bundle's angles and
-    |A|^2, which come from real scalar products.
+    dz1 ^ dz2 in direct (complex) arithmetic, and the normal-part vectors
+    A_ij with their double traces and 4x4 determinants, the vector forms of
+    the bundle's angles, |A|^2, sum <H, A_ij>^2 and |grad J|^2, which come
+    from real scalar products and the Hessian F_ij.
 """
 
 from types import SimpleNamespace
@@ -95,7 +96,7 @@ def test_lagrangian_plane_bundle():
     b = build_geometry(plane(16, 16))
     np.testing.assert_allclose(b.g11, 1.0, atol=1e-12)
     np.testing.assert_allclose(b.g12, 0.0, atol=1e-12)
-    assert np.abs(b.normal_hessian).max() < 1e-10
+    assert max(np.abs(b.normal_part(x)).max() for x in b.hessian) < 1e-10
     assert np.abs(b.mean_curvature).max() < 1e-10
     assert np.abs(b.cos_alpha).max() < 1e-12
     np.testing.assert_allclose(b.lag_angle_unit, 1.0 + 0.0j, atol=1e-12)
@@ -131,26 +132,45 @@ def _four_term_dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
+def _double_trace(b, pair, x11, x12, x22):
+    """g^ik g^jl pair(x_ij, x_kl) over the bundle's inverse metric."""
+    p, q, r = b.inv11, b.inv12, b.inv22
+    return (p * p * pair(x11, x11) + r * r * pair(x22, x22)
+            + 2.0 * q * q * pair(x11, x22)
+            + 4.0 * q * (p * pair(x11, x12) + r * pair(x12, x22))
+            + 2.0 * (p * r + q * q) * pair(x12, x12))
+
+
+def _det4(*vectors):
+    """Per-node determinant of four (4, n1, n2) vector fields."""
+    return np.linalg.det(np.stack(vectors).transpose(2, 3, 0, 1))
+
+
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(name=hs.sampled_from(sorted(IDENTITY_SURFACES)),
        seed=hs.integers(0, 2 ** 32 - 1))
 def test_scalar_products_match_the_vector_forms(name, seed):
-    # The bundle's |A|^2 and angles come from scalar inner products; the
-    # oracles below form the normal-part vectors and the complex
-    # dz1 ^ dz2.  A seeded SU(2) motion and scale move every ambient
-    # component.
+    # The bundle's |A|^2, sum <H, A_ij>^2, |grad J|^2 and angles come from
+    # scalar inner products and the Hessian; the oracles below form the
+    # normal-part vectors A_ij and the complex dz1 ^ dz2.  A seeded SU(2)
+    # motion and scale move every ambient component.
     rng = np.random.default_rng(seed)
     state = IDENTITY_SURFACES[name]().transformed(
         scale=10.0 ** rng.uniform(-2.0, 2.0), offset=rng.uniform(-5.0, 5.0, 4),
         rotation=su2_real(rng))
     b = build_geometry(state)
-    stack = np.stack(b.hessian, axis=1)
-    for x, y in ((b.f_u, b.f_v), (b.hessian[0], b.mean_curvature),
-                 (stack, b.f_u)):
-        y_lead = y[(slice(None),) + (None,) * (x.ndim - y.ndim)]
-        np.testing.assert_array_equal(_dot(x, y), _four_term_dot(x, y_lead))
-    oracle = b.double_trace(_dot, *b.normal_hessian)
-    assert np.abs(b.norm_A2 - oracle).max() <= 1e-12 * oracle.max()
+    for x, y in ((b.f_u, b.f_v), (b.hessian[0], b.mean_curvature)):
+        np.testing.assert_array_equal(_dot(x, y), _four_term_dot(x, y))
+    a11, a12, a22 = (b.normal_part(x) for x in b.hessian)
+    norm_a2 = _double_trace(b, _dot, a11, a12, a22)
+    h_dot_a = (_dot(b.mean_curvature, a) for a in (a11, a12, a22))
+    k_perp = (b.inv11 * _det4(b.f_u, b.f_v, a11, a12)
+              + b.inv12 * _det4(b.f_u, b.f_v, a11, a22)
+              + b.inv22 * _det4(b.f_u, b.f_v, a12, a22)) / b.det_g
+    for got, oracle in ((b.norm_A2, norm_a2),
+                        (b.h_dot_a2, _double_trace(b, np.multiply, *h_dot_a)),
+                        (b.nabla_bar_j2, norm_a2 - 2.0 * k_perp)):
+        assert np.abs(got - oracle).max() <= 1e-12 * oracle.max()
     cos_alpha = omega_pairing(b.f_u, b.f_v) / b.area_element
     assert np.abs(b.cos_alpha - cos_alpha).max() <= 1e-15
     omega = holomorphic_pairing(b.f_u, b.f_v) / b.area_element
