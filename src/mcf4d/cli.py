@@ -28,7 +28,8 @@ from .functionals import (CUTOFF_CONSTANT, CUTOFF_SUP_ABS_FIRST,
                           GaussianWeight, check_kind, check_localizer,
                           cutoff_psi, evolution_residual, monotonicity_scan)
 from .grid import MAX_AXIS_NODES
-from .rescale import select_blowup_datum, validate_rescaled, with_rescaled
+from .rescale import (check_selection, select_blowup_datum, validate_rescaled,
+                      with_rescaled)
 from .scenarios import (SCENARIOS, find_scenario, generate_scenario,
                         run_sphere_ode, translating_trace)
 from .theorem import check_main_theorem, gradient_estimate_probe, normalize_flow
@@ -204,6 +205,7 @@ def cmd_rescale(cfg, args) -> int:
     radii = _read(cfg, "rescale.radii", list, [0.25, 0.125, 0.0625])
     run = _trace(cfg)
     out = _check_read(cfg)
+    check_selection(t_hat, anchor, radii)
     trace = run()
     if t_hat is None:
         t_hat = estimate_singular_time(trace).singular_time
@@ -239,7 +241,7 @@ def cmd_theorem(cfg, args) -> int:
     kind = _read(cfg, "run.kind", str,
                  SCENARIOS[_read(cfg, "scenario.name", str)].kind)
     p = _read(cfg, "run.p")
-    radius = _read(cfg, "run.radius", float, 1e3)
+    radius = None if p is None else _read(cfg, "run.radius", float, 1e3)
     out = _check_read(cfg)
     if p is None:
         check_kind(kind)

@@ -45,17 +45,21 @@ def _sigma_grid(r_k: float) -> np.ndarray:
     return (0.5 * r_k) * SIGMA_RATIO ** i
 
 
-def _window_states(trace: FlowTrace, lo: float, hi: float) -> list[int]:
-    """Indices of stored states with t in [lo, hi], plus the latest state at
-    or before hi so the window's top edge is always sampled."""
-    times = trace.times
-    inside = [i for i in range(len(times)) if lo <= times[i] <= hi]
-    at_or_before = np.nonzero(times <= hi)[0]
-    if at_or_before.size:
-        edge = int(at_or_before[-1])
-        if edge not in inside:
-            inside.append(edge)
-    return sorted(inside)
+def check_selection(T_hat: float | None, X0, radii) -> None:
+    """Raise BadParameter unless every selection radius is finite and
+    positive, T_hat is finite (when given) and X0 is a finite 4-vector: the
+    rules :func:`select_blowup_datum` applies, callable before a trace is
+    built."""
+    for r_k in radii:
+        if not (np.isfinite(r_k) and r_k > 0):
+            raise BadParameter(f"selection radius must be finite and "
+                               f"positive, got {r_k}")
+    if T_hat is not None and not np.isfinite(T_hat):
+        raise BadParameter(f"singular time T_hat must be finite, got {T_hat}")
+    X0 = np.asarray(X0, dtype=float)
+    if X0.shape != (4,) or not np.all(np.isfinite(X0)):
+        raise BadParameter(f"anchor must be a finite 4-vector, got "
+                           f"{X0.tolist()}")
 
 
 def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
@@ -63,15 +67,19 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
     """Choose (sigma_k, lambda_k, peak node, peak time) for radius r_k.
 
     For each candidate sigma the inner quantity is the max of |A|^2 over
-    stored states with t in [T_hat - (r_k - sigma)^2, T_hat - (r_k/2)^2] and
-    nodes within distance (r_k - sigma) + slack of X0; the winning sigma
-    maximizes sigma^2 times that max.  Ties prefer the smallest sigma, then
-    the smallest node index, then the earliest time.
+    nodes within distance (r_k - sigma) + slack of X0 and stored states of
+    the window [T_hat - r_k^2, T_hat - (r_k/2)^2] with t >= T_hat - (r_k -
+    sigma)^2, plus the window's last state, so the window's top edge is
+    always sampled; the winning sigma maximizes sigma^2 times that max.
+    Ties prefer the smallest sigma, then the smallest node index, then the
+    earliest state.  One pass: the window's node distances and |A|^2 fields
+    form (node, state) arrays, and each sigma takes one argmax of the masked
+    |A|^2, whose first maximum is that tie order.
 
     Parameters
     ----------
     trace : FlowTrace
-        Stored flow, states covering the selection window.
+        Stored flow, states in time order covering the selection window.
     T_hat : float
         Estimated singular time.
     X0 : ndarray
@@ -84,54 +92,37 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
     RescaleRecord
         Without ``rescaledTrace``; :func:`with_rescaled` attaches it.
 
-    Raises BadParameter unless r_k is finite and positive, T_hat finite and
-    X0 a finite 4-vector; InsufficientCoverage when the stored states do not
-    cover the selection window.
+    Raises BadParameter as :func:`check_selection` does; InsufficientCoverage
+    when the window holds fewer than 3 stored states or no ball holds a node.
     """
+    check_selection(T_hat, X0, [r_k])
     X0 = np.asarray(X0, dtype=float)
-    if not (np.isfinite(r_k) and r_k > 0):
-        raise BadParameter(f"selection radius must be finite and positive, "
-                           f"got {r_k}")
-    if not np.isfinite(T_hat):
-        raise BadParameter(f"singular time T_hat must be finite, got {T_hat}")
-    if X0.shape != (4,) or not np.all(np.isfinite(X0)):
-        raise BadParameter(f"anchor must be a finite 4-vector, got "
-                           f"{X0.tolist()}")
     hi = T_hat - (0.5 * r_k) ** 2
     full_lo = T_hat - r_k ** 2
-    if len(_window_states(trace, full_lo, hi)) < 3:
+    times = trace.times
+    window = np.nonzero((full_lo <= times) & (times <= hi))[0]
+    if window.size < 3:
         raise InsufficientCoverage(
             f"selection window [{full_lo:.6g}, {hi:.6g}] holds fewer than 3 "
             "stored states")
 
-    best_score = -np.inf
-    best = None
-    dist: dict[int, np.ndarray] = {}    # node distances to X0, per state
+    dist = np.stack([np.linalg.norm(
+        trace.states[i].positions.reshape(-1, 4) - X0, axis=1)
+        for i in window], axis=1)
+    a2 = np.stack([trace.curvature_a2(i).reshape(-1) for i in window], axis=1)
+    best_score, best = -np.inf, None
     for sigma in _sigma_grid(r_k):
-        lo = T_hat - (r_k - sigma) ** 2
-        radius = (r_k - sigma) + BALL_SLACK * r_k
-        inner_val = -np.inf
-        inner_node = -1
-        inner_state = -1
-        for idx in _window_states(trace, lo, hi):
-            if idx not in dist:
-                pos = trace.states[idx].positions.reshape(-1, 4)
-                dist[idx] = np.linalg.norm(pos - X0, axis=1)
-            a2 = trace.curvature_a2(idx).reshape(-1)
-            mask = dist[idx] <= radius
-            if not mask.any():
-                continue
-            masked = np.where(mask, a2, -np.inf)
-            node = int(np.argmax(masked))
-            val = masked[node]
-            if val > inner_val or (val == inner_val and node < inner_node):
-                inner_val, inner_node, inner_state = val, node, idx
-        if inner_state < 0:
+        rows = times[window] >= T_hat - (r_k - sigma) ** 2
+        rows[-1] = True                 # the window's top edge
+        masked = np.where(rows & (dist <= (r_k - sigma) + BALL_SLACK * r_k),
+                          a2, -np.inf)
+        node, col = divmod(int(np.argmax(masked)), window.size)
+        val = masked[node, col]
+        if val == -np.inf:              # no node inside this ball
             continue
-        score = sigma * sigma * inner_val
+        score = sigma * sigma * val
         if score > best_score:
-            best_score = score
-            best = (sigma, inner_val, inner_node, inner_state)
+            best_score, best = score, (sigma, val, node, window[col])
     if best is None:
         raise InsufficientCoverage(
             "no surface nodes inside any selection ball around the anchor")

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +180,11 @@ GRAPH_MONOTONICITY = """
     weight.center = 0 0 0 0
     weight.t0 = 0.1
 """
+TORUS_RESCALE = """
+    scenario.name = clifford_torus
+    scenario.n1 = 16
+    scenario.n2 = 16
+"""
 
 
 @pytest.mark.parametrize("command, body, error", [
@@ -187,11 +193,17 @@ GRAPH_MONOTONICITY = """
      "BadParameter"),
     ("theorem", RIDGE_THEOREM + "run.p = 0.9\nrun.radius = inf",
      "BadParameter"),
+    ("theorem", RIDGE_THEOREM + "run.radius = nan", "BadParameter"),
     ("theorem", RIDGE_THEOREM + "run.kind = kaehler", "BadParameter"),
     ("monotonicity", GRAPH_MONOTONICITY + "run.kind = kaehler",
      "BadParameter"),
-], ids=["p_out_of_range", "radius_nan", "radius_inf", "theorem_kind",
-        "monotonicity_kind"])
+    ("rescale", TORUS_RESCALE + "rescale.radii = 0.25 -1", "BadParameter"),
+    ("rescale", TORUS_RESCALE + "rescale.anchor = nan 0 0 0",
+     "BadParameter"),
+    ("rescale", TORUS_RESCALE + "rescale.T_hat = inf", "BadParameter"),
+], ids=["p_out_of_range", "radius_nan", "radius_inf", "radius_without_p",
+        "theorem_kind", "monotonicity_kind", "rescale_radius",
+        "rescale_anchor", "rescale_T_hat"])
 def test_run_values_are_checked_before_the_trace_is_built(
         tmp_path, monkeypatch, capsys, command, body, error):
     def never(*args, **kwargs):
@@ -589,6 +601,18 @@ DOCUMENTED_CONTROLS = {
     "translating": ("t_end", "samples"),
     "verify": ("dt", "max_steps"),
 }
+
+
+def test_readme_key_table_is_one_table():
+    # A line inside the table that does not start with "|" ends it, and
+    # every row below it renders as plain text.
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    first = lines.index("| key | meaning |")
+    last = next(i for i, line in enumerate(lines)
+                if line.startswith("| `scan.samples` |"))
+    assert [line for line in lines[first:last + 1]
+            if not line.startswith("|")] == []
 
 
 def _config_keys(command, scenario):

@@ -14,13 +14,15 @@ sigma_k = r_k/2 = 1/8, lambda_k = 8, and rate product exactly 1.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mcf4d.errors import (BadParameter, InsufficientBlowup,
                           InsufficientCoverage)
 from mcf4d.flow import FlowTrace, TraceScalars, estimate_singular_time
 from mcf4d.rescale import (BALL_SLACK, SIGMA_CANDIDATES, SIGMA_RATIO,
-                           _sigma_grid, _window_states, select_blowup_datum,
-                           rescale_flow, validate_rescaled, with_rescaled)
+                           _sigma_grid, select_blowup_datum, rescale_flow,
+                           validate_rescaled, with_rescaled)
 from mcf4d.scenarios import plane
 
 
@@ -28,17 +30,22 @@ T_HAT = 0.5
 R_K = 0.25
 
 
-def _synthetic_trace(times):
-    """Identical tiny flat patches at the given times, with |A|^2 = 1/(T-t)
-    injected into the curvature cache (the real field would be zero)."""
-    base = plane(8, 8, halfwidth=0.01)
+def _injected_trace(base, times, a2_fields):
+    """Copies of ``base`` at the given times, with the given |A|^2 fields
+    injected into the curvature cache."""
     states = [base.transformed(time=t) for t in times]
     trace = FlowTrace(states=states, state_steps=list(range(len(states))),
                       scalars=TraceScalars.from_rows([]),
                       termination_reason="blowup_detected")
-    for i, t in enumerate(times):
-        trace._a2_fields[i] = np.full((8, 8), 1.0 / (T_HAT - t))
+    trace._a2_fields.update(enumerate(a2_fields))
     return trace
+
+
+def _synthetic_trace(times):
+    """Identical tiny flat patches at the given times, with |A|^2 = 1/(T-t)
+    injected (the real field would be zero)."""
+    return _injected_trace(plane(8, 8, halfwidth=0.01), times,
+                           [np.full((8, 8), 1.0 / (T_HAT - t)) for t in times])
 
 
 @pytest.fixture(scope="module")
@@ -178,10 +185,28 @@ def test_estimate_rejects_nonsingular_trace(lagr32_mono):
         estimate_singular_time(lagr32_mono)
 
 
+def _window_states(trace, lo, hi):
+    """Indices of stored states with t in [lo, hi], plus the latest state at
+    or before hi so the window's top edge is always sampled."""
+    times = trace.times
+    inside = [i for i in range(len(times)) if lo <= times[i] <= hi]
+    at_or_before = np.nonzero(times <= hi)[0]
+    if at_or_before.size:
+        edge = int(at_or_before[-1])
+        if edge not in inside:
+            inside.append(edge)
+    return sorted(inside)
+
+
 def _select_reference(trace, T_hat, X0, r_k):
-    """Selection loop with the node distances recomputed for every candidate
-    sigma: the reference the selector must match bit for bit."""
+    """Selection as a loop over candidate sigmas and, inside it, over window
+    states, with the node distances recomputed for every candidate: the
+    reference the selector must match bit for bit.  None when the window
+    holds fewer than 3 stored states or no ball holds a node, where the
+    selector raises InsufficientCoverage."""
     hi = T_hat - (0.5 * r_k) ** 2
+    if len(_window_states(trace, T_hat - r_k ** 2, hi)) < 3:
+        return None
     best_score, best = -np.inf, None
     for sigma in _sigma_grid(r_k):
         lo = T_hat - (r_k - sigma) ** 2
@@ -216,3 +241,58 @@ def test_selector_matches_reference_loop(torus32_trace, r_k):
     assert rec.lambdaK == np.sqrt(a2_peak)
     assert rec.peakNode == node
     assert rec.peakTime == torus32_trace.states[state_idx].time
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(n=hs.integers(8, 12), halfwidth=hs.floats(0.05, 0.3),
+       r_k=hs.sampled_from([0.25, 0.125]), count=hs.integers(6, 12),
+       at=hs.tuples(hs.floats(0.0, 1.0), hs.floats(0.0, 1.0)),
+       gap=hs.sampled_from([0.0, 0.7, 0.8, 0.9, 1.3]),
+       factors=hs.sampled_from([[1.0], [1.0, 4.0, 16.0]]),
+       seed=hs.integers(0, 2 ** 16))
+def test_selector_matches_reference_loop_on_random_traces(
+        n, halfwidth, r_k, count, at, gap, factors, seed):
+    # A flat patch that the balls, of radius about r_k, cover only in part
+    # for the wider halfwidths, stored at random sorted times in [T -
+    # 1.2 r_k^2, T - r_k^2/20] around the window [T - r_k^2, T - r_k^2/4],
+    # so the larger candidate sigmas see only the edge state and some traces
+    # do not cover the window at all.  |A|^2 takes few integer levels, 1 or
+    # 2 at each node and state times a per-state factor (constant, or 1, 4
+    # or 16), so maxima tie across nodes and states.  The anchor sits at a
+    # gap * r_k above a half-lattice point of the patch: on it, above it
+    # with balls holding few nodes, or too far for any ball to hold one.
+    rng = np.random.default_rng(seed)
+    times = np.sort(T_HAT - rng.uniform(0.05, 1.2, count) * r_k ** 2)
+    fields = (rng.choice(factors, size=(count, 1, 1))
+              * rng.choice([1.0, 2.0], size=(count, n, n)))
+    trace = _injected_trace(plane(n, n, halfwidth), times, fields)
+    # Nodes, edge midpoints and cell centers: equidistant nodes tie.
+    u, v = (np.round(2 * (n - 1) * np.array(at)) / (n - 1) - 1) * halfwidth
+    X0 = np.array([u, gap * r_k, v, 0.0])
+    expect = _select_reference(trace, T_HAT, X0, r_k)
+    if expect is None:
+        with pytest.raises(InsufficientCoverage):
+            select_blowup_datum(trace, T_HAT, X0, r_k)
+        return
+    rec = select_blowup_datum(trace, T_HAT, X0, r_k)
+    sigma, a2_peak, node, state_idx = expect
+    assert rec.sigmaK == sigma
+    assert rec.lambdaK == np.sqrt(a2_peak)
+    assert rec.peakNode == node
+    assert rec.peakTime == trace.states[state_idx].time
+
+
+def test_selector_ties_prefer_smallest_node_then_earliest_state():
+    # Anchor 0.14 above the center node (4, 4) of a 9 x 9 patch of spacing
+    # 0.05.  |A|^2 is 1 except 2 at node (4, 5) in state 22 and at node
+    # (4, 3) in state 23 of 25: both lie in the winning ball and window, so
+    # the node-major order picks node (4, 3) in the later state, where a
+    # state-major order would pick node (4, 5) in the earlier one.
+    times = np.linspace(T_HAT - R_K ** 2, T_HAT - (0.5 * R_K) ** 2, 25)
+    fields = np.ones((25, 9, 9))
+    fields[22, 4, 5] = fields[23, 4, 3] = 2.0
+    trace = _injected_trace(plane(9, 9, halfwidth=0.2), times, fields)
+    X0 = np.array([0.0, 0.14, 0.0, 0.0])
+    rec = select_blowup_datum(trace, T_HAT, X0, R_K)
+    assert (rec.peakNode, rec.peakTime) == (4 * 9 + 3, times[23])
+    assert _select_reference(trace, T_HAT, X0, R_K)[2:] == (4 * 9 + 3, 23)
