@@ -248,12 +248,12 @@ def cmd_theorem(cfg, args) -> int:
     else:
         check_localizer(p, radius, kind)
     trace = run()
+    probe = None if p is None else gradient_estimate_probe(
+        normalize_flow(trace)["trace"], p, radius, kind)
     report = check_main_theorem(trace, kind)
     os.makedirs(out, exist_ok=True)
     io.write_report(os.path.join(out, "report.json"), report)
-    if p is not None:
-        probe = gradient_estimate_probe(
-            normalize_flow(trace)["trace"], p, radius, kind)
+    if probe is not None:
         io.write_report(os.path.join(out, "probe.json"), probe)
     print(f"{kind}: lhs = {report.lhs:.10g}, verdict = {report.verdict}, "
           f"ancient = {report.hypotheses['ancient']}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BadParameter, InsufficientCoverage
+from .errors import BadParameter, InsufficientCoverage, NonFinite
 from .flow import SCALAR_COLUMNS, FlowTrace, TraceScalars
 
 SIGMA_CANDIDATES = 64
@@ -93,7 +93,8 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
         Without ``rescaledTrace``; :func:`with_rescaled` attaches it.
 
     Raises BadParameter as :func:`check_selection` does; InsufficientCoverage
-    when the window holds fewer than 3 stored states or no ball holds a node.
+    when the window holds fewer than 3 stored states or no ball holds a node;
+    NonFinite at a non-finite |A|^2 in the window.
     """
     check_selection(T_hat, X0, [r_k])
     X0 = np.asarray(X0, dtype=float)
@@ -110,6 +111,10 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
         trace.states[i].positions.reshape(-1, 4) - X0, axis=1)
         for i in window], axis=1)
     a2 = np.stack([trace.curvature_a2(i).reshape(-1) for i in window], axis=1)
+    if not np.all(np.isfinite(a2)):
+        node, col = divmod(int(np.argmin(np.isfinite(a2))), window.size)
+        raise NonFinite(divmod(node, trace.states[0].grid.n2),
+                        f"|A|^2 of stored state {window[col]}")
     best_score, best = -np.inf, None
     for sigma in _sigma_grid(r_k):
         rows = times[window] >= T_hat - (r_k - sigma) ** 2

@@ -1,13 +1,13 @@
 """Curvature-normalized angle-pinching verdicts for stored flows.
 
-A flow is first rescaled so the sup of |A|^2 over its stored states is one.
-The extremes delta (inf of the angle cosine) and h^2 (sup of |H|^2) are then
-read off and combined into the pinching quantity delta * exp(h^2/4) for
-symplectic flows or delta * exp(h^2/2) for Lagrangian ones; the verdict
-records whether it stays below one.  The bound is a theorem only for complete
-ancient flows, which no computed trace is, so every report carries explicit
-hypothesis flags and a violated verdict on sampled data is a diagnostic, not
-a counterexample.
+On the flow rescaled to sup |A|^2 = 1 over its stored states, delta (inf of
+the angle cosine) and h^2 (sup of |H|^2) give the pinching quantity delta *
+exp(h^2/4) (symplectic) or delta * exp(h^2/2) (Lagrangian), read off the
+unscaled flow: the cosine is scale-free and h^2 = sup |H|^2 / sup |A|^2.  The
+verdict records whether it stays below one.  The bound is a theorem only for
+complete ancient flows, which no computed trace is, so every report carries
+explicit hypothesis flags and a violated verdict on sampled data is a
+diagnostic, not a counterexample.
 
 The gradient-estimate probe evaluates the pointwise differential inequality
 that drives the maximum-principle argument behind the bound, for the
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KindMismatch, ZeroCurvature
+from .errors import KindMismatch, ShortTrace, ZeroCurvature
 from .flow import FlowTrace
 from .functionals import (_angle_cosine, _centered_time_derivative,
                           check_kind, localized_f)
@@ -56,8 +56,12 @@ class TheoremReport:
 
 
 def _stored_sup_a2(trace: FlowTrace) -> float:
-    return max(float(trace.curvature_a2(i).max())
-               for i in range(len(trace.states)))
+    sup_a2 = max(float(trace.curvature_a2(i).max())
+                 for i in range(len(trace.states)))
+    if not np.isfinite(sup_a2) or sup_a2 <= ZERO_CURVATURE_FLOOR:
+        raise ZeroCurvature(
+            f"sup |A|^2 = {sup_a2:.3e}; a flat flow cannot be normalized")
+    return sup_a2
 
 
 def normalize_flow(trace: FlowTrace) -> dict:
@@ -71,11 +75,7 @@ def normalize_flow(trace: FlowTrace) -> dict:
     dict
         ``trace``: the rescaled flow; ``scale``: the factor lam applied.
     """
-    sup_a2 = _stored_sup_a2(trace)
-    if not np.isfinite(sup_a2) or sup_a2 <= ZERO_CURVATURE_FLOOR:
-        raise ZeroCurvature(
-            f"sup |A|^2 = {sup_a2:.3e}; a flat flow cannot be normalized")
-    lam = float(np.sqrt(sup_a2))
+    lam = float(np.sqrt(_stored_sup_a2(trace)))
     out = trace.parabolic(lam)
     out.meta["normalization_scale"] = lam
     return {"trace": out, "scale": lam}
@@ -105,32 +105,31 @@ def extremal_stats(trace: FlowTrace, kind: str) -> dict:
     return {"delta": delta, "h2": h2}
 
 
-def check_main_theorem(trace: FlowTrace, kind: str,
-                       area_ratio_checked: bool = False) -> TheoremReport:
-    """Normalize, extract (delta, h2), and evaluate the pinching quantity.
+def check_main_theorem(trace: FlowTrace, kind: str) -> TheoremReport:
+    """Pinching verdict of the normalized flow, read off ``trace`` as is.
 
+    delta is scale-free and h2 = sup |H|^2 / sup |A|^2 over stored states.
     The verdict is ``satisfied`` when delta * exp(h2/4) (symplectic) or
-    delta * exp(h2/2) (lagrangian) is at most 1 + 1e-9 over the stored
-    sample, else ``violated``.  ``hypotheses.ancient`` is always False for
-    computed traces, so a violated verdict never disproves anything — see
-    :meth:`TheoremReport.claims_disproof`.
+    delta * exp(h2/2) (lagrangian) is at most 1 + 1e-9, else ``violated``.
+    ``hypotheses.ancient`` is always False for computed traces, so a violated
+    verdict never disproves anything: :meth:`TheoremReport.claims_disproof`.
     """
     check_kind(kind)
-    sup_before = _stored_sup_a2(trace)
-    normalized = normalize_flow(trace)
-    stats = extremal_stats(normalized["trace"], kind)
+    sup_a2 = _stored_sup_a2(trace)
+    stats = extremal_stats(trace, kind)
+    h2 = stats["h2"] / sup_a2
     divisor = 4.0 if kind == "symplectic" else 2.0
-    lhs = stats["delta"] * float(np.exp(stats["h2"] / divisor))
+    lhs = stats["delta"] * float(np.exp(h2 / divisor))
     grid = trace.states[0].grid
     hypotheses = {
         "ancient": False,
         "complete": bool(grid.periodic1 and grid.periodic2),
-        "areaRatioChecked": bool(area_ratio_checked),
+        "areaRatioChecked": False,
         "supA2Normalized": True,
     }
     return TheoremReport(
-        kind=kind, supA2Before=sup_before, scaleApplied=normalized["scale"],
-        h2=stats["h2"], delta=stats["delta"], lhs=lhs,
+        kind=kind, supA2Before=sup_a2, scaleApplied=float(np.sqrt(sup_a2)),
+        h2=h2, delta=stats["delta"], lhs=lhs,
         verdict="satisfied" if lhs <= 1.0 + LHS_SLACK else "violated",
         hypotheses=hypotheses)
 
@@ -159,6 +158,9 @@ def gradient_estimate_probe(trace: FlowTrace, p: float, radius: float,
         away from clamped parameter boundaries and after the first sample;
         ``inequalityResidualMin``: min of the residual field.
     """
+    if len(trace.states) < 3:
+        raise ShortTrace(f"gradient estimate probe needs >= 3 stored states, "
+                         f"got {len(trace.states)}")
     loc = localized_f(trace, p, radius, kind)
     times = loc.times
 

@@ -37,6 +37,15 @@ def write_config(tmp_path, body, name="run.cfg"):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _strict_json(path):
+    """A JSON artifact, refusing the NaN and Infinity json.dumps allows."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def test_simulate_writes_artifacts(tmp_path):
     cfg = write_config(tmp_path, f"""
         scenario.name = clifford_torus
@@ -155,13 +164,31 @@ def test_theorem_on_translating_ridge_with_probe(tmp_path):
     """)
     proc = run_cli("theorem", "--config", cfg)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = _strict_json(tmp_path / "out" / "report.json")
     assert report["verdict"] == "satisfied"
     assert report["hypotheses"]["ancient"] is False
     expect = float(np.cos(1.4) * np.exp(0.5))
     assert abs(report["lhs"] - expect) < 2e-3
-    probe = json.loads((tmp_path / "out" / "probe.json").read_text())
+    probe = _strict_json(tmp_path / "out" / "probe.json")
     assert set(probe) == {"maxGF", "interiorMax", "inequalityResidualMin"}
+
+
+@pytest.mark.parametrize("max_steps", [0, 1])
+def test_theorem_probe_on_a_short_trace_writes_nothing(tmp_path, capsys,
+                                                       max_steps):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+        scenario.name = lagrangian_graph
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.max_steps = {max_steps}
+        run.p = 0.5
+        output.directory = {out}
+    """)
+    assert cli.main(["theorem", "--config", cfg]) == 3
+    assert capsys.readouterr().err.startswith("ShortTrace: ")
+    assert not (out / "report.json").exists()
+    assert not (out / "probe.json").exists()
 
 
 RIDGE_THEOREM = """
@@ -234,8 +261,7 @@ def test_monotonicity_report_and_columns(tmp_path):
     """)
     proc = run_cli("monotonicity", "--config", cfg)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(
-        (tmp_path / "out" / "monotonicity_report.json").read_text())
+    report = _strict_json(tmp_path / "out" / "monotonicity_report.json")
     assert report["weightKind"] == "lagrangian"
     assert report["samples"] == 11
     assert report["maxLhs"] < 0.0
@@ -251,7 +277,7 @@ def test_cutoff_scan_passes_and_reports_bounds(tmp_path):
     """)
     proc = run_cli("cutoff-scan", "--config", cfg)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads((tmp_path / "out" / "cutoff_report.json").read_text())
+    report = _strict_json(tmp_path / "out" / "cutoff_report.json")
     assert report["pass"] is True
     assert abs(report["maxNegSecond"] - 40.0 / np.sqrt(3.0)) < 1e-4
     assert report["maxRatio"] <= report["boundRatio"] + 1e-6
@@ -500,7 +526,7 @@ def test_cutoff_scan_passes_where_rounding_made_the_profile_negative(
     """)
     assert cli.main(["cutoff-scan", "--config", cfg]) == 0, \
         capsys.readouterr().err
-    report = json.loads((tmp_path / "out" / "cutoff_report.json").read_text())
+    report = _strict_json(tmp_path / "out" / "cutoff_report.json")
     assert report["valueMin"] >= 0.0 and report["pass"] is True
 
 

@@ -12,13 +12,15 @@ sigma^2 sup|A|^2 grows monotonically in sigma and the selector must return
 sigma_k = r_k/2 = 1/8, lambda_k = 8, and rate product exactly 1.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from mcf4d.errors import (BadParameter, InsufficientBlowup,
-                          InsufficientCoverage)
+                          InsufficientCoverage, NonFinite)
 from mcf4d.flow import FlowTrace, TraceScalars, estimate_singular_time
 from mcf4d.rescale import (BALL_SLACK, SIGMA_CANDIDATES, SIGMA_RATIO,
                            _sigma_grid, select_blowup_datum, rescale_flow,
@@ -85,6 +87,19 @@ def test_selector_requires_nodes_near_anchor(synthetic_trace):
     far = np.array([100.0, 0.0, 0.0, 0.0])
     with pytest.raises(InsufficientCoverage):
         select_blowup_datum(synthetic_trace, T_HAT, far, R_K)
+
+
+@pytest.mark.parametrize("state, node", [(24, (0, 0)), (3, (2, 5))])
+def test_selector_names_a_non_finite_curvature_node(state, node):
+    # |A|^2 = 1..25 by state over the whole window, one NaN injected.
+    times = np.linspace(T_HAT - R_K ** 2, T_HAT - (0.5 * R_K) ** 2, 25)
+    fields = [np.full((8, 8), k + 1.0) for k in range(25)]
+    fields[state][node] = np.nan
+    trace = _injected_trace(plane(8, 8, halfwidth=0.01), times, fields)
+    with pytest.raises(NonFinite, match=re.escape(
+            f"|A|^2 of stored state {state} at node {node}")) as err:
+        select_blowup_datum(trace, T_HAT, np.zeros(4), R_K)
+    assert err.value.node == node
 
 
 @pytest.mark.parametrize("t_hat, anchor, r_k", [

@@ -5,7 +5,8 @@ Closed-form anchors:
     curvature normalization, sup |H|^2 = sup |A|^2 = 1, so the Lagrangian
     pinching quantity is -exp(1/2);
   - the translating soliton ridge has tip curvature one and edge angle
-    cosine cos(x_max), so its pinching quantity is cos(1.4) exp(1/2);
+    cosine cos(x_max), so its pinching quantity is cos(1.4) exp(1/2); it is
+    a curve times a line, so |H|^2 = |A|^2 and its normalized h^2 is one;
   - on a static special-Lagrangian patch the probe diagnostic is identically
     one and both sides of the differential inequality vanish.
 """
@@ -13,7 +14,8 @@ Closed-form anchors:
 import numpy as np
 import pytest
 
-from mcf4d.errors import KindMismatch, ZeroCurvature
+from mcf4d import theorem
+from mcf4d.errors import KindMismatch, ShortTrace, ZeroCurvature
 from mcf4d.flow import FlowTrace, TraceScalars
 from mcf4d.scenarios import plane
 from mcf4d.theorem import (check_main_theorem, extremal_stats,
@@ -53,6 +55,8 @@ def test_normalize_flow_rejects_flat_flows():
     flat = _static_trace(plane(16, 16), [0.0, 0.01])
     with pytest.raises(ZeroCurvature):
         normalize_flow(flat)
+    with pytest.raises(ZeroCurvature):
+        check_main_theorem(flat, "lagrangian")
 
 
 def test_extremal_stats_torus_angle_reaches_minus_one(torus32_trace):
@@ -98,10 +102,25 @@ def test_theorem_verdict_on_translating_ridge(grim257_trace):
     assert not rep.claims_disproof()
 
 
-def test_theorem_area_ratio_flag_is_recorded(torus32_trace):
-    thin = thin_trace(torus32_trace, 400)
-    rep = check_main_theorem(thin, "lagrangian", area_ratio_checked=True)
-    assert rep.hypotheses["areaRatioChecked"] is True
+def test_theorem_reads_the_source_trace_without_rescaling(
+        monkeypatch, grim257_trace, torus32_trace):
+    def never(*args, **kwargs):
+        raise AssertionError("a rescaled trace was built")
+
+    monkeypatch.setattr(theorem, "normalize_flow", never)
+    monkeypatch.setattr(FlowTrace, "parabolic", never)
+    ridge = check_main_theorem(grim257_trace, "lagrangian")
+    assert ridge.lhs == pytest.approx(np.cos(1.4) * np.exp(0.5), abs=1e-4)
+    thin = thin_trace(torus32_trace, 200)
+    torus = check_main_theorem(thin, "lagrangian")
+    assert torus.scaleApplied ** 2 == pytest.approx(_stored_sup(thin),
+                                                    rel=1e-15)
+    assert torus.lhs == pytest.approx(-np.exp(0.5), abs=0.02)
+
+
+def test_theorem_h2_of_the_ridge_is_one_to_rounding(grim1025_trace):
+    assert abs(check_main_theorem(grim1025_trace, "lagrangian").h2
+               - 1.0) < 1e-13
 
 
 def test_probe_trivial_on_static_flat_patch():
@@ -109,6 +128,12 @@ def test_probe_trivial_on_static_flat_patch():
     res = gradient_estimate_probe(trace, 0.9, 1e3, "lagrangian")
     assert res["maxGF"] == pytest.approx(1.0, abs=1e-12)
     assert res["inequalityResidualMin"] == pytest.approx(0.0, abs=1e-10)
+
+
+def test_probe_rejects_a_trace_without_an_interior_state():
+    trace = _static_trace(plane(32, 32, halfwidth=3.0), [0.0, 0.01])
+    with pytest.raises(ShortTrace, match="got 2"):
+        gradient_estimate_probe(trace, 0.9, 1e3, "lagrangian")
 
 
 def test_probe_residual_nonnegative_on_refined_window(refine_minis):
