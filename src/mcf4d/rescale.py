@@ -115,22 +115,32 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
         node, col = divmod(int(np.argmin(np.isfinite(a2))), window.size)
         raise NonFinite(divmod(node, trace.states[0].grid.n2),
                         f"|A|^2 of stored state {window[col]}")
-    best_score, best = -np.inf, None
-    for sigma in _sigma_grid(r_k):
-        rows = times[window] >= T_hat - (r_k - sigma) ** 2
-        rows[-1] = True                 # the window's top edge
-        masked = np.where(rows & (dist <= (r_k - sigma) + BALL_SLACK * r_k),
-                          a2, -np.inf)
-        node, col = divmod(int(np.argmax(masked)), window.size)
-        val = masked[node, col]
-        if val == -np.inf:              # no node inside this ball
-            continue
-        score = sigma * sigma * val
-        if score > best_score:
-            best_score, best = score, (sigma, val, node, window[col])
-    if best is None:
+
+    def admitted(sigma, t, d, top):
+        return (((t >= T_hat - (r_k - sigma) ** 2) | top)
+                & (d <= (r_k - sigma) + BALL_SLACK * r_k))
+
+    # Both tests loosen as sigma shrinks: the smallest candidate's ball holds
+    # every pair that any ball holds, so the loop scans only those pairs.
+    sigmas = _sigma_grid(r_k)
+    top = np.arange(window.size) == window.size - 1     # the window's top edge
+    keep = np.flatnonzero(admitted(sigmas[0], times[window], dist, top))
+    if keep.size == 0:
         raise InsufficientCoverage(
             "no surface nodes inside any selection ball around the anchor")
+    col = keep % window.size
+    t, top, d, vals = (times[window][col], top[col], dist.ravel()[keep],
+                       a2.ravel()[keep])
+    best_score, best = -np.inf, None
+    for sigma in sigmas:
+        masked = np.where(admitted(sigma, t, d, top), vals, -np.inf)
+        k = int(np.argmax(masked))
+        if masked[k] == -np.inf:        # no node inside this ball
+            continue
+        score = sigma * sigma * masked[k]
+        if score > best_score:
+            node, c = divmod(int(keep[k]), window.size)
+            best_score, best = score, (sigma, masked[k], node, window[c])
 
     sigma_k, a2_peak, node, state_idx = best
     state = trace.states[state_idx]

@@ -247,11 +247,21 @@ def _select_reference(trace, T_hat, X0, r_k):
 
 
 @pytest.mark.parametrize("r_k", [0.25, 0.125, 0.0625])
-def test_selector_matches_reference_loop(torus32_trace, r_k):
+@pytest.mark.parametrize("anchor", [(0.0, 0.0, 0.0, 0.0),
+                                    (0.05, 0.0, 0.0, 0.05),
+                                    (0.1, 0.1, 0.0, 0.0)])
+def test_selector_matches_reference_loop(torus32_trace, anchor, r_k):
+    # Off the centre the balls hold fewer nodes; at r_k = 0.0625 no ball
+    # around (0.1, 0.1, 0, 0) holds one.
     t_hat = estimate_singular_time(torus32_trace).singular_time
-    rec = select_blowup_datum(torus32_trace, t_hat, np.zeros(4), r_k)
-    sigma, a2_peak, node, state_idx = _select_reference(
-        torus32_trace, t_hat, np.zeros(4), r_k)
+    X0 = np.array(anchor)
+    expect = _select_reference(torus32_trace, t_hat, X0, r_k)
+    if expect is None:
+        with pytest.raises(InsufficientCoverage):
+            select_blowup_datum(torus32_trace, t_hat, X0, r_k)
+        return
+    rec = select_blowup_datum(torus32_trace, t_hat, X0, r_k)
+    sigma, a2_peak, node, state_idx = expect
     assert rec.sigmaK == sigma
     assert rec.lambdaK == np.sqrt(a2_peak)
     assert rec.peakNode == node
