@@ -222,7 +222,7 @@ def cmd_rescale(cfg, args) -> int:
         entries.append({
             "rK": record.rK, "sigmaK": record.sigmaK,
             "lambdaK": record.lambdaK, "peakNode": record.peakNode,
-            "peakTime": record.peakTime,
+            "peakTies": record.peakTies, "peakTime": record.peakTime,
             "peakPoint": record.peakPoint, "validation": validation,
         })
     io.write_report(os.path.join(out, "rescale_report.json"),

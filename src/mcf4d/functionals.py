@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadP, BadParameter, DenominatorFloor, ShortTrace,
-                     TimeOrder, WeightFloor, first_node)
+from .errors import (BadP, BadParameter, DenominatorFloor, KindMismatch,
+                     ShortTrace, TimeOrder, WeightFloor, first_node)
 from .flow import FlowTrace
 from .geometry import (GeometryBundle, gradient_sq, laplace_beltrami,
                        normal_gradient_sq)
@@ -24,6 +24,7 @@ from .stencils import fd_weights
 DELTA_FLOOR = 1e-3        # hard floor on angle-cosine weight denominators
 EXP_FLOOR = -40.0         # Gaussian truncation exponent
 PINCH_TOL = 1e-6          # violation threshold for the pinching margin
+LAGRANGIAN_DRIFT_TOL = 1e-6   # max |cos alpha| of a Lagrangian state
 
 KINDS = ("lagrangian", "symplectic")
 
@@ -69,6 +70,20 @@ def check_localizer(p: float, radius: float, kind: str) -> None:
 def _angle_cosine(bundle: GeometryBundle, kind: str) -> np.ndarray:
     """The weight denominator field: cos(theta) or cos(alpha)."""
     return bundle.cos_theta if kind == "lagrangian" else bundle.cos_alpha
+
+
+def _state_cosine(bundle: GeometryBundle, kind: str,
+                  index: int) -> np.ndarray:
+    """The angle cosine of stored state ``index``.  A lagrangian request
+    demands a Lagrangian state, max |cos alpha| below LAGRANGIAN_DRIFT_TOL,
+    and raises KindMismatch otherwise: cos(theta) means nothing there."""
+    if kind == "lagrangian":
+        drift = float(np.abs(bundle.cos_alpha).max())
+        if drift >= LAGRANGIAN_DRIFT_TOL:
+            raise KindMismatch(
+                f"|cos alpha| reaches {drift:.3e} at stored state {index}; "
+                "the trace is not Lagrangian")
+    return _angle_cosine(bundle, kind)
 
 
 @dataclass(frozen=True)
@@ -386,7 +401,8 @@ def localized_f(trace: FlowTrace, p: float, radius: float,
     """Evaluate f = exp(p|H|^2)/cos^2 and g f along a stored trace.
 
     The exponent coefficient must keep the associated convexity margin
-    positive, see :func:`check_localizer`.
+    positive, see :func:`check_localizer`.  A lagrangian request on a
+    non-Lagrangian state raises KindMismatch before the angle floor is read.
     """
     check_localizer(p, radius, kind)
     times = trace.times
@@ -394,7 +410,7 @@ def localized_f(trace: FlowTrace, p: float, radius: float,
     best = (-math.inf, 0, 0)
     for i in range(len(trace.states)):
         bundle = trace.bundle(i)
-        c = _angle_cosine(bundle, kind)
+        c = _state_cosine(bundle, kind, i)
         low = float(np.min(c))
         if low < DELTA_FLOOR:
             raise DenominatorFloor(

@@ -23,6 +23,9 @@ from .flow import SCALAR_COLUMNS, FlowTrace, TraceScalars
 SIGMA_CANDIDATES = 64
 SIGMA_RATIO = 2.0 ** (-1.0 / 9.0)
 BALL_SLACK = 0.02
+# (node, state) pairs within this relative distance of a candidate's max
+# |A|^2 tie for its peak (see select_blowup_datum).
+PEAK_TIE_RTOL = 1e-9
 
 
 @dataclass
@@ -35,6 +38,7 @@ class RescaleRecord:
     peakNode: int
     peakTime: float
     peakPoint: np.ndarray
+    peakTies: int
     anchor: np.ndarray = field(default_factory=lambda: np.zeros(4))
     rescaledTrace: FlowTrace | None = None
 
@@ -70,11 +74,15 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
     nodes within distance (r_k - sigma) + slack of X0 and stored states of
     the window [T_hat - r_k^2, T_hat - (r_k/2)^2] with t >= T_hat - (r_k -
     sigma)^2, plus the window's last state, so the window's top edge is
-    always sampled; the winning sigma maximizes sigma^2 times that max.
-    Ties prefer the smallest sigma, then the smallest node index, then the
-    earliest state.  One pass: the window's node distances and |A|^2 fields
-    form (node, state) arrays, and each sigma takes one argmax of the masked
-    |A|^2, whose first maximum is that tie order.
+    always sampled; the winning sigma maximizes sigma^2 times that max
+    (the smallest sigma on equal scores), and lambda_k is the square root of
+    its max.  Its peak is the first (node, state) pair, smallest node index
+    then earliest state, whose |A|^2 is within ``PEAK_TIE_RTOL`` of that max,
+    relative, so rounding cannot move the peak of a field that is uniform up
+    to rounding; ``peakTies`` counts the pairs within it.  Both region tests
+    tighten as sigma grows, so the smallest sigma's region holds every pair
+    that any region holds: the window is filtered once by it, and the loop
+    over sigma scans only the admitted pairs, in node-major order.
 
     Parameters
     ----------
@@ -120,8 +128,6 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
         return (((t >= T_hat - (r_k - sigma) ** 2) | top)
                 & (d <= (r_k - sigma) + BALL_SLACK * r_k))
 
-    # Both tests loosen as sigma shrinks: the smallest candidate's ball holds
-    # every pair that any ball holds, so the loop scans only those pairs.
     sigmas = _sigma_grid(r_k)
     top = np.arange(window.size) == window.size - 1     # the window's top edge
     keep = np.flatnonzero(admitted(sigmas[0], times[window], dist, top))
@@ -134,21 +140,23 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
     best_score, best = -np.inf, None
     for sigma in sigmas:
         masked = np.where(admitted(sigma, t, d, top), vals, -np.inf)
-        k = int(np.argmax(masked))
-        if masked[k] == -np.inf:        # no node inside this ball
+        peak = masked.max()
+        if peak == -np.inf:             # no node inside this ball
             continue
-        score = sigma * sigma * masked[k]
+        score = sigma * sigma * peak
         if score > best_score:
-            node, c = divmod(int(keep[k]), window.size)
-            best_score, best = score, (sigma, masked[k], node, window[c])
+            ties = masked >= peak - PEAK_TIE_RTOL * abs(peak)
+            node, c = divmod(int(keep[np.argmax(ties)]), window.size)
+            best_score = score
+            best = (sigma, peak, node, window[c], int(ties.sum()))
 
-    sigma_k, a2_peak, node, state_idx = best
+    sigma_k, a2_peak, node, state_idx, ties = best
     state = trace.states[state_idx]
     point = state.positions.reshape(-1, 4)[node].copy()
     return RescaleRecord(rK=r_k, sigmaK=float(sigma_k),
                          lambdaK=float(np.sqrt(a2_peak)), peakNode=node,
                          peakTime=float(state.time), peakPoint=point,
-                         anchor=X0.copy())
+                         peakTies=ties, anchor=X0.copy())
 
 
 def rescale_flow(trace: FlowTrace, record: RescaleRecord) -> FlowTrace:

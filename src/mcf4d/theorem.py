@@ -20,15 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KindMismatch, ShortTrace, ZeroCurvature
+from .errors import ShortTrace, ZeroCurvature
 from .flow import FlowTrace
 from .functionals import (_angle_cosine, _centered_time_derivative,
-                          check_kind, localized_f)
+                          _state_cosine, check_kind, localized_f)
 from .geometry import (gradient_inner, gradient_sq, laplace_beltrami,
                        normal_gradient_sq)
 
 LHS_SLACK = 1e-9
-LAGRANGIAN_DRIFT_TOL = 1e-6
 ZERO_CURVATURE_FLOOR = 1e-24
 
 
@@ -86,20 +85,14 @@ def extremal_stats(trace: FlowTrace, kind: str) -> dict:
 
     ``delta`` is the min of cos(alpha) (symplectic) or cos(theta)
     (lagrangian); ``h2`` the max of |H|^2.  A lagrangian request demands the
-    trace be Lagrangian: max |cos alpha| below 1e-6 at every stored state.
+    trace be Lagrangian at every stored state (KindMismatch otherwise).
     """
     check_kind(kind)
     delta = np.inf
     h2 = -np.inf
     for i in range(len(trace.states)):
         bundle = trace.bundle(i)
-        if kind == "lagrangian":
-            drift = float(np.abs(bundle.cos_alpha).max())
-            if drift >= LAGRANGIAN_DRIFT_TOL:
-                raise KindMismatch(
-                    f"|cos alpha| reaches {drift:.3e} at stored state {i}; "
-                    "the trace is not Lagrangian")
-        c = _angle_cosine(bundle, kind)
+        c = _state_cosine(bundle, kind, i)
         delta = min(delta, float(c.min()))
         h2 = max(h2, float(bundle.norm_H2.max()))
     return {"delta": delta, "h2": h2}

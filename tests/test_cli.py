@@ -191,6 +191,25 @@ def test_theorem_probe_on_a_short_trace_writes_nothing(tmp_path, capsys,
     assert not (out / "probe.json").exists()
 
 
+def test_theorem_probe_names_a_kind_mismatch_and_writes_nothing(tmp_path,
+                                                                capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+        scenario.name = symplectic_graph
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.dt = 1e-3
+        controls.max_steps = 4
+        run.kind = lagrangian
+        run.p = 0.5
+        output.directory = {out}
+    """)
+    assert cli.main(["theorem", "--config", cfg]) == 3
+    assert capsys.readouterr().err.startswith("KindMismatch: ")
+    assert not (out / "report.json").exists()
+    assert not (out / "probe.json").exists()
+
+
 RIDGE_THEOREM = """
     scenario.name = grim_reaper_product
     scenario.n1 = 129

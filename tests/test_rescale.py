@@ -22,9 +22,10 @@ from hypothesis import strategies as hs
 from mcf4d.errors import (BadParameter, InsufficientBlowup,
                           InsufficientCoverage, NonFinite)
 from mcf4d.flow import FlowTrace, TraceScalars, estimate_singular_time
-from mcf4d.rescale import (BALL_SLACK, SIGMA_CANDIDATES, SIGMA_RATIO,
-                           _sigma_grid, select_blowup_datum, rescale_flow,
-                           validate_rescaled, with_rescaled)
+from mcf4d.io import read_snapshot, write_snapshot
+from mcf4d.rescale import (BALL_SLACK, PEAK_TIE_RTOL, SIGMA_CANDIDATES,
+                           SIGMA_RATIO, _sigma_grid, select_blowup_datum,
+                           rescale_flow, validate_rescaled, with_rescaled)
 from mcf4d.scenarios import plane
 
 
@@ -216,9 +217,11 @@ def _window_states(trace, lo, hi):
 def _select_reference(trace, T_hat, X0, r_k):
     """Selection as a loop over candidate sigmas and, inside it, over window
     states, with the node distances recomputed for every candidate: the
-    reference the selector must match bit for bit.  None when the window
-    holds fewer than 3 stored states or no ball holds a node, where the
-    selector raises InsufficientCoverage."""
+    reference the selector must match bit for bit.  Returns (sigma, max
+    |A|^2, peak node, peak state, tie count), the peak being the smallest
+    (node, state) whose |A|^2 is within PEAK_TIE_RTOL of the max; None when
+    the window holds fewer than 3 stored states or no ball holds a node,
+    where the selector raises InsufficientCoverage."""
     hi = T_hat - (0.5 * r_k) ** 2
     if len(_window_states(trace, T_hat - r_k ** 2, hi)) < 3:
         return None
@@ -226,30 +229,31 @@ def _select_reference(trace, T_hat, X0, r_k):
     for sigma in _sigma_grid(r_k):
         lo = T_hat - (r_k - sigma) ** 2
         radius = (r_k - sigma) + BALL_SLACK * r_k
-        inner_val, inner_node, inner_state = -np.inf, -1, -1
+        fields = {}
         for idx in _window_states(trace, lo, hi):
             pos = trace.states[idx].positions.reshape(-1, 4)
             a2 = trace.curvature_a2(idx).reshape(-1)
             mask = np.linalg.norm(pos - X0, axis=1) <= radius
-            if not mask.any():
-                continue
-            masked = np.where(mask, a2, -np.inf)
-            node = int(np.argmax(masked))
-            val = masked[node]
-            if val > inner_val or (val == inner_val and node < inner_node):
-                inner_val, inner_node, inner_state = val, node, idx
-        if inner_state < 0:
+            if mask.any():
+                fields[idx] = np.where(mask, a2, -np.inf)
+        if not fields:
             continue
+        inner_val = max(f.max() for f in fields.values())
         score = sigma * sigma * inner_val
         if score > best_score:
-            best_score, best = score, (sigma, inner_val, inner_node, inner_state)
+            floor = inner_val - PEAK_TIE_RTOL * abs(inner_val)
+            tied = sorted((int(node), idx) for idx, f in fields.items()
+                          for node in np.flatnonzero(f >= floor))
+            best_score, best = score, (sigma, inner_val, *tied[0], len(tied))
     return best
 
 
-@pytest.mark.parametrize("r_k", [0.25, 0.125, 0.0625])
-@pytest.mark.parametrize("anchor", [(0.0, 0.0, 0.0, 0.0),
-                                    (0.05, 0.0, 0.0, 0.05),
-                                    (0.1, 0.1, 0.0, 0.0)])
+@pytest.mark.parametrize("anchor, r_k", [
+    pytest.param(anchor, r_k, id=f"{r_k}{tag}")
+    for tag, anchor in (("", (0.0, 0.0, 0.0, 0.0)),
+                        ("-x1y2", (0.05, 0.0, 0.0, 0.05)),
+                        ("-x1y1", (0.1, 0.1, 0.0, 0.0)))
+    for r_k in (0.25, 0.125, 0.0625)])
 def test_selector_matches_reference_loop(torus32_trace, anchor, r_k):
     # Off the centre the balls hold fewer nodes; at r_k = 0.0625 no ball
     # around (0.1, 0.1, 0, 0) holds one.
@@ -261,11 +265,12 @@ def test_selector_matches_reference_loop(torus32_trace, anchor, r_k):
             select_blowup_datum(torus32_trace, t_hat, X0, r_k)
         return
     rec = select_blowup_datum(torus32_trace, t_hat, X0, r_k)
-    sigma, a2_peak, node, state_idx = expect
+    sigma, a2_peak, node, state_idx, ties = expect
     assert rec.sigmaK == sigma
     assert rec.lambdaK == np.sqrt(a2_peak)
     assert rec.peakNode == node
     assert rec.peakTime == torus32_trace.states[state_idx].time
+    assert rec.peakTies == ties
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -300,11 +305,12 @@ def test_selector_matches_reference_loop_on_random_traces(
             select_blowup_datum(trace, T_HAT, X0, r_k)
         return
     rec = select_blowup_datum(trace, T_HAT, X0, r_k)
-    sigma, a2_peak, node, state_idx = expect
+    sigma, a2_peak, node, state_idx, ties = expect
     assert rec.sigmaK == sigma
     assert rec.lambdaK == np.sqrt(a2_peak)
     assert rec.peakNode == node
     assert rec.peakTime == trace.states[state_idx].time
+    assert rec.peakTies == ties
 
 
 def test_selector_ties_prefer_smallest_node_then_earliest_state():
@@ -319,5 +325,42 @@ def test_selector_ties_prefer_smallest_node_then_earliest_state():
     trace = _injected_trace(plane(9, 9, halfwidth=0.2), times, fields)
     X0 = np.array([0.0, 0.14, 0.0, 0.0])
     rec = select_blowup_datum(trace, T_HAT, X0, R_K)
-    assert (rec.peakNode, rec.peakTime) == (4 * 9 + 3, times[23])
-    assert _select_reference(trace, T_HAT, X0, R_K)[2:] == (4 * 9 + 3, 23)
+    assert (rec.peakNode, rec.peakTime, rec.peakTies) == (4 * 9 + 3,
+                                                          times[23], 2)
+    assert _select_reference(trace, T_HAT, X0, R_K)[2:] == (4 * 9 + 3, 23, 2)
+
+
+def test_peak_does_not_move_with_rounding_noise(torus32_trace, tmp_path):
+    # The torus |A|^2 is uniform up to rounding, 2e-13 to 3e-13 relative on
+    # the peak states, and its largest value leads the next by 1.5e-14 to
+    # 2.6e-14.  Relative noise of 1e-13 reorders the nodes, so it moves a
+    # first-maximum peak, but must leave the tie-rule peak and sigma_k in
+    # place; lambda_k = sqrt(max |A|^2) moves by at most half the noise, and
+    # the rescaled snapshot with it.
+    rng = np.random.default_rng(16)
+    noisy = FlowTrace(states=torus32_trace.states,
+                      state_steps=torus32_trace.state_steps,
+                      scalars=torus32_trace.scalars,
+                      termination_reason=torus32_trace.termination_reason)
+    for i in range(len(torus32_trace.states)):
+        a2 = torus32_trace.curvature_a2(i)
+        noisy._a2_fields[i] = a2 * (1.0 + 1e-13 * rng.uniform(-1, 1, a2.shape))
+    t_hat = estimate_singular_time(torus32_trace).singular_time
+    for r_k in (0.25, 0.125, 0.0625):
+        snapshots = []
+        for trace in (torus32_trace, noisy):
+            rec = with_rescaled(trace, select_blowup_datum(
+                trace, t_hat, np.zeros(4), r_k))
+            rt = rec.rescaledTrace
+            path = tmp_path / f"{len(snapshots)}.txt"
+            write_snapshot(path, rt.states[int(np.argmin(np.abs(rt.times)))])
+            snapshots.append((rec, read_snapshot(path)))
+        (rec, snap), (rec_n, snap_n) = snapshots
+        assert rec.peakTies > 1
+        assert (rec_n.peakNode, rec_n.peakTime, rec_n.sigmaK) == (
+            rec.peakNode, rec.peakTime, rec.sigmaK)
+        np.testing.assert_array_equal(rec_n.peakPoint, rec.peakPoint)
+        assert rec_n.lambdaK == pytest.approx(rec.lambdaK, rel=1e-13, abs=0)
+        for attr in ("positions", "time", "shift1", "shift2"):
+            np.testing.assert_allclose(getattr(snap_n, attr),
+                                       getattr(snap, attr), rtol=1e-13)

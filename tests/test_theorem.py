@@ -16,8 +16,8 @@ import pytest
 
 from mcf4d import theorem
 from mcf4d.errors import KindMismatch, ShortTrace, ZeroCurvature
-from mcf4d.flow import FlowTrace, TraceScalars
-from mcf4d.scenarios import plane
+from mcf4d.flow import FlowTrace, RunControls, TraceScalars, run_flow
+from mcf4d.scenarios import plane, symplectic_graph
 from mcf4d.theorem import (check_main_theorem, extremal_stats,
                            gradient_estimate_probe, normalize_flow)
 
@@ -134,6 +134,17 @@ def test_probe_rejects_a_trace_without_an_interior_state():
     trace = _static_trace(plane(32, 32, halfwidth=3.0), [0.0, 0.01])
     with pytest.raises(ShortTrace, match="got 2"):
         gradient_estimate_probe(trace, 0.9, 1e3, "lagrangian")
+
+
+def test_probe_rejects_a_non_lagrangian_trace_by_kind():
+    # A graph over a complex line is symplectic (|cos alpha| = 1), and its
+    # cos theta reaches -1.9e-15, below the probe's angle floor: the probe
+    # must name the wrong kind, not the floor.
+    trace = run_flow(symplectic_graph(16, 16),
+                     RunControls(dt=1e-3, max_steps=4))
+    with pytest.raises(KindMismatch, match="at stored state 0"):
+        gradient_estimate_probe(normalize_flow(trace)["trace"], 0.5, 1e3,
+                                "lagrangian")
 
 
 def test_probe_residual_nonnegative_on_refined_window(refine_minis):
