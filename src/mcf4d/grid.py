@@ -22,8 +22,8 @@ from . import stencils
 from .errors import BadParameter, NonFinite, first_node
 
 AMBIENT_DIM = 4
-# Most nodes per axis: one dense (n, n) derivative matrix at this size is
-# already 134 MB; the largest grid in use has 1025 nodes.
+# Most nodes per axis: on a square grid this size each (4, n1, n2) field is
+# already 537 MB.  The largest grid in use has 1025 nodes.
 MAX_AXIS_NODES = 4097
 # Grid spacings outside this range overflow the stencil weights, which
 # multiply up to five node distances.

@@ -1,10 +1,14 @@
 """Fourth-order finite-difference operators on uniform 1-d axes.
 
-Derivatives are applied as dense (n, n) matrices D along either grid axis:
-circulant central stencils on periodic axes, one-sided stencils of the same
-order near clamped boundaries.  Matrices are cached per axis signature so
-repeated geometry builds reuse them.  One apply is one matrix product over
-the whole field: D @ X along its first axis, X @ D.T along its last.
+A derivative D along either grid axis has the central stencil on every
+interior row, wrap-around rows on a periodic axis and one-sided stencils of
+the same order near clamped boundaries.  An axis shorter than
+BANDED_MIN_NODES applies D as a dense (n, n) matrix, cached per axis
+signature, in one matrix product over the whole field: D @ X along its first
+axis, X @ D.T along its last.  There one BLAS call beats any banded loop.  A
+longer axis applies D banded: shifted-slice multiply-adds for the interior
+rows and one small gather product for the boundary rows, O(n) work and
+memory where the dense matrix costs O(n^2).
 """
 
 from __future__ import annotations
@@ -50,44 +54,89 @@ def fd_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
 _CENTRAL_POINTS = {1: 5, 2: 5}
 _ONESIDED_POINTS = {1: 5, 2: 6}
 
+# Axes of at least this many nodes take the banded apply.  Measured with one
+# BLAS thread on an (n, 64) field, the dense product is faster up to n = 64
+# along the first axis and up to about 192 along the last, where the banded
+# apply works on strided views (ROADMAP, baseline "Stencils").
+BANDED_MIN_NODES = 256
+
 
 @functools.lru_cache(maxsize=None)
-def derivative_matrix(n: int, spacing: float, periodic: bool, order: int) -> np.ndarray:
-    """Dense (n, n) matrix of the 4th-order derivative of the given order."""
+def _stencil(n: int, spacing: float, periodic: bool, order: int):
+    """The derivative's rows on an n-node axis, as (central, rows, cols,
+    weights): the central weights every interior row shares, and the rows
+    near either end that the central stencil does not fit, each with its
+    columns and weights; wrap-around on a periodic axis, a one-sided stencil
+    of the same order on a clamped one."""
     if order not in (1, 2):
         raise ValueError(f"unsupported derivative order {order}")
     if n < 8:
         raise ValueError(f"axis needs at least 8 nodes, got {n}")
     h = float(spacing)
-    mat = np.zeros((n, n))
     half = _CENTRAL_POINTS[order] // 2
     offsets = np.arange(-half, half + 1)
-    wc = fd_weights(0.0, offsets * h, order)[order]
+    central = fd_weights(0.0, offsets * h, order)[order]
+    rows = np.r_[0:half, n - half:n]
     if periodic:
-        for off, w in zip(offsets, wc):
-            idx = (np.arange(n) + off) % n
-            mat[np.arange(n), idx] += w
-        return mat
-    for i in range(n):
-        if half <= i < n - half:
-            mat[i, i + offsets] = wc
-            continue
-        # One-sided stencil anchored to the nearest boundary, same order.
-        width = _ONESIDED_POINTS[order]
-        start = 0 if i < half else n - width
-        nodes = np.arange(start, start + width)
-        mat[i, nodes] = fd_weights(i * h, nodes * h, order)[order]
+        cols = (rows[:, None] + offsets) % n
+        weights = np.tile(central, (rows.size, 1))
+        return central, rows, cols, weights
+    # One-sided stencils anchored to the nearest boundary.
+    width = _ONESIDED_POINTS[order]
+    cols = np.array([np.arange(width) if i < half else np.arange(n - width, n)
+                     for i in rows])
+    weights = np.array([fd_weights(i * h, c * h, order)[order]
+                        for i, c in zip(rows, cols)])
+    return central, rows, cols, weights
+
+
+@functools.lru_cache(maxsize=None)
+def derivative_matrix(n: int, spacing: float, periodic: bool, order: int) -> np.ndarray:
+    """Dense (n, n) matrix of the 4th-order derivative of the given order."""
+    central, rows, cols, weights = _stencil(n, spacing, periodic, order)
+    half = rows.size // 2
+    mat = np.zeros((n, n))
+    inner = np.arange(half, n - half)
+    for k, w in enumerate(central):
+        mat[inner, inner + k - half] = w
+    mat[rows[:, None], cols] = weights
     return mat
+
+
+def _banded_apply(x: np.ndarray, out: np.ndarray, stencil) -> None:
+    """out = D x for (n, m) views x and out, D given by its _stencil rows:
+    interior rows by shifted-slice multiply-adds, boundary rows gathered."""
+    central, rows, cols, weights = stencil
+    n, width = x.shape[0], central.size
+    inner = out[width // 2:n - width // 2]
+    np.multiply(x[:n - width + 1], central[0], out=inner)
+    for k in range(1, width):
+        inner += central[k] * x[k:n - width + 1 + k]
+    out[rows] = np.einsum("rc,rcm->rm", weights, x[cols])
 
 
 def axis_derivative(field: np.ndarray, axis: int, n: int, spacing: float,
                     periodic: bool, order: int) -> np.ndarray:
-    """Apply the cached derivative matrix along the first axis of a field
-    (``axis`` 0, the field viewed as (n, size / n)) or along its last axis
-    (``axis`` 1, viewed as (size / n, n)), as one matrix product."""
+    """Apply the derivative along the first axis of a field (``axis`` 0, the
+    field viewed as (n, size / n)) or along its last axis (``axis`` 1, viewed
+    as (size / n, n)).
+
+    An axis shorter than BANDED_MIN_NODES takes the cached dense matrix, one
+    BLAS product over the whole field, which is fastest there.  A longer one
+    takes the banded apply, O(n) in time and in cached memory where the
+    dense matrix costs O(n^2) in both.
+    """
     if field.shape[0 if axis == 0 else -1] != n:
         raise ValueError(f"axis {axis} of a {field.shape} field is not {n} long")
-    mat = derivative_matrix(n, spacing, periodic, order)
+    if n < BANDED_MIN_NODES:
+        mat = derivative_matrix(n, spacing, periodic, order)
+        if axis == 0:
+            return (mat @ field.reshape(n, -1)).reshape(field.shape)
+        return (field.reshape(-1, n) @ mat.T).reshape(field.shape)
+    stencil = _stencil(n, spacing, periodic, order)
+    out = np.empty(field.shape, np.result_type(field, stencil[0]))
     if axis == 0:
-        return (mat @ field.reshape(n, -1)).reshape(field.shape)
-    return (field.reshape(-1, n) @ mat.T).reshape(field.shape)
+        _banded_apply(field.reshape(n, -1), out.reshape(n, -1), stencil)
+    else:
+        _banded_apply(field.reshape(-1, n).T, out.reshape(-1, n).T, stencil)
+    return out

@@ -711,13 +711,10 @@ def _node_major_bundle(derivs, f, x, grid):
     christoffel = [coords(y) for y in (f_uu, f_uv, f_vv)]
     gam_u = [c[0] for c in christoffel]
     gam_v = [c[1] for c in christoffel]
-    # Scalar f: (n1, n2) is both layouts, so its products are the kernel's.
-    d1 = derivative_matrix(grid.n1, grid.spacing1, grid.periodic1, 1)
-    d2 = derivative_matrix(grid.n2, grid.spacing2, grid.periodic2, 1)
-    s_u, s_v = d1 @ f, f @ d2.T
-    s_uv = s_u @ d2.T
-    s_uu = derivative_matrix(grid.n1, grid.spacing1, grid.periodic1, 2) @ f
-    s_vv = f @ derivative_matrix(grid.n2, grid.spacing2, grid.periodic2, 2).T
+    # Scalar f: (n1, n2) is both layouts, so its derivatives are the kernel's.
+    s_u, s_v = (scalar_derivative(f, grid, axis, 1) for axis in (0, 1))
+    s_uv = scalar_derivative(s_u, grid, 1, 1)
+    s_uu, s_vv = (scalar_derivative(f, grid, axis, 2) for axis in (0, 1))
     n_u = normal(_node_major_derivative(x, grid, 0, 1)[0])
     n_v = normal(_node_major_derivative(x, grid, 1, 1)[0])
     return {
@@ -788,7 +785,9 @@ def test_component_major_kernel_matches_node_major_reference(state):
         "F_u": (f_u + state.shift1 / (grid.n1 * grid.spacing1), u_terms),
         "F_v": (f_v + state.shift2 / (grid.n2 * grid.spacing2), v_terms),
         "F_uu": _node_major_derivative(per, grid, 0, 2),
-        "F_uv": _node_major_derivative(f_u, grid, 1, 1),
+        # The kernel's F_u, so that only the v-product is checked here.
+        "F_uv": _node_major_derivative(scalar_derivative(per, grid, 0, 1),
+                                       grid, 1, 1),
         "F_vv": _node_major_derivative(per, grid, 1, 2)}
     for got, (name, (value, terms)) in zip(derivs, expect.items()):
         assert got.shape == value.shape, name

@@ -1,13 +1,18 @@
 """Finite-difference weight and derivative-matrix checks.
 
 Oracles: analytic derivatives of polynomials (which the stencils must
-reproduce exactly up to their design degree) and of trigonometric fields
-(which expose the convergence order).
+reproduce exactly up to their design degree), of trigonometric fields
+(which expose the convergence order), and the dense derivative matrix,
+against which the banded apply of long axes is checked.
 """
 
 import numpy as np
+import pytest
 
-from mcf4d.stencils import axis_derivative, derivative_matrix, fd_weights
+from mcf4d.geometry import GeometryBundle
+from mcf4d.scenarios import grim_reaper_product
+from mcf4d.stencils import (BANDED_MIN_NODES, axis_derivative,
+                            derivative_matrix, fd_weights)
 
 
 def test_fd_weights_central_first_derivative():
@@ -91,3 +96,51 @@ def test_axis_derivative_handles_vector_fields():
     got = axis_derivative(field, 0, n, h, True, 1)
     expect = np.stack([np.cos(x), -np.sin(x)], axis=-1)[:, None, :]
     assert np.abs(got - expect).max() < 1e-3
+
+
+@pytest.mark.parametrize("n", [BANDED_MIN_NODES - 1, BANDED_MIN_NODES, 257,
+                               1025])
+def test_axis_derivative_matches_dense_product_across_the_cut(n):
+    # Within 1e-13 of the magnitude of the terms each product sums.  The
+    # uncached matrix keeps the long-axis operators out of the cache.
+    rng = np.random.default_rng(n)
+    h = 2.0 * np.pi / n
+    field0 = rng.standard_normal((n, 3, 4))
+    field1 = rng.standard_normal((4, 5, n))
+    for periodic in (True, False):
+        for order in (1, 2):
+            d = derivative_matrix.__wrapped__(n, h, periodic, order)
+            got0 = axis_derivative(field0, 0, n, h, periodic, order)
+            got1 = axis_derivative(field1, 1, n, h, periodic, order)
+            assert np.all(np.abs(got0 - np.tensordot(d, field0, axes=(1, 0)))
+                          <= 1e-13 * np.tensordot(np.abs(d), np.abs(field0),
+                                                  axes=(1, 0)))
+            assert np.all(np.abs(got1 - field1 @ d.T)
+                          <= 1e-13 * (np.abs(field1) @ np.abs(d).T))
+
+
+def test_banded_apply_exact_on_quartics():
+    # The quartic of the n = 16 matrix check, over the same span of x.
+    n = BANDED_MIN_NODES
+    h = 15 * 0.37 / (n - 1)
+    x = np.arange(n) * h
+    f = 2.0 - x + 0.5 * x ** 2 + 0.25 * x ** 3 - 0.125 * x ** 4
+    d1 = -1.0 + x + 0.75 * x ** 2 - 0.5 * x ** 3
+    d2 = 1.0 + 1.5 * x - 1.5 * x ** 2
+    for order, expect, atol in ((1, d1, 1e-9), (2, d2, 1e-8)):
+        got0 = axis_derivative(f[:, None], 0, n, h, False, order)[:, 0]
+        got1 = axis_derivative(f[None, :], 1, n, h, False, order)[0]
+        np.testing.assert_allclose(got0, expect, atol=atol)
+        np.testing.assert_allclose(got1, expect, atol=atol)
+
+
+def test_long_axis_caches_no_dense_matrix():
+    derivative_matrix.cache_clear()
+    state = grim_reaper_product(n1=1025)
+    GeometryBundle(state)
+    # The two operators of the short v-axis are the only entries.
+    assert derivative_matrix.cache_info().currsize == 2
+    g = state.grid
+    for order in (1, 2):
+        derivative_matrix(g.n2, g.spacing2, g.periodic2, order)
+    assert derivative_matrix.cache_info().currsize == 2
