@@ -23,6 +23,7 @@ field when the state is stored.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -101,11 +102,41 @@ class TraceScalars:
         return self.t.size
 
 
+class MappedStates(Sequence):
+    """The states of ``source`` mapped F -> lam (F - offset),
+    t -> lam^2 (t - t0) by :meth:`SurfaceState.transformed` on every read;
+    no mapped state is kept.  A slice stays mapped."""
+
+    def __init__(self, source: Sequence[SurfaceState], lam: float,
+                 t0: float, offset: np.ndarray | None):
+        self.source, self.lam, self.t0, self.offset = source, lam, t0, offset
+
+    def __len__(self):
+        return len(self.source)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return MappedStates(self.source[index], self.lam, self.t0,
+                                self.offset)
+        s = self.source[index]
+        return s.transformed(scale=self.lam, offset=self.offset,
+                             time=self.lam * self.lam * (s.time - self.t0))
+
+
+def _stored_times(states: Sequence[SurfaceState]) -> np.ndarray:
+    """Times of ``states``; mapped states give theirs without mapping any
+    positions."""
+    if isinstance(states, MappedStates):
+        return states.lam * states.lam * (_stored_times(states.source)
+                                          - states.t0)
+    return np.array([s.time for s in states])
+
+
 @dataclass
 class FlowTrace:
     """Stored states (possibly thinned by stride) plus dense scalar series."""
 
-    states: list[SurfaceState]
+    states: Sequence[SurfaceState]
     state_steps: list[int]
     scalars: TraceScalars
     termination_reason: str
@@ -116,7 +147,7 @@ class FlowTrace:
     @property
     def times(self) -> np.ndarray:
         """Times of the stored states."""
-        return np.array([s.time for s in self.states])
+        return _stored_times(self.states)
 
     def _stored(self, index: int) -> int:
         """Non-negative index of stored state ``index``, which counts from
@@ -168,11 +199,11 @@ class FlowTrace:
         Stored states and scalars both move: area scales by lam^2, the
         curvatures by lam^-2, det g by lam^4; angles and steps are
         invariant.  The new trace copies ``meta`` and starts with empty
-        caches.
+        caches.  Its states are :class:`MappedStates`: references to these
+        states plus (lam, t0, offset), each mapped again on every read, so a
+        caller that reads one state many times should hold on to it.
         """
-        states = [s.transformed(scale=lam, offset=offset,
-                                time=lam * lam * (s.time - t0))
-                  for s in self.states]
+        states = MappedStates(self.states, lam, t0, offset)
         sc = self.scalars
         scalars = TraceScalars(
             step=sc.step.copy(), t=lam * lam * (sc.t - t0),

@@ -163,14 +163,17 @@ def rescale_flow(trace: FlowTrace, record: RescaleRecord) -> FlowTrace:
     """Magnified flow F -> lambda_k (F - X_k), s = lambda_k^2 (t - t_k).
 
     Keeps stored states and scalar rows from t_k - (sigma_k/2)^2 onward and
-    maps them by :meth:`FlowTrace.parabolic`.
+    maps them by :meth:`FlowTrace.parabolic`, which holds references to the
+    kept states and maps a state on every read, so a caller that reads one
+    state many times should hold on to it.  The kept states are a suffix,
+    since stored states are in time order.
     """
     t_lo = record.peakTime - (0.5 * record.sigmaK) ** 2 - 1e-15
-    keep = [i for i, s in enumerate(trace.states) if s.time >= t_lo]
+    start = int(np.searchsorted(trace.times, t_lo))
     rows = trace.scalars.t >= t_lo
     window = FlowTrace(
-        states=[trace.states[i] for i in keep],
-        state_steps=[trace.state_steps[i] for i in keep],
+        states=trace.states[start:],
+        state_steps=trace.state_steps[start:],
         scalars=TraceScalars(*(getattr(trace.scalars, c)[rows]
                                for c in SCALAR_COLUMNS)),
         termination_reason=trace.termination_reason, meta=trace.meta)

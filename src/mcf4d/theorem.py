@@ -67,7 +67,9 @@ def normalize_flow(trace: FlowTrace) -> dict:
     """Parabolic rescaling F -> lam F, t -> lam^2 t with lam^2 = sup |A|^2.
 
     The rescaled trace has sup of |A|^2 over stored states equal to one (so
-    |H|^2 <= 2 there); applying it twice is the identity up to rounding.
+    |H|^2 <= 2 there); applying it twice is the identity up to rounding.  Its
+    states are mapped on every read (:meth:`FlowTrace.parabolic`), not
+    copied.
 
     Returns
     -------
@@ -158,8 +160,9 @@ def gradient_estimate_probe(trace: FlowTrace, p: float, radius: float,
     times = loc.times
 
     i_max, node = loc.max_state_index, loc.max_node
-    grid = trace.states[i_max].grid
-    pos = trace.states[i_max].positions.reshape(-1, 4)[node]
+    peak = trace.bundle(i_max)
+    grid = peak.grid
+    pos = peak.positions.reshape(-1, 4)[node]
     row, col = divmod(node, grid.n2)
     on_boundary = ((not grid.periodic1 and row in (0, grid.n1 - 1)) or
                    (not grid.periodic2 and col in (0, grid.n2 - 1)))

@@ -5,6 +5,9 @@ the monotonicity tests; the refinement fixture materializes the three-level
 (dt / 4, spacing / 2) ladder consumed by the convergence criteria.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,16 @@ REFINE_LEVELS = ((16, 9.6e-3, 4), (32, 2.4e-3, 16), (64, 6e-4, 64))
 LAGR_CENTER = np.array([np.pi, 0.0, np.pi, 0.0])
 SYMPL_CENTER = np.array([np.pi, np.pi, 0.0, -0.1])
 WEIGHT_T0 = 0.1
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env():
+    """The environment with ``src`` first on PYTHONPATH, for subprocesses
+    that import mcf4d from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def su2_real(rng):

@@ -33,7 +33,7 @@ from mcf4d.theorem import (check_main_theorem, gradient_estimate_probe,
 from mcf4d.flow import FlowTrace
 
 from conftest import (LAGR_CENTER, REFINE_LEVELS, SYMPL_CENTER, WEIGHT_T0,
-                      thin_trace)
+                      src_env, thin_trace)
 from test_geometry import frame_oracle
 
 
@@ -339,7 +339,7 @@ def test_criterion_12_byte_identical_reruns(tmp_path):
             f"output.directory = {out}\n", encoding="ascii")
         proc = subprocess.run(
             [sys.executable, "-m", "mcf4d.cli", "simulate", "--config",
-             str(cfg)], capture_output=True, text=True)
+             str(cfg)], env=src_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out)
     for name in ("timeseries.csv", "snapshot_initial.txt",

@@ -25,10 +25,12 @@ from hypothesis import strategies as hs
 from mcf4d import cli
 from mcf4d.errors import Mcf4dError
 
+from conftest import src_env
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "mcf4d.cli", *args],
-                          capture_output=True, text=True)
+                          env=src_env(), capture_output=True, text=True)
 
 
 def write_config(tmp_path, body, name="run.cfg"):

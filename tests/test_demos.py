@@ -1,11 +1,12 @@
 """Every script in ``demos/`` runs to completion as a user runs it."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -13,10 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True)
+                          env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -472,3 +472,51 @@ def test_parabolic_scaling_matches_recomputed_rows(graph_flow, lam, lam2, t0,
         np.testing.assert_allclose(getattr(twice.scalars, c),
                                    getattr(once.scalars, c), rtol=1e-12,
                                    atol=1e-12)
+
+
+def _assert_mapped_exactly(mapped, source, lam, t0, offset):
+    """Every state of ``mapped`` is bitwise ``source``'s state moved by
+    ``transformed``, read by positive and negative index, slice and
+    iteration, and ``mapped.times`` are those states' times."""
+    expected = [s.transformed(scale=lam, offset=offset,
+                              time=lam * lam * (s.time - t0))
+                for s in source.states]
+    n = len(expected)
+    assert len(mapped.states) == n
+    reads = ([(mapped.states[i], expected[i]) for i in range(n)]
+             + [(mapped.states[i - n], expected[i]) for i in range(n)]
+             + list(zip(mapped.states[1:], expected[1:]))
+             + list(zip(mapped.states[::-2], expected[::-2]))
+             + list(zip(mapped.states, expected)))
+    for got, want in reads:
+        for attr in ("positions", "shift1", "shift2"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert got.time == want.time
+    assert np.array_equal(mapped.times, [s.time for s in expected])
+
+
+def test_parabolic_maps_every_read_exactly(graph_flow):
+    lam, t0, offset = 1.7, 0.3, np.array([0.1, -0.2, 0.3, -0.4])
+    once = graph_flow.parabolic(lam, t0, offset)
+    _assert_mapped_exactly(once, graph_flow, lam, t0, offset)
+    # Mapped twice: each read maps the first mapping's state again.
+    lam2, t02, offset2 = 0.6, -0.05, np.array([0.0, 0.5, 0.0, -0.5])
+    twice = once.parabolic(lam2, t02, offset2)
+    _assert_mapped_exactly(twice, once, lam2, t02, offset2)
+
+
+def test_mapped_times_map_no_state(graph_flow, monkeypatch):
+    twice = graph_flow.parabolic(2.0, 0.1, np.ones(4)).parabolic(0.5, 0.2)
+    calls = []
+    original = SurfaceState.transformed
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SurfaceState, "transformed", counted)
+    times = twice.times
+    assert calls == []
+    assert times.shape == (len(graph_flow.states),)
+    twice.states[-1]
+    assert len(calls) == 2

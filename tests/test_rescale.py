@@ -13,6 +13,7 @@ sigma_k = r_k/2 = 1/8, lambda_k = 8, and rate product exactly 1.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,3 +365,21 @@ def test_peak_does_not_move_with_rounding_noise(torus32_trace, tmp_path):
         for attr in ("positions", "time", "shift1", "shift2"):
             np.testing.assert_allclose(getattr(snap_n, attr),
                                        getattr(snap, attr), rtol=1e-13)
+
+
+def test_rescaling_keeps_no_copy_of_the_states(torus32_trace):
+    # Three rescaled traces hold references to the torus's stored states,
+    # not mapped copies: together they take less memory than four of its
+    # states' positions (32^2 nodes x 4 coordinates x 8 bytes each).
+    t_hat = estimate_singular_time(torus32_trace).singular_time
+    records = [select_blowup_datum(torus32_trace, t_hat, np.zeros(4), r_k)
+               for r_k in (0.25, 0.125, 0.0625)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rescaled = [with_rescaled(torus32_trace, rec) for rec in records]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(len(rec.rescaledTrace.states) > 0 for rec in rescaled)
+    assert grown < 4 * torus32_trace.states[0].positions.nbytes, grown
