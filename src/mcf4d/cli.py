@@ -7,16 +7,17 @@ Outputs are deterministic text artifacts in the configured output
 directory.  Exit code 0 means success, 2 a configuration or precondition
 error (a config file or output directory that cannot be opened among
 them), 3 a numerical failure; in both failure cases the error class name
-is printed on stderr.
+is printed on stderr.  The scenario's registry entry
+(:data:`scenarios.SCENARIOS`) names the trace mode that reads its
+``controls.*`` keys and builds its trace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from dataclasses import fields
-from typing import get_type_hints
 
 import numpy as np
 
@@ -30,14 +31,12 @@ from .functionals import (CUTOFF_CONSTANT, CUTOFF_SUP_ABS_FIRST,
 from .grid import MAX_AXIS_NODES
 from .rescale import (check_selection, select_blowup_datum, validate_rescaled,
                       with_rescaled)
-from .scenarios import (SCENARIOS, find_scenario, generate_scenario,
-                        run_sphere_ode, translating_trace)
+from .scenarios import SCENARIOS, find_scenario, generate_scenario, mesh_flow
 from .theorem import check_main_theorem, gradient_estimate_probe, normalize_flow
 
 CONFIG_EXIT = 2
 NUMERICAL_EXIT = 3
 INT_LIMIT = 2 ** 31          # integer config values lie strictly inside +-this
-MAX_TRACE_SAMPLES = 1000     # controls.samples: states of a translating trace
 MAX_SCAN_SAMPLES = 10 ** 6   # scan.samples: points of the cutoff scan
 
 
@@ -101,24 +100,6 @@ def _check_read(cfg: Config) -> str:
     return out
 
 
-# The controls.* keys a mesh flow and the radius ODE read: every RunControls
-# field, and those run_sphere_ode uses.
-MODE_CONTROLS = {
-    "flow": tuple(f.name for f in fields(RunControls)),
-    "sphere_ode": ("t_end", "max_steps", "blowup_threshold", "stride"),
-}
-
-
-def _controls(cfg, mode: str) -> RunControls:
-    """Run controls from the ``controls.*`` keys that trace ``mode`` reads;
-    absent keys keep the RunControls defaults."""
-    hints = get_type_hints(RunControls)
-    return RunControls(**{
-        name: _read(cfg, f"controls.{name}", int if hints[name] is int
-                    else float, getattr(RunControls, name))
-        for name in MODE_CONTROLS[mode]})
-
-
 def _scenario(cfg):
     """Configured scenario name and the ``scenario.*`` parameters given,
     typed by the scenario builder's signature; each must be finite."""
@@ -133,27 +114,10 @@ def _scenario(cfg):
 
 def _trace(cfg):
     """Read the configured scenario's keys and return a function that builds
-    its trace in the registry mode: mesh flow, exact radius ODE, or exact
-    translation."""
+    its trace by the scenario's trace mode."""
     name, params = _scenario(cfg)
     entry = SCENARIOS[name]
-    if entry.mode == "translating":
-        t_end = _read(cfg, "controls.t_end", float, 0.1)
-        if not np.isfinite(t_end) or t_end <= 0:
-            raise BadParameter(f"{name} needs a finite positive "
-                               "controls.t_end for its sample times")
-        samples = _read(cfg, "controls.samples", int, 3)
-        if samples > MAX_TRACE_SAMPLES:
-            raise BadParameter(f"controls.samples must be at most "
-                               f"{MAX_TRACE_SAMPLES}, got {samples}")
-        params.pop("time", None)
-        times = np.linspace(0.0, t_end, max(3, samples))
-        return lambda: translating_trace(
-            lambda t: entry.builder(time=t, **params), times)
-    controls = _controls(cfg, entry.mode)
-    if entry.mode == "sphere_ode":
-        return lambda: run_sphere_ode(controls=controls, **params)
-    return lambda: run_flow(generate_scenario(name, **params), controls)
+    return entry.mode(entry.builder, params, functools.partial(_read, cfg))
 
 
 def cmd_simulate(cfg, args) -> int:
@@ -314,7 +278,7 @@ def cmd_verify(cfg, args) -> int:
     steps = _read(cfg, "controls.max_steps", int, required=True)
     _check_read(cfg)
     grid = (generate_scenario(name, **params).grid
-            if SCENARIOS[name].mode == "flow" else None)
+            if SCENARIOS[name].mode is mesh_flow else None)
     if grid is None or not (grid.periodic1 and grid.periodic2):
         raise BadParameter("verify needs a mesh-flow scenario on a grid "
                            "periodic on both axes")

@@ -9,16 +9,18 @@ whole machinery sees smooth periodic data without boundary stencils.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
 from .errors import BadParameter, InsufficientBlowup
-from .flow import FlowTrace, RunControls, TraceScalars, scalar_row
+from .flow import FlowTrace, RunControls, TraceScalars, run_flow, scalar_row
 from .geometry import GeometryBundle
 from .grid import ParamGrid, SurfaceState
 
 TWO_PI = 2.0 * np.pi
+MAX_TRACE_SAMPLES = 1000     # controls.samples: states of a translating trace
 
 
 def plane(n1: int = 64, n2: int = 64, halfwidth: float = 3.0,
@@ -168,6 +170,8 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     r0 = float(radius)
     if r0 <= 0:
         raise BadParameter("radius must be positive")
+    if not controls.t_end > 0:
+        raise BadParameter(f"t_end must be positive, got {controls.t_end}")
     t_sing = r0 * r0 / 4.0
     # Halt when |A|^2 = 2/r^2 crosses the blow-up threshold.
     t_stop = t_sing - 0.5 / controls.blowup_threshold
@@ -183,6 +187,11 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
         raise InsufficientBlowup("too few samples allowed for the radius ODE")
     t = np.linspace(0.0, t_stop, n_samples)
     r = np.sqrt(r0 * r0 - 4.0 * t)
+    # 0.5 / threshold below half an ulp of t_sing leaves r = 0 at the end.
+    if not r[-1] > 0:
+        raise BadParameter(
+            f"blowup_threshold {controls.blowup_threshold} puts the stop "
+            f"time on the singular time {t_sing}")
 
     patch0 = sphere_patch(radius=r0, **patch)
     _, _, area0, _, _, cos_a_min, cos_t_min, det_min0 = scalar_row(
@@ -205,35 +214,79 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
                            "singular_time": t_sing})
 
 
+def _read_controls(read, names) -> RunControls:
+    """RunControls from the ``controls.*`` keys ``names``; absent keys keep
+    the RunControls defaults."""
+    hints = get_type_hints(RunControls)
+    return RunControls(**{
+        name: read(f"controls.{name}", int if hints[name] is int else float,
+                   getattr(RunControls, name))
+        for name in names})
+
+
+def mesh_flow(builder, params, read):
+    """Trace mode: :func:`run_flow` under every RunControls field."""
+    controls = _read_controls(read, [f.name for f in fields(RunControls)])
+    return lambda: run_flow(builder(**params), controls)
+
+
+def radius_ode(builder, params, read):
+    """Trace mode: :func:`run_sphere_ode`, which builds its patch itself."""
+    controls = _read_controls(
+        read, ("t_end", "max_steps", "blowup_threshold", "stride"))
+    return lambda: run_sphere_ode(controls=controls, **params)
+
+
+def translation(builder, params, read):
+    """Trace mode: :func:`translating_trace` of the builder, which takes the
+    time, at ``controls.samples`` times from 0 to ``controls.t_end``."""
+    t_end = read("controls.t_end", float, 0.1)
+    if not np.isfinite(t_end) or t_end <= 0:
+        raise BadParameter("the translation needs a finite positive "
+                           "controls.t_end for its sample times")
+    samples = read("controls.samples", int, 3)
+    if not 3 <= samples <= MAX_TRACE_SAMPLES:
+        raise BadParameter(f"controls.samples must lie in "
+                           f"[3, {MAX_TRACE_SAMPLES}], got {samples}")
+    times = np.linspace(0.0, t_end, samples)
+    return lambda: translating_trace(
+        lambda t: builder(time=t, **params), times)
+
+
 class Scenario(NamedTuple):
     """Registry entry: initial-surface builder, trace mode and default kind.
 
-    The mode says how a run makes its trace: ``flow`` integrates the mesh,
-    ``sphere_ode`` samples the exact radius ODE (:func:`run_sphere_ode`),
-    ``translating`` samples the exact translation (the builder takes the
-    time).  ``kind`` is the default ``run.kind`` of the theorem check.
+    The mode is the function that makes a run's trace:
+    ``mode(builder, params, read)`` reads and checks its ``controls.*`` keys
+    through ``read(key, type, default)`` and returns a function that builds
+    the trace from the builder and its parameters.  :func:`mesh_flow`
+    integrates the mesh, :func:`radius_ode` samples the exact radius ODE and
+    :func:`translation` the exact translation.  ``kind`` is the default
+    ``run.kind`` of the theorem check.
     """
 
     builder: Callable[..., SurfaceState]
-    mode: str
+    mode: Callable[..., Callable[[], FlowTrace]]
     kind: str
 
     def params(self) -> dict[str, type]:
         """Parameter name -> type, read from the builder's signature, which
-        also holds the one default of each parameter."""
+        also holds the one default of each parameter.  A builder's ``time``
+        is not among them: the trace mode sets it."""
         hints = get_type_hints(self.builder)
         del hints["return"]
+        hints.pop("time", None)
         return hints
 
 
 SCENARIOS: dict[str, Scenario] = {
-    "plane": Scenario(plane, "flow", "lagrangian"),
-    "complex_line": Scenario(complex_line, "flow", "symplectic"),
-    "sphere_ode": Scenario(sphere_patch, "sphere_ode", "symplectic"),
-    "clifford_torus": Scenario(clifford_torus, "flow", "symplectic"),
-    "lagrangian_graph": Scenario(lagrangian_graph, "flow", "lagrangian"),
-    "symplectic_graph": Scenario(symplectic_graph, "flow", "symplectic"),
-    "grim_reaper_product": Scenario(grim_reaper_product, "translating",
+    "plane": Scenario(plane, mesh_flow, "lagrangian"),
+    "complex_line": Scenario(complex_line, mesh_flow, "symplectic"),
+    "sphere_ode": Scenario(sphere_patch, radius_ode, "symplectic"),
+    "clifford_torus": Scenario(clifford_torus, mesh_flow, "symplectic"),
+    "lagrangian_graph": Scenario(lagrangian_graph, mesh_flow, "lagrangian"),
+    "symplectic_graph": Scenario(symplectic_graph, mesh_flow, "symplectic"),
+    "grim_reaper_product": Scenario(grim_reaper_product, translation,
                                     "lagrangian"),
 }
 
@@ -249,8 +302,8 @@ def find_scenario(name: str) -> Scenario:
 def generate_scenario(name: str, **params) -> SurfaceState:
     """Initial surface of a named scenario with keyword parameters.
 
-    ``sphere_ode`` returns the lat-long patch at t = 0; its evolution runs
-    through :func:`run_sphere_ode` rather than the mesh integrator.
+    It is the surface at t = 0 also where the trace mode is not
+    :func:`mesh_flow`.
     """
     entry = find_scenario(name)
     allowed = entry.params()

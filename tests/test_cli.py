@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from mcf4d import cli
+from mcf4d import cli, scenarios
 from mcf4d.errors import Mcf4dError
 
 from conftest import src_env
@@ -257,13 +257,66 @@ def test_run_values_are_checked_before_the_trace_is_built(
     def never(*args, **kwargs):
         raise AssertionError("the trace was built")
 
-    monkeypatch.setattr(cli, "run_flow", never)
-    monkeypatch.setattr(cli, "translating_trace", never)
+    for name in ("run_flow", "translating_trace", "run_sphere_ode"):
+        monkeypatch.setattr(scenarios, name, never)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, body + f"\noutput.directory = {out}\n")
     assert cli.main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"{error}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "scenario.name = sphere_ode\ncontrols.t_end = -1",
+    "scenario.name = sphere_ode\ncontrols.t_end = 0",
+    "scenario.name = sphere_ode\ncontrols.blowup_threshold = inf",
+    "scenario.name = sphere_ode\ncontrols.blowup_threshold = 1e17",
+    "scenario.name = grim_reaper_product\ncontrols.samples = 2",
+    "scenario.name = grim_reaper_product\nscenario.time = 5",
+], ids=["ode_t_end_negative", "ode_t_end_zero", "ode_threshold_inf",
+        "ode_threshold_1e17", "translation_samples", "translation_time"])
+def test_trace_inputs_the_mode_cannot_honour_exit_two(tmp_path, capsys,
+                                                       line):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"{line}\noutput.directory = {out}\n")
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("BadParameter: ")
+    assert not out.exists()
+
+
+def _still_frames(builder, params, read):
+    """A trace mode outside the registry's three: ``controls.fake`` copies
+    of the builder's surface at times 0 to 1."""
+    frames = read("controls.fake", int, 3)
+    return lambda: scenarios.translating_trace(
+        lambda t: builder(**params), np.linspace(0.0, 1.0, frames))
+
+
+@pytest.mark.parametrize("line, code", [
+    ("controls.fake = 4", 0), ("controls.dt = 1e-3", 2)], ids=["own", "dt"])
+def test_a_new_trace_mode_is_one_registry_entry(tmp_path, monkeypatch,
+                                                capsys, line, code):
+    # cli knows no mode: the entry's mode reads its own controls.* keys, and
+    # any other controls.* key is unknown.
+    monkeypatch.setitem(scenarios.SCENARIOS, "still_torus", scenarios.Scenario(
+        scenarios.clifford_torus, _still_frames, "symplectic"))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+        scenario.name = still_torus
+        scenario.n1 = 8
+        scenario.n2 = 8
+        {line}
+        output.directory = {out}
+    """)
+    assert cli.main(["simulate", "--config", cfg]) == code
+    std = capsys.readouterr()
+    if code:
+        assert std.err.startswith("BadParameter: unknown config key "
+                                  "'controls.dt'")
+        assert not out.exists()
+    else:
+        assert std.out == "reached_t_end: 3 steps, t = 1, 4 stored states\n"
+        assert (out / "snapshot_final.txt").exists()
 
 
 def test_monotonicity_report_and_columns(tmp_path):
@@ -343,7 +396,7 @@ def test_simulate_rejects_bad_run_controls(tmp_path, line):
     ("simulate", "scenario.name = clifford_torus\nscenario.n1 = 4098\n"
                  "scenario.n2 = 8\ncontrols.max_steps = 0"),
     ("simulate", "scenario.name = grim_reaper_product\n"
-                 f"controls.samples = {cli.MAX_TRACE_SAMPLES + 1}"),
+                 f"controls.samples = {scenarios.MAX_TRACE_SAMPLES + 1}"),
     ("simulate", "scenario.name = clifford_torus\nscenario.n1 = 8\n"
                  "scenario.n2 = 8\ncontrols.t_end = 1e-3\n"
                  "controls.max_steps = 2147483648"),
@@ -494,7 +547,7 @@ def test_keys_outside_the_config_sections_exit_two(tmp_path, monkeypatch,
         "sphere_ode_safety", "flow_samples", "verify_stride"])
 def test_controls_the_trace_mode_ignores_exit_two(tmp_path, command, scenario,
                                                   line, key):
-    # The translating mode reads t_end and samples; the radius ODE t_end,
+    # The translation reads t_end and samples; the radius ODE t_end,
     # max_steps, blowup_threshold and stride; a mesh flow the RunControls
     # fields; verify's refinement ladder dt and max_steps.
     cfg = write_config(tmp_path, f"""
@@ -643,9 +696,11 @@ DOCUMENTED_KEYS = {
     "cutoff-scan": ("scan.samples",),
 }
 DOCUMENTED_CONTROLS = {
-    "flow": ("t_end", "max_steps", "blowup_threshold", "stride", "dt"),
-    "sphere_ode": ("t_end", "max_steps", "blowup_threshold", "stride"),
-    "translating": ("t_end", "samples"),
+    scenarios.mesh_flow: ("t_end", "max_steps", "blowup_threshold", "stride",
+                          "dt"),
+    scenarios.radius_ode: ("t_end", "max_steps", "blowup_threshold",
+                           "stride"),
+    scenarios.translation: ("t_end", "samples"),
     "verify": ("dt", "max_steps"),
 }
 
@@ -733,6 +788,7 @@ TAIL_VALUES = {
                     ("4", "12.5", "nan", "café", "4098", "1e300")),
     "controls.max_steps": (("4", "0", "1", "2"),
                            ("-1", "inf", "x", "2147483648", "1e300")),
+    "controls.samples": (("3", "4", "5"), ("2", "0", "-1", "1001", "x")),
     "controls.dt": (("1e-4", "2.5e-4", "1e-3"),
                     ("0", "-1e-3", "nan", "inf", "x", "1e300")),
     "weight.center": (("0 0 0 0", "0.5 0 0.5 0", "1 1 1 1"),
@@ -746,7 +802,7 @@ def _fuzz_case(command, scenario):
     random lines, mostly with a key the run reads, else with a misspelt
     key, else not ``key = value`` at all, then, unless the command is
     cutoff-scan, which reads no scenario, the scenario name and a tail that
-    caps the work (at most 12 nodes per axis, at most 4 steps or samples)
+    caps the work (at most 12 nodes per axis, 4 steps or 5 samples)
     and gives verify its controls.dt and monotonicity its weight.  A later
     line wins.  At most one tail value, and in half the cases none, is
     malformed or too large to accept, so that verify and monotonicity runs
@@ -765,7 +821,7 @@ def _fuzz_case(command, scenario):
         kinds.__getitem__)
     cap = "samples" if "controls.samples" in keys else "max_steps"
     tail = {"scenario.n1": TAIL_VALUES["scenario.n1"],
-            f"controls.{cap}": TAIL_VALUES["controls.max_steps"],
+            f"controls.{cap}": TAIL_VALUES[f"controls.{cap}"],
             **{key: TAIL_VALUES[key] for key in {
                 "verify": ("controls.dt",),
                 "monotonicity": ("weight.center", "weight.t0"),

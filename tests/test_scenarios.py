@@ -15,8 +15,9 @@ from mcf4d.flow import RunControls
 from mcf4d.geometry import build_geometry
 from mcf4d.scenarios import (SCENARIOS, clifford_torus,
                              generate_scenario, grim_reaper_product,
-                             lagrangian_graph, run_sphere_ode, sphere_patch,
-                             symplectic_graph, translating_trace)
+                             lagrangian_graph, mesh_flow, run_sphere_ode,
+                             sphere_patch, symplectic_graph,
+                             translating_trace, translation)
 
 
 def test_every_scenario_builds_valid_geometry_at_defaults():
@@ -103,6 +104,36 @@ def test_sphere_ode_respects_t_end():
     assert abs(tr.scalars.t[-1] - 0.1) < 1e-14
 
 
+@pytest.mark.parametrize("controls", [
+    RunControls(t_end=-1.0), RunControls(t_end=0.0),
+    RunControls(blowup_threshold=np.inf),
+    RunControls(blowup_threshold=1e300), RunControls(blowup_threshold=1e17),
+], ids=["t_end_negative", "t_end_zero", "threshold_inf", "threshold_1e300",
+        "threshold_1e17"])
+def test_sphere_ode_rejects_a_stop_time_off_the_flow(controls):
+    # A stop time at or below 0, or one that rounds onto the singular time
+    # 1/4 (0.5 / threshold below half an ulp of 1/4), has no run to sample.
+    with pytest.raises(BadParameter):
+        run_sphere_ode(1.0, controls)
+
+
+def test_sphere_ode_stops_short_of_the_singular_time_at_a_high_threshold():
+    sc = run_sphere_ode(1.0, RunControls(blowup_threshold=1e15,
+                                         max_steps=31)).scalars
+    assert sc.t[-1] < 0.25 and sc.min_detg[-1] > 0
+    assert np.isfinite(sc.max_A2).all()
+
+
+def test_translation_owns_the_time_and_needs_three_samples():
+    with pytest.raises(BadParameter):
+        generate_scenario("grim_reaper_product", time=5.0)
+    for samples in (2, 1001):
+        with pytest.raises(BadParameter):
+            translation(grim_reaper_product, {},
+                        lambda key, kind, default: samples
+                        if key == "controls.samples" else default)
+
+
 def test_generate_scenario_rejects_unknown_names_and_params():
     with pytest.raises(BadParameter):
         generate_scenario("moebius")
@@ -131,13 +162,11 @@ def test_readme_documents_exactly_the_scenario_table():
     named = key_row[1].split(" (")[0].replace("`", "").split(", ")
     assert sorted(named) == sorted(SCENARIOS)
 
-    traces = {"flow": "mesh flow", "sphere_ode": "exact radius ODE",
-              "translating": "exact translation"}
     rows = {row[0]: row[1:] for row in _readme_rows("`")
             if row[0] in SCENARIOS}
     assert sorted(rows) == sorted(SCENARIOS)
     for name, entry in SCENARIOS.items():
         grid = generate_scenario(name).grid
-        verify = entry.mode == "flow" and grid.periodic1 and grid.periodic2
-        assert rows[name] == [entry.builder.__name__, traces[entry.mode],
+        verify = entry.mode is mesh_flow and grid.periodic1 and grid.periodic2
+        assert rows[name] == [entry.builder.__name__, entry.mode.__name__,
                               entry.kind, "yes" if verify else "no"]
