@@ -68,8 +68,8 @@ class RunControls:
             raise BadParameter(f"stride must be at least 1, got {self.stride}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise BadParameter(f"dt must be finite and positive, got {self.dt}")
-        if np.isnan(self.t_end):
-            raise BadParameter("t_end must not be NaN")
+        if not self.t_end > 0:
+            raise BadParameter(f"t_end must be positive, got {self.t_end}")
         if not self.blowup_threshold > 0:
             raise BadParameter(f"blowup_threshold must be positive, got "
                                f"{self.blowup_threshold}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,22 @@ EXP_FLOOR = -40.0         # Gaussian truncation exponent
 PINCH_TOL = 1e-6          # violation threshold for the pinching margin
 LAGRANGIAN_DRIFT_TOL = 1e-6   # max |cos alpha| of a Lagrangian state
 
-KINDS = ("lagrangian", "symplectic")
+
+class WeightKind(NamedTuple):
+    """One of the paper's two settings: its angle cosine c, with
+    (d/dt - Lap) c = D c, and the bound p_max of the exponent p in
+    exp(p |H|^2) / c^2, which also sets the pinching quantity
+    delta exp(p_max h^2 / 2) of :mod:`theorem`."""
+
+    cosine: str     # GeometryBundle field of c
+    field: str      # GeometryBundle field of D
+    p_max: float
+
+
+KINDS = {
+    "lagrangian": WeightKind("cos_theta", "norm_H2", 1.0),
+    "symplectic": WeightKind("cos_alpha", "nabla_bar_j2", 0.5),
+}
 
 # Cutoff profile: 1 on [0, 1/2], quintic smoothstep descent on [1/2, 1],
 # 0 beyond.  With x = 2r - 1 and s(x) = 6x^5 - 15x^4 + 10x^3 the profile is
@@ -47,18 +63,19 @@ LOCALIZER_C1 = 4.0 * CUTOFF_SUP_NEG_SECOND + 4.0 * CUTOFF_SUP_ABS_FIRST
 LOCALIZER_C2 = 4.0 * CUTOFF_SUP_RATIO
 
 
-def check_kind(kind: str) -> None:
-    """Raise BadParameter unless ``kind`` is one of KINDS."""
+def check_kind(kind: str) -> WeightKind:
+    """The KINDS entry of ``kind``; BadParameter for an unknown kind."""
     if kind not in KINDS:
-        raise BadParameter(f"unknown weight kind {kind!r}; expected one of {KINDS}")
+        raise BadParameter(f"unknown weight kind {kind!r}; expected one of "
+                           f"{tuple(KINDS)}")
+    return KINDS[kind]
 
 
 def check_localizer(p: float, radius: float, kind: str) -> None:
     """Raise unless :func:`localized_f` accepts (p, radius, kind): a known
-    kind, p in (0, 1) for the lagrangian weight and in (0, 1/2) for the
-    symplectic one (BadP), and a finite positive radius (BadParameter)."""
-    check_kind(kind)
-    upper = 1.0 if kind == "lagrangian" else 0.5
+    kind, p in (0, p_max) of that kind (BadP), and a finite positive radius
+    (BadParameter)."""
+    upper = check_kind(kind).p_max
     if not 0.0 < p < upper:
         raise BadP(f"p = {p} outside the open interval (0, {upper}) "
                    f"for kind {kind!r}")
@@ -67,23 +84,19 @@ def check_localizer(p: float, radius: float, kind: str) -> None:
                            f"got {radius}")
 
 
-def _angle_cosine(bundle: GeometryBundle, kind: str) -> np.ndarray:
-    """The weight denominator field: cos(theta) or cos(alpha)."""
-    return bundle.cos_theta if kind == "lagrangian" else bundle.cos_alpha
-
-
 def _state_cosine(bundle: GeometryBundle, kind: str,
-                  index: int) -> np.ndarray:
-    """The angle cosine of stored state ``index``.  A lagrangian request
-    demands a Lagrangian state, max |cos alpha| below LAGRANGIAN_DRIFT_TOL,
-    and raises KindMismatch otherwise: cos(theta) means nothing there."""
+                  index: int | None = None) -> np.ndarray:
+    """The angle cosine of ``kind`` on stored state ``index``, read by every
+    analysis before any floor check.  A lagrangian request demands a
+    Lagrangian state, max |cos alpha| below LAGRANGIAN_DRIFT_TOL, and raises
+    KindMismatch otherwise: cos(theta) means nothing there."""
     if kind == "lagrangian":
         drift = float(np.abs(bundle.cos_alpha).max())
         if drift >= LAGRANGIAN_DRIFT_TOL:
-            raise KindMismatch(
-                f"|cos alpha| reaches {drift:.3e} at stored state {index}; "
-                "the trace is not Lagrangian")
-    return _angle_cosine(bundle, kind)
+            where = "" if index is None else f" at stored state {index}"
+            raise KindMismatch(f"|cos alpha| reaches {drift:.3e}{where}; "
+                               "the trace is not Lagrangian")
+    return getattr(bundle, KINDS[kind].cosine)
 
 
 @dataclass(frozen=True)
@@ -130,10 +143,10 @@ def gaussian_density(weight: GaussianWeight, geom: GeometryBundle) -> float:
 
 
 def _floor_checked_weight(weight: GaussianWeight, geom: GeometryBundle,
-                          kind: str):
+                          kind: str, index: int | None = None):
     """Kernel, active mask, and denominator field with the floor enforced."""
+    denom = _state_cosine(geom, kind, index)
     rho, active = weight.kernel(geom.positions, geom.time)
-    denom = _angle_cosine(geom, kind)
     bad = active & (denom < DELTA_FLOOR)
     if np.any(bad):
         node = first_node(bad)
@@ -207,10 +220,10 @@ def monotonicity_scan(trace: FlowTrace, weight: GaussianWeight,
     At every interior stored sample the centered difference of psi is
     compared against the three dissipative integrals: the drift term
     (kernel-weighted |H + (F-X0)^perp/2(t0-t)|^2), the curvature term
-    (|H|^2 for the lagrangian weight, the J-gradient norm for the
-    symplectic weight), and the angle-gradient term 2|grad cos|^2/cos^3.
+    (the kind's D: |H|^2 or the J-gradient norm), and the angle-gradient
+    term 2|grad cos|^2/cos^3.
     """
-    check_kind(kind)
+    curvature = check_kind(kind).field
     n = len(trace.states)
     if n < 5:
         raise ShortTrace(f"monotonicity scan needs >= 5 stored states, got {n}")
@@ -221,17 +234,14 @@ def monotonicity_scan(trace: FlowTrace, weight: GaussianWeight,
     gradient = np.empty(n)
     for i in range(n):
         bundle = trace.bundle(i)
-        rho, active, denom = _floor_checked_weight(weight, bundle, kind)
+        rho, active, denom = _floor_checked_weight(weight, bundle, kind, i)
         qw = bundle.quadrature_weights()
         safe = np.where(active, denom, 1.0)
         weighted_rho = np.where(active, rho / safe, 0.0) * qw
         psi[i] = np.sum(weighted_rho)
         tau = weight.reference_time - bundle.time
         drift[i] = np.sum(weighted_rho * _drift_field(bundle, weight, tau))
-        if kind == "lagrangian":
-            dissipation[i] = np.sum(weighted_rho * bundle.norm_H2)
-        else:
-            dissipation[i] = np.sum(weighted_rho * bundle.nabla_bar_j2)
+        dissipation[i] = np.sum(weighted_rho * getattr(bundle, curvature))
         grad_c = gradient_sq(denom, bundle)
         gradient[i] = np.sum(rho * qw * 2.0 * grad_c / safe ** 3 * active)
     lhs = _centered_time_derivative(times, psi)
@@ -242,8 +252,12 @@ def monotonicity_scan(trace: FlowTrace, weight: GaussianWeight,
                               weight_kind=kind)
 
 
-EVOLUTION_QUANTITIES = ("cos_theta", "inv_cos_theta", "cos_alpha",
-                        "inv_cos2_alpha", "H2")
+# Angle quantity -> (weight kind, power m) of the kind's cosine c.
+ANGLE_POWERS = {"cos_theta": ("lagrangian", 1),
+                "inv_cos_theta": ("lagrangian", -1),
+                "cos_alpha": ("symplectic", 1),
+                "inv_cos2_alpha": ("symplectic", -2)}
+EVOLUTION_QUANTITIES = (*ANGLE_POWERS, "H2")
 
 
 @dataclass
@@ -270,16 +284,14 @@ def evolution_residual(trace: FlowTrace, quantity: str) -> EvolutionResidual:
 
     The time derivative at each interior stored sample uses the three-point
     stencil on the actual sample times; the spatial terms come from the
-    geometry of the middle sample.  Supported quantities:
+    geometry of the middle sample.  An angle quantity is a power c^m of a
+    kind's cosine (ANGLE_POWERS), read through the kind check; a negative
+    power needs c above the floor.  All four obey the angle rule
 
-    - ``cos_theta``:      (d/dt - Lap) cos(theta) = |H|^2 cos(theta)
-    - ``inv_cos_theta``:  (d/dt - Lap) sec(theta) =
-                          -|H|^2 sec(theta) - 2|grad cos|^2/cos^3
-    - ``cos_alpha``:      (d/dt - Lap) cos(alpha) = |grad J|^2 cos(alpha)
-    - ``inv_cos2_alpha``: (Lap - d/dt) sec^2(alpha) =
-                          6|grad cos|^2/cos^4 + 2|grad J|^2/cos^2
-    - ``H2``:             (Lap - d/dt)|H|^2 =
-                          2|grad H|^2 - 2 sum <H, A_ij>^2
+        (d/dt - Lap) c^m = m D c^m - m (m - 1) c^(m - 2) |grad c|^2
+
+    with the kind's field D.  The fifth, ``H2``, obeys
+    (Lap - d/dt)|H|^2 = 2|grad H|^2 - 2 sum <H, A_ij>^2.
     """
     if quantity not in EVOLUTION_QUANTITIES:
         raise BadParameter(f"unknown quantity {quantity!r}; expected one of "
@@ -292,34 +304,23 @@ def evolution_residual(trace: FlowTrace, quantity: str) -> EvolutionResidual:
     for i in range(1, n - 1):
         bundles = [trace.bundle(j) for j in (i - 1, i, i + 1)]
         b = bundles[1]
-        if quantity == "cos_theta":
-            fields = [x.cos_theta for x in bundles]
-            source = laplace_beltrami(fields[1], b) + b.norm_H2 * fields[1]
-        elif quantity == "inv_cos_theta":
-            cos_fields = [x.cos_theta for x in bundles]
-            _cos_floor(cos_fields, quantity)
-            fields = [1.0 / c for c in cos_fields]
-            c = cos_fields[1]
-            source = (laplace_beltrami(fields[1], b)
-                      - b.norm_H2 / c
-                      - 2.0 * gradient_sq(c, b) / c ** 3)
-        elif quantity == "cos_alpha":
-            fields = [x.cos_alpha for x in bundles]
-            source = (laplace_beltrami(fields[1], b)
-                      + b.nabla_bar_j2 * fields[1])
-        elif quantity == "inv_cos2_alpha":
-            cos_fields = [x.cos_alpha for x in bundles]
-            _cos_floor(cos_fields, quantity)
-            fields = [1.0 / c ** 2 for c in cos_fields]
-            c = cos_fields[1]
-            source = (laplace_beltrami(fields[1], b)
-                      - 6.0 * gradient_sq(c, b) / c ** 4
-                      - 2.0 * b.nabla_bar_j2 / c ** 2)
-        else:                                   # H2
+        if quantity == "H2":
             fields = [x.norm_H2 for x in bundles]
             source = (laplace_beltrami(fields[1], b)
                       - 2.0 * normal_gradient_sq(b.mean_curvature, b)
                       + 2.0 * b.h_dot_a2)
+        else:
+            kind, m = ANGLE_POWERS[quantity]
+            cosines = [_state_cosine(x, kind, j)
+                       for j, x in enumerate(bundles, start=i - 1)]
+            if m < 0:
+                _cos_floor(cosines, quantity)
+            fields = cosines if m > 0 else [1.0 / c ** -m for c in cosines]
+            c = cosines[1]
+            source = (laplace_beltrami(fields[1], b)
+                      + m * getattr(b, KINDS[kind].field) * fields[1])
+            if m != 1:
+                source -= m * (m - 1) * gradient_sq(c, b) / c ** (2 - m)
         dfdt = _centered_time_derivative(times[i - 1:i + 2], fields)[0]
         out.append(dfdt - source)
     return EvolutionResidual(quantity=quantity, times=times[1:-1],
@@ -475,7 +476,7 @@ def weighted_integral_identity_check(trace: FlowTrace, weight: GaussianWeight,
             rhs[i] = -np.sum(rho * drift * qw)
         else:
             rho, active, denom = _floor_checked_weight(
-                weight, bundle, "lagrangian")
+                weight, bundle, "lagrangian", i)
             f = 1.0 / np.where(active, denom, 1.0)
             c = denom
             bulk = -bundle.norm_H2 / c - 2.0 * gradient_sq(c, bundle) / c ** 3

@@ -38,8 +38,10 @@ def _fmt(x: float) -> str:
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines into a string-to-string dict."""
+    """Parse flat ``key = value`` lines into a string-to-string dict.  A key
+    set twice raises BadParameter naming both lines."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -52,6 +54,9 @@ def parse_config_text(text: str) -> dict:
             raise BadParameter(
                 f"config line {lineno}: key {key!r} must be nonempty with at "
                 "most one dot")
+        if lines.setdefault(key, lineno) != lineno:
+            raise BadParameter(f"config key {key!r} is set on line "
+                               f"{lines[key]} and again on line {lineno}")
         out[key] = value.strip()
     return out
 

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .errors import BadParameter, InsufficientBlowup
+from .errors import BadParameter
 from .flow import FlowTrace, RunControls, TraceScalars, run_flow, scalar_row
 from .geometry import GeometryBundle
 from .grid import ParamGrid, SurfaceState
@@ -170,21 +170,21 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     r0 = float(radius)
     if r0 <= 0:
         raise BadParameter("radius must be positive")
-    if not controls.t_end > 0:
-        raise BadParameter(f"t_end must be positive, got {controls.t_end}")
     t_sing = r0 * r0 / 4.0
     # Halt when |A|^2 = 2/r^2 crosses the blow-up threshold.
     t_stop = t_sing - 0.5 / controls.blowup_threshold
     if t_stop <= 0:
-        raise InsufficientBlowup(
-            "curvature already above the halt threshold at t = 0")
+        raise BadParameter(
+            f"blowup_threshold {controls.blowup_threshold} is not above the "
+            f"initial |A|^2 = 2/r0^2 = {2.0 / (r0 * r0)}")
     reason = "blowup_detected"
     if controls.t_end < t_stop:
         t_stop = controls.t_end
         reason = "reached_t_end"
     n_samples = min(controls.max_steps + 1, 2048)
     if n_samples < 32:
-        raise InsufficientBlowup("too few samples allowed for the radius ODE")
+        raise BadParameter(f"the radius ODE needs max_steps >= 31 (32 "
+                           f"samples), got {controls.max_steps}")
     t = np.linspace(0.0, t_stop, n_samples)
     r = np.sqrt(r0 * r0 - 4.0 * t)
     # 0.5 / threshold below half an ulp of t_sing leaves r = 0 at the end.

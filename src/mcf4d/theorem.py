@@ -1,13 +1,14 @@
 """Curvature-normalized angle-pinching verdicts for stored flows.
 
 On the flow rescaled to sup |A|^2 = 1 over its stored states, delta (inf of
-the angle cosine) and h^2 (sup of |H|^2) give the pinching quantity delta *
-exp(h^2/4) (symplectic) or delta * exp(h^2/2) (Lagrangian), read off the
-unscaled flow: the cosine is scale-free and h^2 = sup |H|^2 / sup |A|^2.  The
-verdict records whether it stays below one.  The bound is a theorem only for
-complete ancient flows, which no computed trace is, so every report carries
-explicit hypothesis flags and a violated verdict on sampled data is a
-diagnostic, not a counterexample.
+the weight kind's angle cosine) and h^2 (sup of |H|^2) give the pinching
+quantity delta * exp(p_max h^2 / 2), with the kind's exponent bound p_max
+(:data:`functionals.KINDS`), read off the unscaled flow: the cosine is
+scale-free and h^2 = sup |H|^2 / sup |A|^2.  The verdict records whether it
+stays below one.  The bound is a theorem only for complete ancient flows,
+which no computed trace is, so every report carries explicit hypothesis
+flags and a violated verdict on sampled data is a diagnostic, not a
+counterexample.
 
 The gradient-estimate probe evaluates the pointwise differential inequality
 that drives the maximum-principle argument behind the bound, for the
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import ShortTrace, ZeroCurvature
 from .flow import FlowTrace
-from .functionals import (_angle_cosine, _centered_time_derivative,
-                          _state_cosine, check_kind, localized_f)
+from .functionals import (KINDS, _centered_time_derivative, _state_cosine,
+                          check_kind, localized_f)
 from .geometry import (gradient_inner, gradient_sq, laplace_beltrami,
                        normal_gradient_sq)
 
@@ -85,9 +86,9 @@ def normalize_flow(trace: FlowTrace) -> dict:
 def extremal_stats(trace: FlowTrace, kind: str) -> dict:
     """Extremes over stored spacetime nodes: delta and h2.
 
-    ``delta`` is the min of cos(alpha) (symplectic) or cos(theta)
-    (lagrangian); ``h2`` the max of |H|^2.  A lagrangian request demands the
-    trace be Lagrangian at every stored state (KindMismatch otherwise).
+    ``delta`` is the min of the kind's angle cosine, read through the kind
+    check (KindMismatch for a lagrangian request on a state that is not
+    Lagrangian); ``h2`` the max of |H|^2.
     """
     check_kind(kind)
     delta = np.inf
@@ -104,17 +105,16 @@ def check_main_theorem(trace: FlowTrace, kind: str) -> TheoremReport:
     """Pinching verdict of the normalized flow, read off ``trace`` as is.
 
     delta is scale-free and h2 = sup |H|^2 / sup |A|^2 over stored states.
-    The verdict is ``satisfied`` when delta * exp(h2/4) (symplectic) or
-    delta * exp(h2/2) (lagrangian) is at most 1 + 1e-9, else ``violated``.
+    The verdict is ``satisfied`` when delta * exp(p_max h2 / 2), with the
+    kind's p_max, is at most 1 + 1e-9, else ``violated``.
     ``hypotheses.ancient`` is always False for computed traces, so a violated
     verdict never disproves anything: :meth:`TheoremReport.claims_disproof`.
     """
-    check_kind(kind)
+    p_max = check_kind(kind).p_max
     sup_a2 = _stored_sup_a2(trace)
     stats = extremal_stats(trace, kind)
     h2 = stats["h2"] / sup_a2
-    divisor = 4.0 if kind == "symplectic" else 2.0
-    lhs = stats["delta"] * float(np.exp(h2 / divisor))
+    lhs = stats["delta"] * float(np.exp(p_max * h2 / 2.0))
     grid = trace.states[0].grid
     hypotheses = {
         "ancient": False,
@@ -140,8 +140,8 @@ def gradient_estimate_probe(trace: FlowTrace, p: float, radius: float,
                              + coeff |H|^2 - 2 |grad c|^2 / c^2)
                           + 2 c^2 grad f . grad(1/c^2)
 
-    with c the angle cosine and coeff = 2(1-p) for lagrangian kind,
-    2(1/2-p) for symplectic.  The probe evaluates both sides discretely at
+    with c the kind's angle cosine and coeff = 2(p_max - p) for the kind's
+    exponent bound p_max.  The probe evaluates both sides discretely at
     interior stored times and reports the worst residual (left minus right),
     which should only dip below zero by discretization error.
 
@@ -169,12 +169,12 @@ def gradient_estimate_probe(trace: FlowTrace, p: float, radius: float,
     interior = (i_max > 0 and not on_boundary
                 and float(pos @ pos) < radius ** 2)
 
-    coeff = 2.0 * ((1.0 - p) if kind == "lagrangian" else (0.5 - p))
+    coeff = 2.0 * (KINDS[kind].p_max - p)
     residual_min = np.inf
     for j in range(1, len(times) - 1):
         bundle = trace.bundle(j)
         f = loc.f[j]
-        c = _angle_cosine(bundle, kind)
+        c = _state_cosine(bundle, kind, j)
         lhs = laplace_beltrami(f, bundle) - _centered_time_derivative(
             times[j - 1:j + 2], loc.f[j - 1:j + 2])[0]
         rhs = f * (p * p * gradient_sq(bundle.norm_H2, bundle)

@@ -39,6 +39,15 @@ def write_config(tmp_path, body, name="run.cfg"):
     return str(path)
 
 
+def set_once(lines):
+    """Config lines with each key set once: a line gives way to a later
+    line that sets the same key, as a config file may not repeat a key."""
+    keys = [line.partition("=")[0].strip() if "=" in line else None
+            for line in lines]
+    return [line for i, (line, key) in enumerate(zip(lines, keys))
+            if key is None or key not in keys[i + 1:]]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -273,14 +282,83 @@ def test_run_values_are_checked_before_the_trace_is_built(
     "scenario.name = sphere_ode\ncontrols.blowup_threshold = 1e17",
     "scenario.name = grim_reaper_product\ncontrols.samples = 2",
     "scenario.name = grim_reaper_product\nscenario.time = 5",
+    "scenario.name = sphere_ode\ncontrols.max_steps = 4",
+    "scenario.name = sphere_ode\ncontrols.max_steps = 30",
+    "scenario.name = sphere_ode\ncontrols.blowup_threshold = 1",
+    "scenario.name = sphere_ode\ncontrols.blowup_threshold = 2",
+    "scenario.name = clifford_torus\nscenario.n1 = 8\nscenario.n2 = 8\n"
+    "controls.t_end = -1",
 ], ids=["ode_t_end_negative", "ode_t_end_zero", "ode_threshold_inf",
-        "ode_threshold_1e17", "translation_samples", "translation_time"])
+        "ode_threshold_1e17", "translation_samples", "translation_time",
+        "ode_max_steps_4", "ode_max_steps_30", "ode_threshold_1",
+        "ode_threshold_initial", "flow_t_end_negative"])
 def test_trace_inputs_the_mode_cannot_honour_exit_two(tmp_path, capsys,
                                                        line):
+    # The radius ODE samples 32 times at least (max_steps >= 31) and starts
+    # at |A|^2 = 2/r0^2 = 2, below any threshold it can halt at; every run
+    # needs a positive t_end.
     out = tmp_path / "out"
     cfg = write_config(tmp_path, f"{line}\noutput.directory = {out}\n")
     assert cli.main(["simulate", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("BadParameter: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, body", [
+    ("monotonicity", """
+        scenario.name = complex_line
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.dt = 1e-3
+        controls.max_steps = 4
+        weight.center = 0 0 0 0
+        weight.t0 = 0.1
+    """),
+    ("monotonicity", """
+        scenario.name = symplectic_graph
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.dt = 1e-3
+        controls.max_steps = 4
+        weight.center = 3.141592653589793 3.141592653589793 0 -0.1
+        weight.t0 = 0.1
+    """),
+    ("verify", """
+        scenario.name = symplectic_graph
+        scenario.n1 = 8
+        scenario.n2 = 8
+        controls.dt = 9.6e-3
+        controls.max_steps = 4
+    """),
+], ids=["monotonicity_complex_line", "monotonicity_symplectic_graph",
+        "verify_cos_theta"])
+def test_a_lagrangian_read_of_a_non_lagrangian_flow_exits_three(
+        tmp_path, capsys, command, body):
+    # run.kind defaults to lagrangian in monotonicity, and verify's cos_theta
+    # is the lagrangian cosine; none of these flows is Lagrangian.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, body + f"output.directory = {out}\n")
+    extra = ["--quantity", "cos_theta", "--refine", "2"] \
+        if command == "verify" else []
+    assert cli.main([command, "--config", cfg, *extra]) == 3
+    assert capsys.readouterr().err.startswith("KindMismatch: ")
+    assert not out.exists()
+
+
+def test_a_key_set_twice_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+        scenario.name = clifford_torus
+        scenario.n1 = 8
+        scenario.n1 = 12
+        scenario.n2 = 8
+        controls.max_steps = 2
+        output.directory = {out}
+    """)
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("BadParameter: config key 'scenario.n1' is set on "
+                          "line 3 and again on line 4")
     assert not out.exists()
 
 
@@ -374,15 +452,11 @@ def test_cutoff_scan_rejects_sparse_sampling(tmp_path):
     "controls.blowup_threshold = 0",
 ], ids=["stride", "safety", "dt", "t_end", "max_steps", "blowup_threshold"])
 def test_simulate_rejects_bad_run_controls(tmp_path, line):
-    # The case line comes after the step cap, so it overrides it.
-    cfg = write_config(tmp_path, f"""
-        scenario.name = clifford_torus
-        scenario.n1 = 16
-        scenario.n2 = 16
-        controls.max_steps = 2
-        {line}
-        output.directory = {tmp_path / 'out'}
-    """)
+    # The case line takes the place of the step cap when it sets max_steps.
+    cfg = write_config(tmp_path, "\n".join(set_once([
+        "scenario.name = clifford_torus", "scenario.n1 = 16",
+        "scenario.n2 = 16", "controls.max_steps = 2", line,
+        f"output.directory = {tmp_path / 'out'}"])) + "\n")
     proc = run_cli("simulate", "--config", cfg)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("BadParameter:")
@@ -445,14 +519,10 @@ def test_huge_finite_scenario_values_end_in_an_error_class(tmp_path, capsys,
 ], ids=["n1_word", "radius_word", "n1_fraction", "radius_inf", "radius_nan",
         "radii_word", "radii_empty"])
 def test_untyped_config_values_exit_two(tmp_path, command, line):
-    cfg = write_config(tmp_path, f"""
-        scenario.name = clifford_torus
-        scenario.n1 = 16
-        scenario.n2 = 16
-        controls.max_steps = 2
-        {line}
-        output.directory = {tmp_path / 'out'}
-    """)
+    cfg = write_config(tmp_path, "\n".join(set_once([
+        "scenario.name = clifford_torus", "scenario.n1 = 16",
+        "scenario.n2 = 16", "controls.max_steps = 2", line,
+        f"output.directory = {tmp_path / 'out'}"])) + "\n")
     proc = run_cli(command, "--config", cfg)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("BadParameter:")
@@ -804,7 +874,8 @@ def _fuzz_case(command, scenario):
     cutoff-scan, which reads no scenario, the scenario name and a tail that
     caps the work (at most 12 nodes per axis, 4 steps or 5 samples)
     and gives verify its controls.dt and monotonicity its weight.  A later
-    line wins.  At most one tail value, and in half the cases none, is
+    line wins: an earlier line that sets the same key is dropped
+    (:func:`set_once`).  At most one tail value, and in half the cases none, is
     malformed or too large to accept, so that verify and monotonicity runs
     get past config handling and run their flows."""
     keys = _config_keys(command, scenario)
@@ -847,7 +918,7 @@ def _run_fuzz_case(case):
     command, lines = case
     with tempfile.TemporaryDirectory() as root:
         path = f"{root}/fuzz.cfg"
-        body = lines + [f"output.directory = {root}/out"]
+        body = set_once(lines + [f"output.directory = {root}/out"])
         with open(path, "wb") as fh:
             fh.write("\n".join(body).encode("utf-8"))
         err = io.StringIO()

@@ -7,25 +7,29 @@ Oracles, computed independently here:
     values, derivative suprema, and the ratio supremum can be recomputed
     from a dense sample of the polynomial;
   - ball-area ratios of a flat patch: the slice of a ball of radius R by a
-    plane at distance d is a disc of area pi (R^2 - d^2).
+    plane at distance d is a disc of area pi (R^2 - d^2);
+  - the four angle identities written out one by one, against which the
+    angle rule of evolution_residual is checked.
 """
 
 import numpy as np
 import pytest
 
-from mcf4d.errors import (BadP, BadParameter, DenominatorFloor, ShortTrace,
-                          TimeOrder, WeightFloor)
+from mcf4d.errors import (BadP, BadParameter, DenominatorFloor, KindMismatch,
+                          ShortTrace, TimeOrder, WeightFloor)
 from mcf4d.functionals import (CUTOFF_SUP_ABS_FIRST, CUTOFF_SUP_NEG_SECOND,
                                CUTOFF_SUP_RATIO, GaussianWeight, area_ratio,
                                cutoff_psi, evolution_residual,
                                gaussian_density, localized_f,
                                monotonicity_scan, pinching_check,
                                weighted_integral_identity_check, weighted_psi)
-from mcf4d.geometry import build_geometry
+from mcf4d.geometry import build_geometry, gradient_sq, laplace_beltrami
 from mcf4d.scenarios import clifford_torus, complex_line, plane, symplectic_graph
+from mcf4d.stencils import fd_weights
+from mcf4d.theorem import extremal_stats, gradient_estimate_probe
 
-from conftest import (LAGR_CENTER, SYMPL_CENTER, WEIGHT_T0, thin_trace,
-                      window_trace)
+from conftest import (LAGR_CENTER, REFINE_LEVELS, SYMPL_CENTER, WEIGHT_T0,
+                      thin_trace, window_trace)
 
 
 def test_gaussian_weight_validates_center():
@@ -170,6 +174,64 @@ def test_evolution_residual_denominator_floor(torus32_trace):
 def test_evolution_residual_validates_inputs(lagr32_mono):
     with pytest.raises(BadParameter):
         evolution_residual(thin_trace(lagr32_mono, 4), "torsion")
+
+
+# Every analysis that takes a weight kind, asked for the lagrangian one.
+LAGRANGIAN_READS = {
+    "monotonicity_scan": lambda tr, w: monotonicity_scan(tr, w, "lagrangian"),
+    "weighted_psi": lambda tr, w: weighted_psi(w, tr.bundle(0), "lagrangian"),
+    "identity_check": weighted_integral_identity_check,
+    "cos_theta": lambda tr, w: evolution_residual(tr, "cos_theta"),
+    "inv_cos_theta": lambda tr, w: evolution_residual(tr, "inv_cos_theta"),
+    "extremal_stats": lambda tr, w: extremal_stats(tr, "lagrangian"),
+    "localized_f": lambda tr, w: localized_f(tr, 0.5, 10.0, "lagrangian"),
+    "probe": lambda tr, w: gradient_estimate_probe(tr, 0.5, 10.0,
+                                                   "lagrangian"),
+}
+
+
+@pytest.mark.parametrize("read", LAGRANGIAN_READS.values(),
+                         ids=LAGRANGIAN_READS.keys())
+def test_lagrangian_reads_of_a_symplectic_flow_name_the_kind(sympl32_mono,
+                                                             read):
+    # cos(theta) means nothing off a Lagrangian surface, so every reader
+    # checks the kind before it reads the cosine or its floor.
+    with pytest.raises(KindMismatch, match="the trace is not Lagrangian"):
+        read(thin_trace(sympl32_mono, 16), GaussianWeight(SYMPL_CENTER,
+                                                          WEIGHT_T0))
+
+
+# The four angle identities as written out one by one, each a field of a
+# state's bundle and the spatial side of (d/dt - Lap) field = ...
+HAND_WRITTEN = {
+    "cos_theta": (lambda x: x.cos_theta, lambda f, b: (
+        laplace_beltrami(f, b) + b.norm_H2 * b.cos_theta)),
+    "inv_cos_theta": (lambda x: 1.0 / x.cos_theta, lambda f, b: (
+        laplace_beltrami(f, b) - b.norm_H2 / b.cos_theta
+        - 2.0 * gradient_sq(b.cos_theta, b) / b.cos_theta ** 3)),
+    "cos_alpha": (lambda x: x.cos_alpha, lambda f, b: (
+        laplace_beltrami(f, b) + b.nabla_bar_j2 * b.cos_alpha)),
+    "inv_cos2_alpha": (lambda x: 1.0 / x.cos_alpha ** 2, lambda f, b: (
+        laplace_beltrami(f, b) - 6.0 * gradient_sq(b.cos_alpha, b)
+        / b.cos_alpha ** 4 - 2.0 * b.nabla_bar_j2 / b.cos_alpha ** 2)),
+}
+
+
+@pytest.mark.parametrize("tag, quantity", [
+    ("lagr", "cos_theta"), ("lagr", "inv_cos_theta"),
+    ("sympl", "cos_alpha"), ("sympl", "inv_cos2_alpha")])
+def test_angle_rule_matches_the_written_out_identities(refine_minis, tag,
+                                                       quantity):
+    field, source = HAND_WRITTEN[quantity]
+    for n, _, _ in REFINE_LEVELS:
+        mini = refine_minis[(tag, n)]
+        bundles = [mini.bundle(j) for j in range(3)]
+        w = fd_weights(mini.times[1], mini.times, 1)[1]
+        fields = [field(b) for b in bundles]
+        expect = (w[0] * fields[0] + w[1] * fields[1] + w[2] * fields[2]
+                  - source(fields[1], bundles[1]))
+        got = evolution_residual(mini, quantity).values[0]
+        assert np.abs(got - expect).max() <= 1e-15, (n, quantity)
 
 
 def test_pinching_margin_on_torus_and_graph():

@@ -45,6 +45,14 @@ def test_parse_config_rejects_bad_lines():
         parse_config_text(" = 5")
 
 
+def test_parse_config_rejects_a_repeated_key():
+    # Silently keeping the later value would run on 12 nodes here.
+    with pytest.raises(BadParameter, match="config key 'scenario.n1' is set "
+                                           "on line 2 and again on line 4"):
+        parse_config_text("scenario.name = plane\nscenario.n1 = 8\n\n"
+                          " scenario.n1 =12\n")
+
+
 def test_snapshot_roundtrip_periodic(tmp_path):
     state = clifford_torus(8, 8, radius=0.7).transformed(time=0.125)
     path = tmp_path / "snap.txt"

@@ -12,6 +12,7 @@ import pytest
 
 from mcf4d.errors import BadParameter
 from mcf4d.flow import RunControls
+from mcf4d.functionals import KINDS
 from mcf4d.geometry import build_geometry
 from mcf4d.scenarios import (SCENARIOS, clifford_torus,
                              generate_scenario, grim_reaper_product,
@@ -104,17 +105,28 @@ def test_sphere_ode_respects_t_end():
     assert abs(tr.scalars.t[-1] - 0.1) < 1e-14
 
 
-@pytest.mark.parametrize("controls", [
-    RunControls(t_end=-1.0), RunControls(t_end=0.0),
-    RunControls(blowup_threshold=np.inf),
-    RunControls(blowup_threshold=1e300), RunControls(blowup_threshold=1e17),
+@pytest.mark.parametrize("values", [
+    {"t_end": -1.0}, {"t_end": 0.0}, {"blowup_threshold": np.inf},
+    {"blowup_threshold": 1e300}, {"blowup_threshold": 1e17},
+    {"blowup_threshold": 2.0}, {"blowup_threshold": 1.0},
 ], ids=["t_end_negative", "t_end_zero", "threshold_inf", "threshold_1e300",
-        "threshold_1e17"])
-def test_sphere_ode_rejects_a_stop_time_off_the_flow(controls):
-    # A stop time at or below 0, or one that rounds onto the singular time
-    # 1/4 (0.5 / threshold below half an ulp of 1/4), has no run to sample.
+        "threshold_1e17", "threshold_initial", "threshold_below_initial"])
+def test_sphere_ode_rejects_a_stop_time_off_the_flow(values):
+    # A stop time at or below 0 (RunControls rejects t_end <= 0, and |A|^2
+    # starts at 2/r0^2 = 2), or one that rounds onto the singular time 1/4
+    # (0.5 / threshold below half an ulp of 1/4), has no run to sample.
     with pytest.raises(BadParameter):
-        run_sphere_ode(1.0, controls)
+        run_sphere_ode(1.0, RunControls(**values))
+
+
+def test_sphere_ode_needs_thirty_two_samples():
+    with pytest.raises(BadParameter, match="max_steps >= 31"):
+        run_sphere_ode(1.0, RunControls(max_steps=30))
+    assert len(run_sphere_ode(1.0, RunControls(max_steps=31)).scalars.t) == 32
+
+
+def test_every_scenario_kind_is_a_weight_kind():
+    assert {entry.kind for entry in SCENARIOS.values()} <= set(KINDS)
 
 
 def test_sphere_ode_stops_short_of_the_singular_time_at_a_high_threshold():
