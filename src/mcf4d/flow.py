@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (BadParameter, DegenerateMetric, InsufficientBlowup,
                      Mcf4dError, NonFinite, ShortTrace)
-from .geometry import GeometryBundle, build_geometry
+from .geometry import GeometryBundle, ScaledBundle, build_geometry
 from .grid import SurfaceState
 
 CFL_SAFETY = 0.9     # margin below the parabolic stability bound
@@ -143,6 +143,7 @@ class FlowTrace:
     meta: dict = field(default_factory=dict)
     _bundles: dict = field(default_factory=dict, repr=False)
     _a2_fields: dict = field(default_factory=dict, repr=False)
+    _source: "FlowTrace | None" = field(default=None, repr=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -162,6 +163,11 @@ class FlowTrace:
         bundles.  ``need_j`` has no effect: every bundle gives |grad J|^2
         when read.
 
+        A trace made by :meth:`parabolic` builds and keeps no bundle: it
+        returns a new :class:`~mcf4d.geometry.ScaledBundle` on its source
+        trace's bundle of the same index on every call, so a caller that
+        reads one state's geometry many times should hold on to it.
+
         The analyses sweep the stored states in ascending order, singly or
         in (i - 1, i, i + 1) windows.  So a full cache evicts the largest
         cached index below ``index - 1``, a state this sweep has passed and
@@ -172,6 +178,9 @@ class FlowTrace:
         first-out would evict the state the next sweep reads first.
         """
         index = self._stored(index)
+        if self._source is not None:
+            return ScaledBundle(self._source.bundle(index), self.states[index],
+                                self.states.lam)
         cached = self._bundles.get(index)
         if cached is None:
             cached = build_geometry(self.states[index])
@@ -184,12 +193,16 @@ class FlowTrace:
     def curvature_a2(self, index: int) -> np.ndarray:
         """|A|^2 field of stored state ``index``, cached.  run_flow and
         translating_trace fill the cache as they store states; any other
-        state builds a bundle on first use."""
+        state builds a bundle on first use.  A trace made by
+        :meth:`parabolic` reads its own cache first and otherwise returns
+        its source trace's field over lam^2, uncached."""
         index = self._stored(index)
         cached = self._a2_fields.get(index)
-        if cached is None:
-            cached = self.bundle(index).norm_A2
-            self._a2_fields[index] = cached
+        if cached is not None:
+            return cached
+        if self._source is not None:
+            return self._source.curvature_a2(index) / self.states.lam ** 2
+        cached = self._a2_fields[index] = self.bundle(index).norm_A2
         return cached
 
     def parabolic(self, lam: float, t0: float = 0.0,
@@ -198,10 +211,14 @@ class FlowTrace:
 
         Stored states and scalars both move: area scales by lam^2, the
         curvatures by lam^-2, det g by lam^4; angles and steps are
-        invariant.  The new trace copies ``meta`` and starts with empty
-        caches.  Its states are :class:`MappedStates`: references to these
-        states plus (lam, t0, offset), each mapped again on every read, so a
-        caller that reads one state many times should hold on to it.
+        invariant.  The new trace copies ``meta`` and starts with an empty
+        |A|^2 cache.  Its states are :class:`MappedStates`: references to
+        these states plus (lam, t0, offset), each mapped again on every read,
+        so a caller that reads one state many times should hold on to it.
+        Its geometry is mapped too: it keeps a reference to this trace, and
+        :meth:`bundle` and :meth:`curvature_a2` scale this trace's geometry
+        by powers of lam (:data:`~mcf4d.geometry.SCALING_POWERS`), so no
+        mapped state's geometry is built and the new trace holds no bundle.
         """
         states = MappedStates(self.states, lam, t0, offset)
         sc = self.scalars
@@ -215,7 +232,7 @@ class FlowTrace:
         return FlowTrace(states=states, state_steps=list(self.state_steps),
                          scalars=scalars,
                          termination_reason=self.termination_reason,
-                         meta=dict(self.meta))
+                         meta=dict(self.meta), _source=self)
 
 
 def scalar_row(step: int, geom: GeometryBundle) -> tuple:

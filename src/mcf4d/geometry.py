@@ -17,6 +17,8 @@ pairings blind to tangential parts take F_ij in place of A_ij exactly:
 det[F_u, F_v, x, y] in the normal curvature K^perp of |grad J|^2 =
 |A|^2 - 2 K^perp, and <H, x>, since H is normal.  The angles come in real
 arithmetic from the six components of F_u ^ F_v = sqrt(det g) e1 ^ e2.
+:class:`ScaledBundle` is the geometry of a parabolically rescaled state,
+each field its source field times a fixed power of the scale.
 
 Vector fields are component-major (4, n1, n2), as
 :func:`~mcf4d.grid.position_derivatives` returns them; ambient products and
@@ -170,6 +172,61 @@ class GeometryBundle:
     def quadrature_weights(self) -> np.ndarray:
         """Per-node surface measure: area element times parameter cell."""
         return self.area_element * self.grid.node_weight()
+
+
+# Power of lam by which each GeometryBundle field scales under the parabolic
+# map F -> lam (F - X), t -> lam^2 (t - t0).  A field of power 0 is the
+# source's own object; a tuple field scales entry by entry.
+SCALING_POWERS = {
+    "f_u": 1, "f_v": 1, "hessian": 1,
+    "g11": 2, "g12": 2, "g22": 2, "det_g": 4,
+    "inv11": -2, "inv12": -2, "inv22": -2,
+    "mean_curvature": -1, "norm_H2": -2, "norm_A2": -2, "nabla_bar_j2": -2,
+    "h_dot_a2": -4, "area_element": 2,
+    "_angles": 0, "lag_angle_unit": 0, "christoffel": 0,
+}
+
+
+class ScaledBundle:
+    """Geometry of a parabolically mapped state, read off the geometry of its
+    source state: each field is the source's field times lam to the power
+    :data:`SCALING_POWERS` gives it, scaled on first read and kept for the
+    view's lifetime.  The mapped state's ``grid``, ``positions`` and ``time``
+    are kept.  A field without a scaling rule raises AttributeError, so none
+    passes through unscaled.  The angle cosines and the quadrature weights
+    are :class:`GeometryBundle`'s own reads of the scaled fields; the
+    tangential and normal parts of a vector field are the source's, the
+    coefficients over lam (F_i scales by lam) and the normal part as is (the
+    normal plane does not move), so no scaled copy of F_u and F_v is made.
+    """
+
+    def __init__(self, source, state: SurfaceState, lam: float):
+        self.source, self.lam = source, lam
+        self.grid, self.positions, self.time = (state.grid, state.positions,
+                                                state.time)
+
+    def __getattr__(self, name):
+        if name not in SCALING_POWERS:
+            raise AttributeError(f"{type(self).__name__} has no scaling "
+                                 f"rule for {name!r}")
+        value = getattr(self.source, name)
+        power = SCALING_POWERS[name]
+        if power:
+            factor = self.lam ** power
+            value = (tuple(factor * x for x in value)
+                     if isinstance(value, tuple) else factor * value)
+        self.__dict__[name] = value
+        return value
+
+    cos_alpha = GeometryBundle.cos_alpha
+    cos_theta = GeometryBundle.cos_theta
+    quadrature_weights = GeometryBundle.quadrature_weights
+
+    def tangent_coords(self, x: np.ndarray) -> tuple:
+        return tuple(c / self.lam for c in self.source.tangent_coords(x))
+
+    def normal_part(self, x: np.ndarray) -> np.ndarray:
+        return self.source.normal_part(x)
 
 
 def plane_angles(a: np.ndarray, b: np.ndarray, area):

@@ -70,7 +70,8 @@ def normalize_flow(trace: FlowTrace) -> dict:
     The rescaled trace has sup of |A|^2 over stored states equal to one (so
     |H|^2 <= 2 there); applying it twice is the identity up to rounding.  Its
     states are mapped on every read (:meth:`FlowTrace.parabolic`), not
-    copied.
+    copied, and its geometry is ``trace``'s scaled by powers of lam, so the
+    rescaled trace builds and holds no bundle of its own.
 
     Returns
     -------

@@ -171,8 +171,11 @@ def test_criterion_07_blowup_rescaling_normalization(torus32_trace):
     lam = first.lambdaK
     mid = len(rt.states) // 2
     orig_idx = torus32_trace.state_steps.index(rt.state_steps[mid])
+    # The rescaled trace reads |A|^2 as the stored field over lam^2, so the
+    # divided form is checked against geometry rebuilt on the mapped state.
     scaled = torus32_trace.curvature_a2(orig_idx) / lam ** 2
-    err = np.abs(rt.curvature_a2(mid) - scaled).max()
+    rebuilt = build_geometry(rt.states[mid]).norm_A2
+    err = np.abs(rebuilt - scaled).max()
     assert err <= 1e-10 * scaled.max()
 
 

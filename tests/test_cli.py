@@ -311,6 +311,7 @@ def test_trace_inputs_the_mode_cannot_honour_exit_two(tmp_path, capsys,
         scenario.n2 = 16
         controls.dt = 1e-3
         controls.max_steps = 4
+        run.kind = lagrangian
         weight.center = 0 0 0 0
         weight.t0 = 0.1
     """),
@@ -320,6 +321,7 @@ def test_trace_inputs_the_mode_cannot_honour_exit_two(tmp_path, capsys,
         scenario.n2 = 16
         controls.dt = 1e-3
         controls.max_steps = 4
+        run.kind = lagrangian
         weight.center = 3.141592653589793 3.141592653589793 0 -0.1
         weight.t0 = 0.1
     """),
@@ -334,8 +336,8 @@ def test_trace_inputs_the_mode_cannot_honour_exit_two(tmp_path, capsys,
         "verify_cos_theta"])
 def test_a_lagrangian_read_of_a_non_lagrangian_flow_exits_three(
         tmp_path, capsys, command, body):
-    # run.kind defaults to lagrangian in monotonicity, and verify's cos_theta
-    # is the lagrangian cosine; none of these flows is Lagrangian.
+    # monotonicity asks for the lagrangian kind, and verify's cos_theta is
+    # the lagrangian cosine; none of these flows is Lagrangian.
     out = tmp_path / "out"
     cfg = write_config(tmp_path, body + f"output.directory = {out}\n")
     extra = ["--quantity", "cos_theta", "--refine", "2"] \
@@ -343,6 +345,26 @@ def test_a_lagrangian_read_of_a_non_lagrangian_flow_exits_three(
     assert cli.main([command, "--config", cfg, *extra]) == 3
     assert capsys.readouterr().err.startswith("KindMismatch: ")
     assert not out.exists()
+
+
+def test_monotonicity_defaults_to_the_scenario_kind(tmp_path, capsys):
+    # Without run.kind the scan takes the scenario's registry kind, as
+    # theorem does: symplectic for a symplectic graph.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+        scenario.name = symplectic_graph
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.dt = 1e-3
+        controls.max_steps = 4
+        weight.center = 3.141592653589793 3.141592653589793 0 -0.1
+        weight.t0 = 0.1
+        output.directory = {out}
+    """)
+    assert cli.main(["monotonicity", "--config", cfg]) == 0, \
+        capsys.readouterr().err
+    report = json.loads((out / "monotonicity_report.json").read_text())
+    assert report["weightKind"] == "symplectic"
 
 
 def test_a_key_set_twice_exits_two(tmp_path, capsys):

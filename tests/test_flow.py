@@ -29,10 +29,13 @@ from mcf4d.errors import BadParameter, DegenerateMetric, InsufficientBlowup
 from mcf4d.flow import (SCALAR_COLUMNS, FlowTrace, RunControls, TraceScalars,
                         cfl_dt, estimate_singular_time, rkc_dt, rkc_stages,
                         rkc_step, run_flow, scalar_row, step, velocity)
-from mcf4d.geometry import GeometryBundle, build_geometry
+from mcf4d.geometry import (SCALING_POWERS, GeometryBundle, ScaledBundle,
+                            build_geometry)
 from mcf4d.grid import ParamGrid, SurfaceState
+from mcf4d.rescale import select_blowup_datum, validate_rescaled, with_rescaled
 from mcf4d.scenarios import (clifford_torus, complex_line, lagrangian_graph,
                              plane, sphere_patch, symplectic_graph)
+from mcf4d.theorem import gradient_estimate_probe, normalize_flow
 
 from conftest import su2_real
 from test_geometry import frame_oracle
@@ -520,3 +523,120 @@ def test_mapped_times_map_no_state(graph_flow, monkeypatch):
     assert times.shape == (len(graph_flow.states),)
     twice.states[-1]
     assert len(calls) == 2
+
+
+@pytest.fixture(scope="module")
+def torus_flow():
+    """Three stored states of a shrinking Clifford torus."""
+    return run_flow(clifford_torus(16, 16),
+                    RunControls(dt=1e-3, max_steps=4, stride=2))
+
+
+def _flat(name, value):
+    """(label, array) pairs of a field, a tuple field entry by entry."""
+    if not isinstance(value, tuple):
+        return [(name, np.asarray(value))]
+    return [pair for k, x in enumerate(value)
+            for pair in _flat(f"{name}[{k}]", x)]
+
+
+def _fields(bundle) -> dict:
+    """Every scaled field of ``bundle`` by label, with the derived reads:
+    the quadrature weights, and the tangential coefficients and normal part
+    of the position field plus a constant (the torus's position field has no
+    tangential part)."""
+    x = (bundle.positions.transpose(2, 0, 1)
+         + np.array([1.0, 2.0, 3.0, 4.0])[:, None, None])
+    fields = {name: getattr(bundle, name)
+              for name in (*SCALING_POWERS, "cos_alpha", "cos_theta")}
+    fields.update(quadrature_weights=bundle.quadrature_weights(),
+                  tangent_coords=bundle.tangent_coords(x),
+                  normal_part=bundle.normal_part(x))
+    return dict(pair for name, value in fields.items()
+                for pair in _flat(name, value))
+
+
+# Fields the map leaves unchanged, unit-free, compared with an absolute
+# tolerance: the angle data and the Christoffel symbols, which vanish on the
+# flat torus up to rounding.
+UNSCALED = ("_angles", "lag_angle_unit", "cos_alpha", "cos_theta",
+            "christoffel")
+# Components of one tensor share its largest magnitude as their scale, since
+# a component that vanishes (g_12 on the torus) has only rounding of its own.
+TENSORS = {"f_u": "dF", "f_v": "dF", "g11": "g", "g12": "g", "g22": "g",
+           "inv11": "g^-1", "inv12": "g^-1", "inv22": "g^-1"}
+
+
+def _tensor(label: str) -> str:
+    name = label.split("[")[0]
+    return TENSORS.get(name, name)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(lam=st.floats(0.25, 4.0), t0=st.floats(-1.0, 1.0),
+       offset=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_mapped_bundle_matches_geometry_rebuilt_on_the_mapped_state(
+        graph_flow, torus_flow, lam, t0, offset):
+    for source in (graph_flow, torus_flow):
+        mapped = source.parabolic(lam, t0, np.array(offset))
+        for i in range(len(mapped.states)):
+            view = mapped.bundle(i)
+            assert isinstance(view, ScaledBundle)
+            state = mapped.states[i]
+            assert np.array_equal(view.positions, state.positions)
+            assert view.time == state.time and view.grid is state.grid
+            rebuilt = _fields(GeometryBundle(state))
+            got = _fields(view)
+            assert got.keys() == rebuilt.keys()
+            scale = {}
+            for label, want in rebuilt.items():
+                tensor = _tensor(label)
+                scale[tensor] = max(scale.get(tensor, 0.0),
+                                    1.0 if tensor in UNSCALED
+                                    else float(np.abs(want).max()))
+            for label, want in rebuilt.items():
+                if want.dtype == bool:
+                    assert np.array_equal(got[label], want), label
+                    continue
+                err = float(np.abs(got[label] - want).max())
+                assert err <= 1e-12 * scale[_tensor(label)], (label, err)
+
+
+def test_every_bundle_field_has_a_scaling_rule(graph_flow):
+    bundle = GeometryBundle(graph_flow.states[-1])
+    for name, attr in vars(GeometryBundle).items():
+        if isinstance(attr, (cached_property, property)):
+            getattr(bundle, name)
+    fields = set(vars(bundle)) - {"grid", "positions", "time"}
+    assert fields == set(SCALING_POWERS)
+    view = graph_flow.parabolic(2.0).bundle(0)
+    with pytest.raises(AttributeError, match="no scaling rule for 'grid_x'"):
+        view.grid_x
+
+
+def test_mapped_traces_build_no_geometry(torus32_trace, monkeypatch):
+    source = run_flow(lagrangian_graph(16, 16, 0.2),
+                      RunControls(dt=1e-3, max_steps=4, stride=2))
+    built = []
+    original = GeometryBundle.__init__
+
+    def counted(self, state):
+        built.append(state)
+        original(self, state)
+
+    monkeypatch.setattr(GeometryBundle, "__init__", counted)
+    once = normalize_flow(source)["trace"]
+    twice = normalize_flow(once)["trace"]
+    for trace in (once, twice):
+        gradient_estimate_probe(trace, 0.9, 1e3, "lagrangian")
+    assert not once._bundles and not twice._bundles
+    # Only the source's own states were built, each once.
+    assert len(built) == len(source.states)
+    assert all(any(b is s for s in source.states) for b in built)
+
+    built.clear()
+    rec = with_rescaled(torus32_trace, select_blowup_datum(
+        torus32_trace, estimate_singular_time(torus32_trace).singular_time,
+        np.zeros(4), 0.25))
+    validate_rescaled(rec)
+    assert built == []

@@ -23,6 +23,7 @@ from hypothesis import strategies as hs
 from mcf4d.errors import (BadParameter, InsufficientBlowup,
                           InsufficientCoverage, NonFinite)
 from mcf4d.flow import FlowTrace, TraceScalars, estimate_singular_time
+from mcf4d.geometry import build_geometry
 from mcf4d.io import read_snapshot, write_snapshot
 from mcf4d.rescale import (BALL_SLACK, PEAK_TIE_RTOL, SIGMA_CANDIDATES,
                            SIGMA_RATIO, _sigma_grid, select_blowup_datum,
@@ -169,15 +170,16 @@ def test_shrinking_torus_rescaling_normalizes_curvature(torus32_trace):
     assert report["supBound"] <= 4.05
     assert 0.0 < report["lambdaSigmaSq"] <= 4.0
 
-    # Scaling exactness of the divided form: |A|^2 of a rescaled state equals
-    # the original field divided by lambda^2, node for node.
+    # Scaling exactness of the divided form: |A|^2 rebuilt on a rescaled
+    # state equals the original field divided by lambda^2, node for node
+    # (the rescaled trace itself reads it as that quotient).
     rt = rec.rescaledTrace
     lam = rec.lambdaK
     mid = len(rt.states) // 2
     orig_idx = torus32_trace.state_steps.index(rt.state_steps[mid])
     a2_orig = torus32_trace.curvature_a2(orig_idx)
-    np.testing.assert_allclose(rt.curvature_a2(mid), a2_orig / lam ** 2,
-                               rtol=1e-9)
+    np.testing.assert_allclose(build_geometry(rt.states[mid]).norm_A2,
+                               a2_orig / lam ** 2, rtol=1e-9)
     # Angles are scale invariant.
     b_r = rt.bundle(mid)
     b_o = torus32_trace.bundle(orig_idx)
