@@ -134,7 +134,13 @@ def _stored_times(states: Sequence[SurfaceState]) -> np.ndarray:
 
 @dataclass
 class FlowTrace:
-    """Stored states (possibly thinned by stride) plus dense scalar series."""
+    """Stored states (possibly thinned by stride) plus dense scalar series.
+
+    ``_shared``, when set, is a pair (geometry, scales): stored state i is
+    the state the geometry was built from scaled by ``scales[i]`` about the
+    origin and then translated, so its geometry is that one bundle scaled
+    by powers of ``scales[i]`` (see :meth:`bundle`).
+    """
 
     states: Sequence[SurfaceState]
     state_steps: list[int]
@@ -144,6 +150,8 @@ class FlowTrace:
     _bundles: dict = field(default_factory=dict, repr=False)
     _a2_fields: dict = field(default_factory=dict, repr=False)
     _source: "FlowTrace | None" = field(default=None, repr=False)
+    _shared: "tuple[GeometryBundle, Sequence[float]] | None" = field(
+        default=None, repr=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -166,7 +174,12 @@ class FlowTrace:
         A trace made by :meth:`parabolic` builds and keeps no bundle: it
         returns a new :class:`~mcf4d.geometry.ScaledBundle` on its source
         trace's bundle of the same index on every call, so a caller that
-        reads one state's geometry many times should hold on to it.
+        reads one state's geometry many times should hold on to it.  Nor
+        does a trace with a shared geometry (the translation and the radius
+        ODE of :mod:`~mcf4d.scenarios`): it returns a new
+        ``ScaledBundle(geometry, states[index], scales[index])``, which
+        keeps the stored state's positions and time and, at scale 1, the
+        shared bundle's own arrays.
 
         The analyses sweep the stored states in ascending order, singly or
         in (i - 1, i, i + 1) windows.  So a full cache evicts the largest
@@ -178,6 +191,9 @@ class FlowTrace:
         first-out would evict the state the next sweep reads first.
         """
         index = self._stored(index)
+        if self._shared is not None:
+            geometry, scales = self._shared
+            return ScaledBundle(geometry, self.states[index], scales[index])
         if self._source is not None:
             return ScaledBundle(self._source.bundle(index), self.states[index],
                                 self.states.lam)
@@ -193,7 +209,7 @@ class FlowTrace:
     def curvature_a2(self, index: int) -> np.ndarray:
         """|A|^2 field of stored state ``index``, cached.  run_flow and
         translating_trace fill the cache as they store states; any other
-        state builds a bundle on first use.  A trace made by
+        state reads it off :meth:`bundle` on first use.  A trace made by
         :meth:`parabolic` reads its own cache first and otherwise returns
         its source trace's field over lam^2, uncached."""
         index = self._stored(index)

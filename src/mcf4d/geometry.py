@@ -18,7 +18,8 @@ det[F_u, F_v, x, y] in the normal curvature K^perp of |grad J|^2 =
 |A|^2 - 2 K^perp, and <H, x>, since H is normal.  The angles come in real
 arithmetic from the six components of F_u ^ F_v = sqrt(det g) e1 ^ e2.
 :class:`ScaledBundle` is the geometry of a parabolically rescaled state,
-each field its source field times a fixed power of the scale.
+each field its source field times a fixed power of the scale; at scale one,
+the geometry of a translated state, each field the source's own array.
 
 Vector fields are component-major (4, n1, n2), as
 :func:`~mcf4d.grid.position_derivatives` returns them; ambient products and
@@ -191,10 +192,12 @@ class ScaledBundle:
     """Geometry of a parabolically mapped state, read off the geometry of its
     source state: each field is the source's field times lam to the power
     :data:`SCALING_POWERS` gives it, scaled on first read and kept for the
-    view's lifetime.  The mapped state's ``grid``, ``positions`` and ``time``
-    are kept.  A field without a scaling rule raises AttributeError, so none
-    passes through unscaled.  The angle cosines and the quadrature weights
-    are :class:`GeometryBundle`'s own reads of the scaled fields; the
+    view's lifetime.  At lam = 1 (a rigid translate of the source state)
+    every field is the source's own array, not a copy times one.  The
+    mapped state's ``grid``, ``positions`` and ``time`` are kept.  A field
+    without a scaling rule raises AttributeError, so none passes through
+    unscaled.  The angle cosines and the quadrature weights are
+    :class:`GeometryBundle`'s own reads of the scaled fields; the
     tangential and normal parts of a vector field are the source's, the
     coefficients over lam (F_i scales by lam) and the normal part as is (the
     normal plane does not move), so no scaled copy of F_u and F_v is made.
@@ -211,7 +214,7 @@ class ScaledBundle:
                                  f"rule for {name!r}")
         value = getattr(self.source, name)
         power = SCALING_POWERS[name]
-        if power:
+        if power and self.lam != 1.0:
             factor = self.lam ** power
             value = (tuple(factor * x for x in value)
                      if isinstance(value, tuple) else factor * value)

@@ -21,6 +21,9 @@ from .grid import ParamGrid, SurfaceState
 
 TWO_PI = 2.0 * np.pi
 MAX_TRACE_SAMPLES = 1000     # controls.samples: states of a translating trace
+# Spread of a translating trace's node displacements, relative to its largest
+# position coordinate, above which a sample is not a rigid translate.
+TRANSLATE_RTOL = 1e-12
 
 
 def plane(n1: int = 64, n2: int = 64, halfwidth: float = 3.0,
@@ -137,7 +140,19 @@ def grim_reaper_product(n1: int = 257, n2: int = 16, x_max: float = 1.4,
 
 def translating_trace(builder: Callable[[float], SurfaceState],
                       times: np.ndarray) -> FlowTrace:
-    """Trace of an exactly translating solution sampled at given times."""
+    """Trace of an exactly translating solution sampled at given times.
+
+    The geometry of a translating solution is the same at every time, so
+    the first sample's :class:`GeometryBundle` is the only one built: every
+    scalar row is read off it, with each sample's own step and time, every
+    stored |A|^2 field is its one ``norm_A2`` array, and
+    :meth:`FlowTrace.bundle` of any sample is a view on it that keeps the
+    sample's positions and time.  Every other sample must be a rigid
+    translate of the first (same grid and seam shifts, one displacement
+    4-vector at every node to ``TRANSLATE_RTOL`` of the largest position
+    coordinate) with finite positions; one that is not raises
+    BadParameter naming its time.
+    """
     times = np.asarray(times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0):
         raise BadParameter("need at least 2 strictly increasing sample times")
@@ -146,14 +161,41 @@ def translating_trace(builder: Callable[[float], SurfaceState],
         state = builder(float(t))
         state.time = float(t)
         states.append(state)
-    rows, a2_fields = [], {}
-    for k, state in enumerate(states):
-        geom = GeometryBundle(state)
-        rows.append(scalar_row(k, geom))
-        a2_fields[k] = geom.norm_A2
-    return FlowTrace(states=states, state_steps=list(range(len(states))),
+    first = states[0]
+    geom = GeometryBundle(first)
+    for state in states[1:]:
+        _require_translate(state, first)
+    row = scalar_row(0, geom)
+    rows = [(k, state.time, *row[2:]) for k, state in enumerate(states)]
+    n = len(states)
+    return FlowTrace(states=states, state_steps=list(range(n)),
                      scalars=TraceScalars.from_rows(rows),
-                     termination_reason="reached_t_end", _a2_fields=a2_fields)
+                     termination_reason="reached_t_end",
+                     _a2_fields=dict.fromkeys(range(n), geom.norm_A2),
+                     _shared=(geom, [1.0] * n))
+
+
+def _require_translate(state: SurfaceState, first: SurfaceState):
+    """Raise BadParameter unless ``state`` is ``first`` moved by one vector:
+    the same grid and seam shifts, and node displacements that differ from
+    the first node's by at most TRANSLATE_RTOL times the largest position
+    coordinate of the two states.  A non-finite position fails the test, so
+    a state that passes has finite positions, as ``first`` has."""
+    where = f"the sample at t = {state.time}"
+    if (state.grid != first.grid
+            or not np.array_equal(state.shift1, first.shift1)
+            or not np.array_equal(state.shift2, first.shift2)):
+        raise BadParameter(f"{where} has another grid or other seam shifts "
+                           f"than the sample at t = {first.time}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = state.positions - first.positions
+        spread = np.abs(moved - moved[0, 0]).max()
+        scale = max(np.abs(first.positions).max(),
+                    np.abs(state.positions).max())
+    if not spread <= TRANSLATE_RTOL * scale:          # NaN fails too
+        raise BadParameter(
+            f"{where} is not a rigid translate of the sample at t = "
+            f"{first.time}: its node displacements spread by {spread:.3e}")
 
 
 def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
@@ -164,7 +206,11 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     |H|^2 = 4/r^2, area of the tracked patch scaling like r^2.  Stored
     states are lat-long patches materialized at the sampled radii;
     ``patch`` holds the other :func:`sphere_patch` parameters (n1, n2,
-    polar_margin).
+    polar_margin).  Each stored state is the initial patch scaled by
+    r/r0 about the origin, so the initial patch's :class:`GeometryBundle`
+    is the only one built: the scalar rows are read off it, and
+    :meth:`FlowTrace.bundle` of a stored state is a view on it whose
+    fields carry their powers of r/r0.
     """
     controls = controls or RunControls()
     r0 = float(radius)
@@ -194,8 +240,8 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
             f"time on the singular time {t_sing}")
 
     patch0 = sphere_patch(radius=r0, **patch)
-    _, _, area0, _, _, cos_a_min, cos_t_min, det_min0 = scalar_row(
-        0, GeometryBundle(patch0))
+    geom0 = GeometryBundle(patch0)
+    _, _, area0, _, _, cos_a_min, cos_t_min, det_min0 = scalar_row(0, geom0)
 
     rows = [(k, t[k], area0 * (r[k] / r0) ** 2, 2.0 / r[k] ** 2, 4.0 / r[k] ** 2,
              cos_a_min, cos_t_min, det_min0 * (r[k] / r0) ** 4)
@@ -203,15 +249,15 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     stored = list(range(0, n_samples, max(1, controls.stride)))
     if stored[-1] != n_samples - 1:
         stored.append(n_samples - 1)
-    states = []
-    for k in stored:
-        scale = r[k] / r0
-        states.append(SurfaceState(patch0.grid, patch0.positions * scale, float(t[k])))
+    scales = [r[k] / r0 for k in stored]
+    states = [SurfaceState(patch0.grid, patch0.positions * scale, float(t[k]))
+              for k, scale in zip(stored, scales)]
     return FlowTrace(states=states, state_steps=stored,
                      scalars=TraceScalars.from_rows(rows),
                      termination_reason=reason,
                      meta={"mode": "sphere_ode", "radius0": r0,
-                           "singular_time": t_sing})
+                           "singular_time": t_sing},
+                     _shared=(geom0, scales))
 
 
 def _read_controls(read, names) -> RunControls:

@@ -3,6 +3,9 @@
 The graph-flow fixtures pair each surface with the Gaussian weight used by
 the monotonicity tests; the refinement fixture materializes the three-level
 (dt / 4, spacing / 2) ladder consumed by the convergence criteria.
+``assert_bundle_matches`` compares a geometry view with the bundle rebuilt
+on its state, field by field, and ``count_bundles`` records every bundle
+built.
 """
 
 import os
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 from mcf4d.flow import FlowTrace, RunControls, TraceScalars, run_flow
+from mcf4d.geometry import SCALING_POWERS, GeometryBundle
 from mcf4d.scenarios import (clifford_torus, grim_reaper_product,
                              lagrangian_graph, symplectic_graph,
                              translating_trace)
@@ -65,6 +69,85 @@ def window_trace(trace, k):
                      state_steps=trace.state_steps[k - 1:k + 2],
                      scalars=TraceScalars.from_rows([]),
                      termination_reason="window")
+
+
+def _flat(name, value):
+    """(label, array) pairs of a field, a tuple field entry by entry."""
+    if not isinstance(value, tuple):
+        return [(name, np.asarray(value))]
+    return [pair for k, x in enumerate(value)
+            for pair in _flat(f"{name}[{k}]", x)]
+
+
+def _fields(bundle) -> dict:
+    """Every scaled field of ``bundle`` by label, with the derived reads:
+    the quadrature weights, and the tangential coefficients and normal part
+    of the position field plus a constant (the torus's position field has no
+    tangential part)."""
+    x = (bundle.positions.transpose(2, 0, 1)
+         + np.array([1.0, 2.0, 3.0, 4.0])[:, None, None])
+    fields = {name: getattr(bundle, name)
+              for name in (*SCALING_POWERS, "cos_alpha", "cos_theta")}
+    fields.update(quadrature_weights=bundle.quadrature_weights(),
+                  tangent_coords=bundle.tangent_coords(x),
+                  normal_part=bundle.normal_part(x))
+    return dict(pair for name, value in fields.items()
+                for pair in _flat(name, value))
+
+
+# Fields the map leaves unchanged, unit-free, compared with an absolute
+# tolerance: the angle data and the Christoffel symbols, which vanish on the
+# flat torus up to rounding.
+UNSCALED = ("_angles", "lag_angle_unit", "cos_alpha", "cos_theta",
+            "christoffel")
+# Components of one tensor share its largest magnitude as their scale, since
+# a component that vanishes (g_12 on the torus) has only rounding of its own.
+TENSORS = {"f_u": "dF", "f_v": "dF", "g11": "g", "g12": "g", "g22": "g",
+           "inv11": "g^-1", "inv12": "g^-1", "inv22": "g^-1"}
+
+
+def _tensor(label: str) -> str:
+    name = label.split("[")[0]
+    return TENSORS.get(name, name)
+
+
+def count_bundles(monkeypatch) -> list:
+    """List that gets the state of every GeometryBundle constructed from
+    here on, until ``monkeypatch`` is undone."""
+    built = []
+    original = GeometryBundle.__init__
+
+    def counted(self, state):
+        built.append(state)
+        original(self, state)
+
+    monkeypatch.setattr(GeometryBundle, "__init__", counted)
+    return built
+
+
+def assert_bundle_matches(view, state, rtol=1e-12):
+    """Every field of the geometry ``view`` against ``GeometryBundle(state)``
+    rebuilt: within ``rtol`` of its tensor's largest magnitude, the
+    unit-free fields (:data:`UNSCALED`) within ``rtol`` absolute, and the
+    boolean masks exactly.  The view must keep the state's positions, time
+    and grid."""
+    assert np.array_equal(view.positions, state.positions)
+    assert view.time == state.time and view.grid is state.grid
+    rebuilt = _fields(GeometryBundle(state))
+    got = _fields(view)
+    assert got.keys() == rebuilt.keys()
+    scale = {}
+    for label, want in rebuilt.items():
+        tensor = _tensor(label)
+        scale[tensor] = max(scale.get(tensor, 0.0),
+                            1.0 if tensor in UNSCALED
+                            else float(np.abs(want).max()))
+    for label, want in rebuilt.items():
+        if want.dtype == bool:
+            assert np.array_equal(got[label], want), label
+            continue
+        err = float(np.abs(got[label] - want).max())
+        assert err <= rtol * scale[_tensor(label)], (label, err)
 
 
 @pytest.fixture(scope="session")

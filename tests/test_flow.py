@@ -37,7 +37,7 @@ from mcf4d.scenarios import (clifford_torus, complex_line, lagrangian_graph,
                              plane, sphere_patch, symplectic_graph)
 from mcf4d.theorem import gradient_estimate_probe, normalize_flow
 
-from conftest import su2_real
+from conftest import assert_bundle_matches, count_bundles, su2_real
 from test_geometry import frame_oracle
 
 
@@ -532,46 +532,6 @@ def torus_flow():
                     RunControls(dt=1e-3, max_steps=4, stride=2))
 
 
-def _flat(name, value):
-    """(label, array) pairs of a field, a tuple field entry by entry."""
-    if not isinstance(value, tuple):
-        return [(name, np.asarray(value))]
-    return [pair for k, x in enumerate(value)
-            for pair in _flat(f"{name}[{k}]", x)]
-
-
-def _fields(bundle) -> dict:
-    """Every scaled field of ``bundle`` by label, with the derived reads:
-    the quadrature weights, and the tangential coefficients and normal part
-    of the position field plus a constant (the torus's position field has no
-    tangential part)."""
-    x = (bundle.positions.transpose(2, 0, 1)
-         + np.array([1.0, 2.0, 3.0, 4.0])[:, None, None])
-    fields = {name: getattr(bundle, name)
-              for name in (*SCALING_POWERS, "cos_alpha", "cos_theta")}
-    fields.update(quadrature_weights=bundle.quadrature_weights(),
-                  tangent_coords=bundle.tangent_coords(x),
-                  normal_part=bundle.normal_part(x))
-    return dict(pair for name, value in fields.items()
-                for pair in _flat(name, value))
-
-
-# Fields the map leaves unchanged, unit-free, compared with an absolute
-# tolerance: the angle data and the Christoffel symbols, which vanish on the
-# flat torus up to rounding.
-UNSCALED = ("_angles", "lag_angle_unit", "cos_alpha", "cos_theta",
-            "christoffel")
-# Components of one tensor share its largest magnitude as their scale, since
-# a component that vanishes (g_12 on the torus) has only rounding of its own.
-TENSORS = {"f_u": "dF", "f_v": "dF", "g11": "g", "g12": "g", "g22": "g",
-           "inv11": "g^-1", "inv12": "g^-1", "inv22": "g^-1"}
-
-
-def _tensor(label: str) -> str:
-    name = label.split("[")[0]
-    return TENSORS.get(name, name)
-
-
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
 @given(lam=st.floats(0.25, 4.0), t0=st.floats(-1.0, 1.0),
        offset=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
@@ -582,24 +542,16 @@ def test_mapped_bundle_matches_geometry_rebuilt_on_the_mapped_state(
         for i in range(len(mapped.states)):
             view = mapped.bundle(i)
             assert isinstance(view, ScaledBundle)
-            state = mapped.states[i]
-            assert np.array_equal(view.positions, state.positions)
-            assert view.time == state.time and view.grid is state.grid
-            rebuilt = _fields(GeometryBundle(state))
-            got = _fields(view)
-            assert got.keys() == rebuilt.keys()
-            scale = {}
-            for label, want in rebuilt.items():
-                tensor = _tensor(label)
-                scale[tensor] = max(scale.get(tensor, 0.0),
-                                    1.0 if tensor in UNSCALED
-                                    else float(np.abs(want).max()))
-            for label, want in rebuilt.items():
-                if want.dtype == bool:
-                    assert np.array_equal(got[label], want), label
-                    continue
-                err = float(np.abs(got[label] - want).max())
-                assert err <= 1e-12 * scale[_tensor(label)], (label, err)
+            assert_bundle_matches(view, mapped.states[i])
+
+
+def test_unit_scale_view_shares_the_source_arrays(graph_flow):
+    bundle = GeometryBundle(graph_flow.states[-1])
+    moved = graph_flow.states[-1].transformed(offset=np.ones(4))
+    view = ScaledBundle(bundle, moved, 1.0)
+    for name in SCALING_POWERS:
+        assert getattr(view, name) is getattr(bundle, name), name
+    assert view.positions is moved.positions
 
 
 def test_every_bundle_field_has_a_scaling_rule(graph_flow):
@@ -617,14 +569,7 @@ def test_every_bundle_field_has_a_scaling_rule(graph_flow):
 def test_mapped_traces_build_no_geometry(torus32_trace, monkeypatch):
     source = run_flow(lagrangian_graph(16, 16, 0.2),
                       RunControls(dt=1e-3, max_steps=4, stride=2))
-    built = []
-    original = GeometryBundle.__init__
-
-    def counted(self, state):
-        built.append(state)
-        original(self, state)
-
-    monkeypatch.setattr(GeometryBundle, "__init__", counted)
+    built = count_bundles(monkeypatch)
     once = normalize_flow(source)["trace"]
     twice = normalize_flow(once)["trace"]
     for trace in (once, twice):

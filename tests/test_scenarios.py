@@ -14,11 +14,16 @@ from mcf4d.errors import BadParameter
 from mcf4d.flow import RunControls
 from mcf4d.functionals import KINDS
 from mcf4d.geometry import build_geometry
+from mcf4d.grid import SurfaceState
 from mcf4d.scenarios import (SCENARIOS, clifford_torus,
                              generate_scenario, grim_reaper_product,
                              lagrangian_graph, mesh_flow, run_sphere_ode,
                              sphere_patch, symplectic_graph,
                              translating_trace, translation)
+from mcf4d.theorem import (check_main_theorem, gradient_estimate_probe,
+                           normalize_flow)
+
+from conftest import assert_bundle_matches, count_bundles
 
 
 def test_every_scenario_builds_valid_geometry_at_defaults():
@@ -82,6 +87,83 @@ def test_translating_trace_carries_times_and_scalars():
     with pytest.raises(BadParameter):
         translating_trace(lambda t: grim_reaper_product(65, 16, time=t),
                           np.array([0.1, 0.1]))
+
+
+def _ridge(t):
+    return grim_reaper_product(65, 16, time=t)
+
+
+def _scaled_ridge(t):
+    state = _ridge(0.0)
+    return SurfaceState(state.grid, (1.0 + t) * state.positions, t,
+                        state.shift1, state.shift2)
+
+
+def _reseamed_ridge(t):
+    state = _ridge(t)
+    return SurfaceState(state.grid, state.positions, t, state.shift1,
+                        state.shift2 + np.array([0.0, t, 0.0, 0.0]))
+
+
+def _nan_ridge(t):
+    state = _ridge(t)
+    if t > 0:
+        state.positions[3, 5, 1] = np.nan
+    return state
+
+
+@pytest.mark.parametrize("builder", [
+    lambda t: grim_reaper_product(65, 16, x_max=1.4 - t, time=t),
+    _scaled_ridge, _reseamed_ridge, _nan_ridge,
+], ids=["moving_x_max", "scaled_about_origin", "changed_seam_shift",
+        "nan_position"])
+def test_translating_trace_rejects_a_sample_that_is_not_a_translate(builder):
+    with pytest.raises(BadParameter, match=r"sample at t = 0\.05 "):
+        translating_trace(builder, np.array([0.0, 0.05, 0.1]))
+
+
+def test_translating_trace_views_one_geometry(grim257_trace):
+    tr = grim257_trace
+    first = tr.bundle(0)
+    for i, state in enumerate(tr.states):
+        view = tr.bundle(i)
+        assert view.positions is state.positions and view.time == state.time
+        assert view.f_u is first.f_u
+        assert view.mean_curvature is first.mean_curvature
+        assert tr.curvature_a2(i) is first.norm_A2
+        # The rebuilt oracle carries the rounding of y = -log cos x + t
+        # (2e-16) through second differences (~1/h^2): measured 3.6e-12 of
+        # the largest Christoffel symbol and 1.5e-12 of max |H|^2 here.
+        assert_bundle_matches(view, state, rtol=1e-11)
+    sc = tr.scalars
+    assert list(sc.step) == [0, 1, 2]
+    np.testing.assert_array_equal(sc.t, tr.times)
+    for name in ("area", "max_A2", "max_H2", "min_cos_alpha",
+                 "min_cos_theta", "min_detg"):
+        column = getattr(sc, name)
+        assert (column == column[0]).all(), name
+
+
+def test_ridge_theorem_pipeline_builds_one_geometry(monkeypatch):
+    built = count_bundles(monkeypatch)
+    tr = translating_trace(lambda t: grim_reaper_product(1025, 16, time=t),
+                           np.linspace(0.0, 0.1, 5))
+    report = check_main_theorem(tr, "lagrangian")
+    gradient_estimate_probe(normalize_flow(tr)["trace"], 0.9, 10.0,
+                            "lagrangian")
+    assert len(built) == 1 and built[0] is tr.states[0]
+    assert abs(report.lhs - np.cos(1.4) * np.exp(0.5)) <= 1e-6
+
+
+def test_sphere_trace_views_one_geometry(monkeypatch):
+    built = count_bundles(monkeypatch)
+    tr = run_sphere_ode(1.0, RunControls(stride=256))
+    views = [tr.bundle(k) for k in range(len(tr.states))]
+    assert all(np.isfinite(view.h_dot_a2).all() for view in views)
+    assert len(built) == 1 and len(views) == 9
+    monkeypatch.undo()
+    for view, state in zip(views, tr.states):
+        assert_bundle_matches(view, state)
 
 
 def test_sphere_ode_matches_closed_form_radius():
