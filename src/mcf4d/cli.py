@@ -22,8 +22,9 @@ import sys
 import numpy as np
 
 from . import io
-from .errors import BadParameter, Mcf4dError, OrderTooLow, PropertyViolation
-from .flow import FlowTrace, RunControls, estimate_singular_time, run_flow
+from .errors import (BadParameter, Mcf4dError, OrderTooLow, PropertyViolation,
+                     ShortTrace)
+from .flow import RunControls, estimate_singular_time, run_flow
 from .functionals import (CUTOFF_CONSTANT, CUTOFF_SUP_ABS_FIRST,
                           CUTOFF_SUP_NEG_SECOND, EVOLUTION_QUANTITIES,
                           GaussianWeight, check_kind, check_localizer,
@@ -296,7 +297,6 @@ def cmd_verify(cfg, args) -> int:
         raise BadParameter(f"--refine {levels} needs more than "
                            f"{MAX_AXIS_NODES} nodes per axis")
     k_star = max(2, steps // 2)
-    t_star = k_star * dt
 
     residuals = []
     print("level      n          dt     residual   order_dt")
@@ -307,18 +307,20 @@ def cmd_verify(cfg, args) -> int:
         k_l = k_star * 4 ** level
         state = generate_scenario(name, **{**params, "n1": n,
                                            "n2": n2 * 2 ** level})
-        trace = run_flow(state, RunControls(dt=dt_l, max_steps=k_l + 2,
-                                            stride=1))
-        # Only the interior state nearest t_star is printed, so the residual
-        # is evaluated on it and its two neighbours alone; a trace of fewer
-        # than three states goes whole, for evolution_residual to reject.
-        if len(trace.states) >= 3:
-            times = trace.times
-            i = 1 + int(np.argmin(np.abs(times[1:-1] - t_star)))
-            trace = FlowTrace(states=trace.states[i - 1:i + 2],
-                              state_steps=trace.state_steps[i - 1:i + 2],
-                              scalars=trace.scalars,
-                              termination_reason=trace.termination_reason)
+        # The residual is read at step k_l (time k_star * dt) alone, from
+        # steps k_l - 1, k_l and k_l + 1: the first leg keeps only its first
+        # and last state, and the second takes two steps from that last one.
+        # A second leg of fewer than three states goes whole, for
+        # evolution_residual to reject.
+        lead = run_flow(state, RunControls(dt=dt_l, max_steps=k_l - 1,
+                                           stride=k_l))
+        if lead.termination_reason != "step_limit":
+            raise ShortTrace(f"level {level} ended with "
+                             f"{lead.termination_reason!r} at step "
+                             f"{lead.state_steps[-1]}; its residual needs "
+                             f"steps {k_l - 1} to {k_l + 1}")
+        trace = run_flow(lead.states[-1],
+                         RunControls(dt=dt_l, max_steps=2, stride=1))
         res = evolution_residual(trace, quantity)
         value = float(np.nanmax(np.abs(res.values[0])))
         residuals.append(value)

@@ -18,6 +18,14 @@ Each accepted step builds the state's geometry
 (:class:`~mcf4d.geometry.GeometryBundle`) once; that one object feeds the
 step's scalar row, its CFL bound, the first stage, and the stored |A|^2
 field when the state is stored.
+
+Inside a step the positions are component-major, C-contiguous (4, n1, n2),
+the layout of every derivative and of H: a step copies the state's
+positions into it once, forms every stage combination there, and evaluates
+each stage through :func:`velocity` on a state whose positions are the
+node-major view of the stage array.  Stored states, snapshots and
+:func:`velocity`'s return value stay node-major, (n1, n2, 4), and an
+accepted step's state is C-contiguous.
 """
 
 from __future__ import annotations
@@ -26,13 +34,14 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
 from .errors import (BadParameter, DegenerateMetric, InsufficientBlowup,
                      Mcf4dError, NonFinite, ShortTrace)
 from .geometry import GeometryBundle, ScaledBundle, build_geometry
-from .grid import SurfaceState
+from .grid import SurfaceState, component_major
 
 CFL_SAFETY = 0.9     # margin below the parabolic stability bound
 CFL_DENOMINATOR = 8.0
@@ -64,6 +73,10 @@ class RunControls:
     dt: float | None = None
 
     def __post_init__(self):
+        for name in ("max_steps", "stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise BadParameter(f"{name} must be an integer, got {value!r}")
         if self.stride < 1:
             raise BadParameter(f"stride must be at least 1, got {self.stride}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
@@ -235,7 +248,17 @@ class FlowTrace:
         :meth:`bundle` and :meth:`curvature_a2` scale this trace's geometry
         by powers of lam (:data:`~mcf4d.geometry.SCALING_POWERS`), so no
         mapped state's geometry is built and the new trace holds no bundle.
+
+        Raises BadParameter, before anything is mapped, unless lam is finite
+        and positive and t0 and every entry of the offset are finite.
         """
+        if not (math.isfinite(lam) and lam > 0):
+            raise BadParameter(f"rescaling factor must be finite and "
+                               f"positive, got {lam}")
+        if not math.isfinite(t0):
+            raise BadParameter(f"rescaling time t0 must be finite, got {t0}")
+        if offset is not None and not np.all(np.isfinite(offset)):
+            raise BadParameter(f"rescaling offset must be finite, got {offset}")
         states = MappedStates(self.states, lam, t0, offset)
         sc = self.scalars
         scalars = TraceScalars(
@@ -254,10 +277,14 @@ class FlowTrace:
 def scalar_row(step: int, geom: GeometryBundle) -> tuple:
     """Diagnostics row (see SCALAR_COLUMNS) of the state ``geom`` was
     built from."""
-    return (step, geom.time, float(np.sum(geom.quadrature_weights())),
-            float(geom.norm_A2.max()), float(geom.norm_H2.max()),
-            float(geom.cos_alpha.min()), float(geom.cos_theta.min()),
-            float(geom.det_g.min()))
+    top, bottom = np.maximum.reduce, np.minimum.reduce
+    return (step, geom.time,
+            float(np.add.reduce(geom.quadrature_weights(), axis=None)),
+            float(top(geom.norm_A2, axis=None)),
+            float(top(geom.norm_H2, axis=None)),
+            float(bottom(geom.cos_alpha, axis=None)),
+            float(bottom(geom.cos_theta, axis=None)),
+            float(bottom(geom.det_g, axis=None)))
 
 
 def cfl_dt(geom: GeometryBundle) -> float:
@@ -283,23 +310,34 @@ def velocity(state: SurfaceState,
     return geom.mean_curvature.transpose(1, 2, 0)
 
 
+def _stage(state: SurfaceState, y: np.ndarray) -> SurfaceState:
+    """Stage state of a step from ``state``: its positions are the node-major
+    view of the component-major stage array ``y``, so the stage's geometry
+    reads ``y`` itself."""
+    return SurfaceState(state.grid, y.transpose(1, 2, 0), state.time,
+                        state.shift1, state.shift2)
+
+
+def _accepted(state: SurfaceState, y: np.ndarray, dt: float) -> SurfaceState:
+    """State a step from ``state`` reaches at component-major positions
+    ``y``, stored node-major and C-contiguous like every other state."""
+    out = SurfaceState(state.grid, np.ascontiguousarray(y.transpose(1, 2, 0)),
+                       state.time + dt, state.shift1.copy(),
+                       state.shift2.copy())
+    out.require_finite()
+    return out
+
+
 def step(state: SurfaceState, dt: float, geom: GeometryBundle) -> SurfaceState:
     """One explicit RK4 step of dF/dt = H, the step of fixed-dt runs;
     ``geom`` is the geometry of ``state`` and supplies the first stage."""
-
-    def advanced(base, scale, k):
-        return SurfaceState(state.grid, base.positions + scale * k, state.time,
-                            state.shift1, state.shift2)
-
-    k1 = velocity(state, geom)
-    k2 = velocity(advanced(state, 0.5 * dt, k1))
-    k3 = velocity(advanced(state, 0.5 * dt, k2))
-    k4 = velocity(advanced(state, dt, k3))
-    new_pos = state.positions + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = SurfaceState(state.grid, new_pos, state.time + dt,
-                       state.shift1.copy(), state.shift2.copy())
-    out.require_finite()
-    return out
+    y0 = component_major(state.positions)
+    k1 = velocity(state, geom).transpose(2, 0, 1)
+    k2 = velocity(_stage(state, y0 + (0.5 * dt) * k1)).transpose(2, 0, 1)
+    k3 = velocity(_stage(state, y0 + (0.5 * dt) * k2)).transpose(2, 0, 1)
+    k4 = velocity(_stage(state, y0 + dt * k3)).transpose(2, 0, 1)
+    return _accepted(state, y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                     dt)
 
 
 @lru_cache(maxsize=RKC_MAX_STAGES)
@@ -345,18 +383,14 @@ def rkc_step(state: SurfaceState, dt: float, geom: GeometryBundle,
     ``stages`` velocity evaluations, the step of adaptive runs; ``geom`` is
     the geometry of ``state`` and supplies the first stage."""
     mu1, rows = _rkc_coefficients(stages)
-    y0 = state.positions
-    f0 = velocity(state, geom)
+    y0 = component_major(state.positions)
+    f0 = velocity(state, geom).transpose(2, 0, 1)
     prev, cur = y0, y0 + (mu1 * dt) * f0
     for mu, nu, mu_t, gamma_t in rows:
-        f = velocity(SurfaceState(state.grid, cur, state.time, state.shift1,
-                                  state.shift2))
+        f = velocity(_stage(state, cur)).transpose(2, 0, 1)
         prev, cur = cur, ((1.0 - mu - nu) * y0 + mu * cur + nu * prev
                           + (mu_t * dt) * f + (gamma_t * dt) * f0)
-    out = SurfaceState(state.grid, cur, state.time + dt,
-                       state.shift1.copy(), state.shift2.copy())
-    out.require_finite()
-    return out
+    return _accepted(state, cur, dt)
 
 
 def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:

@@ -45,7 +45,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ambient inner product of two 4-vector fields: one multiply and one sum
     over the leading axis, which adds the components in order, exactly as
     a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] does."""
-    return (a * b).sum(axis=0)
+    return np.add.reduce(a * b, axis=0)
 
 
 class GeometryBundle:
@@ -70,7 +70,8 @@ class GeometryBundle:
             g11 = _dot(f_u, f_u)
             g12 = _dot(f_u, f_v)
             g22 = _dot(f_v, f_v)
-            det = g11 * g22 - g12 * g12
+            det = g11 * g22
+            det -= g12 * g12
         immersed = (det > DET_G_FLOOR) & (det < np.inf)     # NaN fails too
         if not immersed.all():
             node = first_node(~immersed)
@@ -83,9 +84,14 @@ class GeometryBundle:
         self.inv11 = g22 / det
         self.inv12 = -g12 / det
         self.inv22 = g11 / det
-        w = (self.inv11 * f_uu + (2.0 * self.inv12) * f_uv
-             + self.inv22 * f_vv)
-        self.mean_curvature = self.normal_part(w)
+        # H = w - c^u F_u - c^v F_v for w = g^ij F_ij, formed in place.
+        w = self.inv11 * f_uu
+        w += (2.0 * self.inv12) * f_uv
+        w += self.inv22 * f_vv
+        cu, cv = self.tangent_coords(w)
+        w -= cu * f_u
+        w -= cv * f_v
+        self.mean_curvature = w
 
     def tangent_coords(self, x: np.ndarray) -> tuple:
         """Coefficients (c^u, c^v) = g^ij <x, F_j> of the tangential part
@@ -350,10 +356,9 @@ def normal_gradient_sq(vectors: np.ndarray, geom: GeometryBundle) -> np.ndarray:
     """|grad^N X|^2 = g^ij <(d_i X)^perp, (d_j X)^perp> per node.
 
     For the mean curvature field this is the |grad H|^2 entering the
-    curvature evolution identity.  Its d_u is taken node-major, where u leads.
+    curvature evolution identity.
     """
-    d_u = scalar_derivative(vectors.transpose(1, 2, 0), geom.grid, 0, 1)
-    n_u = geom.normal_part(d_u.transpose(2, 0, 1))
+    n_u = geom.normal_part(scalar_derivative(vectors, geom.grid, 0, 1))
     n_v = geom.normal_part(scalar_derivative(vectors, geom.grid, 1, 1))
     return (geom.inv11 * _dot(n_u, n_u) + 2.0 * geom.inv12 * _dot(n_u, n_v)
             + geom.inv22 * _dot(n_v, n_v))

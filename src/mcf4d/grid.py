@@ -8,8 +8,13 @@ fixed 4-vector to the position (graphs over a plane wrap up to a lattice
 translation).  Compact surfaces use zero shifts.  Derivatives of position
 fields strip the induced linear ramp so stencils only ever see periodic data.
 
-Positions are node-major, (n1, n2, 4); derivative fields are component-major,
-C-contiguous (4, n1, n2), one contiguous (n1, n2) block per component.
+The positions of stored states and snapshots are node-major, (n1, n2, 4).
+Integrator stages are component-major: a stage state's positions are the
+node-major view of a C-contiguous (4, n1, n2) stage array.  The derivative
+kernel works in that layout, one contiguous (n1, n2) block per component:
+it reads a state's positions component-major once (a free view for a stage
+state, one copy for a stored one), strips the seam ramps there, and returns
+every derivative field component-major.
 """
 
 from __future__ import annotations
@@ -97,21 +102,30 @@ class SurfaceState:
             raise BadParameter("seam shift on a clamped axis")
 
     def require_finite(self):
-        bad = ~np.isfinite(self.positions)
-        if bad.any():
-            raise NonFinite(first_node(bad.any(axis=2)), "non-finite position")
+        finite = np.isfinite(self.positions)
+        if not finite.all():
+            raise NonFinite(first_node(~finite.all(axis=2)),
+                            "non-finite position")
 
-    def periodic_part(self) -> np.ndarray:
-        """Positions minus the seam ramps; genuinely periodic on periodic axes."""
-        out = self.positions
+    def periodic_components(self) -> np.ndarray:
+        """Positions minus the seam ramps, genuinely periodic on periodic
+        axes, as a C-contiguous component-major (4, n1, n2) array: a ramp is
+        the outer product of the shift with the node's fraction of its axis.
+        Without shifts this is :func:`component_major` of the positions,
+        which for a stage state is its own stage array, not a copy."""
+        out = component_major(self.positions)
         g = self.grid
         if self.shift1.any():
-            frac = (g.axis_coords(0) / (g.n1 * g.spacing1))[:, None, None]
-            out = out - frac * self.shift1
+            frac = g.axis_coords(0) / (g.n1 * g.spacing1)
+            out = out - self.shift1[:, None, None] * frac[None, :, None]
         if self.shift2.any():
-            frac = (g.axis_coords(1) / (g.n2 * g.spacing2))[None, :, None]
-            out = out - frac * self.shift2
+            frac = g.axis_coords(1) / (g.n2 * g.spacing2)
+            out = out - self.shift2[:, None, None] * frac[None, None, :]
         return out
+
+    def periodic_part(self) -> np.ndarray:
+        """:meth:`periodic_components` node-major, (n1, n2, 4)."""
+        return self.periodic_components().transpose(1, 2, 0)
 
     def copy(self) -> "SurfaceState":
         return SurfaceState(self.grid, self.positions.copy(), self.time,
@@ -138,7 +152,9 @@ class SurfaceState:
 def scalar_derivative(field: np.ndarray, grid: ParamGrid, axis: int,
                       order: int) -> np.ndarray:
     """Derivative of a periodic/clamped per-node field (no seam ramps) along
-    u (``axis`` 0, the field's first axis) or v (``axis`` 1, its last)."""
+    u (``axis`` 0: the field's first axis, or its second for a stack of
+    fields such as a component-major (4, n1, n2) one) or v (``axis`` 1, its
+    last); see :func:`~mcf4d.stencils.axis_derivative`."""
     if axis == 0:
         return stencils.axis_derivative(field, 0, grid.n1, grid.spacing1,
                                         grid.periodic1, order)
@@ -147,8 +163,10 @@ def scalar_derivative(field: np.ndarray, grid: ParamGrid, axis: int,
 
 
 def component_major(field: np.ndarray) -> np.ndarray:
-    """C-contiguous (4, n1, n2) copy of a node-major (n1, n2, 4) field."""
-    return field.transpose(2, 0, 1).copy()
+    """C-contiguous (4, n1, n2) layout of a node-major (n1, n2, 4) field: a
+    copy, or, when the field is the node-major view of such an array, a view
+    of that array."""
+    return np.ascontiguousarray(field.transpose(2, 0, 1))
 
 
 def position_derivatives(state: SurfaceState):
@@ -156,20 +174,19 @@ def position_derivatives(state: SurfaceState):
 
     Returns (F_u, F_v, F_uu, F_uv, F_vv), each a C-contiguous
     component-major (4, n1, n2) array.  A u-derivative is one product
-    D @ P over the node-major positions viewed as (n1, n2 * 4); a
-    v-derivative is one product X @ D.T over a component-major field viewed
-    as (4 * n1, n2).
+    D @ X per (n1, n2) block of the component-major periodic part; a
+    v-derivative is one product X @ D.T over the field viewed as
+    (4 * n1, n2).
     """
     g = state.grid
-    per = state.periodic_part()
-    f_u = component_major(scalar_derivative(per, g, 0, 1))
-    f_uu = component_major(scalar_derivative(per, g, 0, 2))
-    per = component_major(per)
+    per = state.periodic_components()
+    f_u = scalar_derivative(per, g, 0, 1)
+    f_uu = scalar_derivative(per, g, 0, 2)
     f_v = scalar_derivative(per, g, 1, 1)
     f_vv = scalar_derivative(per, g, 1, 2)
     f_uv = scalar_derivative(f_u, g, 1, 1)
     if state.shift1.any():
-        f_u = f_u + (state.shift1 / (g.n1 * g.spacing1))[:, None, None]
+        f_u += (state.shift1 / (g.n1 * g.spacing1))[:, None, None]
     if state.shift2.any():
-        f_v = f_v + (state.shift2 / (g.n2 * g.spacing2))[:, None, None]
+        f_v += (state.shift2 / (g.n2 * g.spacing2))[:, None, None]
     return f_u, f_v, f_uu, f_uv, f_vv

@@ -119,24 +119,32 @@ def axis_derivative(field: np.ndarray, axis: int, n: int, spacing: float,
                     periodic: bool, order: int) -> np.ndarray:
     """Apply the derivative along the first axis of a field (``axis`` 0, the
     field viewed as (n, size / n)) or along its last axis (``axis`` 1, viewed
-    as (size / n, n)).
+    as (size / n, n)).  Along axis 0 a field whose first axis is not n long
+    but whose second is, such as a component-major (4, n1, n2) field, is a
+    stack of fields along its first axis, and D applies to each.
 
     An axis shorter than BANDED_MIN_NODES takes the cached dense matrix, one
-    BLAS product over the whole field, which is fastest there.  A longer one
-    takes the banded apply, O(n) in time and in cached memory where the
-    dense matrix costs O(n^2) in both.
+    BLAS product over the whole field (one per stacked field), which is
+    fastest there.  A longer one takes the banded apply, O(n) in time and in
+    cached memory where the dense matrix costs O(n^2) in both.
     """
-    if field.shape[0 if axis == 0 else -1] != n:
-        raise ValueError(f"axis {axis} of a {field.shape} field is not {n} long")
+    if axis == 0:
+        stacked = field.shape[0] != n and field.shape[1:2] == (n,)
+        if not (stacked or field.shape[0] == n):
+            raise ValueError(f"axis 0 of a {field.shape} field is not {n} long")
+        x = field.reshape(field.shape[0] if stacked else 1, n, -1)
+    elif field.shape[-1] != n:
+        raise ValueError(f"axis 1 of a {field.shape} field is not {n} long")
     if n < BANDED_MIN_NODES:
         mat = derivative_matrix(n, spacing, periodic, order)
         if axis == 0:
-            return (mat @ field.reshape(n, -1)).reshape(field.shape)
+            return np.matmul(mat, x).reshape(field.shape)
         return (field.reshape(-1, n) @ mat.T).reshape(field.shape)
     stencil = _stencil(n, spacing, periodic, order)
     out = np.empty(field.shape, np.result_type(field, stencil[0]))
     if axis == 0:
-        _banded_apply(field.reshape(n, -1), out.reshape(n, -1), stencil)
+        for xs, outs in zip(x, out.reshape(x.shape)):
+            _banded_apply(xs, outs, stencil)
     else:
         _banded_apply(field.reshape(-1, n).T, out.reshape(-1, n).T, stencil)
     return out

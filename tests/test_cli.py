@@ -143,6 +143,51 @@ def test_verify_flags_noise_floor_as_low_order(tmp_path):
     assert "OrderTooLow" in proc.stderr
 
 
+def test_verify_runs_each_level_in_two_legs(tmp_path, monkeypatch, capsys):
+    # Level l runs to step k_l - 1 keeping its first and last state, then
+    # two steps from that last state: the three states the residual reads.
+    legs = []
+
+    def recorded(state, controls):
+        trace = cli_run_flow(state, controls)
+        legs.append((controls.max_steps, controls.stride, trace.state_steps,
+                     state.time))
+        return trace
+
+    cli_run_flow = cli.run_flow
+    monkeypatch.setattr(cli, "run_flow", recorded)
+    cfg = write_config(tmp_path, """
+        scenario.name = lagrangian_graph
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.dt = 9.6e-3
+        controls.max_steps = 4
+    """)
+    assert cli.main(["verify", "--config", cfg, "--quantity", "cos_theta",
+                     "--refine", "2"]) == 0, capsys.readouterr().err
+    assert [leg[:3] for leg in legs] == [
+        (1, 2, [0, 1]), (2, 1, [0, 1, 2]), (7, 8, [0, 7]), (2, 1, [0, 1, 2])]
+    assert legs[1][3] == 9.6e-3
+    assert legs[3][3] == pytest.approx(7 * 2.4e-3, rel=1e-14)
+
+
+def test_verify_ends_a_level_whose_flow_stops_early(tmp_path, capsys):
+    # dt far above the stability bound blows the level-0 graph up at step 1,
+    # before the steps 1 to 3 its residual needs.
+    cfg = write_config(tmp_path, """
+        scenario.name = lagrangian_graph
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.dt = 3.0
+        controls.max_steps = 4
+    """)
+    assert cli.main(["verify", "--config", cfg, "--quantity", "H2",
+                     "--refine", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "ShortTrace: level 0 ended with 'blowup_detected' at step 1; its "
+        "residual needs steps 1 to 3\n")
+
+
 def test_verify_rejects_unknown_quantity(tmp_path):
     cfg = write_config(tmp_path, "scenario.name = clifford_torus\n")
     proc = run_cli("verify", "--config", cfg, "--quantity", "torsion")

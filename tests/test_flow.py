@@ -585,3 +585,86 @@ def test_mapped_traces_build_no_geometry(torus32_trace, monkeypatch):
         np.zeros(4), 0.25))
     validate_rescaled(rec)
     assert built == []
+
+
+def _node_major_step(state, dt, geom, stages=None):
+    """Positions after one RK4 step (``stages`` None) or RKC step of
+    ``state``, every stage formed node-major from ``velocity``."""
+
+    def moved(pos):
+        return SurfaceState(state.grid, pos, state.time, state.shift1,
+                            state.shift2)
+
+    y0 = state.positions
+    if stages is None:
+        k1 = velocity(state, geom)
+        k2 = velocity(moved(y0 + (0.5 * dt) * k1))
+        k3 = velocity(moved(y0 + (0.5 * dt) * k2))
+        k4 = velocity(moved(y0 + dt * k3))
+        return y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    mu1, rows = flow._rkc_coefficients(stages)
+    f0 = velocity(state, geom)
+    prev, cur = y0, y0 + (mu1 * dt) * f0
+    for mu, nu, mu_t, gamma_t in rows:
+        f = velocity(moved(cur))
+        prev, cur = cur, ((1.0 - mu - nu) * y0 + mu * cur + nu * prev
+                          + (mu_t * dt) * f + (gamma_t * dt) * f0)
+    return cur
+
+
+@pytest.mark.parametrize("name", ["seam_shifted_graph", "torus"])
+@pytest.mark.parametrize("stages", [None, 2, 5], ids=["rk4", "rkc2", "rkc5"])
+def test_component_major_steps_equal_a_node_major_reference(name, stages):
+    rng = np.random.default_rng(5)
+    state = (lagrangian_graph(24, 24, 0.2).transformed(rotation=su2_real(rng))
+             if name == "seam_shifted_graph" else clifford_torus(24, 24))
+    geom = GeometryBundle(state)
+    dt = 0.5 * cfl_dt(geom)
+    out = (step(state, dt, geom) if stages is None
+           else rkc_step(state, dt, geom, stages))
+    assert np.array_equal(out.positions,
+                          _node_major_step(state, dt, geom, stages))
+    assert out.positions.flags.c_contiguous
+    assert out.positions.shape == state.positions.shape
+    assert out.time == state.time + dt
+    assert np.array_equal(out.shift1, state.shift1)
+    assert np.array_equal(out.shift2, state.shift2)
+
+
+@pytest.mark.parametrize("dt", [1e-3, None], ids=["rk4", "rkc"])
+def test_every_stored_state_is_node_major_and_contiguous(dt):
+    trace = run_flow(symplectic_graph(16, 24, 0.1),
+                     RunControls(dt=dt, max_steps=5, stride=2))
+    assert trace.state_steps == [0, 2, 4, 5]
+    for state in trace.states:
+        assert state.positions.shape == (16, 24, 4)
+        assert state.positions.flags.c_contiguous
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_steps", float("nan")), ("max_steps", 2.5), ("max_steps", 3.0),
+    ("max_steps", True), ("stride", 1.5), ("stride", np.float64(2.0)),
+    ("stride", False)],
+    ids=["max_steps_nan", "max_steps_2.5", "max_steps_3.0", "max_steps_bool",
+         "stride_1.5", "stride_float64", "stride_bool"])
+def test_run_controls_take_whole_step_counts_only(name, value):
+    with pytest.raises(BadParameter, match=f"{name} must be an integer"):
+        RunControls(**{name: value})
+
+
+def test_run_controls_take_numpy_integers():
+    controls = RunControls(max_steps=np.int64(3), stride=np.int32(2))
+    assert (controls.max_steps, controls.stride) == (3, 2)
+
+
+@pytest.mark.parametrize("lam, t0, offset", [
+    (0.0, 0.0, None), (-1.0, 0.0, None), (float("nan"), 0.0, None),
+    (float("inf"), 0.0, None), (2.0, float("nan"), None),
+    (2.0, float("-inf"), None), (2.0, 0.0, np.array([0.0, np.nan, 0.0, 0.0])),
+    (2.0, 0.0, np.array([np.inf, 0.0, 0.0, 0.0]))],
+    ids=["lam_zero", "lam_negative", "lam_nan", "lam_inf", "t0_nan",
+         "t0_inf", "offset_nan", "offset_inf"])
+def test_parabolic_rejects_a_scale_that_is_not_finite_and_positive(
+        graph_flow, lam, t0, offset):
+    with pytest.raises(BadParameter, match="rescaling"):
+        graph_flow.parabolic(lam, t0, offset)

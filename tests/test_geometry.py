@@ -809,3 +809,27 @@ def test_component_major_kernel_matches_node_major_reference(state):
         scale = max(1.0, np.abs(expect).max())
         np.testing.assert_allclose(value, expect, rtol=1e-13,
                                    atol=1e-13 * scale, err_msg=name)
+
+
+@pytest.mark.parametrize("name", ["seam_shifted_graph", "torus"])
+def test_stage_view_positions_give_the_geometry_of_their_copy(name):
+    # An integrator stage state keeps its positions as the node-major view
+    # of a component-major array; its geometry reads that array in place
+    # and is bitwise the geometry of the same positions stored C-contiguous.
+    rng = np.random.default_rng(23)
+    state = (lagrangian_graph(24, 24, 0.1).transformed(rotation=su2_real(rng))
+             if name == "seam_shifted_graph" else clifford_torus(24, 24))
+    y = component_major(state.positions)
+    view = SurfaceState(state.grid, y.transpose(1, 2, 0), state.time,
+                        state.shift1, state.shift2)
+    stored = SurfaceState(state.grid, y.transpose(1, 2, 0).copy(),
+                          state.time, state.shift1, state.shift2)
+    assert not view.positions.flags.c_contiguous
+    assert stored.positions.flags.c_contiguous
+    assert np.shares_memory(view.periodic_components(), y) == (
+        name == "torus")
+    got, want = build_geometry(view), build_geometry(stored)
+    for field in ("mean_curvature", "g11", "g12", "g22", "det_g", "norm_A2",
+                  "cos_alpha", "cos_theta"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), \
+            field

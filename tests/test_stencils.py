@@ -144,3 +144,22 @@ def test_long_axis_caches_no_dense_matrix():
     for order in (1, 2):
         derivative_matrix(g.n2, g.spacing2, g.periodic2, order)
     assert derivative_matrix.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("n", [16, 257])
+def test_axis_derivative_takes_a_component_major_field_block_by_block(n):
+    # Along axis 0 a (4, n, m) field is four (n, m) fields: one batched
+    # product below BANDED_MIN_NODES, the banded apply per block above it,
+    # each bitwise the derivative of that block alone.
+    rng = np.random.default_rng(n)
+    h = 2.0 * np.pi / n
+    field = rng.standard_normal((4, n, 24))
+    for periodic in (True, False):
+        for order in (1, 2):
+            got = axis_derivative(field, 0, n, h, periodic, order)
+            expect = np.stack([axis_derivative(block, 0, n, h, periodic,
+                                               order) for block in field])
+            assert got.shape == field.shape
+            assert np.array_equal(got, expect), (periodic, order)
+    with pytest.raises(ValueError, match="not 16 long"):
+        axis_derivative(np.zeros((4, 5, 16)), 0, 16, h, True, 1)
