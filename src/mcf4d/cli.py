@@ -24,7 +24,7 @@ import numpy as np
 from . import io
 from .errors import (BadParameter, Mcf4dError, OrderTooLow, PropertyViolation,
                      ShortTrace)
-from .flow import RunControls, estimate_singular_time, run_flow
+from .flow import FlowTrace, RunControls, estimate_singular_time, run_flow
 from .functionals import (CUTOFF_CONSTANT, CUTOFF_SUP_ABS_FIRST,
                           CUTOFF_SUP_NEG_SECOND, EVOLUTION_QUANTITIES,
                           GaussianWeight, check_kind, check_localizer,
@@ -276,6 +276,15 @@ def cmd_cutoff_scan(cfg, args) -> int:
     return 0
 
 
+def _short_level(level: int, leg: FlowTrace, first_step: int,
+                 k_l: int) -> ShortTrace:
+    """ShortTrace for a leg of verify level ``level`` that started at step
+    ``first_step`` and stopped before the steps its residual needs."""
+    return ShortTrace(f"level {level} ended with {leg.termination_reason!r} "
+                      f"at step {first_step + leg.state_steps[-1]}; its "
+                      f"residual needs steps {k_l - 1} to {k_l + 1}")
+
+
 def cmd_verify(cfg, args) -> int:
     quantity, levels = args.quantity, args.refine
     if levels < 2:
@@ -310,17 +319,14 @@ def cmd_verify(cfg, args) -> int:
         # The residual is read at step k_l (time k_star * dt) alone, from
         # steps k_l - 1, k_l and k_l + 1: the first leg keeps only its first
         # and last state, and the second takes two steps from that last one.
-        # A second leg of fewer than three states goes whole, for
-        # evolution_residual to reject.
         lead = run_flow(state, RunControls(dt=dt_l, max_steps=k_l - 1,
                                            stride=k_l))
         if lead.termination_reason != "step_limit":
-            raise ShortTrace(f"level {level} ended with "
-                             f"{lead.termination_reason!r} at step "
-                             f"{lead.state_steps[-1]}; its residual needs "
-                             f"steps {k_l - 1} to {k_l + 1}")
+            raise _short_level(level, lead, 0, k_l)
         trace = run_flow(lead.states[-1],
                          RunControls(dt=dt_l, max_steps=2, stride=1))
+        if len(trace.states) < 3:
+            raise _short_level(level, trace, k_l - 1, k_l)
         res = evolution_residual(trace, quantity)
         value = float(np.nanmax(np.abs(res.values[0])))
         residuals.append(value)

@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import (BadParameter, DegenerateMetric, InsufficientBlowup,
                      Mcf4dError, NonFinite, ShortTrace)
-from .geometry import GeometryBundle, ScaledBundle, build_geometry
+from .geometry import (GeometryBundle, ScaledBundle, build_geometry,
+                       scaled_field)
 from .grid import SurfaceState, component_major
 
 CFL_SAFETY = 0.9     # margin below the parabolic stability bound
@@ -116,43 +117,43 @@ class TraceScalars:
 
 
 class MappedStates(Sequence):
-    """The states of ``source`` mapped F -> lam (F - offset),
-    t -> lam^2 (t - t0) by :meth:`SurfaceState.transformed` on every read;
-    no mapped state is kept.  A slice stays mapped."""
+    """States read through a per-sample map: state k is ``source[k]``
+    mapped F -> scales[k] (F - offsets[k]) at time ``times[k]`` by
+    :meth:`SurfaceState.transformed` on every read; no mapped state is kept.
+    ``offsets`` is an (n, 4) array, or None for no offset.  ``source`` may
+    repeat one state, so n samples of an exact flow keep one state.  A slice
+    stays mapped, and :attr:`times` maps no positions."""
 
-    def __init__(self, source: Sequence[SurfaceState], lam: float,
-                 t0: float, offset: np.ndarray | None):
-        self.source, self.lam, self.t0, self.offset = source, lam, t0, offset
+    def __init__(self, source: Sequence[SurfaceState], scales: np.ndarray,
+                 offsets: np.ndarray | None, times: np.ndarray):
+        self.source, self.offsets = source, offsets
+        self.scales = np.asarray(scales, dtype=float)
+        self.times = np.asarray(times, dtype=float)
 
     def __len__(self):
         return len(self.source)
 
     def __getitem__(self, index):
+        offsets = self.offsets
         if isinstance(index, slice):
-            return MappedStates(self.source[index], self.lam, self.t0,
-                                self.offset)
-        s = self.source[index]
-        return s.transformed(scale=self.lam, offset=self.offset,
-                             time=self.lam * self.lam * (s.time - self.t0))
-
-
-def _stored_times(states: Sequence[SurfaceState]) -> np.ndarray:
-    """Times of ``states``; mapped states give theirs without mapping any
-    positions."""
-    if isinstance(states, MappedStates):
-        return states.lam * states.lam * (_stored_times(states.source)
-                                          - states.t0)
-    return np.array([s.time for s in states])
+            return MappedStates(
+                self.source[index], self.scales[index],
+                None if offsets is None else offsets[index], self.times[index])
+        return self.source[index].transformed(
+            scale=float(self.scales[index]),
+            offset=None if offsets is None else offsets[index],
+            time=float(self.times[index]))
 
 
 @dataclass
 class FlowTrace:
     """Stored states (possibly thinned by stride) plus dense scalar series.
 
-    ``_shared``, when set, is a pair (geometry, scales): stored state i is
-    the state the geometry was built from scaled by ``scales[i]`` about the
-    origin and then translated, so its geometry is that one bundle scaled
-    by powers of ``scales[i]`` (see :meth:`bundle`).
+    ``_shared``, when set, is the geometry of the one state that the stored
+    states (:class:`MappedStates`) map: stored state i is that state scaled
+    by ``states.scales[i]`` about the origin and then translated, so its
+    geometry is this one bundle scaled by powers of ``states.scales[i]``
+    (see :meth:`bundle`).
     """
 
     states: Sequence[SurfaceState]
@@ -163,13 +164,15 @@ class FlowTrace:
     _bundles: dict = field(default_factory=dict, repr=False)
     _a2_fields: dict = field(default_factory=dict, repr=False)
     _source: "FlowTrace | None" = field(default=None, repr=False)
-    _shared: "tuple[GeometryBundle, Sequence[float]] | None" = field(
-        default=None, repr=False)
+    _shared: GeometryBundle | None = field(default=None, repr=False)
 
     @property
     def times(self) -> np.ndarray:
-        """Times of the stored states."""
-        return _stored_times(self.states)
+        """Times of the stored states; mapped states give theirs without
+        mapping any positions."""
+        if isinstance(self.states, MappedStates):
+            return self.states.times.copy()
+        return np.array([s.time for s in self.states])
 
     def _stored(self, index: int) -> int:
         """Non-negative index of stored state ``index``, which counts from
@@ -190,9 +193,11 @@ class FlowTrace:
         reads one state's geometry many times should hold on to it.  Nor
         does a trace with a shared geometry (the translation and the radius
         ODE of :mod:`~mcf4d.scenarios`): it returns a new
-        ``ScaledBundle(geometry, states[index], scales[index])``, which
-        keeps the stored state's positions and time and, at scale 1, the
-        shared bundle's own arrays.
+        ``ScaledBundle(geometry, states[index], states.scales[index])``.
+        The view keeps the stored state, mapped from the trace's one state
+        on this read, for its positions and time, and, at scale 1, the
+        shared bundle's own arrays; a caller done with the view should drop
+        it, since its positions are a copy only it holds.
 
         The analyses sweep the stored states in ascending order, singly or
         in (i - 1, i, i + 1) windows.  So a full cache evicts the largest
@@ -204,12 +209,11 @@ class FlowTrace:
         first-out would evict the state the next sweep reads first.
         """
         index = self._stored(index)
-        if self._shared is not None:
-            geometry, scales = self._shared
-            return ScaledBundle(geometry, self.states[index], scales[index])
-        if self._source is not None:
-            return ScaledBundle(self._source.bundle(index), self.states[index],
-                                self.states.lam)
+        if self._shared is not None or self._source is not None:
+            source = (self._shared if self._shared is not None
+                      else self._source.bundle(index))
+            return ScaledBundle(source, self.states[index],
+                                float(self.states.scales[index]))
         cached = self._bundles.get(index)
         if cached is None:
             cached = build_geometry(self.states[index])
@@ -220,17 +224,24 @@ class FlowTrace:
         return cached
 
     def curvature_a2(self, index: int) -> np.ndarray:
-        """|A|^2 field of stored state ``index``, cached.  run_flow and
-        translating_trace fill the cache as they store states; any other
-        state reads it off :meth:`bundle` on first use.  A trace made by
-        :meth:`parabolic` reads its own cache first and otherwise returns
-        its source trace's field over lam^2, uncached."""
+        """|A|^2 field of stored state ``index``, cached.  run_flow fills
+        the cache as it stores states; any other state of a trace that
+        builds its own geometry reads it off :meth:`bundle` on first use.
+        A trace made by :meth:`parabolic` reads its own cache first and
+        otherwise returns its source trace's field over lam^2, uncached.  A
+        trace with a shared geometry maps no state and caches nothing: it
+        returns the shared field scaled as :meth:`bundle`'s view scales it,
+        at scale 1 (a translation) the shared array itself."""
         index = self._stored(index)
         cached = self._a2_fields.get(index)
         if cached is not None:
             return cached
+        if self._shared is not None:
+            return scaled_field(self._shared, "norm_A2",
+                                float(self.states.scales[index]))
         if self._source is not None:
-            return self._source.curvature_a2(index) / self.states.lam ** 2
+            return (self._source.curvature_a2(index)
+                    / float(self.states.scales[index]) ** 2)
         cached = self._a2_fields[index] = self.bundle(index).norm_A2
         return cached
 
@@ -242,8 +253,9 @@ class FlowTrace:
         curvatures by lam^-2, det g by lam^4; angles and steps are
         invariant.  The new trace copies ``meta`` and starts with an empty
         |A|^2 cache.  Its states are :class:`MappedStates`: references to
-        these states plus (lam, t0, offset), each mapped again on every read,
-        so a caller that reads one state many times should hold on to it.
+        these states plus their scale lam, offset and mapped time, each
+        mapped again on every read, so a caller that reads one state many
+        times should hold on to it.
         Its geometry is mapped too: it keeps a reference to this trace, and
         :meth:`bundle` and :meth:`curvature_a2` scale this trace's geometry
         by powers of lam (:data:`~mcf4d.geometry.SCALING_POWERS`), so no
@@ -259,7 +271,11 @@ class FlowTrace:
             raise BadParameter(f"rescaling time t0 must be finite, got {t0}")
         if offset is not None and not np.all(np.isfinite(offset)):
             raise BadParameter(f"rescaling offset must be finite, got {offset}")
-        states = MappedStates(self.states, lam, t0, offset)
+        n = len(self.states)
+        states = MappedStates(
+            self.states, np.full(n, lam),
+            None if offset is None else np.broadcast_to(offset, (n, 4)),
+            lam * lam * (self.times - t0))
         sc = self.scalars
         scalars = TraceScalars(
             step=sc.step.copy(), t=lam * lam * (sc.t - t0),

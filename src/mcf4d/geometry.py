@@ -88,10 +88,7 @@ class GeometryBundle:
         w = self.inv11 * f_uu
         w += (2.0 * self.inv12) * f_uv
         w += self.inv22 * f_vv
-        cu, cv = self.tangent_coords(w)
-        w -= cu * f_u
-        w -= cv * f_v
-        self.mean_curvature = w
+        self.mean_curvature = self.project_normal(w)
 
     def tangent_coords(self, x: np.ndarray) -> tuple:
         """Coefficients (c^u, c^v) = g^ij <x, F_j> of the tangential part
@@ -101,10 +98,18 @@ class GeometryBundle:
         return (self.inv11 * xu + self.inv12 * xv,
                 self.inv12 * xu + self.inv22 * xv)
 
-    def normal_part(self, x: np.ndarray) -> np.ndarray:
-        """Vector field x minus its tangential projection g^ij <x, F_j> F_i."""
+    def project_normal(self, x: np.ndarray) -> np.ndarray:
+        """Subtract from the vector field x, in place, its tangential
+        projection g^ij <x, F_j> F_i, the c^u F_u part first; returns x."""
         cu, cv = self.tangent_coords(x)
-        return x - cu * self.f_u - cv * self.f_v
+        x -= cu * self.f_u
+        x -= cv * self.f_v
+        return x
+
+    def normal_part(self, x: np.ndarray) -> np.ndarray:
+        """Vector field x minus its tangential projection g^ij <x, F_j> F_i,
+        a new array."""
+        return self.project_normal(x.copy())
 
     @cached_property
     def norm_A2(self) -> np.ndarray:
@@ -194,6 +199,19 @@ SCALING_POWERS = {
 }
 
 
+def scaled_field(source, name: str, lam: float):
+    """Field ``name`` of the geometry ``source`` times lam to the power
+    :data:`SCALING_POWERS` gives it, entry by entry for a tuple field; at
+    power 0 or lam = 1 the source's own object."""
+    value = getattr(source, name)
+    power = SCALING_POWERS[name]
+    if power and lam != 1.0:
+        factor = lam ** power
+        value = (tuple(factor * x for x in value)
+                 if isinstance(value, tuple) else factor * value)
+    return value
+
+
 class ScaledBundle:
     """Geometry of a parabolically mapped state, read off the geometry of its
     source state: each field is the source's field times lam to the power
@@ -218,24 +236,20 @@ class ScaledBundle:
         if name not in SCALING_POWERS:
             raise AttributeError(f"{type(self).__name__} has no scaling "
                                  f"rule for {name!r}")
-        value = getattr(self.source, name)
-        power = SCALING_POWERS[name]
-        if power and self.lam != 1.0:
-            factor = self.lam ** power
-            value = (tuple(factor * x for x in value)
-                     if isinstance(value, tuple) else factor * value)
+        value = scaled_field(self.source, name, self.lam)
         self.__dict__[name] = value
         return value
 
     cos_alpha = GeometryBundle.cos_alpha
     cos_theta = GeometryBundle.cos_theta
     quadrature_weights = GeometryBundle.quadrature_weights
+    normal_part = GeometryBundle.normal_part
 
     def tangent_coords(self, x: np.ndarray) -> tuple:
         return tuple(c / self.lam for c in self.source.tangent_coords(x))
 
-    def normal_part(self, x: np.ndarray) -> np.ndarray:
-        return self.source.normal_part(x)
+    def project_normal(self, x: np.ndarray) -> np.ndarray:
+        return self.source.project_normal(x)
 
 
 def plane_angles(a: np.ndarray, b: np.ndarray, area):
@@ -356,9 +370,10 @@ def normal_gradient_sq(vectors: np.ndarray, geom: GeometryBundle) -> np.ndarray:
     """|grad^N X|^2 = g^ij <(d_i X)^perp, (d_j X)^perp> per node.
 
     For the mean curvature field this is the |grad H|^2 entering the
-    curvature evolution identity.
+    curvature evolution identity.  The tangential parts are subtracted in
+    place from the fresh derivative fields.
     """
-    n_u = geom.normal_part(scalar_derivative(vectors, geom.grid, 0, 1))
-    n_v = geom.normal_part(scalar_derivative(vectors, geom.grid, 1, 1))
+    n_u = geom.project_normal(scalar_derivative(vectors, geom.grid, 0, 1))
+    n_v = geom.project_normal(scalar_derivative(vectors, geom.grid, 1, 1))
     return (geom.inv11 * _dot(n_u, n_u) + 2.0 * geom.inv12 * _dot(n_u, n_v)
             + geom.inv22 * _dot(n_v, n_v))

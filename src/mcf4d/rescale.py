@@ -167,8 +167,9 @@ def rescale_flow(trace: FlowTrace, record: RescaleRecord) -> FlowTrace:
     kept states and maps a state on every read, so a caller that reads one
     state many times should hold on to it.  The kept states are a suffix,
     since stored states are in time order.  The suffix carries the stored
-    |A|^2 fields of its states, so the rescaled trace's |A|^2 is the stored
-    field over lambda_k^2 and :func:`validate_rescaled` builds no geometry.
+    |A|^2 fields of its states, or the shared geometry of an exact trace,
+    so the rescaled trace's |A|^2 is the source's field over lambda_k^2
+    and :func:`validate_rescaled` builds no geometry.
     """
     t_lo = record.peakTime - (0.5 * record.sigmaK) ** 2 - 1e-15
     start = int(np.searchsorted(trace.times, t_lo))
@@ -180,7 +181,8 @@ def rescale_flow(trace: FlowTrace, record: RescaleRecord) -> FlowTrace:
                                for c in SCALAR_COLUMNS)),
         termination_reason=trace.termination_reason, meta=trace.meta,
         _a2_fields={i - start: a2 for i, a2 in trace._a2_fields.items()
-                    if i >= start})
+                    if i >= start},
+        _shared=trace._shared)
     out = window.parabolic(record.lambdaK, record.peakTime, record.peakPoint)
     out.meta.update({"rescaled": True, "lambda": record.lambdaK,
                      "peak_time": record.peakTime,

@@ -15,7 +15,8 @@ from typing import Callable, NamedTuple, get_type_hints
 import numpy as np
 
 from .errors import BadParameter
-from .flow import FlowTrace, RunControls, TraceScalars, run_flow, scalar_row
+from .flow import (FlowTrace, MappedStates, RunControls, TraceScalars,
+                   run_flow, scalar_row)
 from .geometry import GeometryBundle
 from .grid import ParamGrid, SurfaceState
 
@@ -142,45 +143,52 @@ def translating_trace(builder: Callable[[float], SurfaceState],
                       times: np.ndarray) -> FlowTrace:
     """Trace of an exactly translating solution sampled at given times.
 
-    The geometry of a translating solution is the same at every time, so
-    the first sample's :class:`GeometryBundle` is the only one built: every
-    scalar row is read off it, with each sample's own step and time, every
-    stored |A|^2 field is its one ``norm_A2`` array, and
+    The trace keeps the first sample alone: sample k is stored as the first
+    moved by its first node's displacement d_k (:class:`MappedStates`, the
+    positions first + d_k made on every read).  Its geometry is the same at
+    every time, so the first sample's :class:`GeometryBundle` is the only
+    one built: every scalar row is read off it, with each sample's own step
+    and time, every |A|^2 field is its one ``norm_A2`` array, and
     :meth:`FlowTrace.bundle` of any sample is a view on it that keeps the
-    sample's positions and time.  Every other sample must be a rigid
-    translate of the first (same grid and seam shifts, one displacement
-    4-vector at every node to ``TRANSLATE_RTOL`` of the largest position
-    coordinate) with finite positions; one that is not raises
-    BadParameter naming its time.
+    sample's positions and time.  Every other sample is built, checked and
+    dropped in turn; it must be a rigid translate of the first (same grid
+    and seam shifts, one displacement 4-vector at every node to
+    ``TRANSLATE_RTOL`` of the largest position coordinate) with finite
+    positions, and one that is not raises BadParameter naming its time.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0):
         raise BadParameter("need at least 2 strictly increasing sample times")
-    states = []
-    for t in times:
-        state = builder(float(t))
-        state.time = float(t)
-        states.append(state)
-    first = states[0]
+    n = times.size
+    first = _sample(builder, times[0])
     geom = GeometryBundle(first)
-    for state in states[1:]:
-        _require_translate(state, first)
+    moves = np.zeros((n, 4))
+    for k in range(1, n):
+        moves[k] = _require_translate(_sample(builder, times[k]), first)
     row = scalar_row(0, geom)
-    rows = [(k, state.time, *row[2:]) for k, state in enumerate(states)]
-    n = len(states)
-    return FlowTrace(states=states, state_steps=list(range(n)),
+    rows = [(k, float(t), *row[2:]) for k, t in enumerate(times)]
+    return FlowTrace(states=MappedStates([first] * n, np.ones(n), -moves,
+                                         times),
+                     state_steps=list(range(n)),
                      scalars=TraceScalars.from_rows(rows),
-                     termination_reason="reached_t_end",
-                     _a2_fields=dict.fromkeys(range(n), geom.norm_A2),
-                     _shared=(geom, [1.0] * n))
+                     termination_reason="reached_t_end", _shared=geom)
 
 
-def _require_translate(state: SurfaceState, first: SurfaceState):
-    """Raise BadParameter unless ``state`` is ``first`` moved by one vector:
-    the same grid and seam shifts, and node displacements that differ from
-    the first node's by at most TRANSLATE_RTOL times the largest position
-    coordinate of the two states.  A non-finite position fails the test, so
-    a state that passes has finite positions, as ``first`` has."""
+def _sample(builder: Callable[[float], SurfaceState],
+            t: float) -> SurfaceState:
+    """The builder's state at time ``t``, which it carries as its time."""
+    state = builder(float(t))
+    state.time = float(t)
+    return state
+
+
+def _require_translate(state: SurfaceState, first: SurfaceState) -> np.ndarray:
+    """Displacement of ``first``'s first node to ``state``'s.  Raise
+    BadParameter unless ``state`` is ``first`` moved by one vector: the same
+    grid and seam shifts, and node displacements that differ from the first
+    node's by at most TRANSLATE_RTOL times the largest position coordinate
+    of the two states.  A non-finite position fails the test, so a state
+    that passes has finite positions, as ``first`` has."""
     where = f"the sample at t = {state.time}"
     if (state.grid != first.grid
             or not np.array_equal(state.shift1, first.shift1)
@@ -196,6 +204,7 @@ def _require_translate(state: SurfaceState, first: SurfaceState):
         raise BadParameter(
             f"{where} is not a rigid translate of the sample at t = "
             f"{first.time}: its node displacements spread by {spread:.3e}")
+    return moved[0, 0]
 
 
 def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
@@ -203,14 +212,14 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     """Round-sphere flow by the exact radius ODE dr/dt = -2/r.
 
     The scalar series is analytic: r(t)^2 = r0^2 - 4t, |A|^2 = 2/r^2,
-    |H|^2 = 4/r^2, area of the tracked patch scaling like r^2.  Stored
-    states are lat-long patches materialized at the sampled radii;
-    ``patch`` holds the other :func:`sphere_patch` parameters (n1, n2,
-    polar_margin).  Each stored state is the initial patch scaled by
-    r/r0 about the origin, so the initial patch's :class:`GeometryBundle`
-    is the only one built: the scalar rows are read off it, and
-    :meth:`FlowTrace.bundle` of a stored state is a view on it whose
-    fields carry their powers of r/r0.
+    |H|^2 = 4/r^2, area of the tracked patch scaling like r^2.  ``patch``
+    holds the other :func:`sphere_patch` parameters (n1, n2, polar_margin).
+    Each stored state is the initial lat-long patch scaled by r/r0 about
+    the origin, and the trace keeps that patch alone: its stored states
+    (:class:`MappedStates`) scale it on every read.  The patch's
+    :class:`GeometryBundle` is the only one built: the scalar rows are read
+    off it, and :meth:`FlowTrace.bundle` of a stored state is a view on it
+    whose fields carry their powers of r/r0.
     """
     controls = controls or RunControls()
     r0 = float(radius)
@@ -249,15 +258,14 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     stored = list(range(0, n_samples, max(1, controls.stride)))
     if stored[-1] != n_samples - 1:
         stored.append(n_samples - 1)
-    scales = [r[k] / r0 for k in stored]
-    states = [SurfaceState(patch0.grid, patch0.positions * scale, float(t[k]))
-              for k, scale in zip(stored, scales)]
+    states = MappedStates([patch0] * len(stored), r[stored] / r0, None,
+                          t[stored])
     return FlowTrace(states=states, state_steps=stored,
                      scalars=TraceScalars.from_rows(rows),
                      termination_reason=reason,
                      meta={"mode": "sphere_ode", "radius0": r0,
                            "singular_time": t_sing},
-                     _shared=(geom0, scales))
+                     _shared=geom0)
 
 
 def _read_controls(read, names) -> RunControls:

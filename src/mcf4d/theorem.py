@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ShortTrace, ZeroCurvature
 from .flow import FlowTrace
-from .functionals import (KINDS, _centered_time_derivative, _state_cosine,
-                          check_kind, localized_f)
+from .functionals import (KINDS, LocalizedField, _centered_time_derivative,
+                          _state_cosine, check_kind, localized_f)
 from .geometry import (gradient_inner, gradient_sq, laplace_beltrami,
                        normal_gradient_sq)
 
@@ -130,6 +130,21 @@ def check_main_theorem(trace: FlowTrace, kind: str) -> TheoremReport:
         hypotheses=hypotheses)
 
 
+def _interior_max(trace: FlowTrace, loc: LocalizedField) -> bool:
+    """Whether the max of g*f sits strictly inside the cutoff ball, away
+    from clamped parameter boundaries and after the first sample.  The
+    peak state is read here alone, so none of it outlives the test."""
+    i_max, node = loc.max_state_index, loc.max_node
+    peak = trace.states[i_max]
+    grid = peak.grid
+    pos = peak.positions.reshape(-1, 4)[node]
+    row, col = divmod(node, grid.n2)
+    on_boundary = ((not grid.periodic1 and row in (0, grid.n1 - 1)) or
+                   (not grid.periodic2 and col in (0, grid.n2 - 1)))
+    return (i_max > 0 and not on_boundary
+            and float(pos @ pos) < loc.radius ** 2)
+
+
 def gradient_estimate_probe(trace: FlowTrace, p: float, radius: float,
                             kind: str) -> dict:
     """Check the differential inequality driving the maximum principle.
@@ -159,17 +174,7 @@ def gradient_estimate_probe(trace: FlowTrace, p: float, radius: float,
                          f"got {len(trace.states)}")
     loc = localized_f(trace, p, radius, kind)
     times = loc.times
-
-    i_max, node = loc.max_state_index, loc.max_node
-    peak = trace.bundle(i_max)
-    grid = peak.grid
-    pos = peak.positions.reshape(-1, 4)[node]
-    row, col = divmod(node, grid.n2)
-    on_boundary = ((not grid.periodic1 and row in (0, grid.n1 - 1)) or
-                   (not grid.periodic2 and col in (0, grid.n2 - 1)))
-    interior = (i_max > 0 and not on_boundary
-                and float(pos @ pos) < radius ** 2)
-
+    interior = _interior_max(trace, loc)
     coeff = 2.0 * (KINDS[kind].p_max - p)
     residual_min = np.inf
     for j in range(1, len(times) - 1):

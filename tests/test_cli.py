@@ -188,6 +188,23 @@ def test_verify_ends_a_level_whose_flow_stops_early(tmp_path, capsys):
         "residual needs steps 1 to 3\n")
 
 
+def test_verify_ends_a_level_whose_second_leg_stops_early(tmp_path, capsys):
+    # The torus's first leg reaches step 3, and the second leg blows up at
+    # step 4, one short of the three states the residual reads.
+    cfg = write_config(tmp_path, """
+        scenario.name = clifford_torus
+        scenario.n1 = 16
+        scenario.n2 = 16
+        controls.dt = 3.0
+        controls.max_steps = 8
+    """)
+    assert cli.main(["verify", "--config", cfg, "--quantity", "H2",
+                     "--refine", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "ShortTrace: level 0 ended with 'blowup_detected' at step 4; its "
+        "residual needs steps 3 to 5\n")
+
+
 def test_verify_rejects_unknown_quantity(tmp_path):
     cfg = write_config(tmp_path, "scenario.name = clifford_torus\n")
     proc = run_cli("verify", "--config", cfg, "--quantity", "torsion")

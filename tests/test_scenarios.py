@@ -5,17 +5,18 @@ independently here (node coordinates, translation speed, curve curvature
 max |A|^2 = 1 at the tip of y = -log cos x, angle cos(theta(x)) = cos x).
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mcf4d.errors import BadParameter
-from mcf4d.flow import RunControls
+from mcf4d.flow import MappedStates, RunControls, scalar_row
 from mcf4d.functionals import KINDS
-from mcf4d.geometry import build_geometry
+from mcf4d.geometry import GeometryBundle, build_geometry
 from mcf4d.grid import SurfaceState
-from mcf4d.scenarios import (SCENARIOS, clifford_torus,
+from mcf4d.scenarios import (SCENARIOS, TRANSLATE_RTOL, clifford_torus,
                              generate_scenario, grim_reaper_product,
                              lagrangian_graph, mesh_flow, run_sphere_ode,
                              sphere_patch, symplectic_graph,
@@ -127,7 +128,8 @@ def test_translating_trace_views_one_geometry(grim257_trace):
     first = tr.bundle(0)
     for i, state in enumerate(tr.states):
         view = tr.bundle(i)
-        assert view.positions is state.positions and view.time == state.time
+        assert (np.array_equal(view.positions, state.positions)
+                and view.time == state.time)
         assert view.f_u is first.f_u
         assert view.mean_curvature is first.mean_curvature
         assert tr.curvature_a2(i) is first.norm_A2
@@ -151,7 +153,7 @@ def test_ridge_theorem_pipeline_builds_one_geometry(monkeypatch):
     report = check_main_theorem(tr, "lagrangian")
     gradient_estimate_probe(normalize_flow(tr)["trace"], 0.9, 10.0,
                             "lagrangian")
-    assert len(built) == 1 and built[0] is tr.states[0]
+    assert len(built) == 1 and built[0] is tr.states.source[0]
     assert abs(report.lhs - np.cos(1.4) * np.exp(0.5)) <= 1e-6
 
 
@@ -164,6 +166,127 @@ def test_sphere_trace_views_one_geometry(monkeypatch):
     monkeypatch.undo()
     for view, state in zip(views, tr.states):
         assert_bundle_matches(view, state)
+
+
+@pytest.mark.parametrize("r0", [1.0, 1.3])
+def test_sphere_states_are_the_initial_patch_scaled(r0):
+    tr = run_sphere_ode(r0, RunControls(stride=100))
+    patch0 = sphere_patch(radius=r0)
+    scales = np.sqrt(r0 * r0 - 4.0 * tr.times) / r0
+    for state, t, scale in zip(tr.states, tr.times, scales):
+        want = patch0.positions * scale
+        assert state.positions.tobytes() == want.tobytes() and state.time == t
+        assert state.grid == patch0.grid
+
+
+def test_translating_states_move_the_first_by_its_first_node():
+    times = np.linspace(0.0, 0.1, 7)
+    tr = translating_trace(_ridge, times)
+    first = _ridge(0.0)
+    scale = np.abs(_ridge(times[-1]).positions).max()
+    for state, t in zip(tr.states, times):
+        own = _ridge(t)
+        d = own.positions[0, 0] - first.positions[0, 0]
+        want = first.positions + d
+        assert state.positions.tobytes() == want.tobytes() and state.time == t
+        assert (np.abs(state.positions - own.positions).max()
+                <= TRANSLATE_RTOL * scale)
+
+
+def _mapped_traces():
+    return {"sphere": run_sphere_ode(1.0, RunControls(stride=256)),
+            "translation": translating_trace(_ridge,
+                                             np.linspace(0.0, 0.1, 6))}
+
+
+@pytest.mark.parametrize("name", ["sphere", "translation"])
+def test_mapped_states_index_and_slice_as_a_list(name):
+    states = _mapped_traces()[name].states
+    n = len(states)
+    listed = [states[k] for k in range(n)]
+    for k in range(-n, n):
+        assert states[k].positions.tobytes() == listed[k].positions.tobytes()
+        assert states[k].time == listed[k].time
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            states[k]
+    for part in (slice(1, None), slice(None, -1), slice(-3, None),
+                 slice(None, None, 2), slice(4, 1, -1), slice(n, None)):
+        got, want = states[part], listed[part]
+        assert isinstance(got, MappedStates) and len(got) == len(want)
+        np.testing.assert_array_equal(got.times, [s.time for s in want])
+        for a, b in zip(got, want):
+            assert a.positions.tobytes() == b.positions.tobytes()
+            assert a.time == b.time
+
+
+@pytest.mark.parametrize("name", ["sphere", "translation"])
+def test_times_and_curvature_map_no_positions(name, monkeypatch):
+    tr = _mapped_traces()[name]
+    rescaled = tr.parabolic(2.0, 0.01, np.ones(4))
+    want = [tr.bundle(k).norm_A2 for k in range(len(tr.states))]
+    mapped = []
+    transformed = SurfaceState.transformed
+
+    def counted(self, *args, **kwargs):
+        mapped.append(self)
+        return transformed(self, *args, **kwargs)
+
+    monkeypatch.setattr(SurfaceState, "transformed", counted)
+    times = tr.times
+    np.testing.assert_array_equal(rescaled.times, 4.0 * (times - 0.01))
+    np.testing.assert_array_equal(tr.states[1:].times, times[1:])
+    np.testing.assert_array_equal(rescaled.states[::2].times,
+                                  4.0 * (times[::2] - 0.01))
+    for k, a2 in enumerate(want):
+        assert tr.curvature_a2(k).tobytes() == a2.tobytes()
+        assert (rescaled.curvature_a2(k).tobytes()
+                == (a2 / 4.0).tobytes())
+    assert mapped == [] and tr._a2_fields == {}
+    tr.states[-1]
+    rescaled.states[0]
+    assert len(mapped) == 3
+
+
+def _read_geometry(state):
+    """The state's geometry with the fields of its scalar row read."""
+    geom = GeometryBundle(state)
+    scalar_row(0, geom)
+    return geom
+
+
+def _traced_bytes(make) -> tuple:
+    """(retained, peak) bytes traced while ``make()`` runs, its result kept."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = make()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return retained - base, peak - base
+
+
+@pytest.mark.parametrize("name", ["sphere", "translation"])
+def test_an_exact_trace_holds_one_state_and_one_geometry(name):
+    # Measured with numpy 2.4: 0.78 / 1.19 MB (retained / peak) for the
+    # 2048-sample sphere and 0.60 / 0.67 MB for the 1000-sample ridge, against
+    # 52 and 35 MB when every sample kept its own positions.  The bound allows
+    # one geometry, four states' positions and 512 bytes of bookkeeping
+    # (scalar row, time, scale, offset, step) per sample.
+    if name == "sphere":
+        state = sphere_patch()
+        n = 2048
+        make = lambda: run_sphere_ode(controls=RunControls(max_steps=n - 1))
+    else:
+        state = _ridge(0.0)
+        n = 1000
+        make = lambda: translating_trace(_ridge, np.linspace(0.0, 0.1, n))
+    geometry = _traced_bytes(lambda: _read_geometry(state))[0]
+    bound = geometry + 4 * state.positions.nbytes + 512 * n
+    retained, peak = _traced_bytes(make)
+    assert retained <= bound and peak <= bound, (retained, peak, bound)
 
 
 def test_sphere_ode_matches_closed_form_radius():
