@@ -184,8 +184,9 @@ class FlowTrace:
 
     def bundle(self, index: int, need_j: bool = False) -> GeometryBundle:
         """Geometry of stored state ``index``, memoized in at most 12
-        bundles.  ``need_j`` has no effect: every bundle gives |grad J|^2
-        when read.
+        bundles, each given the stored |A|^2 field of its state when the
+        trace has one (run_flow read it off the same geometry).  ``need_j``
+        has no effect: every bundle gives |grad J|^2 when read.
 
         A trace made by :meth:`parabolic` builds and keeps no bundle: it
         returns a new :class:`~mcf4d.geometry.ScaledBundle` on its source
@@ -193,11 +194,8 @@ class FlowTrace:
         reads one state's geometry many times should hold on to it.  Nor
         does a trace with a shared geometry (the translation and the radius
         ODE of :mod:`~mcf4d.scenarios`): it returns a new
-        ``ScaledBundle(geometry, states[index], states.scales[index])``.
-        The view keeps the stored state, mapped from the trace's one state
-        on this read, for its positions and time, and, at scale 1, the
-        shared bundle's own arrays; a caller done with the view should drop
-        it, since its positions are a copy only it holds.
+        ``ScaledBundle(geometry, states, index)``, which maps the stored
+        state only when its positions are first read, and then keeps them.
 
         The analyses sweep the stored states in ascending order, singly or
         in (i - 1, i, i + 1) windows.  So a full cache evicts the largest
@@ -212,11 +210,12 @@ class FlowTrace:
         if self._shared is not None or self._source is not None:
             source = (self._shared if self._shared is not None
                       else self._source.bundle(index))
-            return ScaledBundle(source, self.states[index],
-                                float(self.states.scales[index]))
+            return ScaledBundle(source, self.states, index)
         cached = self._bundles.get(index)
         if cached is None:
             cached = build_geometry(self.states[index])
+            if index in self._a2_fields:
+                cached.norm_A2 = self._a2_fields[index]
             if len(self._bundles) >= 12:
                 passed = [i for i in self._bundles if i < index - 1]
                 del self._bundles[max(passed or self._bundles)]

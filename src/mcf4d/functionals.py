@@ -207,8 +207,8 @@ def _centered_time_derivative(times: np.ndarray,
 def _drift_field(geom: GeometryBundle, weight: GaussianWeight,
                  tau: float) -> np.ndarray:
     """|H + (F - X0)^perp / 2 tau|^2 per node."""
-    offset = geom.normal_part(
-        (geom.positions - weight.center).transpose(2, 0, 1))
+    offset = geom.project_normal(
+        (geom.positions - weight.center).transpose(2, 0, 1).copy())
     vec = geom.mean_curvature + offset / (2.0 * tau)
     return np.sum(vec * vec, axis=0)
 

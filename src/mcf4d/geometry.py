@@ -53,10 +53,11 @@ class GeometryBundle:
 
     Construction checks the positions are finite, evaluates (F_u, F_v,
     F_uu, F_uv, F_vv) once, and forms g, det g, g^-1 and H = g^ij A_ij,
-    taking normal parts as x - g^ij <x, F_j> F_i (no frame, no Christoffel
-    tensor).  Every other field is computed on first read, so an integrator
-    stage, which needs only H, pays for nothing else.  The state's ``grid``,
-    ``positions`` and ``time`` are kept.
+    taking normal parts as x - g^ij <x, F_j> F_i (no frame); H's tangential
+    coefficients, the contracted Christoffel symbols, are kept
+    (``contracted_gamma``).  Every other field is computed on first read, so
+    an integrator stage, which needs only H, pays for nothing else.  The
+    state's ``grid``, ``positions`` and ``time`` are kept.
 
     Raises NonFinite on non-finite positions and DegenerateMetric when
     det g falls below the immersion floor or overflows; the angle fields raise
@@ -84,11 +85,16 @@ class GeometryBundle:
         self.inv11 = g22 / det
         self.inv12 = -g12 / det
         self.inv22 = g11 / det
-        # H = w - c^u F_u - c^v F_v for w = g^ij F_ij, formed in place.
+        # H = w - c^u F_u - c^v F_v for w = g^ij F_ij, formed in place; the
+        # coefficients c^k = g^ij Gamma^k_ij (the contracted Christoffel
+        # symbols) are kept, as Delta_Sigma F = H makes them the Laplacian's.
         w = self.inv11 * f_uu
         w += (2.0 * self.inv12) * f_uv
         w += self.inv22 * f_vv
-        self.mean_curvature = self.project_normal(w)
+        c_u, c_v = self.contracted_gamma = self.tangent_coords(w)
+        w -= c_u * f_u
+        w -= c_v * f_v
+        self.mean_curvature = w
 
     def tangent_coords(self, x: np.ndarray) -> tuple:
         """Coefficients (c^u, c^v) = g^ij <x, F_j> of the tangential part
@@ -105,11 +111,6 @@ class GeometryBundle:
         x -= cu * self.f_u
         x -= cv * self.f_v
         return x
-
-    def normal_part(self, x: np.ndarray) -> np.ndarray:
-        """Vector field x minus its tangential projection g^ij <x, F_j> F_i,
-        a new array."""
-        return self.project_normal(x.copy())
 
     @cached_property
     def norm_A2(self) -> np.ndarray:
@@ -141,7 +142,8 @@ class GeometryBundle:
 
     @cached_property
     def _angles(self) -> tuple:
-        return plane_angles(self.f_u, self.f_v, self.area_element)
+        """cos alpha, cos theta and sin theta of :func:`plane_angles`."""
+        return plane_angles(self.f_u, self.f_v, self.area_element)[:3]
 
     @property
     def cos_alpha(self) -> np.ndarray:
@@ -157,13 +159,6 @@ class GeometryBundle:
     def lag_angle_unit(self) -> np.ndarray:
         """e^{i theta}: the Lagrangian angle as a unit complex number."""
         return self._angles[1] + 1j * self._angles[2]
-
-    @cached_property
-    def christoffel(self) -> tuple:
-        """(Gamma^u, Gamma^v), each the three fields over ij = uu, uv, vv.
-        In flat ambient space Gamma^k_ij = g^kl <F_ij, F_l>, the tangential
-        coefficients of the Hessian."""
-        return tuple(zip(*(self.tangent_coords(x) for x in self.hessian)))
 
     @cached_property
     def nabla_bar_j2(self) -> np.ndarray:
@@ -193,9 +188,9 @@ SCALING_POWERS = {
     "f_u": 1, "f_v": 1, "hessian": 1,
     "g11": 2, "g12": 2, "g22": 2, "det_g": 4,
     "inv11": -2, "inv12": -2, "inv22": -2,
-    "mean_curvature": -1, "norm_H2": -2, "norm_A2": -2, "nabla_bar_j2": -2,
-    "h_dot_a2": -4, "area_element": 2,
-    "_angles": 0, "lag_angle_unit": 0, "christoffel": 0,
+    "mean_curvature": -1, "contracted_gamma": -2, "norm_H2": -2,
+    "norm_A2": -2, "nabla_bar_j2": -2, "h_dot_a2": -4, "area_element": 2,
+    "_angles": 0, "lag_angle_unit": 0,
 }
 
 
@@ -217,8 +212,10 @@ class ScaledBundle:
     source state: each field is the source's field times lam to the power
     :data:`SCALING_POWERS` gives it, scaled on first read and kept for the
     view's lifetime.  At lam = 1 (a rigid translate of the source state)
-    every field is the source's own array, not a copy times one.  The
-    mapped state's ``grid``, ``positions`` and ``time`` are kept.  A field
+    every field is the source's own array, not a copy times one.  The view
+    is of state ``index`` of :class:`~mcf4d.flow.MappedStates` ``states``:
+    lam and ``time`` are read off them, ``grid`` off the source, and the
+    ``positions`` are mapped on first read and kept.  A field
     without a scaling rule raises AttributeError, so none passes through
     unscaled.  The angle cosines and the quadrature weights are
     :class:`GeometryBundle`'s own reads of the scaled fields; the
@@ -227,10 +224,14 @@ class ScaledBundle:
     normal plane does not move), so no scaled copy of F_u and F_v is made.
     """
 
-    def __init__(self, source, state: SurfaceState, lam: float):
-        self.source, self.lam = source, lam
-        self.grid, self.positions, self.time = (state.grid, state.positions,
-                                                state.time)
+    def __init__(self, source, states, index: int):
+        self.source, self.lam = source, float(states.scales[index])
+        self.grid, self.time = source.grid, float(states.times[index])
+        self._states, self._index = states, index
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        return self._states[self._index].positions
 
     def __getattr__(self, name):
         if name not in SCALING_POWERS:
@@ -243,7 +244,6 @@ class ScaledBundle:
     cos_alpha = GeometryBundle.cos_alpha
     cos_theta = GeometryBundle.cos_theta
     quadrature_weights = GeometryBundle.quadrature_weights
-    normal_part = GeometryBundle.normal_part
 
     def tangent_coords(self, x: np.ndarray) -> tuple:
         return tuple(c / self.lam for c in self.source.tangent_coords(x))
@@ -333,20 +333,17 @@ def field_derivatives(field: np.ndarray, grid: ParamGrid):
 
 
 def laplace_beltrami(field: np.ndarray, geom: GeometryBundle) -> np.ndarray:
-    """Surface Laplacian g^ij (d2_ij f - Gamma^k_ij d_k f) per node."""
+    """Surface Laplacian g^ij d2_ij f - c^k d_k f per node, with the
+    contracted Christoffel symbols c^k = g^ij Gamma^k_ij the bundle keeps
+    from forming H."""
     grid = geom.grid
     f_u, f_v = field_derivatives(field, grid)
     f_uu = scalar_derivative(field, grid, 0, 2)
     f_vv = scalar_derivative(field, grid, 1, 2)
     f_uv = scalar_derivative(f_u, grid, 1, 1)
-    gam_u, gam_v = geom.christoffel
-
-    def covariant(f_ij, ij):
-        return f_ij - gam_u[ij] * f_u - gam_v[ij] * f_v
-
-    return (geom.inv11 * covariant(f_uu, 0)
-            + 2.0 * geom.inv12 * covariant(f_uv, 1)
-            + geom.inv22 * covariant(f_vv, 2))
+    c_u, c_v = geom.contracted_gamma
+    return (geom.inv11 * f_uu + 2.0 * geom.inv12 * f_uv + geom.inv22 * f_vv
+            - c_u * f_u - c_v * f_v)
 
 
 def gradient_sq(field: np.ndarray, geom: GeometryBundle) -> np.ndarray:

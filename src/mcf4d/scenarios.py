@@ -212,8 +212,10 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     """Round-sphere flow by the exact radius ODE dr/dt = -2/r.
 
     The scalar series is analytic: r(t)^2 = r0^2 - 4t, |A|^2 = 2/r^2,
-    |H|^2 = 4/r^2, area of the tracked patch scaling like r^2.  ``patch``
-    holds the other :func:`sphere_patch` parameters (n1, n2, polar_margin).
+    |H|^2 = 4/r^2, area of the tracked patch scaling like r^2.  Its
+    min(max_steps + 1, 2048) samples from t = 0 to the stop are geometric in
+    T - t, as adaptive steps are.  ``patch`` holds the other
+    :func:`sphere_patch` parameters (n1, n2, polar_margin).
     Each stored state is the initial lat-long patch scaled by r/r0 about
     the origin, and the trace keeps that patch alone: its stored states
     (:class:`MappedStates`) scale it on every read.  The patch's
@@ -240,13 +242,13 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     if n_samples < 32:
         raise BadParameter(f"the radius ODE needs max_steps >= 31 (32 "
                            f"samples), got {controls.max_steps}")
-    t = np.linspace(0.0, t_stop, n_samples)
+    # A stop time on T (0.5 / threshold below half an ulp of T) gives
+    # n_samples equal times, so it fails the check as a crowded end does.
+    t = t_sing - np.geomspace(t_sing, (t_sing - t_stop) or t_sing, n_samples)
+    if not np.all(np.diff(t) > 0):
+        raise BadParameter(f"blowup_threshold {controls.blowup_threshold} "
+                           f"puts the last samples within the rounding of t")
     r = np.sqrt(r0 * r0 - 4.0 * t)
-    # 0.5 / threshold below half an ulp of t_sing leaves r = 0 at the end.
-    if not r[-1] > 0:
-        raise BadParameter(
-            f"blowup_threshold {controls.blowup_threshold} puts the stop "
-            f"time on the singular time {t_sing}")
 
     patch0 = sphere_patch(radius=r0, **patch)
     geom0 = GeometryBundle(patch0)

@@ -113,10 +113,10 @@ def check_main_theorem(trace: FlowTrace, kind: str) -> TheoremReport:
     """
     p_max = check_kind(kind).p_max
     sup_a2 = _stored_sup_a2(trace)
+    grid = trace.bundle(0).grid     # a geometry view maps no state
     stats = extremal_stats(trace, kind)
     h2 = stats["h2"] / sup_a2
     lhs = stats["delta"] * float(np.exp(p_max * h2 / 2.0))
-    grid = trace.states[0].grid
     hypotheses = {
         "ancient": False,
         "complete": bool(grid.periodic1 and grid.periodic2),

@@ -90,16 +90,14 @@ def _fields(bundle) -> dict:
               for name in (*SCALING_POWERS, "cos_alpha", "cos_theta")}
     fields.update(quadrature_weights=bundle.quadrature_weights(),
                   tangent_coords=bundle.tangent_coords(x),
-                  normal_part=bundle.normal_part(x))
+                  normal_part=bundle.project_normal(x))
     return dict(pair for name, value in fields.items()
                 for pair in _flat(name, value))
 
 
 # Fields the map leaves unchanged, unit-free, compared with an absolute
-# tolerance: the angle data and the Christoffel symbols, which vanish on the
-# flat torus up to rounding.
-UNSCALED = ("_angles", "lag_angle_unit", "cos_alpha", "cos_theta",
-            "christoffel")
+# tolerance: the angle data.
+UNSCALED = ("_angles", "lag_angle_unit", "cos_alpha", "cos_theta")
 # Components of one tensor share its largest magnitude as their scale, since
 # a component that vanishes (g_12 on the torus) has only rounding of its own.
 TENSORS = {"f_u": "dF", "f_v": "dF", "g11": "g", "g12": "g", "g22": "g",
@@ -109,6 +107,18 @@ TENSORS = {"f_u": "dF", "f_v": "dF", "g11": "g", "g12": "g", "g22": "g",
 def _tensor(label: str) -> str:
     name = label.split("[")[0]
     return TENSORS.get(name, name)
+
+
+def _contraction_scale(bundle) -> float:
+    """Magnitude max|g^-1| max|w| max|dF| of the products that form
+    c^k = g^kl <w, F_l>, w = g^ij F_ij: c^k itself vanishes on the flat
+    torus up to the rounding of those products."""
+    f_uu, f_uv, f_vv = bundle.hessian
+    w = bundle.inv11 * f_uu + 2.0 * bundle.inv12 * f_uv + bundle.inv22 * f_vv
+    inv = max(np.abs(x).max() for x in (bundle.inv11, bundle.inv12,
+                                         bundle.inv22))
+    return float(inv * np.abs(w).max()
+                 * max(np.abs(bundle.f_u).max(), np.abs(bundle.f_v).max()))
 
 
 def count_bundles(monkeypatch) -> list:
@@ -129,11 +139,13 @@ def assert_bundle_matches(view, state, rtol=1e-12):
     """Every field of the geometry ``view`` against ``GeometryBundle(state)``
     rebuilt: within ``rtol`` of its tensor's largest magnitude, the
     unit-free fields (:data:`UNSCALED`) within ``rtol`` absolute, and the
-    boolean masks exactly.  The view must keep the state's positions, time
-    and grid."""
+    contracted Christoffel symbols within ``rtol`` of the products they are
+    formed from (:func:`_contraction_scale`).  The view must keep the
+    state's positions, time and grid."""
     assert np.array_equal(view.positions, state.positions)
     assert view.time == state.time and view.grid is state.grid
-    rebuilt = _fields(GeometryBundle(state))
+    bundle = GeometryBundle(state)
+    rebuilt = _fields(bundle)
     got = _fields(view)
     assert got.keys() == rebuilt.keys()
     scale = {}
@@ -142,10 +154,8 @@ def assert_bundle_matches(view, state, rtol=1e-12):
         scale[tensor] = max(scale.get(tensor, 0.0),
                             1.0 if tensor in UNSCALED
                             else float(np.abs(want).max()))
+    scale["contracted_gamma"] = _contraction_scale(bundle)
     for label, want in rebuilt.items():
-        if want.dtype == bool:
-            assert np.array_equal(got[label], want), label
-            continue
         err = float(np.abs(got[label] - want).max())
         assert err <= rtol * scale[_tensor(label)], (label, err)
 

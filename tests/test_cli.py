@@ -28,9 +28,10 @@ from mcf4d.errors import Mcf4dError
 from conftest import src_env
 
 
-def run_cli(*args):
+def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "mcf4d.cli", *args],
-                          env=src_env(), capture_output=True, text=True)
+                          env=src_env(), capture_output=True, text=True,
+                          cwd=cwd)
 
 
 def write_config(tmp_path, body, name="run.cfg"):
@@ -223,6 +224,22 @@ def test_rescale_without_singularity_coverage_exits_three(tmp_path):
     proc = run_cli("rescale", "--config", cfg)
     assert proc.returncode == 3
     assert "InsufficientCoverage" in proc.stderr
+
+
+def test_rescale_on_the_default_sphere_ode_selects_every_radius(tmp_path):
+    # The radius-ODE samples crowd towards T as an adaptive run's steps do,
+    # so each default radius finds a state in the band its ball admits; the
+    # sphere is self-similar, so every rescaled flow is normalized exactly.
+    cfg = write_config(tmp_path, "scenario.name = sphere_ode\n")
+    proc = run_cli("rescale", "--config", cfg, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "rescale_report.json").read_text())
+    assert report["T_hat"] == pytest.approx(0.25, abs=1e-9)
+    assert [r["rK"] for r in report["records"]] == [0.25, 0.125, 0.0625]
+    for record in report["records"]:
+        validation = record["validation"]
+        assert validation["originNorm"] == pytest.approx(1.0, abs=1e-9)
+        assert validation["supBound"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_theorem_on_translating_ridge_with_probe(tmp_path):

@@ -26,9 +26,10 @@ from hypothesis import strategies as st
 
 from mcf4d import flow, geometry
 from mcf4d.errors import BadParameter, DegenerateMetric, InsufficientBlowup
-from mcf4d.flow import (SCALAR_COLUMNS, FlowTrace, RunControls, TraceScalars,
-                        cfl_dt, estimate_singular_time, rkc_dt, rkc_stages,
-                        rkc_step, run_flow, scalar_row, step, velocity)
+from mcf4d.flow import (SCALAR_COLUMNS, FlowTrace, MappedStates, RunControls,
+                        TraceScalars, cfl_dt, estimate_singular_time, rkc_dt,
+                        rkc_stages, rkc_step, run_flow, scalar_row, step,
+                        velocity)
 from mcf4d.geometry import (SCALING_POWERS, GeometryBundle, ScaledBundle,
                             build_geometry)
 from mcf4d.grid import ParamGrid, SurfaceState
@@ -545,13 +546,27 @@ def test_mapped_bundle_matches_geometry_rebuilt_on_the_mapped_state(
             assert_bundle_matches(view, mapped.states[i])
 
 
+def test_built_bundles_are_seeded_with_the_stored_a2(graph_flow):
+    # The stored |A|^2 field is the one the run read off the same state's
+    # geometry, so a bundle built later takes it as is.
+    for i in (0, len(graph_flow.states) // 2, -1):
+        stored = graph_flow._a2_fields[graph_flow._stored(i)]
+        bundle = graph_flow.bundle(i)
+        assert bundle.norm_A2 is stored
+        assert np.array_equal(GeometryBundle(graph_flow.states[i]).norm_A2,
+                              stored)
+
+
 def test_unit_scale_view_shares_the_source_arrays(graph_flow):
-    bundle = GeometryBundle(graph_flow.states[-1])
-    moved = graph_flow.states[-1].transformed(offset=np.ones(4))
-    view = ScaledBundle(bundle, moved, 1.0)
+    state = graph_flow.states[-1]
+    bundle = GeometryBundle(state)
+    moved = state.transformed(offset=np.ones(4))
+    view = ScaledBundle(bundle, MappedStates([state], np.ones(1),
+                                             np.ones((1, 4)), [state.time]), 0)
     for name in SCALING_POWERS:
         assert getattr(view, name) is getattr(bundle, name), name
-    assert view.positions is moved.positions
+    assert np.array_equal(view.positions, moved.positions)
+    assert view.positions is view.positions
 
 
 def test_every_bundle_field_has_a_scaling_rule(graph_flow):

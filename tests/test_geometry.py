@@ -96,7 +96,8 @@ def test_lagrangian_plane_bundle():
     b = build_geometry(plane(16, 16))
     np.testing.assert_allclose(b.g11, 1.0, atol=1e-12)
     np.testing.assert_allclose(b.g12, 0.0, atol=1e-12)
-    assert max(np.abs(b.normal_part(x)).max() for x in b.hessian) < 1e-10
+    assert max(np.abs(b.project_normal(x.copy())).max()
+               for x in b.hessian) < 1e-10
     assert np.abs(b.mean_curvature).max() < 1e-10
     assert np.abs(b.cos_alpha).max() < 1e-12
     np.testing.assert_allclose(b.lag_angle_unit, 1.0 + 0.0j, atol=1e-12)
@@ -161,7 +162,7 @@ def test_scalar_products_match_the_vector_forms(name, seed):
     b = build_geometry(state)
     for x, y in ((b.f_u, b.f_v), (b.hessian[0], b.mean_curvature)):
         np.testing.assert_array_equal(_dot(x, y), _four_term_dot(x, y))
-    a11, a12, a22 = (b.normal_part(x) for x in b.hessian)
+    a11, a12, a22 = (b.project_normal(x.copy()) for x in b.hessian)
     norm_a2 = _double_trace(b, _dot, a11, a12, a22)
     h_dot_a = (_dot(b.mean_curvature, a) for a in (a11, a12, a22))
     k_perp = (b.inv11 * _det4(b.f_u, b.f_v, a11, a12)
@@ -287,10 +288,9 @@ def test_trace_inequality_between_curvature_norms():
 def test_normal_part_annihilates_tangents():
     st = clifford_torus(16, 16)
     b, o = build_geometry(st), frame_oracle(st)
-    normal_part = b.normal_part
-    assert np.abs(normal_part(o.tangent_frame[:, :, 0].transpose(2, 0, 1))
-                  ).max() < 1e-12
-    h_proj = normal_part(b.mean_curvature)
+    tangent = o.tangent_frame[:, :, 0].transpose(2, 0, 1).copy()
+    assert np.abs(b.project_normal(tangent)).max() < 1e-12
+    h_proj = b.project_normal(b.mean_curvature.copy())
     np.testing.assert_allclose(h_proj, b.mean_curvature, atol=1e-10)
 
 
@@ -312,6 +312,23 @@ def test_laplace_beltrami_on_sphere_eigenfunction():
     b = build_geometry(st)
     f = st.positions[..., 2]
     assert np.abs(laplace_beltrami(f, b) + 2.0 / r ** 2 * f).max() < 5e-3
+
+
+@pytest.mark.parametrize("make", [lambda: clifford_torus(32, 32),
+                                  lambda: sphere_patch(24, 32)],
+                         ids=["clifford_torus", "sphere_patch"])
+def test_laplacian_of_the_position_is_the_mean_curvature(make):
+    # Delta_Sigma F = H: the Laplacian's c^k d_k F is the tangential part
+    # c^k F_k that H = w - c^k F_k subtracts, so on a surface without seam
+    # shifts (each position component a periodic or clamped field) the two
+    # agree up to the rounding of the derivative stencils.
+    state = make()
+    b = build_geometry(state)
+    h = b.mean_curvature
+    for a in range(4):
+        lap = laplace_beltrami(np.ascontiguousarray(state.positions[..., a]),
+                               b)
+        assert np.abs(lap - h[a]).max() <= 1e-12 * np.abs(h).max(), a
 
 
 def twisted_graph(n=32):
@@ -543,6 +560,7 @@ def frame_oracle(state, tangent_rotation=None,
     return SimpleNamespace(
         grid=state.grid, inverse=inverse, det_g=det_g,
         area_element=np.sqrt(det_g), christoffel=christoffel,
+        contracted_gamma=np.einsum('...ij,...kij->k...', inverse, christoffel),
         tangent_frame=frame_t, tangent_coeffs=coeffs, normal_frame=frame_n,
         second_ff=h, second_ff_frame=h_frame, mean_normal=mean_normal,
         mean_curvature=np.einsum('...n,...nc->c...', mean_normal, frame_n),
@@ -622,12 +640,9 @@ def test_closed_form_bundle_matches_einsum_reference(name, seed, order):
     assert got.grid is expect.grid
     for field in BUNDLE_FIELDS:
         _assert_field_close(getattr(got, field), getattr(expect, field), field)
-    # Gamma^k_ij for ij = uu, uv, vv.
-    pairs = ((0, 0), (0, 1), (1, 1))
-    _assert_field_close(
-        np.stack(got.christoffel),
-        np.stack([[expect.christoffel[..., k, i, j] for i, j in pairs]
-                  for k in range(2)]), "christoffel")
+    # c^k = g^ij Gamma^k_ij.
+    _assert_field_close(np.stack(got.contracted_gamma),
+                        expect.contracted_gamma, "contracted_gamma")
     # Generic fields: two scalars and a vector field with tangential part.
     f = got.cos_alpha + got.positions[..., 0]
     g = got.positions[..., 1] * got.positions[..., 2]
@@ -635,7 +650,7 @@ def test_closed_form_bundle_matches_einsum_reference(name, seed, order):
     ops = {"laplace_beltrami": laplace_beltrami(f, got),
            "gradient_sq": gradient_sq(f, got),
            "gradient_inner": gradient_inner(f, g, got),
-           "normal_part": got.normal_part(x),
+           "normal_part": got.project_normal(x.copy()),
            "normal_gradient_sq": normal_gradient_sq(x, got)}
     ref = _reference_operators(f, g, x, expect)
     for key, value in ops.items():
@@ -696,8 +711,9 @@ def _node_major_bundle(derivs, f, x, grid):
         return sum(d * e for d, e in zip((w[5], -w[4], w[3], w[2], -w[1], w[0]),
                                          wedge(y, z)))
 
-    h = normal(p[..., None] * f_uu + (2.0 * q)[..., None] * f_uv
-               + r[..., None] * f_vv)
+    w = p[..., None] * f_uu + (2.0 * q)[..., None] * f_uv + r[..., None] * f_vv
+    h = normal(w)
+    c_u, c_v = coords(w)
     a = [normal(y) for y in (f_uu, f_uv, f_vv)]
     norm_a2 = trace2(_node_dot, *a)
     area = np.sqrt(det)
@@ -708,9 +724,6 @@ def _node_major_bundle(derivs, f, x, grid):
     hol = (z_u[..., 0] * z_v[..., 1] - z_v[..., 0] * z_u[..., 1]) / area
     k_perp = (p * det4(a[0], a[1]) + q * det4(a[0], a[2])
               + r * det4(a[1], a[2])) / det
-    christoffel = [coords(y) for y in (f_uu, f_uv, f_vv)]
-    gam_u = [c[0] for c in christoffel]
-    gam_v = [c[1] for c in christoffel]
     # Scalar f: (n1, n2) is both layouts, so its derivatives are the kernel's.
     s_u, s_v = (scalar_derivative(f, grid, axis, 1) for axis in (0, 1))
     s_uv = scalar_derivative(s_u, grid, 1, 1)
@@ -722,13 +735,11 @@ def _node_major_bundle(derivs, f, x, grid):
         "norm_A2": norm_a2,
         "cos_alpha": np.clip(omega / area, -1.0, 1.0),
         "lag_angle_unit": hol / np.abs(hol),
-        "christoffel": np.stack(gam_u + gam_v),
+        "contracted_gamma": np.stack([c_u, c_v]),
         "nabla_bar_j2": norm_a2 - 2.0 * k_perp,
         "h_dot_a2": trace2(np.multiply, *(_node_dot(h, y) for y in a)),
-        "laplace_beltrami": (
-            p * (s_uu - gam_u[0] * s_u - gam_v[0] * s_v)
-            + 2.0 * q * (s_uv - gam_u[1] * s_u - gam_v[1] * s_v)
-            + r * (s_vv - gam_u[2] * s_u - gam_v[2] * s_v)),
+        "laplace_beltrami": (p * s_uu + 2.0 * q * s_uv + r * s_vv
+                             - c_u * s_u - c_v * s_v),
         "gradient_sq": p * s_u * s_u + 2.0 * q * s_u * s_v + r * s_v * s_v,
         "normal_gradient_sq": (p * _node_dot(n_u, n_u)
                                + 2.0 * q * _node_dot(n_u, n_v)
@@ -798,7 +809,7 @@ def test_component_major_kernel_matches_node_major_reference(state):
     got = build_geometry(state)
     values = {
         "mean_curvature": got.mean_curvature.transpose(1, 2, 0),
-        "christoffel": np.concatenate(got.christoffel),
+        "contracted_gamma": np.stack(got.contracted_gamma),
         "laplace_beltrami": laplace_beltrami(f, got),
         "gradient_sq": gradient_sq(f, got),
         "normal_gradient_sq": normal_gradient_sq(component_major(x), got),

@@ -134,8 +134,8 @@ def test_translating_trace_views_one_geometry(grim257_trace):
         assert view.mean_curvature is first.mean_curvature
         assert tr.curvature_a2(i) is first.norm_A2
         # The rebuilt oracle carries the rounding of y = -log cos x + t
-        # (2e-16) through second differences (~1/h^2): measured 3.6e-12 of
-        # the largest Christoffel symbol and 1.5e-12 of max |H|^2 here.
+        # (2e-16) through second differences (~1/h^2): measured 3.0e-12 of
+        # max sum <H, A_ij>^2 and 1.9e-12 of max |H|^2 here.
         assert_bundle_matches(view, state, rtol=1e-11)
     sc = tr.scalars
     assert list(sc.step) == [0, 1, 2]
@@ -155,6 +155,38 @@ def test_ridge_theorem_pipeline_builds_one_geometry(monkeypatch):
                             "lagrangian")
     assert len(built) == 1 and built[0] is tr.states.source[0]
     assert abs(report.lhs - np.cos(1.4) * np.exp(0.5)) <= 1e-6
+
+
+def test_views_map_a_sample_only_when_its_positions_are_read(monkeypatch):
+    # A geometry view maps its stored state on the first read of its
+    # positions.  The theorem check reads none.  The probe on the normalized
+    # ridge reads the positions of each of the 5 samples for the cutoff and
+    # those of the peak sample once more, each read two maps deep (the
+    # translation, then the normalization).
+    tr = translating_trace(lambda t: grim_reaper_product(65, 16, time=t),
+                           np.linspace(0.0, 0.1, 5))
+    normalized = normalize_flow(tr)["trace"]
+    mapped = []
+    transformed = SurfaceState.transformed
+
+    def counted(self, *args, **kwargs):
+        mapped.append(self)
+        return transformed(self, *args, **kwargs)
+
+    monkeypatch.setattr(SurfaceState, "transformed", counted)
+    check_main_theorem(tr, "lagrangian")
+    assert mapped == []
+    gradient_estimate_probe(normalized, 0.9, 10.0, "lagrangian")
+    assert len(mapped) == 2 * (5 + 1)
+    view = normalized.bundle(2)
+    assert view.grid is tr.states.source[0].grid
+    assert view.time == normalized.times[2]
+    view.mean_curvature
+    assert len(mapped) == 12
+    positions = view.positions
+    assert len(mapped) == 14 and view.positions is positions
+    monkeypatch.undo()
+    assert np.array_equal(positions, normalized.states[2].positions)
 
 
 def test_sphere_trace_views_one_geometry(monkeypatch):
@@ -314,14 +346,27 @@ def test_sphere_ode_respects_t_end():
     {"t_end": -1.0}, {"t_end": 0.0}, {"blowup_threshold": np.inf},
     {"blowup_threshold": 1e300}, {"blowup_threshold": 1e17},
     {"blowup_threshold": 2.0}, {"blowup_threshold": 1.0},
+    {"blowup_threshold": 1e15},
 ], ids=["t_end_negative", "t_end_zero", "threshold_inf", "threshold_1e300",
-        "threshold_1e17", "threshold_initial", "threshold_below_initial"])
+        "threshold_1e17", "threshold_initial", "threshold_below_initial",
+        "threshold_1e15"])
 def test_sphere_ode_rejects_a_stop_time_off_the_flow(values):
     # A stop time at or below 0 (RunControls rejects t_end <= 0, and |A|^2
     # starts at 2/r0^2 = 2), or one that rounds onto the singular time 1/4
-    # (0.5 / threshold below half an ulp of 1/4), has no run to sample.
+    # (0.5 / threshold below half an ulp of 1/4), has no run to sample; at
+    # 1e15 the last of 2048 samples geometric in T - t fall within an ulp.
     with pytest.raises(BadParameter):
         run_sphere_ode(1.0, RunControls(**values))
+
+
+def test_sphere_ode_samples_are_geometric_in_the_time_to_go():
+    # As an adaptive run's steps dt ~ RKC_ACCURACY / |A|^2 are: T - t falls
+    # by one ratio per sample from T at t = 0 to T - t_stop at the stop.
+    tr = run_sphere_ode(1.0)
+    t = tr.scalars.t
+    assert t.size == 2048 and t[0] == 0.0 and t[-1] == 0.25 - 0.5 / 1e4
+    ratios = (0.25 - t[1:]) / (0.25 - t[:-1])
+    np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
 
 
 def test_sphere_ode_needs_thirty_two_samples():
