@@ -14,10 +14,10 @@ count s by stability, since s stages are stable on a real interval of
 about 0.65 s^2 while the parabolic CFL bound (:func:`cfl_dt`) tracks the
 stiffness of the discrete Laplacian.
 
-Each accepted step builds the state's geometry
-(:class:`~mcf4d.geometry.GeometryBundle`) once; that one object feeds the
-step's scalar row, its CFL bound, the first stage, and the stored |A|^2
-field when the state is stored.
+Each step builds the geometry (:class:`~mcf4d.geometry.GeometryBundle`) of
+the state it reaches once, and a step whose state has none fails; that one
+object feeds the state's scalar row, its CFL bound, the first stage of the
+next step, and the stored |A|^2 field when the state is stored.
 
 Inside a step the positions are component-major, C-contiguous (4, n1, n2),
 the layout of every derivative and of H: a step copies the state's
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from numbers import Integral
 
@@ -117,43 +117,47 @@ class TraceScalars:
 
 
 class MappedStates(Sequence):
-    """States read through a per-sample map: state k is ``source[k]``
-    mapped F -> scales[k] (F - offsets[k]) at time ``times[k]`` by
-    :meth:`SurfaceState.transformed` on every read; no mapped state is kept.
-    ``offsets`` is an (n, 4) array, or None for no offset.  ``source`` may
-    repeat one state, so n samples of an exact flow keep one state.  A slice
-    stays mapped, and :attr:`times` maps no positions."""
+    """States read through one similarity map per sample: state k is
+    ``base[index[k]]`` mapped F -> scales[k] (F - offsets[k]) at time
+    ``times[k]`` by :meth:`SurfaceState.transformed` on every read; no
+    mapped state is kept.  ``offsets`` is an (n, 4) array, or None for no
+    offset.  Samples may share a base state, so n samples of an exact flow
+    keep one state.  A slice stays mapped over the same base, and
+    :attr:`times` maps no positions."""
 
-    def __init__(self, source: Sequence[SurfaceState], scales: np.ndarray,
-                 offsets: np.ndarray | None, times: np.ndarray):
-        self.source, self.offsets = source, offsets
+    def __init__(self, base: Sequence[SurfaceState], index, scales,
+                 offsets: np.ndarray | None, times):
+        self.base, self.offsets = base, offsets
+        self.index = np.asarray(index, dtype=int)
         self.scales = np.asarray(scales, dtype=float)
         self.times = np.asarray(times, dtype=float)
 
     def __len__(self):
-        return len(self.source)
+        return self.index.size
 
-    def __getitem__(self, index):
+    def __getitem__(self, k):
         offsets = self.offsets
-        if isinstance(index, slice):
+        if isinstance(k, slice):
             return MappedStates(
-                self.source[index], self.scales[index],
-                None if offsets is None else offsets[index], self.times[index])
-        return self.source[index].transformed(
-            scale=float(self.scales[index]),
-            offset=None if offsets is None else offsets[index],
-            time=float(self.times[index]))
+                self.base, self.index[k], self.scales[k],
+                None if offsets is None else offsets[k], self.times[k])
+        return self.base[self.index[k]].transformed(
+            scale=float(self.scales[k]),
+            offset=None if offsets is None else offsets[k],
+            time=float(self.times[k]))
 
 
 @dataclass
 class FlowTrace:
     """Stored states (possibly thinned by stride) plus dense scalar series.
 
-    ``_shared``, when set, is the geometry of the one state that the stored
-    states (:class:`MappedStates`) map: stored state i is that state scaled
-    by ``states.scales[i]`` about the origin and then translated, so its
-    geometry is this one bundle scaled by powers of ``states.scales[i]``
-    (see :meth:`bundle`).
+    The states are stored as is (a list, as :func:`run_flow` keeps them),
+    or are :class:`MappedStates`: a few base states plus one similarity map
+    per sample.  Either way the geometry is built on base states only, and
+    ``_bundles`` and ``_a2_fields`` cache it by base index (for states
+    stored as is, the stored index): every trace mapped from the same base
+    shares both dicts, and a mapped state's geometry is its base state's
+    scaled by powers of the sample's scale (see :meth:`bundle`).
     """
 
     states: Sequence[SurfaceState]
@@ -163,8 +167,6 @@ class FlowTrace:
     meta: dict = field(default_factory=dict)
     _bundles: dict = field(default_factory=dict, repr=False)
     _a2_fields: dict = field(default_factory=dict, repr=False)
-    _source: "FlowTrace | None" = field(default=None, repr=False)
-    _shared: GeometryBundle | None = field(default=None, repr=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -182,20 +184,35 @@ class FlowTrace:
             raise BadParameter(f"stored state {index} outside range({n})")
         return index + n if index < 0 else index
 
-    def bundle(self, index: int, need_j: bool = False) -> GeometryBundle:
-        """Geometry of stored state ``index``, memoized in at most 12
-        bundles, each given the stored |A|^2 field of its state when the
-        trace has one (run_flow read it off the same geometry).  ``need_j``
-        has no effect: every bundle gives |grad J|^2 when read.
+    def _base_bundle(self, base: int) -> GeometryBundle:
+        """Cached geometry of base state ``base``, seeded with its stored
+        |A|^2 field when the trace has one; see :meth:`bundle`."""
+        cached = self._bundles.get(base)
+        if cached is None:
+            states = self.states
+            cached = build_geometry(states.base[base]
+                                    if isinstance(states, MappedStates)
+                                    else states[base])
+            if base in self._a2_fields:
+                cached.norm_A2 = self._a2_fields[base]
+            if len(self._bundles) >= 12:
+                passed = [i for i in self._bundles if i < base - 1]
+                del self._bundles[max(passed or self._bundles)]
+            self._bundles[base] = cached
+        return cached
 
-        A trace made by :meth:`parabolic` builds and keeps no bundle: it
-        returns a new :class:`~mcf4d.geometry.ScaledBundle` on its source
-        trace's bundle of the same index on every call, so a caller that
-        reads one state's geometry many times should hold on to it.  Nor
-        does a trace with a shared geometry (the translation and the radius
-        ODE of :mod:`~mcf4d.scenarios`): it returns a new
-        ``ScaledBundle(geometry, states, index)``, which maps the stored
-        state only when its positions are first read, and then keeps them.
+    def bundle(self, index: int, need_j: bool = False) -> GeometryBundle:
+        """Geometry of stored state ``index``.  ``need_j`` has no effect:
+        every bundle gives |grad J|^2 when read.
+
+        A state stored as is gets its own bundle, memoized in at most 12
+        bundles, each given the stored |A|^2 field of its state when the
+        trace has one (run_flow read it off the same geometry).  A mapped
+        state gets a new :class:`~mcf4d.geometry.ScaledBundle` on every
+        call, on its base state's memoized bundle, which maps the state
+        only when its positions are first read and then keeps them; a
+        caller that reads one state's geometry many times should hold on
+        to it.  So the cap binds base states only.
 
         The analyses sweep the stored states in ascending order, singly or
         in (i - 1, i, i + 1) windows.  So a full cache evicts the largest
@@ -207,42 +224,28 @@ class FlowTrace:
         first-out would evict the state the next sweep reads first.
         """
         index = self._stored(index)
-        if self._shared is not None or self._source is not None:
-            source = (self._shared if self._shared is not None
-                      else self._source.bundle(index))
-            return ScaledBundle(source, self.states, index)
-        cached = self._bundles.get(index)
-        if cached is None:
-            cached = build_geometry(self.states[index])
-            if index in self._a2_fields:
-                cached.norm_A2 = self._a2_fields[index]
-            if len(self._bundles) >= 12:
-                passed = [i for i in self._bundles if i < index - 1]
-                del self._bundles[max(passed or self._bundles)]
-            self._bundles[index] = cached
-        return cached
+        states = self.states
+        if not isinstance(states, MappedStates):
+            return self._base_bundle(index)
+        return ScaledBundle(self._base_bundle(int(states.index[index])),
+                            states, index)
 
     def curvature_a2(self, index: int) -> np.ndarray:
-        """|A|^2 field of stored state ``index``, cached.  run_flow fills
-        the cache as it stores states; any other state of a trace that
-        builds its own geometry reads it off :meth:`bundle` on first use.
-        A trace made by :meth:`parabolic` reads its own cache first and
-        otherwise returns its source trace's field over lam^2, uncached.  A
-        trace with a shared geometry maps no state and caches nothing: it
-        returns the shared field scaled as :meth:`bundle`'s view scales it,
-        at scale 1 (a translation) the shared array itself."""
+        """|A|^2 field of stored state ``index``.  The field of a base state
+        is cached: run_flow fills the cache as it stores states, and any
+        other base state's field is read off its bundle on first use.  A
+        mapped state's field is its base state's passed through
+        :func:`~mcf4d.geometry.scaled_field`, as its :meth:`bundle` scales
+        it; at scale 1 (a translation) the base array itself."""
         index = self._stored(index)
-        cached = self._a2_fields.get(index)
-        if cached is not None:
-            return cached
-        if self._shared is not None:
-            return scaled_field(self._shared, "norm_A2",
-                                float(self.states.scales[index]))
-        if self._source is not None:
-            return (self._source.curvature_a2(index)
-                    / float(self.states.scales[index]) ** 2)
-        cached = self._a2_fields[index] = self.bundle(index).norm_A2
-        return cached
+        states = self.states
+        mapped = isinstance(states, MappedStates)
+        base = int(states.index[index]) if mapped else index
+        a2 = self._a2_fields.get(base)
+        if a2 is None:
+            a2 = self._a2_fields[base] = self._base_bundle(base).norm_A2
+        return (scaled_field(a2, "norm_A2", float(states.scales[index]))
+                if mapped else a2)
 
     def parabolic(self, lam: float, t0: float = 0.0,
                   offset: np.ndarray | None = None) -> "FlowTrace":
@@ -250,15 +253,16 @@ class FlowTrace:
 
         Stored states and scalars both move: area scales by lam^2, the
         curvatures by lam^-2, det g by lam^4; angles and steps are
-        invariant.  The new trace copies ``meta`` and starts with an empty
-        |A|^2 cache.  Its states are :class:`MappedStates`: references to
-        these states plus their scale lam, offset and mapped time, each
-        mapped again on every read, so a caller that reads one state many
-        times should hold on to it.
-        Its geometry is mapped too: it keeps a reference to this trace, and
-        :meth:`bundle` and :meth:`curvature_a2` scale this trace's geometry
-        by powers of lam (:data:`~mcf4d.geometry.SCALING_POWERS`), so no
-        mapped state's geometry is built and the new trace holds no bundle.
+        invariant.  The new trace copies ``meta``.  Its states are
+        :class:`MappedStates` over this trace's base states, this map
+        composed into each sample's one map, so no trace refers to another
+        and a state read through any number of rescalings is mapped once,
+        on every read: a caller that reads one state many times should hold
+        on to it.  The new trace shares this trace's geometry caches, keyed
+        by base state, so its :meth:`bundle` and :meth:`curvature_a2` scale
+        the base geometry by powers of the composed scale
+        (:data:`~mcf4d.geometry.SCALING_POWERS`) and no mapped state's
+        geometry is built.
 
         Raises BadParameter, before anything is mapped, unless lam is finite
         and positive and t0 and every entry of the offset are finite.
@@ -270,11 +274,15 @@ class FlowTrace:
             raise BadParameter(f"rescaling time t0 must be finite, got {t0}")
         if offset is not None and not np.all(np.isfinite(offset)):
             raise BadParameter(f"rescaling offset must be finite, got {offset}")
-        n = len(self.states)
-        states = MappedStates(
-            self.states, np.full(n, lam),
-            None if offset is None else np.broadcast_to(offset, (n, 4)),
-            lam * lam * (self.times - t0))
+        states = self.states
+        if not isinstance(states, MappedStates):
+            n = len(states)
+            states = MappedStates(states, range(n), np.ones(n), None, self.times)
+        # lam (s (F - X) - offset) = lam s (F - (X + offset / s))
+        offsets = states.offsets
+        if offset is not None:
+            shift = np.asarray(offset, dtype=float) / states.scales[:, None]
+            offsets = shift if offsets is None else offsets + shift
         sc = self.scalars
         scalars = TraceScalars(
             step=sc.step.copy(), t=lam * lam * (sc.t - t0),
@@ -283,10 +291,11 @@ class FlowTrace:
             min_cos_alpha=sc.min_cos_alpha.copy(),
             min_cos_theta=sc.min_cos_theta.copy(),
             min_detg=lam ** 4 * sc.min_detg)
-        return FlowTrace(states=states, state_steps=list(self.state_steps),
-                         scalars=scalars,
-                         termination_reason=self.termination_reason,
-                         meta=dict(self.meta), _source=self)
+        states = MappedStates(states.base, states.index, lam * states.scales,
+                              offsets, lam * lam * (states.times - t0))
+        return replace(self, states=states, scalars=scalars,
+                       state_steps=list(self.state_steps),
+                       meta=dict(self.meta))
 
 
 def scalar_row(step: int, geom: GeometryBundle) -> tuple:
@@ -336,11 +345,9 @@ def _stage(state: SurfaceState, y: np.ndarray) -> SurfaceState:
 def _accepted(state: SurfaceState, y: np.ndarray, dt: float) -> SurfaceState:
     """State a step from ``state`` reaches at component-major positions
     ``y``, stored node-major and C-contiguous like every other state."""
-    out = SurfaceState(state.grid, np.ascontiguousarray(y.transpose(1, 2, 0)),
-                       state.time + dt, state.shift1.copy(),
-                       state.shift2.copy())
-    out.require_finite()
-    return out
+    return SurfaceState(state.grid, np.ascontiguousarray(y.transpose(1, 2, 0)),
+                        state.time + dt, state.shift1.copy(),
+                        state.shift2.copy())
 
 
 def step(state: SurfaceState, dt: float, geom: GeometryBundle) -> SurfaceState:
@@ -416,14 +423,16 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
     step of size :func:`rkc_dt` with :func:`rkc_stages` stages.  Scalars are
     recorded every accepted step; states every ``stride`` steps (first and
     final always included), each with its |A|^2 field cached in the trace.
-    A state whose metric degenerates or turns non-finite after step 0 ends
-    the run with ``degenerate_mesh`` and is not kept.
+    A step that fails, or whose state's metric degenerates or turns
+    non-finite, ends the run with ``degenerate_mesh``: the state it started
+    from is the final one, and the failed step is not counted.
 
     ``meta["run_stats"]`` tells how the run went, in the run's own time
     units: accepted ``steps``, the ``velocity_evaluations`` of those steps,
     their ``max_stages``, and ``dt_min``/``dt_max`` (None without a step).
     """
     state = initial.copy()
+    geom = GeometryBundle(state)
     rows: list[tuple] = []
     states: list[SurfaceState] = []
     state_steps: list[int] = []
@@ -432,14 +441,7 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
     reason = None
     k = 0
     while reason is None:
-        try:
-            geom = GeometryBundle(state)
-            row = scalar_row(k, geom)
-        except (DegenerateMetric, NonFinite):
-            if k == 0:
-                raise
-            reason = "degenerate_mesh"
-            break
+        row = scalar_row(k, geom)
         rows.append(row)
         if row[3] > controls.blowup_threshold:
             reason = "blowup_detected"
@@ -460,6 +462,7 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
             try:
                 following = (step(state, dt, geom) if controls.dt is not None
                              else rkc_step(state, dt, geom, stages))
+                following_geom = GeometryBundle(following)
             except (DegenerateMetric, NonFinite):
                 reason = "degenerate_mesh"
         if k % controls.stride == 0 or reason is not None:
@@ -468,7 +471,7 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
             state_steps.append(k)
         if reason is None:
             taken.append((dt, stages))
-            state = following
+            state, geom = following, following_geom
             k += 1
     dts = [dt for dt, _ in taken]
     stats = {"steps": k,

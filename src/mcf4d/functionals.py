@@ -383,7 +383,8 @@ class LocalizedField:
 
     ``f`` holds exp(p |H|^2) / cos^2(angle) per stored state; ``gf`` holds
     psi(|X|^2/R^2) * f.  The running spacetime maximum of gf is tracked with
-    deterministic tie-breaking (earliest state, then smallest node index).
+    deterministic tie-breaking (earliest state, then smallest node index),
+    with the position of its node.
     """
 
     kind: str
@@ -395,6 +396,7 @@ class LocalizedField:
     max_value: float
     max_state_index: int
     max_node: int
+    max_position: np.ndarray
 
 
 def localized_f(trace: FlowTrace, p: float, radius: float,
@@ -408,7 +410,7 @@ def localized_f(trace: FlowTrace, p: float, radius: float,
     check_localizer(p, radius, kind)
     times = trace.times
     f_fields, gf_fields = [], []
-    best = (-math.inf, 0, 0)
+    best = (-math.inf, 0, 0, None)      # LocalizedField's last four fields
     for i in range(len(trace.states)):
         bundle = trace.bundle(i)
         c = _state_cosine(bundle, kind, i)
@@ -425,10 +427,9 @@ def localized_f(trace: FlowTrace, p: float, radius: float,
         node = int(np.argmax(gf))
         value = float(gf.ravel()[node])
         if value > best[0]:
-            best = (value, i, node)
-    return LocalizedField(kind=kind, p=p, radius=radius, times=times,
-                          f=f_fields, gf=gf_fields, max_value=best[0],
-                          max_state_index=best[1], max_node=best[2])
+            best = (value, i, node,
+                    bundle.positions.reshape(-1, 4)[node].copy())
+    return LocalizedField(kind, p, radius, times, f_fields, gf_fields, *best)
 
 
 @dataclass

@@ -17,9 +17,9 @@ pairings blind to tangential parts take F_ij in place of A_ij exactly:
 det[F_u, F_v, x, y] in the normal curvature K^perp of |grad J|^2 =
 |A|^2 - 2 K^perp, and <H, x>, since H is normal.  The angles come in real
 arithmetic from the six components of F_u ^ F_v = sqrt(det g) e1 ^ e2.
-:class:`ScaledBundle` is the geometry of a parabolically rescaled state,
-each field its source field times a fixed power of the scale; at scale one,
-the geometry of a translated state, each field the source's own array.
+:class:`ScaledBundle` is the geometry of a state mapped by a similarity
+F -> lam (F - X), each field its base state's field times a fixed power of
+lam; at lam = 1, a translate, each field the base state's own array.
 
 Vector fields are component-major (4, n1, n2), as
 :func:`~mcf4d.grid.position_derivatives` returns them; ambient products and
@@ -194,11 +194,10 @@ SCALING_POWERS = {
 }
 
 
-def scaled_field(source, name: str, lam: float):
-    """Field ``name`` of the geometry ``source`` times lam to the power
-    :data:`SCALING_POWERS` gives it, entry by entry for a tuple field; at
-    power 0 or lam = 1 the source's own object."""
-    value = getattr(source, name)
+def scaled_field(value, name: str, lam: float):
+    """``value``, a geometry's field ``name``, times lam to the power
+    :data:`SCALING_POWERS` gives that field, entry by entry for a tuple
+    field; at power 0 or lam = 1 ``value`` itself."""
     power = SCALING_POWERS[name]
     if power and lam != 1.0:
         factor = lam ** power
@@ -208,18 +207,18 @@ def scaled_field(source, name: str, lam: float):
 
 
 class ScaledBundle:
-    """Geometry of a parabolically mapped state, read off the geometry of its
-    source state: each field is the source's field times lam to the power
-    :data:`SCALING_POWERS` gives it, scaled on first read and kept for the
-    view's lifetime.  At lam = 1 (a rigid translate of the source state)
-    every field is the source's own array, not a copy times one.  The view
-    is of state ``index`` of :class:`~mcf4d.flow.MappedStates` ``states``:
-    lam and ``time`` are read off them, ``grid`` off the source, and the
-    ``positions`` are mapped on first read and kept.  A field
-    without a scaling rule raises AttributeError, so none passes through
-    unscaled.  The angle cosines and the quadrature weights are
-    :class:`GeometryBundle`'s own reads of the scaled fields; the
-    tangential and normal parts of a vector field are the source's, the
+    """Geometry of sample ``index`` of :class:`~mcf4d.flow.MappedStates`
+    ``states``, read off ``source``, the geometry of the sample's base
+    state: each field is the source's field times lam, the sample's scale,
+    to the power :data:`SCALING_POWERS` gives it (:func:`scaled_field`),
+    scaled on first read and kept for the view's lifetime.  At lam = 1 (a
+    rigid translate of the base state) every field is the source's own
+    array, not a copy times one.  lam and ``time`` are read off ``states``,
+    ``grid`` off the source, and the ``positions`` are mapped on first read
+    and kept.  A field without a scaling rule raises AttributeError, so
+    none passes through unscaled.  The angle cosines and the quadrature
+    weights are :class:`GeometryBundle`'s own reads of the scaled fields;
+    the tangential and normal parts of a vector field are the source's, the
     coefficients over lam (F_i scales by lam) and the normal part as is (the
     normal plane does not move), so no scaled copy of F_u and F_v is made.
     """
@@ -237,7 +236,7 @@ class ScaledBundle:
         if name not in SCALING_POWERS:
             raise AttributeError(f"{type(self).__name__} has no scaling "
                                  f"rule for {name!r}")
-        value = scaled_field(self.source, name, self.lam)
+        value = scaled_field(getattr(self.source, name), name, self.lam)
         self.__dict__[name] = value
         return value
 

@@ -162,28 +162,22 @@ def select_blowup_datum(trace: FlowTrace, T_hat: float, X0: np.ndarray,
 def rescale_flow(trace: FlowTrace, record: RescaleRecord) -> FlowTrace:
     """Magnified flow F -> lambda_k (F - X_k), s = lambda_k^2 (t - t_k).
 
-    Keeps stored states and scalar rows from t_k - (sigma_k/2)^2 onward and
-    maps them by :meth:`FlowTrace.parabolic`, which holds references to the
-    kept states and maps a state on every read, so a caller that reads one
-    state many times should hold on to it.  The kept states are a suffix,
-    since stored states are in time order.  The suffix carries the stored
-    |A|^2 fields of its states, or the shared geometry of an exact trace,
-    so the rescaled trace's |A|^2 is the source's field over lambda_k^2
-    and :func:`validate_rescaled` builds no geometry.
+    Maps ``trace`` by :meth:`FlowTrace.parabolic` and keeps its stored
+    states and scalar rows from t_k - (sigma_k/2)^2 onward, a suffix, since
+    stored states are in time order.  The states are mapped on every read,
+    so a caller that reads one state many times should hold on to it.  The
+    rescaled trace shares ``trace``'s geometry caches, so its |A|^2 is the
+    stored field scaled by lambda_k^-2 and :func:`validate_rescaled` builds
+    no geometry.
     """
     t_lo = record.peakTime - (0.5 * record.sigmaK) ** 2 - 1e-15
     start = int(np.searchsorted(trace.times, t_lo))
     rows = trace.scalars.t >= t_lo
-    window = FlowTrace(
-        states=trace.states[start:],
-        state_steps=trace.state_steps[start:],
-        scalars=TraceScalars(*(getattr(trace.scalars, c)[rows]
-                               for c in SCALAR_COLUMNS)),
-        termination_reason=trace.termination_reason, meta=trace.meta,
-        _a2_fields={i - start: a2 for i, a2 in trace._a2_fields.items()
-                    if i >= start},
-        _shared=trace._shared)
-    out = window.parabolic(record.lambdaK, record.peakTime, record.peakPoint)
+    out = trace.parabolic(record.lambdaK, record.peakTime, record.peakPoint)
+    out = replace(out, states=out.states[start:],
+                  state_steps=out.state_steps[start:],
+                  scalars=TraceScalars(*(getattr(out.scalars, c)[rows]
+                                         for c in SCALAR_COLUMNS)))
     out.meta.update({"rescaled": True, "lambda": record.lambdaK,
                      "peak_time": record.peakTime,
                      "peak_node": record.peakNode})

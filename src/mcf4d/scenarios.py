@@ -3,6 +3,8 @@
 Mesh scenarios return a SurfaceState ready for the flow engine.  Two
 scenarios bypass the mesh integrator: the round sphere evolves by its exact
 radius ODE, and the translating-soliton product moves by a rigid translation.
+Each keeps one base state, mapped per sample by a scale or an offset
+(:class:`~mcf4d.flow.MappedStates`), so it builds one geometry.
 Graphs over a plane use periodic parameter axes with seam shifts, so the
 whole machinery sees smooth periodic data without boundary stencils.
 """
@@ -143,12 +145,13 @@ def translating_trace(builder: Callable[[float], SurfaceState],
                       times: np.ndarray) -> FlowTrace:
     """Trace of an exactly translating solution sampled at given times.
 
-    The trace keeps the first sample alone: sample k is stored as the first
-    moved by its first node's displacement d_k (:class:`MappedStates`, the
-    positions first + d_k made on every read).  Its geometry is the same at
-    every time, so the first sample's :class:`GeometryBundle` is the only
-    one built: every scalar row is read off it, with each sample's own step
-    and time, every |A|^2 field is its one ``norm_A2`` array, and
+    The trace keeps the first sample alone, as its one base state: sample
+    k is the first moved by its first node's displacement d_k
+    (:class:`MappedStates` with scale 1 and offset -d_k, the positions
+    first + d_k made on every read).  Its geometry is the same at every
+    time, so the first sample's :class:`GeometryBundle` is the only one
+    built: every scalar row is read off it, with each sample's own step and
+    time, every |A|^2 field is its one ``norm_A2`` array, and
     :meth:`FlowTrace.bundle` of any sample is a view on it that keeps the
     sample's positions and time.  Every other sample is built, checked and
     dropped in turn; it must be a rigid translate of the first (same grid
@@ -167,11 +170,11 @@ def translating_trace(builder: Callable[[float], SurfaceState],
         moves[k] = _require_translate(_sample(builder, times[k]), first)
     row = scalar_row(0, geom)
     rows = [(k, float(t), *row[2:]) for k, t in enumerate(times)]
-    return FlowTrace(states=MappedStates([first] * n, np.ones(n), -moves,
-                                         times),
+    return FlowTrace(states=MappedStates([first], [0] * n, np.ones(n),
+                                         -moves, times),
                      state_steps=list(range(n)),
                      scalars=TraceScalars.from_rows(rows),
-                     termination_reason="reached_t_end", _shared=geom)
+                     termination_reason="reached_t_end", _bundles={0: geom})
 
 
 def _sample(builder: Callable[[float], SurfaceState],
@@ -217,11 +220,12 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     T - t, as adaptive steps are.  ``patch`` holds the other
     :func:`sphere_patch` parameters (n1, n2, polar_margin).
     Each stored state is the initial lat-long patch scaled by r/r0 about
-    the origin, and the trace keeps that patch alone: its stored states
-    (:class:`MappedStates`) scale it on every read.  The patch's
-    :class:`GeometryBundle` is the only one built: the scalar rows are read
-    off it, and :meth:`FlowTrace.bundle` of a stored state is a view on it
-    whose fields carry their powers of r/r0.
+    the origin, and the trace keeps that patch alone, as its one base
+    state: its stored states (:class:`MappedStates` with scale r/r0 and no
+    offset) scale it on every read.  The patch's :class:`GeometryBundle` is
+    the only one built: the scalar rows are read off it, and
+    :meth:`FlowTrace.bundle` of a stored state is a view on it whose fields
+    carry their powers of r/r0.
     """
     controls = controls or RunControls()
     r0 = float(radius)
@@ -260,14 +264,14 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     stored = list(range(0, n_samples, max(1, controls.stride)))
     if stored[-1] != n_samples - 1:
         stored.append(n_samples - 1)
-    states = MappedStates([patch0] * len(stored), r[stored] / r0, None,
-                          t[stored])
+    states = MappedStates([patch0], [0] * len(stored), r[stored] / r0,
+                          None, t[stored])
     return FlowTrace(states=states, state_steps=stored,
                      scalars=TraceScalars.from_rows(rows),
                      termination_reason=reason,
                      meta={"mode": "sphere_ode", "radius0": r0,
                            "singular_time": t_sing},
-                     _shared=geom0)
+                     _bundles={0: geom0})
 
 
 def _read_controls(read, names) -> RunControls:

@@ -27,6 +27,7 @@ from .functionals import (KINDS, LocalizedField, _centered_time_derivative,
                           _state_cosine, check_kind, localized_f)
 from .geometry import (gradient_inner, gradient_sq, laplace_beltrami,
                        normal_gradient_sq)
+from .grid import ParamGrid
 
 LHS_SLACK = 1e-9
 ZERO_CURVATURE_FLOOR = 1e-24
@@ -70,8 +71,8 @@ def normalize_flow(trace: FlowTrace) -> dict:
     The rescaled trace has sup of |A|^2 over stored states equal to one (so
     |H|^2 <= 2 there); applying it twice is the identity up to rounding.  Its
     states are mapped on every read (:meth:`FlowTrace.parabolic`), not
-    copied, and its geometry is ``trace``'s scaled by powers of lam, so the
-    rescaled trace builds and holds no bundle of its own.
+    copied, and its geometry is the base geometry of ``trace``, from the
+    caches the two share, scaled by powers of lam: none is built for it.
 
     Returns
     -------
@@ -130,18 +131,15 @@ def check_main_theorem(trace: FlowTrace, kind: str) -> TheoremReport:
         hypotheses=hypotheses)
 
 
-def _interior_max(trace: FlowTrace, loc: LocalizedField) -> bool:
-    """Whether the max of g*f sits strictly inside the cutoff ball, away
-    from clamped parameter boundaries and after the first sample.  The
-    peak state is read here alone, so none of it outlives the test."""
-    i_max, node = loc.max_state_index, loc.max_node
-    peak = trace.states[i_max]
-    grid = peak.grid
-    pos = peak.positions.reshape(-1, 4)[node]
-    row, col = divmod(node, grid.n2)
+def _interior_max(loc: LocalizedField, grid: ParamGrid) -> bool:
+    """Whether the max of g*f, at the position :func:`localized_f` read,
+    sits strictly inside the cutoff ball, away from clamped boundaries of
+    ``grid`` and after the first sample."""
+    pos = loc.max_position
+    row, col = divmod(loc.max_node, grid.n2)
     on_boundary = ((not grid.periodic1 and row in (0, grid.n1 - 1)) or
                    (not grid.periodic2 and col in (0, grid.n2 - 1)))
-    return (i_max > 0 and not on_boundary
+    return (loc.max_state_index > 0 and not on_boundary
             and float(pos @ pos) < loc.radius ** 2)
 
 
@@ -174,7 +172,6 @@ def gradient_estimate_probe(trace: FlowTrace, p: float, radius: float,
                          f"got {len(trace.states)}")
     loc = localized_f(trace, p, radius, kind)
     times = loc.times
-    interior = _interior_max(trace, loc)
     coeff = 2.0 * (KINDS[kind].p_max - p)
     residual_min = np.inf
     for j in range(1, len(times) - 1):
@@ -190,5 +187,6 @@ def gradient_estimate_probe(trace: FlowTrace, p: float, radius: float,
                    - 2.0 * gradient_sq(c, bundle) / c ** 2)
         rhs = rhs + 2.0 * c ** 2 * gradient_inner(f, 1.0 / c ** 2, bundle)
         residual_min = min(residual_min, float((lhs - rhs).min()))
-    return {"maxGF": loc.max_value, "interiorMax": interior,
+    return {"maxGF": loc.max_value,
+            "interiorMax": _interior_max(loc, bundle.grid),
             "inequalityResidualMin": residual_min}

@@ -326,27 +326,38 @@ def test_criterion_11_gradient_estimate_probe(refine_minis):
             assert res["inequalityResidualMin"] >= -1e-12, (tag, n, res)
 
 
+# (subcommand, config lines, artifacts) of each criterion-12 pipeline: a mesh
+# flow, the radius-ODE sphere rescaled (a scaled trace mapped again) and
+# the translating ridge normalized for the probe (a translated trace mapped
+# again).
+RERUN_PIPELINES = (
+    ("simulate", ("scenario.name = clifford_torus", "scenario.n1 = 16",
+                  "scenario.n2 = 16", "controls.dt = 1e-3",
+                  "controls.max_steps = 40", "controls.stride = 10"),
+     ("timeseries.csv", "snapshot_initial.txt", "snapshot_final.txt")),
+    ("rescale", ("scenario.name = sphere_ode",),
+     ("rescale_report.json", "snapshot_rescaled.txt")),
+    ("theorem", ("scenario.name = grim_reaper_product", "scenario.n1 = 65",
+                 "run.p = 0.9"),
+     ("report.json", "probe.json")),
+)
+
+
 def test_criterion_12_byte_identical_reruns(tmp_path):
     """Two identical pipeline invocations produce byte-identical artifacts."""
-    outputs = []
-    for tag in ("one", "two"):
-        out = tmp_path / tag
-        cfg = tmp_path / f"{tag}.cfg"
-        cfg.write_text(
-            "scenario.name = clifford_torus\n"
-            "scenario.n1 = 16\n"
-            "scenario.n2 = 16\n"
-            "controls.dt = 1e-3\n"
-            "controls.max_steps = 40\n"
-            "controls.stride = 10\n"
-            f"output.directory = {out}\n", encoding="ascii")
-        proc = subprocess.run(
-            [sys.executable, "-m", "mcf4d.cli", "simulate", "--config",
-             str(cfg)], env=src_env(), capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out)
-    for name in ("timeseries.csv", "snapshot_initial.txt",
-                 "snapshot_final.txt"):
-        a = (outputs[0] / name).read_bytes()
-        b = (outputs[1] / name).read_bytes()
-        assert a == b, name
+    for command, lines, artifacts in RERUN_PIPELINES:
+        outputs = []
+        for tag in ("one", "two"):
+            out = tmp_path / command / tag
+            cfg = tmp_path / f"{command}_{tag}.cfg"
+            cfg.write_text("".join(f"{line}\n" for line in lines)
+                           + f"output.directory = {out}\n", encoding="ascii")
+            proc = subprocess.run(
+                [sys.executable, "-m", "mcf4d.cli", command, "--config",
+                 str(cfg)], env=src_env(), capture_output=True, text=True)
+            assert proc.returncode == 0, (command, proc.stderr)
+            outputs.append(out)
+        for name in artifacts:
+            a = (outputs[0] / name).read_bytes()
+            b = (outputs[1] / name).read_bytes()
+            assert a == b, (command, name)

@@ -34,8 +34,10 @@ from mcf4d.geometry import (SCALING_POWERS, GeometryBundle, ScaledBundle,
                             build_geometry)
 from mcf4d.grid import ParamGrid, SurfaceState
 from mcf4d.rescale import select_blowup_datum, validate_rescaled, with_rescaled
-from mcf4d.scenarios import (clifford_torus, complex_line, lagrangian_graph,
-                             plane, sphere_patch, symplectic_graph)
+from mcf4d.scenarios import (clifford_torus, complex_line,
+                             grim_reaper_product, lagrangian_graph, plane,
+                             run_sphere_ode, sphere_patch, symplectic_graph,
+                             translating_trace)
 from mcf4d.theorem import gradient_estimate_probe, normalize_flow
 
 from conftest import assert_bundle_matches, count_bundles, su2_real
@@ -444,6 +446,22 @@ def test_degenerate_metric_mid_run_ends_with_degenerate_mesh(monkeypatch):
     assert sorted(tr._a2_fields) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("dt, steps", [(3.0, 26), (0.5, 80)],
+                         ids=["state_degenerates", "step_fails"])
+def test_failed_step_ends_on_the_last_good_state(dt, steps):
+    # At dt = 3 the step from state 26 is taken but its state has a
+    # degenerate metric; at dt = 0.5 a stage fails inside the step from
+    # state 80.  Either way state `steps` is the last, with its row, and the
+    # failed step is not counted.
+    tr = run_flow(clifford_torus(8, 8),
+                  RunControls(dt=dt, max_steps=400, stride=4,
+                              blowup_threshold=1e300))
+    assert tr.termination_reason == "degenerate_mesh"
+    assert tr.meta["run_stats"]["steps"] == steps
+    assert tr.scalars.step[-1] == steps and tr.state_steps[-1] == steps
+    assert tr.states[-1].time == tr.scalars.t[-1]
+
+
 @pytest.fixture(scope="module")
 def graph_flow():
     """Three stored states of a non-flat Lagrangian graph flow."""
@@ -478,13 +496,13 @@ def test_parabolic_scaling_matches_recomputed_rows(graph_flow, lam, lam2, t0,
                                    atol=1e-12)
 
 
-def _assert_mapped_exactly(mapped, source, lam, t0, offset):
+def _assert_mapped_exactly(mapped, source, lam, offset, times):
     """Every state of ``mapped`` is bitwise ``source``'s state moved by
-    ``transformed``, read by positive and negative index, slice and
-    iteration, and ``mapped.times`` are those states' times."""
-    expected = [s.transformed(scale=lam, offset=offset,
-                              time=lam * lam * (s.time - t0))
-                for s in source.states]
+    ``transformed`` with scale ``lam`` and ``offset`` to its entry of
+    ``times``, read by positive and negative index, slice and iteration,
+    and ``mapped.times`` are those times."""
+    expected = [s.transformed(scale=lam, offset=offset, time=t)
+                for s, t in zip(source.states, times)]
     n = len(expected)
     assert len(mapped.states) == n
     reads = ([(mapped.states[i], expected[i]) for i in range(n)]
@@ -502,11 +520,15 @@ def _assert_mapped_exactly(mapped, source, lam, t0, offset):
 def test_parabolic_maps_every_read_exactly(graph_flow):
     lam, t0, offset = 1.7, 0.3, np.array([0.1, -0.2, 0.3, -0.4])
     once = graph_flow.parabolic(lam, t0, offset)
-    _assert_mapped_exactly(once, graph_flow, lam, t0, offset)
-    # Mapped twice: each read maps the first mapping's state again.
+    _assert_mapped_exactly(once, graph_flow, lam, offset,
+                           lam * lam * (graph_flow.times - t0))
+    # Mapped twice: each read maps the run's state once, by the composed
+    # map lam2 (lam (F - X) - X2) = lam lam2 (F - (X + X2 / lam)).
     lam2, t02, offset2 = 0.6, -0.05, np.array([0.0, 0.5, 0.0, -0.5])
     twice = once.parabolic(lam2, t02, offset2)
-    _assert_mapped_exactly(twice, once, lam2, t02, offset2)
+    _assert_mapped_exactly(twice, graph_flow, lam * lam2,
+                           offset + offset2 / lam,
+                           lam2 * lam2 * (once.times - t02))
 
 
 def test_mapped_times_map_no_state(graph_flow, monkeypatch):
@@ -523,7 +545,7 @@ def test_mapped_times_map_no_state(graph_flow, monkeypatch):
     assert calls == []
     assert times.shape == (len(graph_flow.states),)
     twice.states[-1]
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.fixture(scope="module")
@@ -546,6 +568,27 @@ def test_mapped_bundle_matches_geometry_rebuilt_on_the_mapped_state(
             assert_bundle_matches(view, mapped.states[i])
 
 
+@pytest.fixture(scope="module")
+def exact_traces():
+    """The radius-ODE sphere and a translating ridge, each one base state."""
+    return (run_sphere_ode(1.0, RunControls(stride=256)),
+            translating_trace(lambda t: grim_reaper_product(65, 16, time=t),
+                              np.linspace(0.0, 0.1, 3)))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(lam=st.floats(0.25, 8.0), t0=st.floats(-1.0, 1.0),
+       offset=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_mapped_curvature_is_bitwise_the_mapped_bundle_field(
+        graph_flow, exact_traces, lam, t0, offset):
+    # One formula scales |A|^2, whether read alone or off the geometry view.
+    for source in (graph_flow, *exact_traces):
+        mapped = source.parabolic(lam, t0, np.array(offset))
+        for i in range(len(mapped.states)):
+            assert (mapped.curvature_a2(i).tobytes()
+                    == mapped.bundle(i).norm_A2.tobytes())
+
+
 def test_built_bundles_are_seeded_with_the_stored_a2(graph_flow):
     # The stored |A|^2 field is the one the run read off the same state's
     # geometry, so a bundle built later takes it as is.
@@ -561,7 +604,7 @@ def test_unit_scale_view_shares_the_source_arrays(graph_flow):
     state = graph_flow.states[-1]
     bundle = GeometryBundle(state)
     moved = state.transformed(offset=np.ones(4))
-    view = ScaledBundle(bundle, MappedStates([state], np.ones(1),
+    view = ScaledBundle(bundle, MappedStates([state], [0], np.ones(1),
                                              np.ones((1, 4)), [state.time]), 0)
     for name in SCALING_POWERS:
         assert getattr(view, name) is getattr(bundle, name), name
@@ -589,8 +632,9 @@ def test_mapped_traces_build_no_geometry(torus32_trace, monkeypatch):
     twice = normalize_flow(once)["trace"]
     for trace in (once, twice):
         gradient_estimate_probe(trace, 0.9, 1e3, "lagrangian")
-    assert not once._bundles and not twice._bundles
-    # Only the source's own states were built, each once.
+    # The mapped traces share the source's cache, and only the source's own
+    # states were built, each once.
+    assert once._bundles is twice._bundles is source._bundles
     assert len(built) == len(source.states)
     assert all(any(b is s for s in source.states) for b in built)
 

@@ -139,14 +139,20 @@ def test_rescale_flow_parabolic_transformation(synthetic_trace):
     assert rt.termination_reason == synthetic_trace.termination_reason
 
 
-def test_validate_rescaled_exact_on_synthetic_trace(synthetic_trace):
-    rec = with_rescaled(synthetic_trace,
-                        select_blowup_datum(synthetic_trace, T_HAT,
-                                            np.zeros(4), R_K))
+def test_validate_rescaled_exact_on_synthetic_trace():
+    # A trace of its own: the rescaled trace shares its |A|^2 cache.
+    trace = _synthetic_trace(np.linspace(T_HAT - R_K ** 2,
+                                         T_HAT - (0.5 * R_K) ** 2, 25))
+    rec = with_rescaled(trace,
+                        select_blowup_datum(trace, T_HAT, np.zeros(4), R_K))
     rt = rec.rescaledTrace
-    # Inject the parabolically scaled curvature: 1/(T-t) / lambda^2 = 1/(1-s).
-    for i, s in enumerate(rt.times):
-        rt._a2_fields[i] = np.full((8, 8), 1.0 / (1.0 - s))
+    lam = rec.lambdaK
+    assert lam == 8.0
+    # Inject the parabolically scaled curvature: 1/(T-t) / lambda^2 = 1/(1-s),
+    # as the base field lambda^2 / (1-s), which lambda^-2 = 2^-6 scales
+    # exactly.
+    for i, s in zip(rt.states.index, rt.times):
+        rt._a2_fields[i] = np.full((8, 8), lam ** 2 / (1.0 - s))
     report = validate_rescaled(rec)
     assert report["originNorm"] == 1.0
     assert report["supBound"] == 1.0

@@ -153,16 +153,16 @@ def test_ridge_theorem_pipeline_builds_one_geometry(monkeypatch):
     report = check_main_theorem(tr, "lagrangian")
     gradient_estimate_probe(normalize_flow(tr)["trace"], 0.9, 10.0,
                             "lagrangian")
-    assert len(built) == 1 and built[0] is tr.states.source[0]
+    assert len(built) == 1 and built[0] is tr.states.base[0]
     assert abs(report.lhs - np.cos(1.4) * np.exp(0.5)) <= 1e-6
 
 
 def test_views_map_a_sample_only_when_its_positions_are_read(monkeypatch):
     # A geometry view maps its stored state on the first read of its
     # positions.  The theorem check reads none.  The probe on the normalized
-    # ridge reads the positions of each of the 5 samples for the cutoff and
-    # those of the peak sample once more, each read two maps deep (the
-    # translation, then the normalization).
+    # ridge reads the positions of each of the 5 samples for the cutoff,
+    # each read one map (the translation and the normalization composed),
+    # and keeps the peak's position from that read.
     tr = translating_trace(lambda t: grim_reaper_product(65, 16, time=t),
                            np.linspace(0.0, 0.1, 5))
     normalized = normalize_flow(tr)["trace"]
@@ -177,14 +177,14 @@ def test_views_map_a_sample_only_when_its_positions_are_read(monkeypatch):
     check_main_theorem(tr, "lagrangian")
     assert mapped == []
     gradient_estimate_probe(normalized, 0.9, 10.0, "lagrangian")
-    assert len(mapped) == 2 * (5 + 1)
+    assert len(mapped) == 5
     view = normalized.bundle(2)
-    assert view.grid is tr.states.source[0].grid
+    assert view.grid is tr.states.base[0].grid
     assert view.time == normalized.times[2]
     view.mean_curvature
-    assert len(mapped) == 12
+    assert len(mapped) == 5
     positions = view.positions
-    assert len(mapped) == 14 and view.positions is positions
+    assert len(mapped) == 6 and view.positions is positions
     monkeypatch.undo()
     assert np.array_equal(positions, normalized.states[2].positions)
 
@@ -270,14 +270,18 @@ def test_times_and_curvature_map_no_positions(name, monkeypatch):
     np.testing.assert_array_equal(tr.states[1:].times, times[1:])
     np.testing.assert_array_equal(rescaled.states[::2].times,
                                   4.0 * (times[::2] - 0.01))
+    base = tr._bundles[0].norm_A2
     for k, a2 in enumerate(want):
         assert tr.curvature_a2(k).tobytes() == a2.tobytes()
+        scale = 2.0 * tr.states.scales[k]
         assert (rescaled.curvature_a2(k).tobytes()
-                == (a2 / 4.0).tobytes())
-    assert mapped == [] and tr._a2_fields == {}
+                == (scale ** -2 * base).tobytes())
+    # The one cached field is the base state's own norm_A2 array.
+    assert mapped == [] and list(tr._a2_fields) == [0]
+    assert tr._a2_fields[0] is base
     tr.states[-1]
     rescaled.states[0]
-    assert len(mapped) == 3
+    assert len(mapped) == 2
 
 
 def _read_geometry(state):
