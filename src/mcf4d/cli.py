@@ -7,7 +7,9 @@ Outputs are deterministic text artifacts in the configured output
 directory.  Exit code 0 means success, 2 a configuration or precondition
 error (a config file or output directory that cannot be opened among
 them), 3 a numerical failure; in both failure cases the error class name
-is printed on stderr.  The scenario's registry entry
+is printed on stderr.  A ``simulate`` run that ends on a degenerate mesh
+exits 0 with its artifacts and names the failed step on stderr.  The
+scenario's registry entry
 (:data:`scenarios.SCENARIOS`) names the trace mode that reads its
 ``controls.*`` keys and builds its trace.
 """
@@ -134,6 +136,11 @@ def cmd_simulate(cfg, args) -> int:
     sc = trace.scalars
     print(f"{trace.termination_reason}: {int(sc.step[-1])} steps, "
           f"t = {sc.t[-1]:.10g}, {len(trace.states)} stored states")
+    failure = trace.meta.get("run_stats", {}).get("failure")
+    if failure:
+        print(f"step {failure['step']} from t = {failure['time']:.10g} "
+              f"failed: {failure['error']}: {failure['message']}",
+              file=sys.stderr)
     return 0
 
 

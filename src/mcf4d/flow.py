@@ -316,10 +316,19 @@ def cfl_dt(geom: GeometryBundle) -> float:
 
     The smaller eigenvalue of g is taken as det g / (half trace + radius),
     not half trace - radius, which cancels to 0 or below when it is under the
-    rounding of the larger one (a steep graph)."""
-    half_tr = 0.5 * (geom.g11 + geom.g22)
-    radius = np.sqrt(0.25 * (geom.g11 - geom.g22) ** 2 + geom.g12 ** 2)
-    eig_min = float(np.min(geom.det_g / (half_tr + radius)))
+    rounding of the larger one (a steep graph).  Each field is formed in
+    place, in the order of sqrt(0.25 (g11 - g22)^2 + g12^2) and
+    det g / (0.5 (g11 + g22) + radius)."""
+    radius = geom.g11 - geom.g22
+    np.square(radius, out=radius)
+    radius *= 0.25
+    radius += np.square(geom.g12)
+    np.sqrt(radius, out=radius)
+    eig = geom.g11 + geom.g22
+    eig *= 0.5
+    eig += radius
+    np.divide(geom.det_g, eig, out=eig)
+    eig_min = float(np.minimum.reduce(eig, axis=None))
     h_min = min(geom.grid.spacing1, geom.grid.spacing2)
     return CFL_SAFETY * eig_min * h_min * h_min / CFL_DENOMINATOR
 
@@ -403,15 +412,21 @@ def rkc_step(state: SurfaceState, dt: float, geom: GeometryBundle,
              stages: int) -> SurfaceState:
     """One damped second-order Runge-Kutta-Chebyshev step of dF/dt = H with
     ``stages`` velocity evaluations, the step of adaptive runs; ``geom`` is
-    the geometry of ``state`` and supplies the first stage."""
+    the geometry of ``state`` and supplies the first stage.  Each stage
+    combination is summed in place into a new array, term by term in the
+    scheme's order."""
     mu1, rows = _rkc_coefficients(stages)
     y0 = component_major(state.positions)
     f0 = velocity(state, geom).transpose(2, 0, 1)
     prev, cur = y0, y0 + (mu1 * dt) * f0
     for mu, nu, mu_t, gamma_t in rows:
         f = velocity(_stage(state, cur)).transpose(2, 0, 1)
-        prev, cur = cur, ((1.0 - mu - nu) * y0 + mu * cur + nu * prev
-                          + (mu_t * dt) * f + (gamma_t * dt) * f0)
+        nxt = (1.0 - mu - nu) * y0
+        nxt += mu * cur
+        nxt += nu * prev
+        nxt += (mu_t * dt) * f
+        nxt += (gamma_t * dt) * f0
+        prev, cur = cur, nxt
     return _accepted(state, cur, dt)
 
 
@@ -430,6 +445,10 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
     ``meta["run_stats"]`` tells how the run went, in the run's own time
     units: accepted ``steps``, the ``velocity_evaluations`` of those steps,
     their ``max_stages``, and ``dt_min``/``dt_max`` (None without a step).
+    A run that ends with ``degenerate_mesh`` also keeps, as ``failure``,
+    the error that ended it: its class name (``error``), the failed step's
+    number (``step``, one past the last counted), the ``time`` it set out
+    from, the grid ``node`` as (row, col) and the error's ``message``.
     """
     state = initial.copy()
     geom = GeometryBundle(state)
@@ -463,8 +482,11 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
                 following = (step(state, dt, geom) if controls.dt is not None
                              else rkc_step(state, dt, geom, stages))
                 following_geom = GeometryBundle(following)
-            except (DegenerateMetric, NonFinite):
+            except (DegenerateMetric, NonFinite) as exc:
                 reason = "degenerate_mesh"
+                failure = {"error": type(exc).__name__, "step": k + 1,
+                           "time": state.time, "node": exc.node,
+                           "message": str(exc)}
         if k % controls.stride == 0 or reason is not None:
             a2_fields[len(states)] = geom.norm_A2
             states.append(state)
@@ -479,6 +501,8 @@ def run_flow(initial: SurfaceState, controls: RunControls) -> FlowTrace:
              "max_stages": max((s for _, s in taken), default=0),
              "dt_min": min(dts, default=None),
              "dt_max": max(dts, default=None)}
+    if reason == "degenerate_mesh":
+        stats["failure"] = failure
     return FlowTrace(states=states, state_steps=state_steps,
                      scalars=TraceScalars.from_rows(rows),
                      termination_reason=reason, meta={"run_stats": stats},

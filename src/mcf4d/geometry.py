@@ -16,7 +16,9 @@ the same object.  No field forms the normal parts A_ij of the Hessian:
 pairings blind to tangential parts take F_ij in place of A_ij exactly:
 det[F_u, F_v, x, y] in the normal curvature K^perp of |grad J|^2 =
 |A|^2 - 2 K^perp, and <H, x>, since H is normal.  The angles come in real
-arithmetic from the six components of F_u ^ F_v = sqrt(det g) e1 ^ e2.
+arithmetic as the three forms omega, Re Omega and Im Omega on (F_u, F_v),
+each a sum of two components of F_u ^ F_v = sqrt(det g) e1 ^ e2, divided by
+sqrt(det g).
 :class:`ScaledBundle` is the geometry of a state mapped by a similarity
 F -> lam (F - X), each field its base state's field times a fixed power of
 lam; at lam = 1, a translate, each field the base state's own array.
@@ -117,20 +119,33 @@ class GeometryBundle:
         """|A|^2 = |H|^2 - 2 K, the Gauss equation, with the Gauss curvature
         K = (<A_11, A_22> - <A_12, A_12>) / det g taken from the Gram
         identity <A_ij, A_kl> = <F_ij, F_kl> - <F_ij, F_m> g^mn <F_n, F_kl>,
-        so no normal part of the Hessian is formed."""
+        so no normal part of the Hessian is formed.  The sums are formed in
+        place, term by term left to right."""
         f_uu, f_uv, f_vv = self.hessian
         uu, uv, vv = ((_dot(x, self.f_u), _dot(x, self.f_v))
                       for x in self.hessian)
 
         def tangential(x, y):
             """<F_ij, F_m> g^mn <F_n, F_kl> from the pairs x = <F_ij, F_m>
-            and y = <F_kl, F_n> over m, n = u, v."""
-            return (self.inv11 * x[0] * y[0] + self.inv22 * x[1] * y[1]
-                    + self.inv12 * (x[0] * y[1] + x[1] * y[0]))
+            and y = <F_kl, F_n> over m, n = u, v: g^uu x_u y_u +
+            g^vv x_v y_v + g^uv (x_u y_v + x_v y_u)."""
+            out = self.inv11 * x[0]
+            out *= y[0]
+            term = self.inv22 * x[1]
+            term *= y[1]
+            out += term
+            term = x[0] * y[1]
+            term += x[1] * y[0]
+            term *= self.inv12
+            out += term
+            return out
 
-        gauss = (_dot(f_uu, f_vv) - _dot(f_uv, f_uv)
-                 - tangential(uu, vv) + tangential(uv, uv))
-        return self.norm_H2 - (2.0 / self.det_g) * gauss
+        gauss = _dot(f_uu, f_vv)
+        gauss -= _dot(f_uv, f_uv)
+        gauss -= tangential(uu, vv)
+        gauss += tangential(uv, uv)
+        gauss *= 2.0 / self.det_g
+        return np.subtract(self.norm_H2, gauss, out=gauss)
 
     @cached_property
     def norm_H2(self) -> np.ndarray:
@@ -256,28 +271,49 @@ def plane_angles(a: np.ndarray, b: np.ndarray, area):
 
     ``area`` is |a ^ b| per node: 1 for an orthonormal frame (e1, e2), and
     sqrt(det g) for (F_u, F_v), since e1 ^ e2 = F_u ^ F_v / sqrt(det g).
-    The forms are read off the wedge p = a ^ b in real arithmetic:
-    omega = dx1^dy1 + dx2^dy2 is p01 + p23, and Omega = dz1^dz2 has real
-    part p02 - p13 and imaginary part p03 + p12.  Returns cos(alpha) =
-    omega(e1, e2) clipped to [-1, 1], cos(theta) and sin(theta) of the unit
-    e^{i theta} = Omega(e1, e2) / |Omega(e1, e2)| (1 and 0 where that norm
-    is below OMEGA_NORM_FLOOR), the norm itself and the mask of those nodes.
+    The three forms are read off the components p_ij = a_i b_j - a_j b_i of
+    the wedge in real arithmetic: omega = dx1^dy1 + dx2^dy2 is p01 + p23,
+    and Omega = dz1^dz2 has real part p02 - p13 and imaginary part
+    p03 + p12; each is formed in place from the four components of a and
+    of b.  Returns cos(alpha) = omega(e1, e2) clipped to [-1, 1], cos(theta)
+    and sin(theta) of the unit e^{i theta} = Omega(e1, e2) /
+    |Omega(e1, e2)| (1 and 0 where that norm is below OMEGA_NORM_FLOOR),
+    the norm itself and the mask of those nodes.
 
     Raises FrameInconsistent when |cos alpha| exceeds 1 beyond rounding.
     """
-    p = _wedge(a, b)
-    cos_alpha = (p[0] + p[5]) / area
-    excess = np.abs(cos_alpha) - 1.0
-    if np.any(excess > COS_CLAMP_EXCESS):
+    def form(i, j, combine, k, l):
+        """combine(p_ij, p_kl) / area, formed in place."""
+        x = a[i] * b[j]
+        x -= a[j] * b[i]
+        y = a[k] * b[l]
+        y -= a[l] * b[k]
+        combine(x, y, out=x)
+        x /= area
+        return x
+
+    cos_alpha = form(0, 1, np.add, 2, 3)
+    # fl(m - 1) is monotone in m, so this is the per-node test on the max;
+    # a NaN fails it, as it fails the per-node test.
+    if np.abs(cos_alpha).max() - 1.0 > COS_CLAMP_EXCESS:
+        excess = np.abs(cos_alpha) - 1.0
         node = first_node(excess > COS_CLAMP_EXCESS)
         raise FrameInconsistent(node, f"|cos alpha| = {1 + excess[node]:.12f}")
-    re = (p[1] - p[4]) / area
-    im = (p[2] + p[3]) / area
-    omega_norm = np.sqrt(re * re + im * im)
+    np.clip(cos_alpha, -1.0, 1.0, out=cos_alpha)
+    re = form(0, 2, np.subtract, 1, 3)
+    im = form(0, 3, np.add, 1, 2)
+    omega_norm = re * re
+    omega_norm += im * im
+    np.sqrt(omega_norm, out=omega_norm)
     degenerate = omega_norm < OMEGA_NORM_FLOOR
-    norm = np.where(degenerate, 1.0, omega_norm)
-    return (np.clip(cos_alpha, -1.0, 1.0), np.where(degenerate, 1.0, re / norm),
-            np.where(degenerate, 0.0, im / norm), omega_norm, degenerate)
+    if degenerate.any():
+        norm = np.where(degenerate, 1.0, omega_norm)
+        re = np.where(degenerate, 1.0, re / norm)
+        im = np.where(degenerate, 0.0, im / norm)
+    else:
+        re /= omega_norm
+        im /= omega_norm
+    return cos_alpha, re, im, omega_norm, degenerate
 
 
 # Index pairs (a, b), a < b, of the six components of a bivector in R^4.

@@ -5,10 +5,14 @@ interior row, wrap-around rows on a periodic axis and one-sided stencils of
 the same order near clamped boundaries.  An axis shorter than
 BANDED_MIN_NODES applies D as a dense (n, n) matrix, cached per axis
 signature, in one matrix product over the whole field: D @ X along its first
-axis, X @ D.T along its last.  There one BLAS call beats any banded loop.  A
-longer axis applies D banded: shifted-slice multiply-adds for the interior
-rows and one small gather product for the boundary rows, O(n) work and
-memory where the dense matrix costs O(n^2).
+axis, X @ D.T along its last.  There one BLAS call beats any banded loop.
+The last-axis product reads the transposed view D.T, not a row-major copy
+of D^T: with OpenBLAS the copy is faster at n = 16-48, but it selects
+another kernel, which rounds differently on many shapes (every row count
+tried at n = 20 or 25, up to 37 rows at n = 32), so results would move in
+the last bit.  A longer axis applies D banded: shifted-slice multiply-adds
+for the interior rows and one small gather product for the boundary rows,
+O(n) work and memory where the dense matrix costs O(n^2).
 """
 
 from __future__ import annotations

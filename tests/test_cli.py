@@ -79,6 +79,29 @@ def test_simulate_writes_artifacts(tmp_path):
     assert len(lines) == 1 + 3                    # header + stored states
 
 
+def test_simulate_names_the_failed_step_on_stderr(tmp_path, capsys):
+    # A run ended by a degenerate mesh still exits 0 with its artifacts and
+    # its one stdout line; stderr names the step that failed and why.
+    cfg = write_config(tmp_path, f"""
+        scenario.name = clifford_torus
+        scenario.n1 = 8
+        scenario.n2 = 8
+        controls.dt = 3
+        controls.max_steps = 400
+        controls.stride = 4
+        controls.blowup_threshold = 1e300
+        output.directory = {tmp_path / 'out'}
+    """)
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert out == "degenerate_mesh: 26 steps, t = 78, 8 stored states\n"
+    assert re.fullmatch(r"step 27 from t = 78 failed: DegenerateMetric: "
+                        r"det g = \S+ at node \(\d, \d\)\n", err), err
+    for name in ("timeseries.csv", "snapshot_initial.txt",
+                 "snapshot_final.txt"):
+        assert (tmp_path / "out" / name).stat().st_size > 0
+
+
 def test_simulate_sphere_ode_dispatch(tmp_path):
     cfg = write_config(tmp_path, f"""
         scenario.name = sphere_ode

@@ -462,6 +462,30 @@ def test_failed_step_ends_on_the_last_good_state(dt, steps):
     assert tr.states[-1].time == tr.scalars.t[-1]
 
 
+@pytest.mark.parametrize("dt, steps", [(3.0, 26), (0.5, 80)],
+                         ids=["state_degenerates", "step_fails"])
+def test_failed_run_keeps_its_termination_record(dt, steps):
+    # The error that ends a run with degenerate_mesh is kept: its class, the
+    # failed step (one past the last counted), the time it set out from, the
+    # node and the message that names it.
+    tr = run_flow(clifford_torus(8, 8),
+                  RunControls(dt=dt, max_steps=400, stride=4,
+                              blowup_threshold=1e300))
+    failure = tr.meta["run_stats"]["failure"]
+    assert set(failure) == {"error", "step", "time", "node", "message"}
+    assert failure["error"] == "DegenerateMetric"
+    assert failure["step"] == steps + 1
+    assert failure["time"] == tr.states[-1].time == tr.scalars.t[-1]
+    row, col = failure["node"]
+    assert isinstance(row, int) and isinstance(col, int)
+    assert 0 <= row < 8 and 0 <= col < 8
+    assert failure["message"].endswith(f" at node {failure['node']}")
+    # A run that ends any other way keeps no failure record.
+    ok = run_flow(clifford_torus(8, 8), RunControls(dt=dt, max_steps=3))
+    assert ok.termination_reason == "step_limit"
+    assert "failure" not in ok.meta["run_stats"]
+
+
 @pytest.fixture(scope="module")
 def graph_flow():
     """Three stored states of a non-flat Lagrangian graph flow."""
@@ -688,6 +712,34 @@ def test_component_major_steps_equal_a_node_major_reference(name, stages):
     assert out.time == state.time + dt
     assert np.array_equal(out.shift1, state.shift1)
     assert np.array_equal(out.shift2, state.shift2)
+
+
+@pytest.mark.parametrize("make", [lambda: clifford_torus(24, 24),
+                                  lambda: symplectic_graph(24, 32, 0.3)])
+def test_in_place_cfl_bound_is_bitwise_the_out_of_place_formula(make):
+    geom = GeometryBundle(make())
+    half_tr = 0.5 * (geom.g11 + geom.g22)
+    radius = np.sqrt(0.25 * (geom.g11 - geom.g22) ** 2 + geom.g12 ** 2)
+    eig_min = float(np.min(geom.det_g / (half_tr + radius)))
+    h_min = min(geom.grid.spacing1, geom.grid.spacing2)
+    assert cfl_dt(geom) == (flow.CFL_SAFETY * eig_min * h_min * h_min
+                            / flow.CFL_DENOMINATOR)
+
+
+@pytest.mark.parametrize("stages", [2, 3, 10])
+def test_in_place_rkc_stage_sums_equal_the_out_of_place_combination(stages):
+    # Each stage sum accumulates in place, left to right: bitwise the
+    # out-of-place combination of the reference, at the largest step the
+    # stage count keeps stable.
+    rng = np.random.default_rng(stages)
+    state = symplectic_graph(24, 24, 0.2).transformed(
+        offset=rng.uniform(-1.0, 1.0, 4), rotation=su2_real(rng))
+    geom = GeometryBundle(state)
+    dt = flow.RKC_STABILITY * cfl_dt(geom) * (stages ** 2 - 1)
+    assert rkc_stages(dt, cfl_dt(geom)) == stages
+    out = rkc_step(state, dt, geom, stages)
+    expect = _node_major_step(state, dt, geom, stages)
+    assert out.positions.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("dt", [1e-3, None], ids=["rk4", "rkc"])

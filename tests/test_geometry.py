@@ -18,6 +18,8 @@ Oracles, computed independently in this file:
     J field, against the bundle's closed form |A|^2 - 2 K^perp;
   - ``_node_major_bundle``: the node-major (n1, n2, 4) computation that the
     component-major kernel replaced, on explicit derivative-matrix products;
+  - ``_wedge_plane_angles``: the angles from all six components of a ^ b,
+    the computation the three-form kernel of ``plane_angles`` replaced;
   - ``omega_pairing`` and ``holomorphic_pairing``: omega and the complex
     dz1 ^ dz2 in direct (complex) arithmetic, and the normal-part vectors
     A_ij with their double traces and 4x4 determinants, the vector forms of
@@ -32,8 +34,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from mcf4d.errors import DegenerateMetric
-from mcf4d.geometry import (_dot, build_geometry, gradient_inner,
+from mcf4d.errors import DegenerateMetric, FrameInconsistent
+from mcf4d.geometry import (COS_CLAMP_EXCESS, OMEGA_NORM_FLOOR, _dot,
+                            build_geometry, gradient_inner,
                             gradient_sq, laplace_beltrami, normal_gradient_sq,
                             plane_angles)
 from mcf4d.grid import (ParamGrid, SurfaceState, component_major,
@@ -844,3 +847,103 @@ def test_stage_view_positions_give_the_geometry_of_their_copy(name):
                   "cos_alpha", "cos_theta"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), \
             field
+
+
+# Bitwise guard of the angle kernel: the six-component wedge computation
+# that plane_angles replaced, kept here as its reference.
+
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _wedge_plane_angles(a, b, area):
+    """plane_angles on all six components p_ij of a ^ b, out of place."""
+    p = [a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS]
+    cos_alpha = (p[0] + p[5]) / area
+    excess = np.abs(cos_alpha) - 1.0
+    if np.any(excess > COS_CLAMP_EXCESS):
+        node = np.unravel_index(np.argmax(excess > COS_CLAMP_EXCESS),
+                                excess.shape)
+        raise FrameInconsistent(tuple(int(i) for i in node), "reference")
+    re = (p[1] - p[4]) / area
+    im = (p[2] + p[3]) / area
+    omega_norm = np.sqrt(re * re + im * im)
+    degenerate = omega_norm < OMEGA_NORM_FLOOR
+    norm = np.where(degenerate, 1.0, omega_norm)
+    return (np.clip(cos_alpha, -1.0, 1.0), np.where(degenerate, 1.0, re / norm),
+            np.where(degenerate, 0.0, im / norm), omega_norm, degenerate)
+
+
+ANGLE_SURFACES = {
+    "clifford_torus": lambda: clifford_torus(24, 24),
+    "complex_line": lambda: complex_line(16, 16),
+    "lagrangian_graph": lambda: lagrangian_graph(32, 32, 0.3),
+    "symplectic_graph": lambda: symplectic_graph(32, 32, 0.1),
+}
+
+
+@settings(max_examples=24, derandomize=True, database=None, deadline=None)
+@given(name=hs.sampled_from(sorted(ANGLE_SURFACES)),
+       seed=hs.integers(0, 2 ** 32 - 1))
+def test_three_form_angles_are_bitwise_the_six_component_wedge(name, seed):
+    rng = np.random.default_rng(seed)
+    state = ANGLE_SURFACES[name]().transformed(
+        offset=rng.uniform(-1.0, 1.0, 4), rotation=su2_real(rng))
+    b = build_geometry(state)
+    got = plane_angles(b.f_u, b.f_v, b.area_element)
+    expect = _wedge_plane_angles(b.f_u, b.f_v, b.area_element)
+    # An SU(2) motion keeps the complex line holomorphic, Omega = 0.
+    assert got[4].all() == (name == "complex_line")
+    for k, (x, y) in enumerate(zip(got, expect)):
+        assert x.dtype == y.dtype and x.shape == y.shape, k
+        assert x.tobytes() == y.tobytes(), k
+    assert b.cos_alpha.tobytes() == expect[0].tobytes()
+    assert b.lag_angle_unit.tobytes() == (expect[1]
+                                          + 1j * expect[2]).tobytes()
+
+
+def test_angle_kernel_raises_at_the_same_node_as_the_wedge():
+    # A frame with omega(a, b) = 1 + 2e-10 at node (2, 3) overshoots the
+    # clamp; 1 + 0.5e-10 there is rounding and is clipped to 1; a NaN node
+    # raises in neither.
+    a = np.zeros((4, 5, 6))
+    b = np.zeros((4, 5, 6))
+    a[0] = 1.0
+    b[1] = 0.5
+    b[2] = np.sqrt(0.75)
+    b[1, 2, 3] = 1.0 + 2e-10
+    with pytest.raises(FrameInconsistent) as err:
+        plane_angles(a, b, 1.0)
+    assert err.value.node == (2, 3)
+    with pytest.raises(FrameInconsistent) as ref:
+        _wedge_plane_angles(a, b, 1.0)
+    assert ref.value.node == err.value.node
+    b[1, 2, 3] = 1.0 + 0.5e-10
+    b[1, 4, 0] = np.nan
+    got = plane_angles(a, b, 1.0)
+    expect = _wedge_plane_angles(a, b, 1.0)
+    assert got[0][2, 3] == 1.0 and np.isnan(got[0][4, 0])
+    for x, y in zip(got, expect):
+        assert x.tobytes() == y.tobytes()
+
+
+def _out_of_place_norm_a2(b):
+    """GeometryBundle.norm_A2 in one out-of-place expression per sum."""
+    uu, uv, vv = ((_dot(x, b.f_u), _dot(x, b.f_v)) for x in b.hessian)
+
+    def tangential(x, y):
+        return (b.inv11 * x[0] * y[0] + b.inv22 * x[1] * y[1]
+                + b.inv12 * (x[0] * y[1] + x[1] * y[0]))
+
+    f_uu, f_uv, f_vv = b.hessian
+    gauss = (_dot(f_uu, f_vv) - _dot(f_uv, f_uv)
+             - tangential(uu, vv) + tangential(uv, uv))
+    return b.norm_H2 - (2.0 / b.det_g) * gauss
+
+
+@pytest.mark.parametrize("name", sorted(ANGLE_SURFACES))
+def test_in_place_norm_a2_is_bitwise_the_out_of_place_sum(name):
+    rng = np.random.default_rng(len(name))
+    state = ANGLE_SURFACES[name]().transformed(
+        offset=rng.uniform(-1.0, 1.0, 4), rotation=su2_real(rng))
+    b = build_geometry(state)
+    assert b.norm_A2.tobytes() == _out_of_place_norm_a2(b).tobytes()

@@ -163,3 +163,36 @@ def test_axis_derivative_takes_a_component_major_field_block_by_block(n):
             assert np.array_equal(got, expect), (periodic, order)
     with pytest.raises(ValueError, match="not 16 long"):
         axis_derivative(np.zeros((4, 5, 16)), 0, 16, h, True, 1)
+
+
+@pytest.mark.parametrize("n", [16, 20, 24, 32, 48, 255])
+def test_last_axis_product_is_bitwise_the_product_with_the_transpose(n):
+    # The last-axis derivative is the product with the transposed view D.T
+    # for vector fields (4 n1 rows) and scalar fields alike.  A row-major
+    # copy of D^T would select another BLAS kernel, which rounds
+    # differently at n = 20 and at few rows.
+    rng = np.random.default_rng(n)
+    h = 2.0 * np.pi / n
+    for shape in ((4, 20, n), (8, n), (1, n)):
+        field = rng.standard_normal(shape)
+        for periodic in (True, False):
+            for order in (1, 2):
+                d = derivative_matrix(n, h, periodic, order)
+                got = axis_derivative(field, 1, n, h, periodic, order)
+                expect = (field.reshape(-1, n) @ d.T).reshape(shape)
+                assert got.tobytes() == expect.tobytes(), (shape, periodic,
+                                                           order)
+
+
+@pytest.mark.parametrize("n", [BANDED_MIN_NODES, 257])
+def test_banded_axis_caches_no_dense_matrix_on_either_axis(n):
+    derivative_matrix.cache_clear()
+    rng = np.random.default_rng(n)
+    h = 1.0 / n
+    for periodic in (True, False):
+        for order in (1, 2):
+            axis_derivative(rng.standard_normal((n, 3)), 0, n, h, periodic,
+                            order)
+            axis_derivative(rng.standard_normal((3, n)), 1, n, h, periodic,
+                            order)
+    assert derivative_matrix.cache_info().currsize == 0
