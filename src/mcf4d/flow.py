@@ -346,29 +346,45 @@ def velocity(state: SurfaceState,
 def _stage(state: SurfaceState, y: np.ndarray) -> SurfaceState:
     """Stage state of a step from ``state``: its positions are the node-major
     view of the component-major stage array ``y``, so the stage's geometry
-    reads ``y`` itself."""
-    return SurfaceState(state.grid, y.transpose(1, 2, 0), state.time,
-                        state.shift1, state.shift2)
+    reads ``y`` itself, and its seams are ``state``'s, checked there."""
+    return state.moved(y.transpose(1, 2, 0), state.time)
 
 
 def _accepted(state: SurfaceState, y: np.ndarray, dt: float) -> SurfaceState:
     """State a step from ``state`` reaches at component-major positions
-    ``y``, stored node-major and C-contiguous like every other state."""
-    return SurfaceState(state.grid, np.ascontiguousarray(y.transpose(1, 2, 0)),
-                        state.time + dt, state.shift1.copy(),
-                        state.shift2.copy())
+    ``y``, stored node-major and C-contiguous like every other state, with
+    ``state``'s seams."""
+    return state.moved(np.ascontiguousarray(y.transpose(1, 2, 0)),
+                       state.time + dt)
 
 
 def step(state: SurfaceState, dt: float, geom: GeometryBundle) -> SurfaceState:
     """One explicit RK4 step of dF/dt = H, the step of fixed-dt runs;
-    ``geom`` is the geometry of ``state`` and supplies the first stage."""
+    ``geom`` is the geometry of ``state`` and supplies the first stage.
+
+    The three stage arrays y0 + (c dt) k are formed in place in one buffer,
+    and the final y0 + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) in the array of k2,
+    operation by operation in that order, so the step is bitwise the
+    out-of-place formula."""
     y0 = component_major(state.positions)
     k1 = velocity(state, geom).transpose(2, 0, 1)
-    k2 = velocity(_stage(state, y0 + (0.5 * dt) * k1)).transpose(2, 0, 1)
-    k3 = velocity(_stage(state, y0 + (0.5 * dt) * k2)).transpose(2, 0, 1)
-    k4 = velocity(_stage(state, y0 + dt * k3)).transpose(2, 0, 1)
-    return _accepted(state, y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-                     dt)
+    y = np.multiply(k1, 0.5 * dt)
+    y += y0
+    k2 = velocity(_stage(state, y)).transpose(2, 0, 1)
+    np.multiply(k2, 0.5 * dt, out=y)
+    y += y0
+    k3 = velocity(_stage(state, y)).transpose(2, 0, 1)
+    np.multiply(k3, dt, out=y)
+    y += y0
+    k4 = velocity(_stage(state, y)).transpose(2, 0, 1)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += y0
+    return _accepted(state, k2, dt)
 
 
 @lru_cache(maxsize=RKC_MAX_STAGES)

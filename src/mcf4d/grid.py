@@ -15,10 +15,22 @@ kernel works in that layout, one contiguous (n1, n2) block per component:
 it reads a state's positions component-major once (a free view for a stage
 state, one copy for a stored one), strips the seam ramps there, and returns
 every derivative field component-major.
+
+A state's seam shifts are fixed once it is made: ``__post_init__`` checks
+them and its time finite and notes which axes carry a shift (``seam1``,
+``seam2``).  A shifted state's seam data, a broadcastable (4, n1, 1) or
+(4, 1, n2) ramp per shifted axis and the slope it adds to that axis's first
+derivative, is built by :meth:`SurfaceState.seam_data` on the state's first
+derivative evaluation and kept, and the states :meth:`SurfaceState.moved`
+makes from it (integrator stages, accepted steps, :meth:`SurfaceState.copy`)
+share it.  The ramps and slopes are the outer products and quotients the
+derivatives formed on every call before they were kept, subtracted and added
+in the same order, so every derivative and field is bitwise unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,13 +90,20 @@ class ParamGrid:
 
 @dataclass
 class SurfaceState:
-    """Immersed surface at one instant: node positions plus seam data."""
+    """Immersed surface at one instant: node positions plus seam data.
+
+    ``time`` and both seam shifts must be finite, and a clamped axis takes
+    no shift.  The shifts are fixed once the state is made: ``seam1`` and
+    ``seam2`` tell, from then on, whether each is nonzero."""
 
     grid: ParamGrid
     positions: np.ndarray           # (n1, n2, 4)
     time: float = 0.0
     shift1: np.ndarray = field(default_factory=lambda: np.zeros(AMBIENT_DIM))
     shift2: np.ndarray = field(default_factory=lambda: np.zeros(AMBIENT_DIM))
+    seam1: bool = field(init=False, repr=False, compare=False)
+    seam2: bool = field(init=False, repr=False, compare=False)
+    _seam_data: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -96,10 +115,34 @@ class SurfaceState:
                 f"positions shape {self.positions.shape} != grid shape {expected}")
         if self.shift1.shape != (AMBIENT_DIM,) or self.shift2.shape != (AMBIENT_DIM,):
             raise BadParameter("seam shifts must be 4-vectors")
-        if not self.grid.periodic1 and np.any(self.shift1):
+        if not math.isfinite(self.time):
+            raise BadParameter(f"time must be finite, got {self.time}")
+        seams = []
+        for name, shift in (("shift1", self.shift1), ("shift2", self.shift2)):
+            values = shift.tolist()
+            if not all(map(math.isfinite, values)):
+                raise BadParameter(f"seam shift {name} must be finite, "
+                                   f"got {shift}")
+            seams.append(any(values))
+        self.seam1, self.seam2 = seams
+        if ((self.seam1 and not self.grid.periodic1)
+                or (self.seam2 and not self.grid.periodic2)):
             raise BadParameter("seam shift on a clamped axis")
-        if not self.grid.periodic2 and np.any(self.shift2):
-            raise BadParameter("seam shift on a clamped axis")
+        self._seam_data = None
+
+    def moved(self, positions: np.ndarray, time: float) -> "SurfaceState":
+        """This state's grid and seams, shift arrays and seam data shared,
+        at node-major ``positions`` and ``time``, with no check: the caller
+        passes a float (n1, n2, 4) array and a finite time, as an integrator
+        stage or step does from a checked state."""
+        # One by one, in the order a checked state gets them: a state whose
+        # __dict__ were copied whole would read every attribute slower.
+        out = object.__new__(SurfaceState)
+        out.grid, out.positions, out.time = self.grid, positions, time
+        out.shift1, out.shift2 = self.shift1, self.shift2
+        out.seam1, out.seam2 = self.seam1, self.seam2
+        out._seam_data = self._seam_data
+        return out
 
     def require_finite(self):
         finite = np.isfinite(self.positions)
@@ -107,20 +150,50 @@ class SurfaceState:
             raise NonFinite(first_node(~finite.all(axis=2)),
                             "non-finite position")
 
+    def seam_data(self) -> tuple:
+        """(ramps, slope1, slope2) of a state with a seam shift: the
+        nonzero seam ramps, u's (4, n1, 1) before v's (4, 1, n2), and the
+        (4, 1, 1) slope each shift adds to F_u and F_v (None on an axis
+        without shift).  Each ramp is shift * (node coordinate / axis
+        length), each slope shift / axis length.  Built once per state and
+        shared, read-only, with the states :meth:`moved` from it."""
+        data = self._seam_data
+        if data is not None:
+            return data
+        g = self.grid
+        ramps, slopes = [], []
+        for axis, seam, shift, n, h in (
+                (0, self.seam1, self.shift1, g.n1, g.spacing1),
+                (1, self.seam2, self.shift2, g.n2, g.spacing2)):
+            if not seam:
+                slopes.append(None)
+                continue
+            frac = g.axis_coords(axis) / (n * h)
+            ramp = shift[:, None, None] * (frac[None, :, None] if axis == 0
+                                           else frac[None, None, :])
+            slope = (shift / (n * h))[:, None, None]
+            ramp.flags.writeable = slope.flags.writeable = False
+            ramps.append(ramp)
+            slopes.append(slope)
+        data = self._seam_data = (tuple(ramps), *slopes)
+        return data
+
     def periodic_components(self) -> np.ndarray:
         """Positions minus the seam ramps, genuinely periodic on periodic
         axes, as a C-contiguous component-major (4, n1, n2) array: a ramp is
-        the outer product of the shift with the node's fraction of its axis.
-        Without shifts this is :func:`component_major` of the positions,
-        which for a stage state is its own stage array, not a copy."""
-        out = component_major(self.positions)
-        g = self.grid
-        if self.shift1.any():
-            frac = g.axis_coords(0) / (g.n1 * g.spacing1)
-            out = out - self.shift1[:, None, None] * frac[None, :, None]
-        if self.shift2.any():
-            frac = g.axis_coords(1) / (g.n2 * g.spacing2)
-            out = out - self.shift2[:, None, None] * frac[None, None, :]
+        the outer product of the shift with the node's fraction of its axis,
+        kept broadcastable in the state's :meth:`seam_data`.  The u ramp is
+        subtracted first, into a new array, then the v ramp in place, so
+        each node is (x - ramp_u) - ramp_v.  Without shifts this is
+        :func:`component_major` of the positions, which for a stage state is
+        its own stage array, not a copy."""
+        if not (self.seam1 or self.seam2):
+            return component_major(self.positions)
+        first, *rest = self.seam_data()[0]
+        pos = self.positions.transpose(2, 0, 1)
+        out = np.subtract(pos, first, out=np.empty(pos.shape))
+        for ramp in rest:
+            out -= ramp
         return out
 
     def periodic_part(self) -> np.ndarray:
@@ -128,8 +201,9 @@ class SurfaceState:
         return self.periodic_components().transpose(1, 2, 0)
 
     def copy(self) -> "SurfaceState":
-        return SurfaceState(self.grid, self.positions.copy(), self.time,
-                            self.shift1.copy(), self.shift2.copy())
+        """Independent positions; the fixed shift arrays and seam data are
+        shared."""
+        return self.moved(self.positions.copy(), self.time)
 
     def transformed(self, scale: float = 1.0, offset: np.ndarray | None = None,
                     rotation: np.ndarray | None = None,
@@ -185,8 +259,10 @@ def position_derivatives(state: SurfaceState):
     f_v = scalar_derivative(per, g, 1, 1)
     f_vv = scalar_derivative(per, g, 1, 2)
     f_uv = scalar_derivative(f_u, g, 1, 1)
-    if state.shift1.any():
-        f_u += (state.shift1 / (g.n1 * g.spacing1))[:, None, None]
-    if state.shift2.any():
-        f_v += (state.shift2 / (g.n2 * g.spacing2))[:, None, None]
+    if state.seam1 or state.seam2:
+        _, slope1, slope2 = state.seam_data()
+        if slope1 is not None:
+            f_u += slope1
+        if slope2 is not None:
+            f_v += slope2
     return f_u, f_v, f_uu, f_uv, f_vv

@@ -129,8 +129,11 @@ def read_snapshot(path) -> SurfaceState:
         if len(row) != 4:
             raise BadParameter(f"{path}: line {i + 2}: expected 4 position "
                                f"floats, got {len(row)}")
-    return SurfaceState(grid, np.array(rows).reshape(n1, n2, 4), time,
-                        np.array(shifts[:4]), np.array(shifts[4:]))
+    try:
+        return SurfaceState(grid, np.array(rows).reshape(n1, n2, 4), time,
+                            np.array(shifts[:4]), np.array(shifts[4:]))
+    except BadParameter as exc:     # a time or seam shift of the header
+        raise BadParameter(f"{path}: line 1: {exc}") from None
 
 
 def write_timeseries(path, trace: FlowTrace, scan=None) -> None:

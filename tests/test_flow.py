@@ -32,7 +32,7 @@ from mcf4d.flow import (SCALAR_COLUMNS, FlowTrace, MappedStates, RunControls,
                         velocity)
 from mcf4d.geometry import (SCALING_POWERS, GeometryBundle, ScaledBundle,
                             build_geometry)
-from mcf4d.grid import ParamGrid, SurfaceState
+from mcf4d.grid import ParamGrid, SurfaceState, component_major
 from mcf4d.rescale import select_blowup_datum, validate_rescaled, with_rescaled
 from mcf4d.scenarios import (clifford_torus, complex_line,
                              grim_reaper_product, lagrangian_graph, plane,
@@ -740,6 +740,49 @@ def test_in_place_rkc_stage_sums_equal_the_out_of_place_combination(stages):
     out = rkc_step(state, dt, geom, stages)
     expect = _node_major_step(state, dt, geom, stages)
     assert out.positions.tobytes() == expect.tobytes()
+
+
+def _out_of_place_rk4(state, dt, geom):
+    """RK4 step positions, component-major, each stage array and the final
+    y0 + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) formed out of place, on stage
+    states made and checked by SurfaceState."""
+
+    def k(y):
+        return velocity(SurfaceState(state.grid, y.transpose(1, 2, 0),
+                                     state.time, state.shift1,
+                                     state.shift2)).transpose(2, 0, 1)
+
+    y0 = component_major(state.positions)
+    k1 = velocity(state, geom).transpose(2, 0, 1)
+    k2 = k(y0 + (0.5 * dt) * k1)
+    k3 = k(y0 + (0.5 * dt) * k2)
+    k4 = k(y0 + dt * k3)
+    return y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(["lagrangian_graph", "symplectic_graph",
+                             "clifford_torus"]),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.5, 2.0),
+       fraction=st.floats(0.1, 1.0))
+def test_in_place_rk4_step_is_bitwise_the_out_of_place_formula(
+        name, seed, scale, fraction):
+    rng = np.random.default_rng(seed)
+    build = {"lagrangian_graph": lambda: lagrangian_graph(16, 20, 0.2),
+             "symplectic_graph": lambda: symplectic_graph(20, 16, 0.2),
+             "clifford_torus": lambda: clifford_torus(16, 16)}[name]
+    state = build().transformed(scale=scale, offset=rng.uniform(-1, 1, 4),
+                                rotation=su2_real(rng))
+    geom = GeometryBundle(state)
+    k1 = geom.mean_curvature.tobytes()
+    dt = fraction * cfl_dt(geom)
+    out = step(state, dt, geom)
+    want = _out_of_place_rk4(state, dt, geom).transpose(1, 2, 0)
+    assert out.positions.tobytes() == want.tobytes()
+    assert out.positions.flags.c_contiguous
+    # The in-place sums leave the state's own geometry untouched.
+    assert geom.mean_curvature.tobytes() == k1
+    assert out.time == state.time + dt
 
 
 @pytest.mark.parametrize("dt", [1e-3, None], ids=["rk4", "rkc"])

@@ -193,6 +193,26 @@ def test_read_snapshot_names_the_line_of_a_bad_value(tmp_path):
         read_snapshot(bad_flag)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    (10, "nan", "shift1 must be finite"), (16, "inf", "shift2 must be finite"),
+    (9, "-inf", "shift1 must be finite"), (6, "nan", "time must be finite")],
+    ids=["shift1_nan", "shift2_inf", "shift1_minus_inf", "time_nan"])
+def test_read_snapshot_rejects_a_non_finite_seam_shift_or_time(
+        tmp_path, field, value, message):
+    # Read without error, a nan seam shift would surface only at the first
+    # geometry build, as a degenerate metric at node (0, 0).
+    good = tmp_path / "good.txt"
+    write_snapshot(good, lagrangian_graph(8, 8))
+    lines = good.read_text(encoding="ascii").splitlines()
+    head = lines[0].split()
+    head[field] = value
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join([" ".join(head)] + lines[1:]) + "\n",
+                   encoding="ascii")
+    with pytest.raises(BadParameter, match=f"bad.txt: line 1: .*{message}"):
+        read_snapshot(bad)
+
+
 def test_readers_name_the_file_and_line_of_a_non_ascii_byte(tmp_path):
     good = tmp_path / "good.txt"
     write_snapshot(good, clifford_torus(8, 8))
