@@ -25,7 +25,15 @@ lam; at lam = 1, a translate, each field the base state's own array.
 
 Vector fields are component-major (4, n1, n2), as
 :func:`~mcf4d.grid.position_derivatives` returns them; ambient products and
-wedges sum over the leading axis.  Scalar fields are (n1, n2).
+wedges sum over the leading axis.  Scalar fields are (n1, n2).  The
+bundle's own contractions (the metric, w = g^ij F_ij and its tangential
+pairings, the inner products of |A|^2 and |H|^2) are single
+``np.einsum`` calls over slices of the derivative stack and of the bundle's
+(7, n1, n2) metric array.  einsum adds the component axis in order, bitwise
+as :func:`_dot`'s multiply and sum do, only when that axis is the slowest
+in memory; on node-major views it regroups the sum, so einsum is used only
+on arrays the bundle lays out itself, and :func:`_dot` serves every other
+caller.
 """
 
 from __future__ import annotations
@@ -50,80 +58,126 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(a * b, axis=0)
 
 
+class _lazy(cached_property):
+    """:class:`functools.cached_property` without its lock: the first read
+    computes the field and stores it in the instance's ``__dict__``, which
+    serves every later read.  Python 3.11's version takes a lock on every
+    first read; two threads that read a field first at once may both
+    compute it, to the same value."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class GeometryBundle:
     """Frame-free geometry of one surface state, built from the state.
 
-    Construction checks the positions are finite, evaluates (F_u, F_v,
-    F_uu, F_uv, F_vv) once, and forms g, det g, g^-1 and H = g^ij A_ij,
-    taking normal parts as x - g^ij <x, F_j> F_i (no frame); H's tangential
-    coefficients, the contracted Christoffel symbols, are kept
-    (``contracted_gamma``).  Every other field is computed on first read, so
-    an integrator stage, which needs only H, pays for nothing else.  The
-    state's ``grid``, ``positions`` and ``time`` are kept.
+    Construction evaluates (F_u, F_v, F_uu, F_uv, F_vv) once, as views of
+    the one stack :func:`~mcf4d.grid.position_derivatives` returns, and
+    forms g, det g, g^-1 and H = g^ij A_ij, taking normal parts as
+    x - g^ij <x, F_j> F_i (no frame); H's tangential coefficients, the
+    contracted Christoffel symbols, are kept (``contracted_gamma``).  Every
+    other field is computed on first read, so an integrator stage, which
+    needs only H, pays for nothing else.  The state's ``grid``,
+    ``positions`` and ``time`` are kept.
 
-    Raises NonFinite on non-finite positions and DegenerateMetric when
-    det g falls below the immersion floor or overflows; the angle fields raise
-    FrameInconsistent when |omega(e1, e2)| exceeds 1 beyond rounding.
+    The seven metric fields are the slots of one (7, n1, n2) array (see
+    ``__init__``), and the contractions are einsum calls (module docstring).
+
+    Raises DegenerateMetric when det g falls below the immersion floor or is
+    not finite, and NonFinite instead when a position is not finite (any
+    such position makes det g non-finite, so the positions are checked only
+    then); the angle fields raise FrameInconsistent when |omega(e1, e2)|
+    exceeds 1 beyond rounding.
     """
 
     def __init__(self, state: SurfaceState):
-        state.require_finite()
+        # Slots of m: g^11, g11, g12, g21, g22, det g, g^22.  The Gram block
+        # fills slots 1-4, and g^12 = -g12 / det g then takes the place of
+        # g21 = g12, so that (g^11, g^12, g^22) is every third slot.
+        m = np.empty((7, *state.grid.shape))
+        inv11, g11, g12, inv12, g22, det, inv22 = m
+        # The derivatives and det g of a non-finite or huge position may
+        # report floating-point errors; the check below raises for them.
         with np.errstate(over="ignore", invalid="ignore"):
-            f_u, f_v, f_uu, f_uv, f_vv = position_derivatives(state)
-            g11 = _dot(f_u, f_u)
-            g12 = _dot(f_u, f_v)
-            g22 = _dot(f_v, f_v)
-            det = g11 * g22
+            derivs = position_derivatives(state)
+            tangent, hessian = derivs[:2], derivs[2:]
+            np.einsum("akij,bkij->abij", tangent, tangent,
+                      out=m[1:5].reshape(2, 2, *state.grid.shape))
+            np.multiply(g11, g22, out=det)
             det -= g12 * g12
         immersed = (det > DET_G_FLOOR) & (det < np.inf)     # NaN fails too
         if not immersed.all():
+            state.require_finite()
             node = first_node(~immersed)
             raise DegenerateMetric(node, f"det g = {det[node]:.3e}")
+        np.divide(g22, det, out=inv11)
+        np.negative(g12, out=inv12)
+        inv12 /= det
+        np.divide(g11, det, out=inv22)
+        # H = w - c^u F_u - c^v F_v for w = g^ij F_ij, summed over the
+        # coefficients (g^11, 2 g^12, g^22): g^12 is doubled for the sum
+        # and halved back, both exact.  The coefficients c^k = g^ij
+        # Gamma^k_ij (the contracted Christoffel symbols) are kept, as
+        # Delta_Sigma F = H makes them the Laplacian's.
+        inv12 *= 2.0
+        w = np.einsum("cij,ckij->kij", m[::3], hessian)
+        inv12 *= 0.5
         self.grid, self.positions, self.time = (state.grid, state.positions,
                                                 state.time)
-        self.f_u, self.f_v = f_u, f_v
-        self.hessian = (f_uu, f_uv, f_vv)
+        self.f_u, self.f_v = tangent
+        self.hessian = tuple(hessian)
         self.g11, self.g12, self.g22, self.det_g = g11, g12, g22, det
-        self.inv11 = g22 / det
-        self.inv12 = -g12 / det
-        self.inv22 = g11 / det
-        # H = w - c^u F_u - c^v F_v for w = g^ij F_ij, formed in place; the
-        # coefficients c^k = g^ij Gamma^k_ij (the contracted Christoffel
-        # symbols) are kept, as Delta_Sigma F = H makes them the Laplacian's.
-        w = self.inv11 * f_uu
-        w += (2.0 * self.inv12) * f_uv
-        w += self.inv22 * f_vv
-        c_u, c_v = self.contracted_gamma = self.tangent_coords(w)
-        w -= c_u * f_u
-        w -= c_v * f_v
-        self.mean_curvature = w
+        self.inv11, self.inv12, self.inv22 = inv11, inv12, inv22
+        coords = self.contracted_gamma = self._coords(
+            *np.einsum("tkij,kij->tij", tangent, w))
+        self.mean_curvature = self._subtract_tangential(w, coords)
+
+    def _coords(self, xu: np.ndarray, xv: np.ndarray) -> tuple:
+        """(g^uu xu + g^uv xv, g^uv xu + g^vv xv), each sum formed in place
+        in that order."""
+        term = self.inv12 * xv
+        c_u = self.inv11 * xu
+        c_u += term
+        c_v = self.inv12 * xu
+        np.multiply(self.inv22, xv, out=term)
+        c_v += term
+        return c_u, c_v
+
+    def _subtract_tangential(self, x: np.ndarray, coords: tuple) -> np.ndarray:
+        """x - c^u F_u - c^v F_v in place, the c^u F_u part first, for
+        ``coords`` (c^u, c^v); returns x."""
+        c_u, c_v = coords
+        term = c_u * self.f_u
+        x -= term
+        np.multiply(c_v, self.f_v, out=term)
+        x -= term
+        return x
 
     def tangent_coords(self, x: np.ndarray) -> tuple:
         """Coefficients (c^u, c^v) = g^ij <x, F_j> of the tangential part
         c^u F_u + c^v F_v of a vector field x."""
-        xu = _dot(x, self.f_u)
-        xv = _dot(x, self.f_v)
-        return (self.inv11 * xu + self.inv12 * xv,
-                self.inv12 * xu + self.inv22 * xv)
+        return self._coords(_dot(x, self.f_u), _dot(x, self.f_v))
 
     def project_normal(self, x: np.ndarray) -> np.ndarray:
         """Subtract from the vector field x, in place, its tangential
         projection g^ij <x, F_j> F_i, the c^u F_u part first; returns x."""
-        cu, cv = self.tangent_coords(x)
-        x -= cu * self.f_u
-        x -= cv * self.f_v
-        return x
+        return self._subtract_tangential(x, self.tangent_coords(x))
 
-    @cached_property
+    @_lazy
     def norm_A2(self) -> np.ndarray:
         """|A|^2 = |H|^2 - 2 K, the Gauss equation, with the Gauss curvature
         K = (<A_11, A_22> - <A_12, A_12>) / det g taken from the Gram
         identity <A_ij, A_kl> = <F_ij, F_kl> - <F_ij, F_m> g^mn <F_n, F_kl>,
-        so no normal part of the Hessian is formed.  The sums are formed in
-        place, term by term left to right."""
-        f_uu, f_uv, f_vv = self.hessian
-        uu, uv, vv = ((_dot(x, self.f_u), _dot(x, self.f_v))
-                      for x in self.hessian)
+        so no normal part of the Hessian is formed.  Its eight inner
+        products of derivative fields are two einsum calls over the
+        derivative stack that F_u is a slot of (``f_u.base``); the sums are
+        formed in place, term by term left to right."""
+        derivs = self.f_u.base
+        uu, uv, vv = np.einsum("hkij,tkij->htij", derivs[2:], derivs[:2])
 
         def tangential(x, y):
             """<F_ij, F_m> g^mn <F_n, F_kl> from the pairs x = <F_ij, F_m>
@@ -140,22 +194,26 @@ class GeometryBundle:
             out += term
             return out
 
-        gauss = _dot(f_uu, f_vv)
-        gauss -= _dot(f_uv, f_uv)
+        # <F_uu, F_vv> and <F_uv, F_uv>.
+        gauss, twist = np.einsum("hkij,hkij->hij", derivs[2:4],
+                                 derivs[4:2:-1])
+        gauss -= twist
         gauss -= tangential(uu, vv)
         gauss += tangential(uv, uv)
         gauss *= 2.0 / self.det_g
-        return np.subtract(self.norm_H2, gauss, out=gauss)
+        # Into a new array: gauss is a slot of a (2, n1, n2) temporary.
+        return np.subtract(self.norm_H2, gauss)
 
-    @cached_property
+    @_lazy
     def norm_H2(self) -> np.ndarray:
-        return _dot(self.mean_curvature, self.mean_curvature)
+        h = self.mean_curvature
+        return np.einsum("kij,kij->ij", h, h)
 
-    @cached_property
+    @_lazy
     def area_element(self) -> np.ndarray:
         return np.sqrt(self.det_g)
 
-    @cached_property
+    @_lazy
     def _angles(self) -> tuple:
         """cos alpha, cos theta and sin theta of :func:`plane_angles`."""
         return plane_angles(self.f_u, self.f_v, self.area_element)[:3]
@@ -170,17 +228,17 @@ class GeometryBundle:
         """Cosine of the Lagrangian angle (meaningful on Lagrangian surfaces)."""
         return self._angles[1]
 
-    @cached_property
+    @_lazy
     def lag_angle_unit(self) -> np.ndarray:
         """e^{i theta}: the Lagrangian angle as a unit complex number."""
         return self._angles[1] + 1j * self._angles[2]
 
-    @cached_property
+    @_lazy
     def nabla_bar_j2(self) -> np.ndarray:
         """|grad J_Sigma|^2, see :func:`j_gradient_sq`."""
         return j_gradient_sq(self)
 
-    @cached_property
+    @_lazy
     def h_dot_a2(self) -> np.ndarray:
         """sum_ab <H, A(e_a, e_b)>^2 = g^ik g^jl <H, A_ij><H, A_kl>, with
         <H, A_ij> = <H, F_ij> since H is normal."""
@@ -243,7 +301,7 @@ class ScaledBundle:
         self.grid, self.time = source.grid, float(states.times[index])
         self._states, self._index = states, index
 
-    @cached_property
+    @_lazy
     def positions(self) -> np.ndarray:
         return self._states[self._index].positions
 

@@ -13,8 +13,12 @@ Integrator stages are component-major: a stage state's positions are the
 node-major view of a C-contiguous (4, n1, n2) stage array.  The derivative
 kernel works in that layout, one contiguous (n1, n2) block per component:
 it reads a state's positions component-major once (a free view for a stage
-state, one copy for a stored one), strips the seam ramps there, and returns
-every derivative field component-major.
+state, one copy for a stored one), strips the seam ramps there, and writes
+the five derivative fields into the slots of one C-contiguous
+(5, 4, n1, n2) stack, (F_u, F_v, F_uu, F_uv, F_vv).  In that stack the
+component axis of every field is slower in memory than the nodes, the
+layout in which ``np.einsum`` sums it in order, bitwise as a multiply and
+a sum over the axis do (see :mod:`~mcf4d.geometry`).
 
 A state's seam shifts are fixed once it is made: ``__post_init__`` checks
 them and its time finite and notes which axes carry a shift (``seam1``,
@@ -224,16 +228,17 @@ class SurfaceState:
 
 
 def scalar_derivative(field: np.ndarray, grid: ParamGrid, axis: int,
-                      order: int) -> np.ndarray:
+                      order: int, out: np.ndarray | None = None) -> np.ndarray:
     """Derivative of a periodic/clamped per-node field (no seam ramps) along
     u (``axis`` 0: the field's first axis, or its second for a stack of
     fields such as a component-major (4, n1, n2) one) or v (``axis`` 1, its
-    last); see :func:`~mcf4d.stencils.axis_derivative`."""
+    last), into ``out`` when given; see
+    :func:`~mcf4d.stencils.axis_derivative`."""
     if axis == 0:
         return stencils.axis_derivative(field, 0, grid.n1, grid.spacing1,
-                                        grid.periodic1, order)
+                                        grid.periodic1, order, out)
     return stencils.axis_derivative(field, 1, grid.n2, grid.spacing2,
-                                    grid.periodic2, order)
+                                    grid.periodic2, order, out)
 
 
 def component_major(field: np.ndarray) -> np.ndarray:
@@ -243,26 +248,29 @@ def component_major(field: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(field.transpose(2, 0, 1))
 
 
-def position_derivatives(state: SurfaceState):
+def position_derivatives(state: SurfaceState) -> np.ndarray:
     """First and second derivatives of the immersion, seam ramps restored.
 
-    Returns (F_u, F_v, F_uu, F_uv, F_vv), each a C-contiguous
-    component-major (4, n1, n2) array.  A u-derivative is one product
-    D @ X per (n1, n2) block of the component-major periodic part; a
-    v-derivative is one product X @ D.T over the field viewed as
-    (4 * n1, n2).
+    Returns one C-contiguous (5, 4, n1, n2) stack of the component-major
+    fields (F_u, F_v, F_uu, F_uv, F_vv), which unpacks as five (4, n1, n2)
+    arrays.  A u-derivative is one product D @ X per (n1, n2) block of the
+    component-major periodic part; a v-derivative is one product X @ D.T
+    over the field viewed as (4 * n1, n2).  Each is written into its slot
+    of the stack, in the order the five were formed as separate arrays.
     """
     g = state.grid
     per = state.periodic_components()
-    f_u = scalar_derivative(per, g, 0, 1)
-    f_uu = scalar_derivative(per, g, 0, 2)
-    f_v = scalar_derivative(per, g, 1, 1)
-    f_vv = scalar_derivative(per, g, 1, 2)
-    f_uv = scalar_derivative(f_u, g, 1, 1)
+    derivs = np.empty((5, AMBIENT_DIM, g.n1, g.n2))
+    f_u, f_v, f_uu, f_uv, f_vv = derivs
+    scalar_derivative(per, g, 0, 1, f_u)
+    scalar_derivative(per, g, 0, 2, f_uu)
+    scalar_derivative(per, g, 1, 1, f_v)
+    scalar_derivative(per, g, 1, 2, f_vv)
+    scalar_derivative(f_u, g, 1, 1, f_uv)
     if state.seam1 or state.seam2:
         _, slope1, slope2 = state.seam_data()
         if slope1 is not None:
             f_u += slope1
         if slope2 is not None:
             f_v += slope2
-    return f_u, f_v, f_uu, f_uv, f_vv
+    return derivs

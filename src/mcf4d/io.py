@@ -116,7 +116,10 @@ def read_snapshot(path) -> SurfaceState:
     if {periodic1, periodic2} - {0, 1}:
         raise BadParameter(f"{path}: line 1: periodic flags must be 0 or 1")
     time, h1, h2, *shifts = _parsed(path, 1, head[6:], float)
-    grid = ParamGrid(n1, n2, h1, h2, periodic1 == 1, periodic2 == 1)
+    try:
+        grid = ParamGrid(n1, n2, h1, h2, periodic1 == 1, periodic2 == 1)
+    except BadParameter as exc:     # node counts or spacings of the header
+        raise BadParameter(f"{path}: line 1: {exc}") from None
     if len(lines) < 1 + n1 * n2:
         raise BadParameter(f"{path}: expected {n1 * n2} position rows")
     for i in range(1 + n1 * n2, len(lines)):

@@ -12,7 +12,10 @@ another kernel, which rounds differently on many shapes (every row count
 tried at n = 20 or 25, up to 37 rows at n = 32), so results would move in
 the last bit.  A longer axis applies D banded: shifted-slice multiply-adds
 for the interior rows and one small gather product for the boundary rows,
-O(n) work and memory where the dense matrix costs O(n^2).
+O(n) work and memory where the dense matrix costs O(n^2).  Either writes
+into a caller's C-contiguous ``out`` array when given one, as the position
+derivatives do, each into its slot of one stack; a product written there
+is bitwise the product into a new array.
 """
 
 from __future__ import annotations
@@ -120,12 +123,15 @@ def _banded_apply(x: np.ndarray, out: np.ndarray, stencil) -> None:
 
 
 def axis_derivative(field: np.ndarray, axis: int, n: int, spacing: float,
-                    periodic: bool, order: int) -> np.ndarray:
+                    periodic: bool, order: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Apply the derivative along the first axis of a field (``axis`` 0, the
     field viewed as (n, size / n)) or along its last axis (``axis`` 1, viewed
     as (size / n, n)).  Along axis 0 a field whose first axis is not n long
     but whose second is, such as a component-major (4, n1, n2) field, is a
-    stack of fields along its first axis, and D applies to each.
+    stack of fields along its first axis, and D applies to each.  The result
+    is written into ``out``, a C-contiguous float array of the field's
+    shape, when one is given, and into a new array otherwise.
 
     An axis shorter than BANDED_MIN_NODES takes the cached dense matrix, one
     BLAS product over the whole field (one per stacked field), which is
@@ -139,13 +145,16 @@ def axis_derivative(field: np.ndarray, axis: int, n: int, spacing: float,
         x = field.reshape(field.shape[0] if stacked else 1, n, -1)
     elif field.shape[-1] != n:
         raise ValueError(f"axis 1 of a {field.shape} field is not {n} long")
+    if out is None:
+        out = np.empty(field.shape, np.result_type(field, float))
     if n < BANDED_MIN_NODES:
         mat = derivative_matrix(n, spacing, periodic, order)
         if axis == 0:
-            return np.matmul(mat, x).reshape(field.shape)
-        return (field.reshape(-1, n) @ mat.T).reshape(field.shape)
+            np.matmul(mat, x, out=out.reshape(x.shape))
+        else:
+            np.matmul(field.reshape(-1, n), mat.T, out=out.reshape(-1, n))
+        return out
     stencil = _stencil(n, spacing, periodic, order)
-    out = np.empty(field.shape, np.result_type(field, stencil[0]))
     if axis == 0:
         for xs, outs in zip(x, out.reshape(x.shape)):
             _banded_apply(xs, outs, stencil)

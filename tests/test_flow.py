@@ -486,6 +486,22 @@ def test_failed_run_keeps_its_termination_record(dt, steps):
     assert "failure" not in ok.meta["run_stats"]
 
 
+@pytest.mark.parametrize("dt, failure", [
+    (3.0, {"error": "DegenerateMetric", "step": 27, "time": 78.0,
+           "node": (2, 2), "message": "det g = inf at node (2, 2)"}),
+    (0.5, {"error": "DegenerateMetric", "step": 81, "time": 40.0,
+           "node": (6, 7), "message": "det g = inf at node (6, 7)"})],
+    ids=["state_degenerates", "step_fails"])
+def test_failed_run_names_the_same_step_node_and_metric(dt, failure):
+    # The positions are checked only when det g fails, and the metric comes
+    # from einsum calls; the record of where and how these runs end is the
+    # one the per-build position check and the multiply-reduce metric gave.
+    tr = run_flow(clifford_torus(8, 8),
+                  RunControls(dt=dt, max_steps=400, stride=4,
+                              blowup_threshold=1e300))
+    assert tr.meta["run_stats"]["failure"] == failure
+
+
 @pytest.fixture(scope="module")
 def graph_flow():
     """Three stored states of a non-flat Lagrangian graph flow."""

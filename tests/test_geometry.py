@@ -27,6 +27,7 @@ Oracles, computed independently in this file:
     from real scalar products and the Hessian F_ij.
 """
 
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,9 +35,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from mcf4d.errors import DegenerateMetric, FrameInconsistent
-from mcf4d.geometry import (COS_CLAMP_EXCESS, OMEGA_NORM_FLOOR, _dot,
-                            build_geometry, gradient_inner,
+from mcf4d.errors import DegenerateMetric, FrameInconsistent, NonFinite
+from mcf4d.flow import MappedStates
+from mcf4d.geometry import (COS_CLAMP_EXCESS, OMEGA_NORM_FLOOR, GeometryBundle,
+                            ScaledBundle, _dot, build_geometry, gradient_inner,
                             gradient_sq, laplace_beltrami, normal_gradient_sq,
                             plane_angles)
 from mcf4d.grid import (ParamGrid, SurfaceState, component_major,
@@ -44,7 +46,7 @@ from mcf4d.grid import (ParamGrid, SurfaceState, component_major,
 from mcf4d.scenarios import (clifford_torus, complex_line,
                              grim_reaper_product, lagrangian_graph, plane,
                              sphere_patch, symplectic_graph)
-from mcf4d.stencils import derivative_matrix
+from mcf4d.stencils import BANDED_MIN_NODES, derivative_matrix
 
 from conftest import su2_real
 
@@ -761,6 +763,15 @@ def layout_surfaces(draw):
     periodic = draw(hs.tuples(hs.booleans(), hs.booleans()))
     seam = draw(hs.tuples(hs.booleans(), hs.booleans()))
     rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    state = _wavy_surface(n1, n2, periodic, seam, rng)
+    return state.transformed(
+        rotation=np.linalg.qr(rng.standard_normal((4, 4)))[0])
+
+
+def _wavy_surface(n1, n2, periodic, seam, rng):
+    """A smooth immersion of unit scale: per axis round a circle (an arc on
+    a clamped axis) or, on a periodic axis with ``seam``, along a line with
+    a seam shift, plus a few random low Fourier modes."""
     grid = ParamGrid(n1, n2, 2.0 * np.pi / n1, 2.0 * np.pi / n2, *periodic)
     u = grid.axis_coords(0)[:, None] * np.ones((1, n2))
     v = grid.axis_coords(1)[None, :] * np.ones((n1, 1))
@@ -780,9 +791,7 @@ def layout_surfaces(draw):
             phase = rng.uniform(0.0, 2.0 * np.pi, 4)
             positions += rng.uniform(-0.02, 0.02, 4) * np.cos(
                 k1 * u[..., None] + k2 * v[..., None] + phase)
-    state = SurfaceState(grid, positions, shift1=shifts[0], shift2=shifts[1])
-    return state.transformed(
-        rotation=np.linalg.qr(rng.standard_normal((4, 4)))[0])
+    return SurfaceState(grid, positions, shift1=shifts[0], shift2=shifts[1])
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -947,3 +956,270 @@ def test_in_place_norm_a2_is_bitwise_the_out_of_place_sum(name):
         offset=rng.uniform(-1.0, 1.0, 4), rotation=su2_real(rng))
     b = build_geometry(state)
     assert b.norm_A2.tobytes() == _out_of_place_norm_a2(b).tobytes()
+
+
+# Bitwise guard of the einsum contractions: the five derivative fields as
+# separately allocated products and the bundle's fields by the
+# multiply-reduce formulas that the einsum calls replaced, kept here as
+# their reference.  Each einsum sums the component axis in order, as
+# np.add.reduce(a * b, axis=0) does, on the component-major arrays the
+# bundle lays out itself.
+
+def _reduce_dot(a, b):
+    return np.add.reduce(a * b, axis=0)
+
+
+def _allocating_derivative(field, grid, axis, order):
+    """A derivative of a component-major field as the product that
+    allocates its own result, D @ X per block or X @ D.T; a banded axis
+    (no dense product) through the module's own apply."""
+    n, h, periodic = ((grid.n1, grid.spacing1, grid.periodic1) if axis == 0
+                      else (grid.n2, grid.spacing2, grid.periodic2))
+    if n >= BANDED_MIN_NODES:
+        return scalar_derivative(field, grid, axis, order)
+    mat = derivative_matrix(n, h, periodic, order)
+    if axis == 0:
+        return np.matmul(mat, field)
+    return (field.reshape(-1, n) @ mat.T).reshape(field.shape)
+
+
+def _separate_derivatives(state):
+    """(F_u, F_v, F_uu, F_uv, F_vv) as five separate arrays, in the order
+    the kernel forms them, seam slopes added last."""
+    g = state.grid
+    per = state.periodic_components()
+    f_u = _allocating_derivative(per, g, 0, 1)
+    f_uu = _allocating_derivative(per, g, 0, 2)
+    f_v = _allocating_derivative(per, g, 1, 1)
+    f_vv = _allocating_derivative(per, g, 1, 2)
+    f_uv = _allocating_derivative(f_u, g, 1, 1)
+    if state.seam1 or state.seam2:
+        _, slope1, slope2 = state.seam_data()
+        if slope1 is not None:
+            f_u += slope1
+        if slope2 is not None:
+            f_v += slope2
+    return f_u, f_v, f_uu, f_uv, f_vv
+
+
+def _multiply_reduce_fields(derivs):
+    """Every field the bundle forms by einsum, from separate derivative
+    arrays, each inner product a multiply and a sum over the leading axis."""
+    f_u, f_v, f_uu, f_uv, f_vv = derivs
+    g11, g12, g22 = (_reduce_dot(f_u, f_u), _reduce_dot(f_u, f_v),
+                     _reduce_dot(f_v, f_v))
+    det = g11 * g22
+    det -= g12 * g12
+    inv11, inv12, inv22 = g22 / det, -g12 / det, g11 / det
+    w = inv11 * f_uu
+    w += (2.0 * inv12) * f_uv
+    w += inv22 * f_vv
+    xu, xv = _reduce_dot(w, f_u), _reduce_dot(w, f_v)
+    c_u, c_v = inv11 * xu + inv12 * xv, inv12 * xu + inv22 * xv
+    w -= c_u * f_u
+    w -= c_v * f_v
+    norm_h2 = _reduce_dot(w, w)
+    uu, uv, vv = ((_reduce_dot(x, f_u), _reduce_dot(x, f_v))
+                  for x in (f_uu, f_uv, f_vv))
+
+    def tangential(x, y):
+        out = inv11 * x[0]
+        out *= y[0]
+        term = inv22 * x[1]
+        term *= y[1]
+        out += term
+        term = x[0] * y[1]
+        term += x[1] * y[0]
+        term *= inv12
+        out += term
+        return out
+
+    gauss = _reduce_dot(f_uu, f_vv)
+    gauss -= _reduce_dot(f_uv, f_uv)
+    gauss -= tangential(uu, vv)
+    gauss += tangential(uv, uv)
+    gauss *= 2.0 / det
+    return {"g11": g11, "g12": g12, "g22": g22, "det_g": det,
+            "inv11": inv11, "inv12": inv12, "inv22": inv22,
+            "c_u": c_u, "c_v": c_v, "mean_curvature": w,
+            "norm_H2": norm_h2, "norm_A2": norm_h2 - gauss}
+
+
+@hs.composite
+def contraction_states(draw):
+    """A smooth immersion on an 8-64 node grid per axis, or with one banded
+    axis of 256-300 nodes, periodic or clamped per axis and seam-shifted or
+    not, moved by a Haar SU(2) rotation and an offset; as a stored state or
+    as an integrator stage holds it, the node-major view of its
+    component-major copy."""
+    n1, n2 = draw(hs.integers(8, 64)), draw(hs.integers(8, 64))
+    banded = draw(hs.integers(0, 5))
+    if banded == 4:
+        n1, n2 = draw(hs.integers(BANDED_MIN_NODES, 300)), 8
+    elif banded == 5:
+        n1, n2 = 8, draw(hs.integers(BANDED_MIN_NODES, 300))
+    periodic = draw(hs.tuples(hs.booleans(), hs.booleans()))
+    seam = draw(hs.tuples(hs.booleans(), hs.booleans()))
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    state = _wavy_surface(n1, n2, periodic, seam, rng).transformed(
+        offset=rng.uniform(-1.0, 1.0, 4), rotation=su2_real(rng))
+    if draw(hs.booleans()):
+        stage = component_major(state.positions)
+        state = state.moved(stage.transpose(1, 2, 0), state.time)
+    return state
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(state=contraction_states())
+def test_einsum_contractions_are_bitwise_the_multiply_reduce_formulas(state):
+    derivs = position_derivatives(state)
+    assert derivs.shape == (5, 4, *state.grid.shape)
+    assert derivs.flags.c_contiguous
+    want = _separate_derivatives(state)
+    for k, (got, expect) in enumerate(zip(derivs, want)):
+        assert got.tobytes() == expect.tobytes(), k
+    b = build_geometry(state)
+    got = {"g11": b.g11, "g12": b.g12, "g22": b.g22, "det_g": b.det_g,
+           "inv11": b.inv11, "inv12": b.inv12, "inv22": b.inv22,
+           "c_u": b.contracted_gamma[0], "c_v": b.contracted_gamma[1],
+           "mean_curvature": b.mean_curvature, "norm_H2": b.norm_H2,
+           "norm_A2": b.norm_A2}
+    for name, expect in _multiply_reduce_fields(want).items():
+        assert got[name].shape == expect.shape, name
+        assert got[name].tobytes() == expect.tobytes(), name
+
+
+def test_dot_keeps_its_bits_on_node_major_views():
+    # The generic inner product stays a multiply and a reduce: on node-major
+    # views, whose component axis is the fastest in memory, it still adds
+    # the components left to right, where an einsum regroups the sum and
+    # moves the last bit.  On component-major copies, the layout of the
+    # bundle's own arrays, the einsum sum is the same.
+    rng = np.random.default_rng(29)
+    for shape in ((24, 24), (48, 48), (16, 33), (1025, 16)):
+        a, b = (rng.standard_normal((*shape, 4)).transpose(2, 0, 1)
+                for _ in range(2))
+        assert not a.flags.c_contiguous
+        expect = _four_term_dot(a, b)
+        assert _dot(a, b).tobytes() == expect.tobytes(), shape
+        assert _reduce_dot(a, b).tobytes() == expect.tobytes(), shape
+        einsum = np.einsum("kij,kij->ij", component_major(
+            a.transpose(1, 2, 0)), component_major(b.transpose(1, 2, 0)))
+        assert einsum.tobytes() == expect.tobytes(), shape
+
+
+FINITENESS_STATES = {
+    "dense_unshifted": lambda: clifford_torus(16, 12),
+    "dense_shifted": lambda: lagrangian_graph(16, 12, 0.1),
+    "banded_unshifted": lambda: clifford_torus(BANDED_MIN_NODES, 8),
+    "banded_shifted": lambda: symplectic_graph(8, BANDED_MIN_NODES, 0.1),
+}
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(name=hs.sampled_from(sorted(FINITENESS_STATES)),
+       value=hs.sampled_from([np.nan, np.inf, -np.inf]),
+       count=hs.integers(1, 3), stage=hs.booleans(),
+       seed=hs.integers(0, 2 ** 32 - 1))
+def test_non_finite_positions_raise_at_the_first_bad_node(name, value, count,
+                                                          stage, seed):
+    # The positions are checked only once det g fails, which any
+    # non-finite position makes happen; the error names the first bad node
+    # in row-major order, as the check on the positions alone does, and no
+    # floating-point warning is raised on the way.
+    rng = np.random.default_rng(seed)
+    state = FINITENESS_STATES[name]().transformed(
+        offset=rng.uniform(-1.0, 1.0, 4), rotation=su2_real(rng))
+    positions = state.positions.copy()
+    n1, n2 = state.grid.shape
+    for _ in range(count):
+        positions[rng.integers(n1), rng.integers(n2), rng.integers(4)] = value
+    bad = SurfaceState(state.grid, positions, state.time, state.shift1,
+                       state.shift2)
+    if stage:
+        bad = bad.moved(component_major(positions).transpose(1, 2, 0),
+                        bad.time)
+    rows, cols = np.nonzero(~np.isfinite(positions).all(axis=2))
+    expect = (int(rows[0]), int(cols[0]))
+    with pytest.raises(NonFinite) as ref:
+        bad.require_finite()
+    assert ref.value.node == expect
+    with pytest.raises(NonFinite) as err:
+        build_geometry(bad)
+    assert err.value.node == expect
+    assert str(err.value) == str(ref.value)
+
+
+def test_overflowing_metric_raises_without_a_warning():
+    # Finite positions whose metric overflows: det g is inf or NaN, the
+    # error is DegenerateMetric at the first node, and no floating-point
+    # warning is raised (warnings are errors under this suite).
+    for state in (clifford_torus(8, 8, radius=1e300),
+                  lagrangian_graph(8, 8).transformed(scale=1e300),
+                  clifford_torus(BANDED_MIN_NODES, 8).transformed(
+                      scale=1e300)):
+        with pytest.raises(DegenerateMetric, match="det g = (nan|inf)"):
+            build_geometry(state)
+
+
+def _held_arrays(obj):
+    """Every array a bundle field holds, entries of tuple fields too."""
+    for value in vars(obj).values():
+        for a in (value if isinstance(value, tuple) else (value,)):
+            if isinstance(a, np.ndarray):
+                yield a
+
+
+def test_bundle_holds_each_field_once():
+    # Bytes over the distinct arrays behind the bundle's fields: the five
+    # derivative fields share one stack and the seven metric fields one
+    # (7, n1, n2) array, and neither holds a spare slot, so the bundle
+    # holds one node's worth per scalar field, as with one array per field:
+    # 20 for the derivatives, 7 for the metric, 4 for H and 2 for c^u and
+    # c^v; every lazy field then adds its own.
+    b = build_geometry(lagrangian_graph(16, 20, 0.1))
+    node_bytes = 8 * b.grid.node_count
+
+    def held():
+        bases = {}
+        for a in _held_arrays(b):
+            if a is not b.positions:
+                base = a if a.base is None else a.base
+                bases[id(base)] = base.nbytes
+        return sum(bases.values())
+
+    assert held() == 33 * node_bytes
+    assert b.f_u.base.shape == (5, 4, 16, 20)
+    assert b.g11.base is b.inv22.base
+    lazy = {"norm_H2": 1, "norm_A2": 1, "area_element": 1, "_angles": 3,
+            "lag_angle_unit": 2, "nabla_bar_j2": 1, "h_dot_a2": 1}
+    for name, count in lazy.items():
+        before = held()
+        getattr(b, name)
+        assert held() - before == count * node_bytes, name
+
+
+def test_lazy_fields_take_no_lock(monkeypatch):
+    # functools.cached_property takes its lock on every first read under
+    # Python 3.11; the geometry's lazy fields compute without one.
+    class Untouchable:
+        def __enter__(self):
+            raise AssertionError("lock taken")
+
+        def __exit__(self, *exc):
+            return False
+
+    lazy = {name: attr for cls in (GeometryBundle, ScaledBundle)
+            for name, attr in vars(cls).items()
+            if isinstance(attr, cached_property)}
+    assert {"norm_A2", "norm_H2", "positions"} <= set(lazy)
+    for attr in lazy.values():
+        monkeypatch.setattr(attr, "lock", Untouchable(), raising=False)
+    state = clifford_torus(16, 16)
+    b = build_geometry(state)
+    view = ScaledBundle(b, MappedStates([state], [0], [2.0], None, [0.0]), 0)
+    for name in lazy:
+        owner = view if name == "positions" else b
+        value = getattr(owner, name)
+        assert vars(owner)[name] is value
+        assert getattr(owner, name) is value

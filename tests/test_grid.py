@@ -230,7 +230,8 @@ def _ramp_periodic_components(state):
 
 def _ramp_position_derivatives(state):
     """position_derivatives on :func:`_ramp_periodic_components`, each
-    slope formed on the call."""
+    slope formed on the call; the five fields stacked as the kernel
+    returns them."""
     g = state.grid
     per = _ramp_periodic_components(state)
     f_u = scalar_derivative(per, g, 0, 1)
@@ -242,7 +243,7 @@ def _ramp_position_derivatives(state):
         f_u += (state.shift1 / (g.n1 * g.spacing1))[:, None, None]
     if state.shift2.any():
         f_v += (state.shift2 / (g.n2 * g.spacing2))[:, None, None]
-    return f_u, f_v, f_uu, f_uv, f_vv
+    return np.stack((f_u, f_v, f_uu, f_uv, f_vv))
 
 
 def _one_seam_graph(n1, n2, amplitude, axis):
@@ -296,7 +297,7 @@ def test_kept_seam_data_is_bitwise_the_per_call_ramps(state):
     derivs = position_derivatives(state)
     for got, want in zip(derivs, _ramp_position_derivatives(state)):
         assert got.tobytes() == want.tobytes()
-    # Five separate arrays, no one buffer behind them.
+    # Five disjoint slots of one stack.
     assert not any(np.shares_memory(a, b)
                    for i, a in enumerate(derivs) for b in derivs[i + 1:])
     # Every bundle field, built on the per-call derivatives.

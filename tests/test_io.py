@@ -1,6 +1,7 @@
 """Serialization round-trips and format-contract checks."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -191,6 +192,27 @@ def test_read_snapshot_names_the_line_of_a_bad_value(tmp_path):
                         encoding="ascii")
     with pytest.raises(BadParameter, match="flag.txt: line 1"):
         read_snapshot(bad_flag)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (7, "0", "grid spacings must lie in"),
+    (2, "4", "grid needs 8 to 4097 nodes per axis, got 4x8")],
+    ids=["spacing1_zero", "n1_four"])
+def test_read_snapshot_names_the_file_and_line_of_a_bad_grid(
+        tmp_path, field, value, message):
+    good = tmp_path / "good.txt"
+    write_snapshot(good, clifford_torus(8, 8))
+    lines = good.read_text(encoding="ascii").splitlines()
+    head = lines[0].split()
+    head[field] = value
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join([" ".join(head)] + lines[1:]) + "\n",
+                   encoding="ascii")
+    with pytest.raises(BadParameter,
+                       match=f"^{re.escape(str(bad))}: line 1: {message}"
+                       ) as err:
+        read_snapshot(bad)
+    assert err.value.__cause__ is None
 
 
 @pytest.mark.parametrize("field, value, message", [
