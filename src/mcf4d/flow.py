@@ -59,6 +59,11 @@ MIN_GROWTH = 10.0    # growth of max|A|^2 over its first value a fit needs
 
 SCALAR_COLUMNS = ("step", "t", "area", "max_A2", "max_H2",
                   "min_cos_alpha", "min_cos_theta", "min_detg")
+# Geometry field each column after t reduces (see scalar_row), so a column
+# scales as that field does under the parabolic map (SCALING_POWERS).
+COLUMN_FIELDS = {"area": "area_element", "max_A2": "norm_A2",
+                 "max_H2": "norm_H2", "min_cos_alpha": "_angles",
+                 "min_cos_theta": "_angles", "min_detg": "det_g"}
 
 
 @dataclass
@@ -107,10 +112,13 @@ class TraceScalars:
 
     @classmethod
     def from_rows(cls, rows: list[tuple]) -> "TraceScalars":
-        cols = np.array(rows, dtype=float).T if rows else np.zeros((8, 0))
-        return cls(step=cols[0].astype(int), t=cols[1], area=cols[2],
-                   max_A2=cols[3], max_H2=cols[4], min_cos_alpha=cols[5],
-                   min_cos_theta=cols[6], min_detg=cols[7])
+        cols = (np.array(rows, dtype=float).T if rows
+                else np.zeros((len(SCALAR_COLUMNS), 0)))
+        return cls(cols[0].astype(int), *cols[1:])
+
+    def select(self, rows) -> "TraceScalars":
+        """The rows ``rows`` (indices or a boolean mask) of every column."""
+        return TraceScalars(*(getattr(self, c)[rows] for c in SCALAR_COLUMNS))
 
     def __len__(self):
         return self.t.size
@@ -120,13 +128,13 @@ class MappedStates(Sequence):
     """States read through one similarity map per sample: state k is
     ``base[index[k]]`` mapped F -> scales[k] (F - offsets[k]) at time
     ``times[k]`` by :meth:`SurfaceState.transformed` on every read; no
-    mapped state is kept.  ``offsets`` is an (n, 4) array, or None for no
-    offset.  Samples may share a base state, so n samples of an exact flow
-    keep one state.  A slice stays mapped over the same base, and
-    :attr:`times` maps no positions."""
+    mapped state is kept.  ``offsets`` is an (n, 4) array, a zero row for
+    no offset (exact, as x - 0.0 = x).  Samples may share a base state, so
+    n samples of an exact flow keep one state.  A slice stays mapped over
+    the same base, and :attr:`times` maps no positions."""
 
     def __init__(self, base: Sequence[SurfaceState], index, scales,
-                 offsets: np.ndarray | None, times):
+                 offsets: np.ndarray, times):
         self.base, self.offsets = base, offsets
         self.index = np.asarray(index, dtype=int)
         self.scales = np.asarray(scales, dtype=float)
@@ -136,14 +144,11 @@ class MappedStates(Sequence):
         return self.index.size
 
     def __getitem__(self, k):
-        offsets = self.offsets
         if isinstance(k, slice):
-            return MappedStates(
-                self.base, self.index[k], self.scales[k],
-                None if offsets is None else offsets[k], self.times[k])
+            return MappedStates(self.base, self.index[k], self.scales[k],
+                                self.offsets[k], self.times[k])
         return self.base[self.index[k]].transformed(
-            scale=float(self.scales[k]),
-            offset=None if offsets is None else offsets[k],
+            scale=float(self.scales[k]), offset=self.offsets[k],
             time=float(self.times[k]))
 
 
@@ -251,9 +256,13 @@ class FlowTrace:
                   offset: np.ndarray | None = None) -> "FlowTrace":
         """Parabolic rescaling F -> lam (F - offset), t -> lam^2 (t - t0).
 
-        Stored states and scalars both move: area scales by lam^2, the
-        curvatures by lam^-2, det g by lam^4; angles and steps are
-        invariant.  The new trace copies ``meta``.  Its states are
+        Stored states and scalars both move: each column after t scales as
+        the field it reduces (:data:`COLUMN_FIELDS`), by
+        :func:`~mcf4d.geometry.scaled_field`, so on a trace whose states are
+        stored as is each rescaled column is bitwise the max or min of the
+        mapped state's field.  A column the map leaves as is (steps,
+        angles) is this trace's own array, as a geometry field of power 0
+        is.  The new trace copies ``meta``.  Its states are
         :class:`MappedStates` over this trace's base states, this map
         composed into each sample's one map, so no trace refers to another
         and a state read through any number of rescalings is mapped once,
@@ -265,32 +274,30 @@ class FlowTrace:
         geometry is built.
 
         Raises BadParameter, before anything is mapped, unless lam is finite
-        and positive and t0 and every entry of the offset are finite.
+        and positive, t0 is finite and the offset is a finite 4-vector.
         """
         if not (math.isfinite(lam) and lam > 0):
             raise BadParameter(f"rescaling factor must be finite and "
                                f"positive, got {lam}")
         if not math.isfinite(t0):
             raise BadParameter(f"rescaling time t0 must be finite, got {t0}")
-        if offset is not None and not np.all(np.isfinite(offset)):
-            raise BadParameter(f"rescaling offset must be finite, got {offset}")
+        if offset is not None:
+            offset = np.asarray(offset, dtype=float)
+            if offset.shape != (4,) or not np.all(np.isfinite(offset)):
+                raise BadParameter(f"rescaling offset must be a finite "
+                                   f"4-vector, got {offset.tolist()}")
         states = self.states
         if not isinstance(states, MappedStates):
             n = len(states)
-            states = MappedStates(states, range(n), np.ones(n), None, self.times)
+            states = MappedStates(states, range(n), np.ones(n),
+                                  np.zeros((n, 4)), self.times)
         # lam (s (F - X) - offset) = lam s (F - (X + offset / s))
-        offsets = states.offsets
-        if offset is not None:
-            shift = np.asarray(offset, dtype=float) / states.scales[:, None]
-            offsets = shift if offsets is None else offsets + shift
+        offsets = (states.offsets if offset is None
+                   else states.offsets + offset / states.scales[:, None])
         sc = self.scalars
-        scalars = TraceScalars(
-            step=sc.step.copy(), t=lam * lam * (sc.t - t0),
-            area=lam * lam * sc.area, max_A2=sc.max_A2 / lam ** 2,
-            max_H2=sc.max_H2 / lam ** 2,
-            min_cos_alpha=sc.min_cos_alpha.copy(),
-            min_cos_theta=sc.min_cos_theta.copy(),
-            min_detg=lam ** 4 * sc.min_detg)
+        scalars = TraceScalars(sc.step, lam * lam * (sc.t - t0), *(
+            scaled_field(getattr(sc, c), f, lam)
+            for c, f in COLUMN_FIELDS.items()))
         states = MappedStates(states.base, states.index, lam * states.scales,
                               offsets, lam * lam * (states.times - t0))
         return replace(self, states=states, scalars=scalars,

@@ -77,10 +77,6 @@ class ParamGrid:
     def shape(self) -> tuple[int, int]:
         return (self.n1, self.n2)
 
-    @property
-    def node_count(self) -> int:
-        return self.n1 * self.n2
-
     def axis_coords(self, axis: int) -> np.ndarray:
         """Node coordinates along an axis, starting at 0."""
         if axis == 0:
@@ -199,10 +195,6 @@ class SurfaceState:
         for ramp in rest:
             out -= ramp
         return out
-
-    def periodic_part(self) -> np.ndarray:
-        """:meth:`periodic_components` node-major, (n1, n2, 4)."""
-        return self.periodic_components().transpose(1, 2, 0)
 
     def copy(self) -> "SurfaceState":
         """Independent positions; the fixed shift arrays and seam data are

@@ -23,14 +23,13 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from .errors import BadParameter
-from .flow import FlowTrace
+from .flow import SCALAR_COLUMNS, FlowTrace
 from .grid import ParamGrid, SurfaceState
 
 SNAPSHOT_MAGIC = "MCF4D"
 SNAPSHOT_VERSION = 1
-TIMESERIES_COLUMNS = ("step", "t", "area", "max_A2", "max_H2",
-                      "min_cos_alpha", "min_cos_theta", "psi", "rhs_drift",
-                      "rhs_dissipation", "rhs_gradient", "min_detg")
+SCAN_COLUMNS = ("psi", "rhs_drift", "rhs_dissipation", "rhs_gradient")
+TIMESERIES_COLUMNS = SCALAR_COLUMNS[:-1] + SCAN_COLUMNS + SCALAR_COLUMNS[-1:]
 
 
 def _fmt(x: float) -> str:
@@ -149,49 +148,34 @@ def write_timeseries(path, trace: FlowTrace, scan=None) -> None:
     """
     sc = trace.scalars
     step_to_row = {int(s): k for k, s in enumerate(sc.step)}
-    picks = [step_to_row[int(s)] for s in trace.state_steps]
-    m = len(picks)
-    psi = np.full(m, np.nan)
-    drift = np.full(m, np.nan)
-    dissipation = np.full(m, np.nan)
-    gradient = np.full(m, np.nan)
+    picked = sc.select([step_to_row[int(s)] for s in trace.state_steps])
+    scanned = np.full((len(SCAN_COLUMNS), len(picked)), np.nan)
     if scan is not None:
-        psi[:] = scan.psi
-        drift[1:-1] = scan.rhs_drift
-        dissipation[1:-1] = scan.rhs_dissipation
-        gradient[1:-1] = scan.rhs_gradient
+        scanned[0] = scan.psi
+        scanned[1:, 1:-1] = [getattr(scan, c) for c in SCAN_COLUMNS[1:]]
+    cols = [getattr(picked, c) for c in SCALAR_COLUMNS]
+    table = np.column_stack(cols[:-1] + list(scanned) + cols[-1:])
     lines = [",".join(TIMESERIES_COLUMNS)]
-    for k, row in enumerate(picks):
-        values = [str(int(sc.step[row])), _fmt(sc.t[row]), _fmt(sc.area[row]),
-                  _fmt(sc.max_A2[row]), _fmt(sc.max_H2[row]),
-                  _fmt(sc.min_cos_alpha[row]), _fmt(sc.min_cos_theta[row]),
-                  _fmt(psi[k]), _fmt(drift[k]), _fmt(dissipation[k]),
-                  _fmt(gradient[k]), _fmt(sc.min_detg[row])]
-        lines.append(",".join(values))
+    for row in table:
+        lines.append(",".join([str(int(row[0])), *map(_fmt, row[1:])]))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """What ``json`` does not write itself: a dataclass as its dict, a numpy
+    array or scalar as the Python value ``tolist`` gives."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+        return asdict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    f"serializable")
 
 
 def write_report(path, payload) -> None:
     """JSON report with sorted keys; dataclasses and arrays are unwrapped."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True,
+                  default=_json_default)
         fh.write("\n")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BadParameter, InsufficientCoverage, NonFinite
-from .flow import SCALAR_COLUMNS, FlowTrace, TraceScalars
+from .flow import FlowTrace
 
 SIGMA_CANDIDATES = 64
 SIGMA_RATIO = 2.0 ** (-1.0 / 9.0)
@@ -176,8 +176,7 @@ def rescale_flow(trace: FlowTrace, record: RescaleRecord) -> FlowTrace:
     out = trace.parabolic(record.lambdaK, record.peakTime, record.peakPoint)
     out = replace(out, states=out.states[start:],
                   state_steps=out.state_steps[start:],
-                  scalars=TraceScalars(*(getattr(out.scalars, c)[rows]
-                                         for c in SCALAR_COLUMNS)))
+                  scalars=out.scalars.select(rows))
     out.meta.update({"rescaled": True, "lambda": record.lambdaK,
                      "peak_time": record.peakTime,
                      "peak_node": record.peakNode})

@@ -221,16 +221,16 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     :func:`sphere_patch` parameters (n1, n2, polar_margin).
     Each stored state is the initial lat-long patch scaled by r/r0 about
     the origin, and the trace keeps that patch alone, as its one base
-    state: its stored states (:class:`MappedStates` with scale r/r0 and no
-    offset) scale it on every read.  The patch's :class:`GeometryBundle` is
+    state: its stored states (:class:`MappedStates` with scale r/r0 and
+    offset 0) scale it on every read.  The patch's :class:`GeometryBundle` is
     the only one built: the scalar rows are read off it, and
     :meth:`FlowTrace.bundle` of a stored state is a view on it whose fields
     carry their powers of r/r0.
     """
     controls = controls or RunControls()
     r0 = float(radius)
-    if r0 <= 0:
-        raise BadParameter("radius must be positive")
+    if not (np.isfinite(r0) and r0 > 0):
+        raise BadParameter(f"radius must be finite and positive, got {r0}")
     t_sing = r0 * r0 / 4.0
     # Halt when |A|^2 = 2/r^2 crosses the blow-up threshold.
     t_stop = t_sing - 0.5 / controls.blowup_threshold
@@ -265,7 +265,7 @@ def run_sphere_ode(radius: float = 1.0, controls: RunControls | None = None,
     if stored[-1] != n_samples - 1:
         stored.append(n_samples - 1)
     states = MappedStates([patch0], [0] * len(stored), r[stored] / r0,
-                          None, t[stored])
+                          np.zeros((len(stored), 4)), t[stored])
     return FlowTrace(states=states, state_steps=stored,
                      scalars=TraceScalars.from_rows(rows),
                      termination_reason=reason,

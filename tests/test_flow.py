@@ -536,6 +536,38 @@ def test_parabolic_scaling_matches_recomputed_rows(graph_flow, lam, lam2, t0,
                                    atol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def graph_flow_every_step():
+    """A 16^2 Lagrangian graph flow storing all 25 of its states."""
+    return run_flow(lagrangian_graph(16, 16, 0.3),
+                    RunControls(dt=1e-3, max_steps=24))
+
+
+@pytest.mark.parametrize("lam, t0, offset", [
+    (0.3, 0.0, None), (0.7, -0.2, [0.1, -0.2, 0.3, -0.4]),
+    (1.7, 0.01, [1.0, 0.0, -1.0, 0.5]), (3.1, 0.5, None),
+    (10.0, -1.0, [0.0, 2.0, 0.0, -2.0])])
+def test_rescaled_columns_are_bitwise_the_extremes_of_the_mapped_fields(
+        graph_flow_every_step, lam, t0, offset):
+    # Each column scales as the field it reduces, so the max or min of a
+    # rescaled state's field is its column's entry to the last bit; area is
+    # a sum and is left out.
+    mapped = graph_flow_every_step.parabolic(lam, t0, offset)
+    sc = mapped.scalars
+    rows = np.searchsorted(sc.step, mapped.state_steps)
+    assert len(rows) == 25
+    for i, row in enumerate(rows):
+        bundle = mapped.bundle(i)
+        fields = {"max_A2": mapped.curvature_a2(i).max(),
+                  "max_H2": bundle.norm_H2.max(),
+                  "min_cos_alpha": bundle.cos_alpha.min(),
+                  "min_cos_theta": bundle.cos_theta.min(),
+                  "min_detg": bundle.det_g.min()}
+        for c, value in fields.items():
+            assert (getattr(sc, c)[row].tobytes()
+                    == np.float64(value).tobytes()), (c, i)
+
+
 def _assert_mapped_exactly(mapped, source, lam, offset, times):
     """Every state of ``mapped`` is bitwise ``source``'s state moved by
     ``transformed`` with scale ``lam`` and ``offset`` to its entry of
@@ -831,10 +863,17 @@ def test_run_controls_take_numpy_integers():
     (0.0, 0.0, None), (-1.0, 0.0, None), (float("nan"), 0.0, None),
     (float("inf"), 0.0, None), (2.0, float("nan"), None),
     (2.0, float("-inf"), None), (2.0, 0.0, np.array([0.0, np.nan, 0.0, 0.0])),
-    (2.0, 0.0, np.array([np.inf, 0.0, 0.0, 0.0]))],
+    (2.0, 0.0, np.array([np.inf, 0.0, 0.0, 0.0])),
+    (2.0, 0.0, np.zeros(3)), (2.0, 0.0, np.zeros((2, 4))),
+    (2.0, 0.0, np.zeros((1, 4)))],
     ids=["lam_zero", "lam_negative", "lam_nan", "lam_inf", "t0_nan",
-         "t0_inf", "offset_nan", "offset_inf"])
+         "t0_inf", "offset_nan", "offset_inf", "offset_three_vector",
+         "offset_two_rows", "offset_one_row"])
 def test_parabolic_rejects_a_scale_that_is_not_finite_and_positive(
-        graph_flow, lam, t0, offset):
+        graph_flow, lam, t0, offset, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a state was mapped")
+
+    monkeypatch.setattr(SurfaceState, "transformed", never)
     with pytest.raises(BadParameter, match="rescaling"):
         graph_flow.parabolic(lam, t0, offset)

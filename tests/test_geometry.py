@@ -798,7 +798,7 @@ def _wavy_surface(n1, n2, periodic, seam, rng):
 @given(state=layout_surfaces())
 def test_component_major_kernel_matches_node_major_reference(state):
     grid = state.grid
-    per = state.periodic_part()
+    per = state.periodic_components().transpose(1, 2, 0)
     derivs = [d.transpose(1, 2, 0) for d in position_derivatives(state)]
     # Each derivative agrees with its explicit product to 1e-13 of the
     # magnitude of the terms the product sums.
@@ -1178,7 +1178,7 @@ def test_bundle_holds_each_field_once():
     # 20 for the derivatives, 7 for the metric, 4 for H and 2 for c^u and
     # c^v; every lazy field then adds its own.
     b = build_geometry(lagrangian_graph(16, 20, 0.1))
-    node_bytes = 8 * b.grid.node_count
+    node_bytes = 8 * b.grid.n1 * b.grid.n2
 
     def held():
         bases = {}
@@ -1217,7 +1217,8 @@ def test_lazy_fields_take_no_lock(monkeypatch):
         monkeypatch.setattr(attr, "lock", Untouchable(), raising=False)
     state = clifford_torus(16, 16)
     b = build_geometry(state)
-    view = ScaledBundle(b, MappedStates([state], [0], [2.0], None, [0.0]), 0)
+    view = ScaledBundle(
+        b, MappedStates([state], [0], [2.0], np.zeros((1, 4)), [0.0]), 0)
     for name in lazy:
         owner = view if name == "positions" else b
         value = getattr(owner, name)

@@ -32,7 +32,7 @@ def test_axis_coords_start_at_zero_with_given_spacing():
     np.testing.assert_allclose(g.axis_coords(0), 0.5 * np.arange(8))
     np.testing.assert_allclose(g.axis_coords(1), 0.25 * np.arange(12))
     assert g.shape == (8, 12)
-    assert g.node_count == 96
+    assert g.n1 * g.n2 == 96
     assert g.node_weight() == 0.125
 
 
@@ -84,7 +84,7 @@ def test_require_finite_reports_bad_node():
 
 def test_periodic_part_strips_seam_ramp():
     st = lagrangian_graph(16, 16, 0.1)
-    per = st.periodic_part()
+    per = st.periodic_components().transpose(1, 2, 0)
     # Coordinate 0 is the ramp u itself; coordinate 2 is the ramp v.
     assert np.abs(per[..., 0]).max() < 1e-12
     assert np.abs(per[..., 2]).max() < 1e-12
@@ -111,7 +111,7 @@ def test_position_derivatives_restore_seam_slope():
 def test_mixed_partials_commute_to_stencil_accuracy():
     st = lagrangian_graph(32, 32, 0.1)
     g = st.grid
-    per = st.periodic_part()
+    per = st.periodic_components().transpose(1, 2, 0)
     from mcf4d.grid import scalar_derivative
     f_u = scalar_derivative(per, g, 0, 1).transpose(2, 0, 1)
     f_uv = scalar_derivative(f_u, g, 1, 1)
@@ -203,9 +203,12 @@ def test_a_run_its_stages_and_copies_share_one_seam_data(dt, monkeypatch):
 
 
 def test_moved_state_has_every_field_of_a_checked_state():
-    # Same names in the same order, so the three share one attribute layout.
+    # Same names in the same order, so the three share one attribute layout;
+    # a run's accepted state is itself made by moved.
     names = [f.name for f in dataclasses.fields(SurfaceState)]
-    for state in (lagrangian_graph(8, 8), clifford_torus(8, 8)):
+    accepted = run_flow(lagrangian_graph(8, 8),
+                        RunControls(dt=1e-3, max_steps=2)).states[-1]
+    for state in (lagrangian_graph(8, 8), clifford_torus(8, 8), accepted):
         assert list(vars(state)) == names
         assert list(vars(state.moved(state.positions, 1.0))) == names
         assert list(vars(state.copy())) == names

@@ -288,6 +288,10 @@ def test_timeseries_schema_without_scan(tmp_path):
     write_timeseries(path, trace)
     lines = path.read_text(encoding="ascii").splitlines()
     assert lines[0] == ",".join(TIMESERIES_COLUMNS)
+    # The schema README documents, column by column.
+    assert lines[0] == ("step,t,area,max_A2,max_H2,min_cos_alpha,"
+                        "min_cos_theta,psi,rhs_drift,rhs_dissipation,"
+                        "rhs_gradient,min_detg")
     assert len(lines) == 1 + len(trace.states)
     first = lines[1].split(",")
     assert len(first) == len(TIMESERIES_COLUMNS)
@@ -320,6 +324,7 @@ def test_report_serializes_numpy_and_dataclasses(tmp_path):
         "counts": np.arange(3),
         "ok": np.bool_(True),
         "pinch": PinchingReport(min_margin=0.25, violating_nodes=[3]),
+        "nested": [(np.int64(2), np.float32(0.5)), {"x": np.array(7.0)}],
     }
     path = tmp_path / "report.json"
     write_report(path, payload)
@@ -329,7 +334,10 @@ def test_report_serializes_numpy_and_dataclasses(tmp_path):
         "counts": [0, 1, 2],
         "ok": True,
         "pinch": {"min_margin": 0.25, "violating_nodes": [3]},
+        "nested": [[2, 0.5], {"x": 7.0}],
     }
+    with pytest.raises(TypeError, match="type object is not JSON serializable"):
+        write_report(tmp_path / "bad.json", {"x": object()})
 
 
 def test_float_format_roundtrips_doubles():

@@ -363,6 +363,14 @@ def test_sphere_ode_rejects_a_stop_time_off_the_flow(values):
         run_sphere_ode(1.0, RunControls(**values))
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf])
+def test_sphere_ode_rejects_a_radius_that_is_not_finite(radius):
+    # Named as the radius, before np.geomspace sees it (the suite turns its
+    # RuntimeWarning into an error).
+    with pytest.raises(BadParameter, match="radius must be finite"):
+        run_sphere_ode(radius)
+
+
 def test_sphere_ode_samples_are_geometric_in_the_time_to_go():
     # As an adaptive run's steps dt ~ RKC_ACCURACY / |A|^2 are: T - t falls
     # by one ratio per sample from T at t = 0 to T - t_stop at the stop.
